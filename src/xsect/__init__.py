@@ -32,7 +32,6 @@ from .linalg import (
     JordanBlock,
     RealJordanForm,
     Spectrum,
-    conjugate_point,
     integer_power,
     matrix_from_json,
     matrix_to_json,

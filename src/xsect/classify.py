@@ -30,20 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import BorderlineModulus
 from .linalg import DEFAULT_TOL, RealJordanForm, as_matrix, real_jordan_form
-
-CONTINUOUS_CASES = ("real_nonzero", "complex_nonzero", "zero_nilpotent", "imaginary_nilpotent")
-DISCRETE_CASES = (
-    "modulus_not_one",
-    "complex_modulus_not_one",
-    "real_modulus_one_nilpotent",
-    "complex_modulus_one_nilpotent",
-)
 
 
 @dataclass(frozen=True)
@@ -84,22 +75,37 @@ class DiscreteVerdict:
         }
 
 
-def _is_zero(x, tol, scale) -> bool:
-    return abs(x) <= tol * scale
-
-
-def _pick(blocks, pred, rate=lambda blk: 0.0, slack=0.0):
+def _pick(blocks, pred, rate, slack):
     """Index of the qualifying block with the largest ``rate``, or None.
 
     A later block wins only if its rate exceeds the best so far by more
-    than ``slack``, so ties go to the earlier block; with the default
-    rate the first qualifying block wins.
+    than ``slack``, so ties go to the earlier block.
     """
     best = None
     for idx, blk in enumerate(blocks):
         if pred(blk) and (best is None or rate(blk) > rate(blocks[best]) + slack):
             best = idx
     return best
+
+
+def _first_case(blocks, cases, grows, rate, slack):
+    """``(case, witness)`` of the first of the four ``cases`` in priority
+    order that has a qualifying block, or ``(None, None)``: a real block
+    that ``grows``, a complex one that grows, a real nilpotent block, a
+    complex nilpotent one.  A growing witness has the largest ``rate``;
+    a nilpotent witness is the first qualifying block."""
+    flat = lambda blk: 0.0
+    tiers = (
+        (lambda blk: not blk.is_complex and grows(blk), rate),
+        (lambda blk: blk.is_complex and grows(blk), rate),
+        (lambda blk: not blk.is_complex and blk.nilpotent, flat),
+        (lambda blk: blk.is_complex and blk.nilpotent, flat),
+    )
+    for case, (pred, tier_rate) in zip(cases, tiers):
+        idx = _pick(blocks, pred, tier_rate, slack)
+        if idx is not None:
+            return case, idx
+    return None, None
 
 
 def classify_continuous(b, tol=DEFAULT_TOL) -> ContinuousVerdict:
@@ -118,24 +124,14 @@ def classify_continuous(b, tol=DEFAULT_TOL) -> ContinuousVerdict:
     form = real_jordan_form(b, tol=tol, require_invertible=False)
     scale = max(float(np.linalg.norm(b, 2)), 1.0)
 
-    pick = partial(_pick, form.blocks, slack=tol * scale)
-
-    def growth(blk):
-        return abs(blk.alpha)
-
-    idx = pick(lambda blk: not blk.is_complex and not _is_zero(blk.alpha, tol, scale), growth)
-    if idx is not None:
-        return ContinuousVerdict(True, "real_nonzero", idx, form)
-    idx = pick(lambda blk: blk.is_complex and not _is_zero(blk.alpha, tol, scale), growth)
-    if idx is not None:
-        return ContinuousVerdict(True, "complex_nonzero", idx, form)
-    idx = pick(lambda blk: not blk.is_complex and blk.nilpotent)
-    if idx is not None:
-        return ContinuousVerdict(True, "zero_nilpotent", idx, form)
-    idx = pick(lambda blk: blk.is_complex and blk.nilpotent)
-    if idx is not None:
-        return ContinuousVerdict(True, "imaginary_nilpotent", idx, form)
-    return ContinuousVerdict(False, None, None, form)
+    case, witness = _first_case(
+        form.blocks,
+        ("real_nonzero", "complex_nonzero", "zero_nilpotent", "imaginary_nilpotent"),
+        grows=lambda blk: abs(blk.alpha) > tol * scale,
+        rate=lambda blk: abs(blk.alpha),
+        slack=tol * scale,
+    )
+    return ContinuousVerdict(case is not None, case, witness, form)
 
 
 def classify_discrete(a, tol=DEFAULT_TOL) -> DiscreteVerdict:
@@ -161,28 +157,13 @@ def classify_discrete(a, tol=DEFAULT_TOL) -> DiscreteVerdict:
     def mod_dist(blk):
         return abs(blk.modulus - 1.0)
 
-    pick = partial(_pick, form.blocks, slack=tol)
-
-    def growth(blk):
-        return abs(math.log(blk.modulus))
-
-    case = None
-    witness = None
-    idx = pick(lambda blk: not blk.is_complex and mod_dist(blk) > tol, growth)
-    if idx is not None:
-        case, witness = "modulus_not_one", idx
-    else:
-        idx = pick(lambda blk: blk.is_complex and mod_dist(blk) > tol, growth)
-        if idx is not None:
-            case, witness = "complex_modulus_not_one", idx
-        else:
-            idx = pick(lambda blk: not blk.is_complex and blk.nilpotent)
-            if idx is not None:
-                case, witness = "real_modulus_one_nilpotent", idx
-            else:
-                idx = pick(lambda blk: blk.is_complex and blk.nilpotent)
-                if idx is not None:
-                    case, witness = "complex_modulus_one_nilpotent", idx
+    case, witness = _first_case(
+        form.blocks,
+        ("modulus_not_one", "complex_modulus_not_one", "real_modulus_one_nilpotent", "complex_modulus_one_nilpotent"),
+        grows=lambda blk: mod_dist(blk) > tol,
+        rate=lambda blk: abs(math.log(blk.modulus)),
+        slack=tol,
+    )
 
     if case is None:
         # verdict would be "no cross-section"; make sure no semisimple block

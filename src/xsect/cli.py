@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -418,7 +417,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    os.environ.get("XSECT_THREADS")  # accepted as a hint; results never depend on it
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

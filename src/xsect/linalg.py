@@ -560,6 +560,11 @@ def one_parameter_power_batch(bform: RealJordanForm, ts) -> np.ndarray:
     return np.einsum("ij,sjk,kl->sil", bform.conjugator_inverse, jt, bform.conjugator)
 
 
+def flow_rows(bform: RealJordanForm, points, ts) -> np.ndarray:
+    """Each row flowed by its own time: ``points[s] @ exp(ts[s] * B)``."""
+    return np.einsum("sj,sjk->sk", points, one_parameter_power_batch(bform, ts))
+
+
 def integer_power(a, k: int) -> np.ndarray:
     """``A^k`` by binary exponentiation (``A^0 = I``, negative via solves)."""
     a = as_matrix(a)
@@ -575,24 +580,9 @@ def integer_power(a, k: int) -> np.ndarray:
     return out
 
 
-def conjugate_point(gamma, p) -> np.ndarray:
-    """Transport a row vector by a conjugator: ``gamma @ P``.
-
-    If ``S`` is a cross-section for the action of ``A`` then ``S @ P``
-    is one for ``P^{-1} A P``, and membership transports accordingly.
-    """
-    return np.asarray(gamma, dtype=float) @ as_matrix(p)
-
-
-def power_range(a, k_lo: int, k_hi: int) -> dict:
-    """Dict ``k -> A^k`` for an integer window, built by repeated multiplies."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    powers = {0: np.eye(n)}
-    for k in range(1, max(k_hi, 0) + 1):
-        powers[k] = powers[k - 1] @ a
-    if k_lo < 0:
-        ainv = np.linalg.inv(a)
-        for k in range(-1, k_lo - 1, -1):
-            powers[k] = powers[k + 1] @ ainv
-    return {k: powers[k] for k in range(k_lo, k_hi + 1)}
+def box_corners(lo, hi) -> np.ndarray:
+    """The 2^n corners of the box [lo, hi]; corner i takes ``hi[d]`` where
+    bit d of i is set and ``lo[d]`` elsewhere."""
+    n = len(lo)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return np.where(bits == 1, np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))

@@ -25,7 +25,8 @@ while interval bounds are compared exactly with no epsilon-fattening.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,25 +35,16 @@ from .errors import ExceptionalPoint, NoSection
 from .linalg import (
     DEFAULT_TOL,
     RealJordanForm,
+    flow_rows,
     integer_power,
     jordan_flow_batch,
     jordan_flow_matrix,
     matrix_from_json,
     matrix_to_json,
     one_parameter_power,
-    one_parameter_power_batch,
 )
 
 TWO_PI = 2.0 * math.pi
-
-CONTINUOUS_TAGS = ("real_nonzero", "complex_nonzero", "zero_nilpotent", "imaginary_nilpotent")
-DISCRETE_TAGS = (
-    "modulus_not_one",
-    "complex_modulus_not_one",
-    "real_modulus_one_nilpotent",
-    "complex_modulus_one_nilpotent",
-    "derived_from_continuous",
-)
 
 
 @dataclass(frozen=True)
@@ -93,12 +85,15 @@ class CrossSection:
     base: "CrossSection | None" = None
 
     @property
+    def kind(self) -> "_Case":
+        """The case object: null set, predicate, orbit parameter, sampler."""
+        return _CASES[self.case]
+
+    @property
     def matrix(self) -> np.ndarray:
         """The acting matrix: A for discrete mode, the generator B for
         continuous mode.  A derived discrete section acts under exp(B)."""
-        if self.case == "derived_from_continuous":
-            return one_parameter_power(self.jordan, 1.0)
-        return self.jordan.matrix
+        return self.kind.matrix(self)
 
     @property
     def n(self) -> int:
@@ -108,14 +103,14 @@ class CrossSection:
     def block(self):
         return self.jordan.blocks[self.block_index]
 
+    @cached_property
+    def _conj_cond(self) -> float:
+        """``cond(Q)`` of the Jordan basis; cached, never serialized."""
+        return float(np.linalg.cond(self.jordan.conjugator_inverse))
+
     def null_set(self) -> dict:
         """The declared measure-zero exceptional set, as coordinate data."""
-        off = self.block.offset
-        if self.case in ("real_nonzero", "zero_nilpotent", "modulus_not_one", "real_modulus_one_nilpotent"):
-            return {"kind": "coordinate_zero", "indices": [off]}
-        if self.case == "derived_from_continuous":
-            return self.base.null_set()
-        return {"kind": "pair_zero", "indices": [off, off + 1]}
+        return self.kind.null_set(self)
 
     # -- evaluation -------------------------------------------------------
 
@@ -145,20 +140,19 @@ class CrossSection:
     def sample(self, rng, count):
         """Draw points from the section (free coordinates standard normal)."""
         coords = rng.normal(size=(count, self.n))
-        _sample_core(self, coords, rng)
+        self.kind.sample(self, coords, rng)
         return self.jordan.from_jordan(coords)
 
     def to_json(self) -> dict:
         obj = {
             "mode": self.mode,
             "case": self.case,
-            "matrix": matrix_to_json(self.matrix if self.base is None else self.base.matrix),
+            "matrix": matrix_to_json(self.jordan.matrix),
             "block_index": self.block_index,
-            "params": {k: v for k, v in self.params.items()},
+            "params": dict(self.params),
             "tol": self.tol,
         }
-        if self.base is not None:
-            obj["derived"] = True
+        obj.update(self.kind.json_tags)
         return obj
 
 
@@ -176,29 +170,7 @@ def build_continuous_section(b, tol=DEFAULT_TOL) -> CrossSection:
     verdict = classify_continuous(b, tol=tol)
     if not verdict.exists:
         raise NoSection("the exponential of this generator is conjugate-orthogonal")
-    form = verdict.jordan
-    blk = form.blocks[verdict.witness_block]
-    params = {}
-    if verdict.case == "real_nonzero":
-        params["alpha"] = blk.alpha
-    elif verdict.case == "complex_nonzero":
-        mu = abs(blk.alpha)
-        params.update(
-            alpha=blk.alpha,
-            beta=blk.beta,
-            mu=mu,
-            log_span=TWO_PI * mu / blk.beta,  # ln of the radial ratio Lambda
-        )
-    elif verdict.case == "imaginary_nilpotent":
-        params["beta"] = blk.beta
-    return CrossSection(
-        mode="continuous",
-        case=verdict.case,
-        jordan=form,
-        block_index=verdict.witness_block,
-        params=params,
-        tol=tol,
-    )
+    return _build(verdict, tol)
 
 
 def build_discrete_section(a, tol=DEFAULT_TOL) -> CrossSection:
@@ -211,36 +183,17 @@ def build_discrete_section(a, tol=DEFAULT_TOL) -> CrossSection:
     verdict = classify_discrete(a, tol=tol)
     if not verdict.exists:
         raise NoSection("matrix is conjugate to an orthogonal matrix")
-    form = verdict.jordan
-    blk = form.blocks[verdict.witness_block]
-    params = {}
-    if verdict.case == "modulus_not_one":
-        lam = blk.re
-        big = max(abs(lam), 1.0 / abs(lam))
-        params.update(lam=lam, log_span=math.log(big), expanding=abs(lam) > 1.0)
-    elif verdict.case == "complex_modulus_not_one":
-        r = blk.modulus
-        beta = blk.argument
-        expanding = r > 1.0
-        mu = abs(math.log(r))
-        omega = beta if expanding else TWO_PI - beta
-        params.update(
-            beta=beta,
-            mu=mu,
-            omega=omega,
-            log_span=TWO_PI * mu / omega,
-            expanding=expanding,
-        )
-    elif verdict.case == "real_modulus_one_nilpotent":
-        params["lam"] = 1.0 if blk.re > 0 else -1.0
-    elif verdict.case == "complex_modulus_one_nilpotent":
-        params["beta"] = blk.argument
+    return _build(verdict, tol)
+
+
+def _build(verdict, tol):
+    kind, form = _CASES[verdict.case], verdict.jordan
     return CrossSection(
-        mode="discrete",
+        mode=kind.mode,
         case=verdict.case,
         jordan=form,
         block_index=verdict.witness_block,
-        params=params,
+        params=kind.params(form.blocks[verdict.witness_block]),
         tol=tol,
     )
 
@@ -250,116 +203,569 @@ def derive_discrete_section(section: CrossSection) -> CrossSection:
     ``T = {gamma A^t : gamma in S, 0 <= t < 1}`` for ``A = exp(B)``."""
     if section.mode != "continuous":
         raise ValueError("derive_discrete_section expects a continuous section")
-    return CrossSection(
-        mode="discrete",
-        case="derived_from_continuous",
-        jordan=section.jordan,
-        block_index=section.block_index,
-        params=dict(section.params),
-        tol=section.tol,
-        base=section,
-    )
+    # same Jordan form, witness block and tolerance as the base
+    return replace(section, mode="discrete", case="derived_from_continuous",
+                   params=dict(section.params), base=section)
 
 
 # ---------------------------------------------------------------------------
-# membership
+# the case table
 
 
-def _pair_scale(coords):
-    # an overflowing norm yields inf and the point is flagged exceptional
-    with np.errstate(over="ignore"):
-        return np.maximum(np.linalg.norm(coords, axis=1), 1.0)
+@dataclass(frozen=True)
+class _Case:
+    """One existence case.
+
+    ``pinned`` counts the leading witness coordinates whose joint
+    vanishing is the declared null set: 1 for a real witness block, 2
+    for a complex pair.  The null-set mask, the null-set data and, in
+    the sliceable cases, the free dimensions all follow from it.
+
+    ``eq_scale``, ``member`` and ``parameter`` read ``w``, the Jordan
+    coordinates from the witness block on (``w[:, 0]`` is ``x1``).
+    ``parameter`` is the flow time ``t`` with ``gamma @ A^t in S``
+    (continuous cases) or the tile index ``k`` with ``gamma in S @ A^k``
+    (discrete cases); ``exceptional`` is the null-set mask, so the
+    formulas never divide by a vanishing witness coordinate.
+    """
+
+    name: str
+    mode: str
+    pinned: int | None
+
+    sliceable = False  # radial slab geometry, shared by shaping and wavelets
+    cone = False  # membership is the ratio cone 0 <= x2/x1 < 1
+    json_tags = ()
+
+    def params(self, blk) -> dict:
+        return {}
+
+    def matrix(self, section):
+        return section.jordan.matrix
+
+    def null_set(self, section) -> dict:
+        off = section.block.offset
+        kind = "coordinate_zero" if self.pinned == 1 else "pair_zero"
+        return {"kind": kind, "indices": list(range(off, off + self.pinned))}
+
+    def null_mask(self, section, coords):
+        # an overflowing norm yields inf and the point is flagged exceptional
+        with np.errstate(over="ignore"):
+            scale = np.maximum(np.linalg.norm(coords, axis=1), 1.0)
+        w = coords[:, section.block.offset :]
+        if self.pinned == 1:
+            return np.abs(w[:, 0]) <= section.tol * scale
+        return np.hypot(w[:, 0], w[:, 1]) <= section.tol * scale
+
+    def eq_scale(self, section, w):
+        """Scale of the equality constraints, or None when there are none."""
+        return None
+
+    def inverse_tile_power(self, section):
+        """``k -> J^-k``: the inverse tile power in Jordan coordinates."""
+        j = section.jordan.jordan_matrix()
+        return lambda k: integer_power(j, -int(k))
+
+    def slab_measure(self, params) -> float:
+        raise ValueError(f"no slab measure for case {self.name!r}")
+
+    def branch_period(self, params):
+        """Flow-time period of the section-hit candidates, None if unique."""
+        return None
+
+    def jacobian_draw(self, section, p, rng):
+        """Redraw the parameters that have a restricted domain."""
 
 
-def _eq_resolution_mask(section, coords, eq_scale):
-    """True where the point's float representation is too coarse to decide
-    the case's equality constraints at the working tolerance.
-
-    An ambient vector resolves each Jordan coordinate only to about
-    ``eps * cond(Q) * ||c||``; once that noise exceeds the equality
-    tolerance the membership question is undecidable and is refused like
-    a null-set point."""
-    kappa = section.params.get("_conj_cond")
-    if kappa is None:
-        kappa = float(np.linalg.cond(section.jordan.conjugator_inverse))
-        section.params["_conj_cond"] = kappa
-    with np.errstate(over="ignore"):
-        noise = 8.0 * kappa * np.finfo(float).eps * np.linalg.norm(coords, axis=1)
-    return section.tol * eq_scale < noise
+def _on_ray(section, w):
+    """The leading pair on the zero-angle ray, and its radius."""
+    r = np.hypot(w[:, 0], w[:, 1])
+    return (np.abs(w[:, 1]) <= section.tol * np.maximum(r, 1.0)) & (w[:, 0] > 0), r
 
 
-def _membership_core(section, coords):
-    case = section.case
+def _nonzero(rng, m):
+    v = rng.normal(size=m)
+    return np.where(np.abs(v) < 1e-3, 1.0 + np.abs(v), v)
+
+
+def _free_coords(section, c, span, values):
+    """Fill every coordinate outside the witness slots off..off+span-1."""
     off = section.block.offset
-    tol = section.tol
-    scale = _pair_scale(coords)
-    x1 = coords[:, off]
+    c[[d for d in range(section.n) if not off <= d < off + span]] = values
+    return c
 
-    if case in ("real_nonzero", "zero_nilpotent", "modulus_not_one", "real_modulus_one_nilpotent"):
-        exceptional = np.abs(x1) <= tol * scale
-        if case == "real_nonzero":
-            exceptional |= _eq_resolution_mask(section, coords, 1.0)
-        elif case == "zero_nilpotent":
-            exceptional |= _eq_resolution_mask(section, coords, np.maximum(np.abs(x1), 1.0))
-    else:
-        if case == "derived_from_continuous":
-            return _derived_membership(section, coords)
-        x2 = coords[:, off + 1]
-        exceptional = np.hypot(x1, x2) <= tol * scale
-        if case in ("complex_nonzero", "imaginary_nilpotent"):
-            exceptional |= _eq_resolution_mask(
-                section, coords, np.maximum(np.hypot(x1, x2), 1.0)
-            )
 
-    if case == "real_nonzero":
-        member = np.abs(np.abs(x1) - 1.0) <= tol
-    elif case == "zero_nilpotent":
-        x2 = coords[:, off + 1]
-        member = np.abs(x2) <= tol * np.maximum(np.abs(x1), 1.0)
-    elif case == "complex_nonzero":
-        x2 = coords[:, off + 1]
+def _scaling_time_range(frame, alpha):
+    return tuple(sorted((math.log(1e-5) / alpha, math.log(1.5 * frame.R * frame.q_norm) / alpha)))
+
+
+class _RealNonzero(_Case):
+    """The leading coordinate of a real block pinned to +/-1."""
+
+    def params(self, blk):
+        return {"alpha": blk.alpha}
+
+    def eq_scale(self, section, w):
+        return 1.0
+
+    def member(self, section, w, exceptional):
+        return np.abs(np.abs(w[:, 0]) - 1.0) <= section.tol
+
+    def parameter(self, section, w, exceptional):
+        safe = np.where(exceptional, 1.0, np.abs(w[:, 0]))
+        return -np.log(safe) / section.params["alpha"]
+
+    def sample(self, section, coords, rng):
+        coords[:, section.block.offset] = rng.choice([-1.0, 1.0], size=coords.shape[0])
+
+    # parameters (t, free...): weight alpha * delta^t
+    def jacobian_point(self, section, p):
+        c = np.zeros(section.n)
+        c[section.block.offset] = 1.0
+        return _free_coords(section, c, 1, p[1:])
+
+    def jacobian_weight(self, section, p):
+        return section.params["alpha"]
+
+    def orbit_integrand(self, section, frame):
+        alpha = section.params["alpha"]
+        off = section.block.offset
+        others = [d for d in range(section.n) if d != off]
+
+        def integrand(*args):
+            frame.guard()
+            a, tvar = args[:-1], args[-1]
+            total = 0.0
+            for eps_sign in (1.0, -1.0):
+                coords = {off: eps_sign}
+                coords.update({d: v for d, v in zip(others, a)})
+                total += frame.f(frame.point(tvar, coords))
+            return total * abs(alpha) * math.exp(frame.trace * tvar) * frame.conj_det
+
+        return integrand, frame.free_ranges(others) + [_scaling_time_range(frame, alpha)]
+
+
+class _ComplexNonzero(_Case):
+    """The radial segment [1, Lambda) on the zero-angle ray of the pair."""
+
+    def params(self, blk):
+        mu = abs(blk.alpha)
+        return dict(
+            alpha=blk.alpha,
+            beta=blk.beta,
+            mu=mu,
+            log_span=TWO_PI * mu / blk.beta,  # ln of the radial ratio Lambda
+        )
+
+    def eq_scale(self, section, w):
+        return np.maximum(np.hypot(w[:, 0], w[:, 1]), 1.0)
+
+    def member(self, section, w, exceptional):
+        on_ray, r = _on_ray(section, w)
+        logr = np.log(np.where(r > 0, r, 1.0))
+        return on_ray & (logr >= 0.0) & (logr < section.params["log_span"])
+
+    def parameter(self, section, w, exceptional):
+        alpha, beta, mu = section.params["alpha"], section.params["beta"], section.params["mu"]
+        sigma = 1.0 if alpha > 0 else -1.0
+        phi = _angle(w[:, 0], w[:, 1])
+        logr = np.log(np.where(exceptional, 1.0, np.hypot(w[:, 0], w[:, 1])))
+        c0 = beta * logr / (TWO_PI * mu) - sigma * phi / TWO_PI
+        m = -sigma * np.floor(c0)
+        return (-phi + TWO_PI * m) / beta
+
+    def sample(self, section, coords, rng):
+        off = section.block.offset
+        coords[:, off] = np.exp(rng.uniform(0.0, section.params["log_span"], coords.shape[0]))
+        coords[:, off + 1] = 0.0
+
+    def branch_period(self, params):
+        return TWO_PI / params["beta"]
+
+    # parameters (t, s, free...): weight -s beta delta^t
+    def jacobian_point(self, section, p):
+        c = np.zeros(section.n)
+        c[section.block.offset] = p[1]
+        return _free_coords(section, c, 2, p[2:])
+
+    def jacobian_weight(self, section, p):
+        return -p[1] * section.params["beta"]
+
+    def jacobian_draw(self, section, p, rng):
+        p[1] = rng.uniform(1.0, math.exp(section.params["log_span"]))
+
+    def orbit_integrand(self, section, frame):
+        alpha, beta = section.params["alpha"], section.params["beta"]
+        lam_big = math.exp(section.params["log_span"])
+        off = section.block.offset
+        others = [d for d in range(section.n) if d not in (off, off + 1)]
+
+        def integrand(*args):
+            frame.guard()
+            a, svar, tvar = args[:-2], args[-2], args[-1]
+            coords = {off: svar, off + 1: 0.0}
+            coords.update({d: v for d, v in zip(others, a)})
+            return frame.f(frame.point(tvar, coords)) * svar * beta * math.exp(frame.trace * tvar) * frame.conj_det
+
+        return integrand, frame.free_ranges(others) + [(1.0, lam_big), _scaling_time_range(frame, alpha)]
+
+
+class _ZeroNilpotent(_Case):
+    """The second chain coordinate of a nilpotent zero block set to 0."""
+
+    def eq_scale(self, section, w):
+        return np.maximum(np.abs(w[:, 0]), 1.0)
+
+    def member(self, section, w, exceptional):
+        return np.abs(w[:, 1]) <= section.tol * np.maximum(np.abs(w[:, 0]), 1.0)
+
+    def parameter(self, section, w, exceptional):
+        return -w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
+
+    def sample(self, section, coords, rng):
+        off = section.block.offset
+        coords[:, off] = _nonzero(rng, coords.shape[0])
+        coords[:, off + 1] = 0.0
+
+    # parameters (t, s, free...): weight -s delta^t
+    jacobian_point = _ComplexNonzero.jacobian_point
+
+    def jacobian_weight(self, section, p):
+        return -p[1]
+
+    def jacobian_draw(self, section, p, rng):
+        p[1] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+
+    def orbit_integrand(self, section, frame):
+        # pure 2x2 block (trace 0, so delta^t = 1); substituting u = t*s
+        # fixes the inner domain and cancels the |s| weight exactly
+        if section.n != 2:
+            raise ValueError("orbit_integral supports the shear case for the pure 2x2 block")
+        off = section.block.offset
+
+        def integrand(uvar, svar):
+            frame.guard()
+            if svar == 0.0:
+                # continuous limit of the substituted parametrization:
+                # (s, 0) A^{u/s} = (s, u) -> (0, u)
+                c = np.zeros(section.n)
+                c[off + 1] = uvar
+                return frame.f(section.jordan.from_jordan(c)) * frame.conj_det
+            tvar = uvar / svar
+            return frame.f(frame.point(tvar, {off: svar, off + 1: 0.0})) * frame.conj_det
+
+        u_cap = 1.5 * frame.R + 1.0
+        return integrand, [(-u_cap, u_cap), (-1.5 * frame.R, 1.5 * frame.R)]
+
+
+class _ImaginaryNilpotent(_Case):
+    """The leading pair on angle zero, the third coordinate boxed into
+    [0, 2*pi*p/beta)."""
+
+    def params(self, blk):
+        return {"beta": blk.beta}
+
+    eq_scale = _ComplexNonzero.eq_scale
+
+    def member(self, section, w, exceptional):
+        on_ray, _ = _on_ray(section, w)
+        return on_ray & (w[:, 2] >= 0.0) & (w[:, 2] < (TWO_PI / section.params["beta"]) * w[:, 0])
+
+    def parameter(self, section, w, exceptional):
+        x1 = np.where(exceptional, 1.0, w[:, 0])
+        return _case4_flow_time(section.params["beta"], x1, w[:, 1], w[:, 2], w[:, 3])
+
+    def sample(self, section, coords, rng):
+        off = section.block.offset
+        m = coords.shape[0]
+        p = np.abs(rng.normal(size=m)) + 0.1
+        coords[:, off] = p
+        coords[:, off + 1] = 0.0
+        coords[:, off + 2] = rng.uniform(0.0, 1.0, m) * (TWO_PI / section.params["beta"]) * p
+
+    branch_period = _ComplexNonzero.branch_period
+
+    # parameters (t, p, q, s, free...): weight -beta p delta^t
+    def jacobian_point(self, section, p):
+        c = np.zeros(section.n)
+        off = section.block.offset
+        c[off], c[off + 2], c[off + 3] = p[1], p[2], p[3]
+        return _free_coords(section, c, 4, p[4:])
+
+    def jacobian_weight(self, section, p):
+        return -section.params["beta"] * p[1]
+
+    def jacobian_draw(self, section, p, rng):
+        p[1] = rng.uniform(0.5, 2.0)
+        p[2] = rng.uniform(0.0, TWO_PI * p[1] / section.params["beta"])
+
+    def orbit_integrand(self, section, frame):
+        beta = section.params["beta"]
+        # pure 4x4 block (trace 0); substituting u = t*p fixes the inner
+        # domain and reduces the weight to the constant beta
+        if section.n != 4:
+            raise ValueError("orbit_integral supports the rotating shear case for the pure 4x4 block")
+        conj = section.jordan.conjugator
+        canonical = np.allclose(conj, np.eye(4), atol=1e-12)
+        R = frame.R
+
+        def integrand(uvar, qvar, svar, pvar):
+            frame.guard()
+            theta = beta * uvar / pvar
+            c, sn = math.cos(theta), math.sin(theta)
+            w = uvar + qvar
+            x = (pvar * c, pvar * sn, w * c - svar * sn, w * sn + svar * c)
+            if not canonical:
+                x = np.asarray(x) @ conj
+            return frame.f(np.asarray(x)) * beta * frame.conj_det
+
+        def q_range(svar, pvar):
+            return (0.0, TWO_PI * pvar / beta)
+
+        def u_range(qvar, svar, pvar):
+            # support of f: (u+q)^2 + s^2 + p^2 <= (decay radius)^2
+            slack = (1.2 * R) ** 2 - svar**2 - pvar**2
+            if slack <= 0.0:
+                return (0.0, 0.0)
+            w = math.sqrt(slack) + 0.5
+            return (-qvar - w, -qvar + w)
+
+        return integrand, [u_range, q_range, (-1.5 * R, 1.5 * R), (1e-12, 1.5 * R)]
+
+
+class _ModulusNotOne(_Case):
+    """The radial shell 1 <= |x1| < Lambda of a real witness."""
+
+    sliceable = True
+    turns = False  # the slab is a band in |x1|, whatever the tile index
+
+    def params(self, blk):
+        lam = blk.re
+        big = max(abs(lam), 1.0 / abs(lam))
+        return dict(lam=lam, log_span=math.log(big), expanding=abs(lam) > 1.0)
+
+    def member(self, section, w, exceptional):
+        a1 = np.abs(w[:, 0])
+        return (a1 >= 1.0) & (a1 < math.exp(section.params["log_span"]))
+
+    def parameter(self, section, w, exceptional):
+        u = np.log(np.where(exceptional, 1.0, np.abs(w[:, 0]))) / section.params["log_span"]
+        # expanding: log|x1| - k*span in [0, span); contracting: + k*span
+        k = np.floor(u) if section.params["expanding"] else -np.floor(u)
+        return k.astype(int)
+
+    def sample(self, section, coords, rng):
+        m = coords.shape[0]
+        span = section.params["log_span"]
+        coords[:, section.block.offset] = rng.choice([-1.0, 1.0], size=m) * np.exp(rng.uniform(0.0, span, m))
+
+    # -- slab geometry ------------------------------------------------------
+
+    def slab_measure(self, params):
+        """Measure of the constrained part, in Jordan coordinates."""
+        lam_big = math.exp(params["log_span"])
+        return 2.0 * (lam_big - 1.0)
+
+    def core_radius(self, params):
+        """Sup-norm radius of the constrained coordinates."""
+        return math.exp(params["log_span"])
+
+    def fill_slab(self, section, coords, rng):
+        """Constrained coordinates of points spread over the slab."""
+        lam_big = math.exp(section.params["log_span"])
+        m = coords.shape[0]
+        coords[:, section.block.offset] = rng.choice([-1.0, 1.0], size=m) * rng.uniform(1.0, lam_big, m)
+
+    def radial_coordinate(self, section, coords):
+        """The expanding radial coordinate of a representative."""
+        return np.abs(coords[:, section.block.offset])
+
+    def slab_growth(self, params):
+        """Scaling of the radial coordinate per step of the expanding action."""
+        return math.exp(params["log_span"])
+
+
+class _ComplexModulusNotOne(_Case):
+    """The spiral slab ``0 <= log r - (phi/omega) mu < log Lambda`` with
+    ``phi < omega`` of a complex witness."""
+
+    sliceable = True
+    turns = True  # the slab winds around the origin once per tile index
+
+    def params(self, blk):
+        r = blk.modulus
+        beta = blk.argument
+        expanding = r > 1.0
+        mu = abs(math.log(r))
+        omega = beta if expanding else TWO_PI - beta
+        return dict(beta=beta, mu=mu, omega=omega, log_span=TWO_PI * mu / omega, expanding=expanding)
+
+    def member(self, section, w, exceptional):
+        r = np.hypot(w[:, 0], w[:, 1])
+        phi = _angle(w[:, 0], w[:, 1])
+        logr = np.log(np.where(r > 0, r, 1.0))
+        logs = logr - (phi / section.params["omega"]) * section.params["mu"]
+        return (phi < section.params["omega"]) & (logs >= 0.0) & (logs < section.params["log_span"])
+
+    def parameter(self, section, w, exceptional):
+        mu, omega = section.params["mu"], section.params["omega"]
+        phi = _angle(w[:, 0], w[:, 1])
+        logr = np.log(np.where(exceptional, 1.0, np.hypot(w[:, 0], w[:, 1])))
+        m = np.floor((omega * logr / mu - phi) / TWO_PI)
+        tau = (phi + TWO_PI * m) / omega
+        j = np.floor(tau)
+        k = j if section.params["expanding"] else -j
+        return k.astype(int)
+
+    def sample(self, section, coords, rng):
+        off = section.block.offset
+        m = coords.shape[0]
+        mu, omega = section.params["mu"], section.params["omega"]
+        logs = rng.uniform(0.0, section.params["log_span"], m)
+        t = rng.uniform(0.0, 1.0, m)
+        r = np.exp(logs + t * mu)
+        phi = t * omega
+        coords[:, off] = r * np.cos(phi)
+        coords[:, off + 1] = r * np.sin(phi)
+
+    # -- slab geometry ------------------------------------------------------
+
+    def slab_measure(self, params):
+        # exact area integral times a safety factor of 2: the shift
+        # inequality only needs an upper bound
+        mu, omega = params["mu"], params["omega"]
+        lam_big = math.exp(params["log_span"])
+        exact = (lam_big**2 - 1.0) * (omega / (4.0 * mu)) * (math.exp(2.0 * mu) - 1.0)
+        return 2.0 * exact
+
+    def core_radius(self, params):
+        return math.exp(params["log_span"] + params["mu"])
+
+    def fill_slab(self, section, coords, rng):
+        off = section.block.offset
+        m = coords.shape[0]
+        mu, omega = section.params["mu"], section.params["omega"]
+        s = rng.uniform(1.0, math.exp(section.params["log_span"]), m)
+        t = rng.uniform(0.0, 1.0, m)
+        r = s * np.exp(t * mu)
+        coords[:, off] = r * np.cos(t * omega)
+        coords[:, off + 1] = r * np.sin(t * omega)
+
+    def radial_coordinate(self, section, coords):
+        # the spiral radial index
+        x1, x2 = coords[:, section.block.offset], coords[:, section.block.offset + 1]
+        phi = np.mod(np.arctan2(x2, x1), TWO_PI)
         r = np.hypot(x1, x2)
-        on_ray = (np.abs(x2) <= tol * np.maximum(r, 1.0)) & (x1 > 0)
-        with np.errstate(divide="ignore"):
-            logr = np.log(np.where(r > 0, r, 1.0))
-        member = on_ray & (logr >= 0.0) & (logr < section.params["log_span"])
-    elif case == "imaginary_nilpotent":
-        member = _case4_membership(section, coords)
-    elif case == "modulus_not_one":
-        a1 = np.abs(x1)
-        member = (a1 >= 1.0) & (a1 < math.exp(section.params["log_span"]))
-    elif case == "complex_modulus_not_one":
-        x2 = coords[:, off + 1]
-        r = np.hypot(x1, x2)
-        phi = _angle(x1, x2)
-        omega = section.params["omega"]
-        mu = section.params["mu"]
-        with np.errstate(divide="ignore"):
-            logr = np.log(np.where(r > 0, r, 1.0))
-        logs = logr - (phi / omega) * mu
-        member = (phi < omega) & (logs >= 0.0) & (logs < section.params["log_span"])
-    elif case == "real_modulus_one_nilpotent":
-        x2 = coords[:, off + 1]
+        return np.exp(np.log(np.maximum(r, 1e-300)) - (phi / section.params["omega"]) * section.params["mu"])
+
+    def slab_growth(self, params):
+        return math.exp(params["mu"])
+
+
+class _RealModulusOneNilpotent(_Case):
+    """The cone ``0 <= x2/x1 < 1`` of a nilpotent block with eigenvalue +/-1."""
+
+    cone = True
+
+    def params(self, blk):
+        return {"lam": 1.0 if blk.re > 0 else -1.0}
+
+    def member(self, section, w, exceptional):
+        x1, x2 = w[:, 0], w[:, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(x1 != 0, x2 / np.where(x1 != 0, x1, 1.0), 0.0)
-        member = (ratio >= 0.0) & (ratio < 1.0)
-    elif case == "complex_modulus_one_nilpotent":
-        u = _flow_time_mod1(section, coords)
-        member = (u >= 0.0) & (u < 1.0)
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return member & ~exceptional, exceptional
+        return (ratio >= 0.0) & (ratio < 1.0)
+
+    def parameter(self, section, w, exceptional):
+        ratio = w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
+        k = section.params["lam"] * np.floor(ratio)
+        return k.astype(int)
+
+    def sample(self, section, coords, rng):
+        off = section.block.offset
+        s = _nonzero(rng, coords.shape[0])
+        coords[:, off] = s
+        coords[:, off + 1] = s * rng.uniform(0.0, 1.0, coords.shape[0])
 
 
-def _case4_membership(section, coords):
-    off = section.block.offset
-    beta = section.params["beta"]
-    tol = section.tol
-    x1, x2 = coords[:, off], coords[:, off + 1]
-    x3 = coords[:, off + 2]
-    r = np.hypot(x1, x2)
-    on_ray = (np.abs(x2) <= tol * np.maximum(r, 1.0)) & (x1 > 0)
-    return on_ray & (x3 >= 0.0) & (x3 < (TWO_PI / beta) * x1)
+class _ComplexModulusOneNilpotent(_Case):
+    """The rotating-shear set of a nilpotent block with |eigenvalue| 1."""
+
+    def params(self, blk):
+        return {"beta": blk.argument}
+
+    def member(self, section, w, exceptional):
+        u = _flow_time_mod1(section.params["beta"], w)
+        return (u >= 0.0) & (u < 1.0)
+
+    def parameter(self, section, w, exceptional):
+        return np.floor(_flow_time_mod1(section.params["beta"], w)).astype(int)
+
+    def sample(self, section, coords, rng):
+        off = section.block.offset
+        m = coords.shape[0]
+        beta = section.params["beta"]
+        p = np.abs(rng.normal(size=m)) + 0.1
+        q = rng.uniform(0.0, 1.0, m) * (TWO_PI / beta) * p
+        s = rng.normal(size=m)
+        t = rng.uniform(0.0, 1.0, m)
+        # flow coordinates, then undo the shear correction of the second pair
+        theta = beta * t
+        x1, x2 = _rotate_rows(p, np.zeros(m), theta)
+        d3, d4 = _rotate_rows(q + t * p, s, theta)
+        c3, c4 = _rotate_rows(d3, d4, -beta)
+        coords[:, off], coords[:, off + 1] = x1, x2
+        coords[:, off + 2], coords[:, off + 3] = c3, c4
+
+
+class _DerivedFromContinuous(_Case):
+    """The unit-time sweep ``{gamma A^t : gamma in S, 0 <= t < 1}`` of the
+    continuous section ``S = section.base``: its null set and flow time
+    are the base's, and the tile index is ``floor(-t)``."""
+
+    json_tags = (("derived", True),)
+
+    def matrix(self, section):
+        return one_parameter_power(section.jordan, 1.0)
+
+    def null_set(self, section):
+        return section.base.null_set()
+
+    def null_mask(self, section, coords):
+        return section.base.kind.null_mask(section.base, coords)
+
+    def member(self, section, w, exceptional):
+        u = -section.base.kind.parameter(section.base, w, exceptional)
+        return (u >= 0.0) & (u < 1.0)
+
+    def parameter(self, section, w, exceptional):
+        return np.floor(-section.base.kind.parameter(section.base, w, exceptional)).astype(int)
+
+    def inverse_tile_power(self, section):
+        return lambda k: jordan_flow_matrix(section.jordan, -float(k))
+
+    def sample(self, section, coords, rng):
+        base = section.base
+        base.kind.sample(base, coords, rng)
+        ts = rng.uniform(0.0, 1.0, coords.shape[0])
+        pushed = flow_rows(base.jordan, base.jordan.from_jordan(coords), ts)
+        coords[:] = base.jordan.to_jordan(pushed)
+
+
+_CASES = {
+    case.name: case
+    for case in (
+        _RealNonzero("real_nonzero", "continuous", 1),
+        _ComplexNonzero("complex_nonzero", "continuous", 2),
+        _ZeroNilpotent("zero_nilpotent", "continuous", 1),
+        _ImaginaryNilpotent("imaginary_nilpotent", "continuous", 2),
+        _ModulusNotOne("modulus_not_one", "discrete", 1),
+        _ComplexModulusNotOne("complex_modulus_not_one", "discrete", 2),
+        _RealModulusOneNilpotent("real_modulus_one_nilpotent", "discrete", 1),
+        _ComplexModulusOneNilpotent("complex_modulus_one_nilpotent", "discrete", 2),
+        _DerivedFromContinuous("derived_from_continuous", "discrete", None),  # the base's
+    )
+}
 
 
 def _case4_flow_time(beta, x1, x2, x3, x4):
@@ -375,123 +781,53 @@ def _case4_flow_time(beta, x1, x2, x3, x4):
     return t1 + kk * (TWO_PI / beta)
 
 
-def _flow_time_mod1(section, coords):
+def _flow_time_mod1(beta, w):
     """For the discrete modulus-one complex nilpotent case: ``-t_c`` where
     ``t_c`` is the flow time in the shear-corrected coordinates.  The
     point belongs to the section iff the result lies in [0, 1)."""
-    off = section.block.offset
-    beta = section.params["beta"]
-    x1, x2 = coords[:, off], coords[:, off + 1]
-    c3, c4 = coords[:, off + 2], coords[:, off + 3]
     # canonical Jordan coordinates differ from the flow coordinates by one
     # rotation of the second pair
-    d3, d4 = _rotate_rows(c3, c4, beta)
-    t_c = _case4_flow_time(beta, x1, x2, d3, d4)
+    d3, d4 = _rotate_rows(w[:, 2], w[:, 3], beta)
+    t_c = _case4_flow_time(beta, w[:, 0], w[:, 1], d3, d4)
     return -t_c
 
 
-def _derived_membership(section, coords):
-    ts, exceptional = _continuous_flow_times(section.base, coords)
-    u = -ts
-    member = (u >= 0.0) & (u < 1.0) & ~exceptional
-    return member, exceptional
-
-
 # ---------------------------------------------------------------------------
-# orbit solving
+# membership and orbit solving
 
 
-def _continuous_flow_times(section, coords):
-    """Flow times ``t`` with ``gamma @ A^t in S`` for a continuous section."""
-    case = section.case
-    off = section.block.offset
-    tol = section.tol
-    scale = _pair_scale(coords)
-    x1 = coords[:, off]
+def _eq_resolution_mask(section, coords, eq_scale):
+    """True where the point's float representation is too coarse to decide
+    the case's equality constraints at the working tolerance.
 
-    if case == "real_nonzero":
-        exceptional = np.abs(x1) <= tol * scale
-        alpha = section.params["alpha"]
-        safe = np.where(exceptional, 1.0, np.abs(x1))
-        t = -np.log(safe) / alpha
-        return t, exceptional
-    if case == "zero_nilpotent":
-        exceptional = np.abs(x1) <= tol * scale
-        x2 = coords[:, off + 1]
-        t = -x2 / np.where(exceptional, 1.0, x1)
-        return t, exceptional
-    if case == "complex_nonzero":
-        x2 = coords[:, off + 1]
-        r = np.hypot(x1, x2)
-        exceptional = r <= tol * scale
-        alpha, beta, mu = section.params["alpha"], section.params["beta"], section.params["mu"]
-        sigma = 1.0 if alpha > 0 else -1.0
-        phi = _angle(x1, x2)
-        logr = np.log(np.where(exceptional, 1.0, r))
-        c0 = beta * logr / (TWO_PI * mu) - sigma * phi / TWO_PI
-        m = -sigma * np.floor(c0)
-        t = (-phi + TWO_PI * m) / beta
-        return t, exceptional
-    if case == "imaginary_nilpotent":
-        x2 = coords[:, off + 1]
-        r = np.hypot(x1, x2)
-        exceptional = r <= tol * scale
-        beta = section.params["beta"]
-        x3, x4 = coords[:, off + 2], coords[:, off + 3]
-        t = _case4_flow_time(beta, np.where(exceptional, 1.0, x1), x2, x3, x4)
-        return t, exceptional
-    raise ValueError(f"not a continuous case: {case!r}")
+    An ambient vector resolves each Jordan coordinate only to about
+    ``eps * cond(Q) * ||c||``; once that noise exceeds the equality
+    tolerance the membership question is undecidable and is refused like
+    a null-set point."""
+    with np.errstate(over="ignore"):
+        noise = 8.0 * section._conj_cond * np.finfo(float).eps * np.linalg.norm(coords, axis=1)
+    return section.tol * eq_scale < noise
 
 
-def _discrete_tile_indices(section, coords):
-    """Tile indices ``k`` with ``gamma in S @ A^k`` for a discrete section."""
-    case = section.case
-    off = section.block.offset
-    tol = section.tol
-    scale = _pair_scale(coords)
-    x1 = coords[:, off]
+def _membership_core(section, coords):
+    kind = section.kind
+    w = coords[:, section.block.offset :]
+    exceptional = kind.null_mask(section, coords)
+    eq_scale = kind.eq_scale(section, w)
+    if eq_scale is not None:
+        exceptional |= _eq_resolution_mask(section, coords, eq_scale)
+    return kind.member(section, w, exceptional) & ~exceptional, exceptional
 
-    if case == "modulus_not_one":
-        exceptional = np.abs(x1) <= tol * scale
-        span = section.params["log_span"]
-        u = np.log(np.where(exceptional, 1.0, np.abs(x1))) / span
-        # expanding: log|x1| - k*span in [0, span); contracting: + k*span
-        k = np.floor(u) if section.params["expanding"] else -np.floor(u)
-        return k.astype(int), exceptional
-    if case == "complex_modulus_not_one":
-        x2 = coords[:, off + 1]
-        r = np.hypot(x1, x2)
-        exceptional = r <= tol * scale
-        mu, omega = section.params["mu"], section.params["omega"]
-        phi = _angle(x1, x2)
-        logr = np.log(np.where(exceptional, 1.0, r))
-        m = np.floor((omega * logr / mu - phi) / TWO_PI)
-        tau = (phi + TWO_PI * m) / omega
-        j = np.floor(tau)
-        k = j if section.params["expanding"] else -j
-        return k.astype(int), exceptional
-    if case == "real_modulus_one_nilpotent":
-        exceptional = np.abs(x1) <= tol * scale
-        lam = section.params["lam"]
-        x2 = coords[:, off + 1]
-        ratio = x2 / np.where(exceptional, 1.0, x1)
-        k = lam * np.floor(ratio)
-        return k.astype(int), exceptional
-    if case == "complex_modulus_one_nilpotent":
-        x2 = coords[:, off + 1]
-        r = np.hypot(x1, x2)
-        exceptional = r <= tol * scale
-        u = _flow_time_mod1(section, coords)
-        return np.floor(u).astype(int), exceptional
-    if case == "derived_from_continuous":
-        ts, exceptional = _continuous_flow_times(section.base, coords)
-        return np.floor(-ts).astype(int), exceptional
-    raise ValueError(f"not a discrete case: {case!r}")
+
+def _orbit_parameters(section, coords):
+    """Flow times (continuous) or tile indices (discrete), and the null-set mask."""
+    exceptional = section.kind.null_mask(section, coords)
+    return section.kind.parameter(section, coords[:, section.block.offset :], exceptional), exceptional
 
 
 def _solve_core(section, points, coords):
     if section.mode == "continuous":
-        ts, exceptional = _continuous_flow_times(section, coords)
+        ts, exceptional = _orbit_parameters(section, coords)
         # flow times whose exponentials leave the float range cannot yield a
         # representable representative: flag instead of overflowing the batch
         alpha_max = max(abs(b.alpha) for b in section.jordan.blocks)
@@ -508,15 +844,11 @@ def _solve_core(section, points, coords):
                 exceptional = exceptional.copy()
                 exceptional[np.flatnonzero(ok)[rep_exc]] = True
         return ts, reps, exceptional
-    ks, exceptional = _discrete_tile_indices(section, coords)
+    ks, exceptional = _orbit_parameters(section, coords)
     # representatives through Jordan coordinates: the block-diagonal power
     # never mixes scales across blocks, so the constrained coordinates stay
     # accurate even when free blocks grow enormous
-    if section.base is None:
-        j = section.jordan.jordan_matrix()
-        block_power = lambda k: integer_power(j, -int(k))
-    else:
-        block_power = lambda k: jordan_flow_matrix(section.jordan, -float(k))
+    block_power = section.kind.inverse_tile_power(section)
     reps = np.full_like(points, np.nan)
     ok = ~exceptional
     for k in np.unique(ks[ok]):
@@ -533,11 +865,27 @@ def _solve_core(section, points, coords):
     return ks.astype(float), reps, exceptional
 
 
-def section_matrix(section: CrossSection) -> np.ndarray:
-    """The matrix generating the discrete action the section tiles under."""
-    if section.mode == "continuous":
-        raise ValueError("continuous sections tile under the flow, not a single matrix")
-    return section.matrix
+def piece_shifts(section, reps, piece_of, shift) -> np.ndarray:
+    """The shift of the piece holding each representative of ``section``:
+    ``piece_of`` maps Jordan coordinates to piece indices, and ``shift``
+    is called once per distinct piece."""
+    idx = piece_of(section.jordan.to_jordan(reps))
+    pieces = np.unique(idx)
+    return np.array([shift(i) for i in pieces], dtype=np.int64)[np.searchsorted(pieces, idx)]
+
+
+def pushed_membership(section, points, piece_of, shift):
+    """Membership in ``union_i S_i A^shift(i)`` for the pieces ``S_i`` of
+    ``section``: a point's tile index must equal the shift of the piece
+    holding its representative."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ks, reps, exc = section.solve(pts)
+    member = np.zeros(pts.shape[0], dtype=bool)
+    ok = ~exc
+    if np.any(ok):
+        shifts = piece_shifts(section, reps[ok], piece_of, shift)
+        member[ok] = ks[ok].astype(np.int64) == shifts
+    return member, exc
 
 
 # ---------------------------------------------------------------------------
@@ -565,73 +913,6 @@ def solve_orbit(section: CrossSection, gamma) -> OrbitSolution:
     if section.mode == "discrete":
         p = int(p)
     return OrbitSolution(parameter=p, representative=reps[0])
-
-
-# ---------------------------------------------------------------------------
-# section sampling (used by probes and the bounded-shaping checks)
-
-
-def _sample_core(section, coords, rng):
-    case = section.case
-    off = section.block.offset
-    m = coords.shape[0]
-    if case == "real_nonzero":
-        coords[:, off] = rng.choice([-1.0, 1.0], size=m)
-    elif case == "zero_nilpotent":
-        coords[:, off] = _nonzero(rng, m)
-        coords[:, off + 1] = 0.0
-    elif case == "complex_nonzero":
-        coords[:, off] = np.exp(rng.uniform(0.0, section.params["log_span"], m))
-        coords[:, off + 1] = 0.0
-    elif case == "imaginary_nilpotent":
-        beta = section.params["beta"]
-        p = np.abs(rng.normal(size=m)) + 0.1
-        coords[:, off] = p
-        coords[:, off + 1] = 0.0
-        coords[:, off + 2] = rng.uniform(0.0, 1.0, m) * (TWO_PI / beta) * p
-    elif case == "modulus_not_one":
-        span = section.params["log_span"]
-        coords[:, off] = rng.choice([-1.0, 1.0], size=m) * np.exp(rng.uniform(0.0, span, m))
-    elif case == "complex_modulus_not_one":
-        mu, omega = section.params["mu"], section.params["omega"]
-        logs = rng.uniform(0.0, section.params["log_span"], m)
-        t = rng.uniform(0.0, 1.0, m)
-        r = np.exp(logs + t * mu)
-        phi = t * omega
-        coords[:, off] = r * np.cos(phi)
-        coords[:, off + 1] = r * np.sin(phi)
-    elif case == "real_modulus_one_nilpotent":
-        s = _nonzero(rng, m)
-        coords[:, off] = s
-        coords[:, off + 1] = s * rng.uniform(0.0, 1.0, m)
-    elif case == "complex_modulus_one_nilpotent":
-        beta = section.params["beta"]
-        p = np.abs(rng.normal(size=m)) + 0.1
-        q = rng.uniform(0.0, 1.0, m) * (TWO_PI / beta) * p
-        s = rng.normal(size=m)
-        t = rng.uniform(0.0, 1.0, m)
-        # flow coordinates, then undo the shear correction of the second pair
-        theta = beta * t
-        x1, x2 = _rotate_rows(p, np.zeros(m), theta)
-        d3, d4 = _rotate_rows(q + t * p, s, theta)
-        c3, c4 = _rotate_rows(d3, d4, -beta)
-        coords[:, off], coords[:, off + 1] = x1, x2
-        coords[:, off + 2], coords[:, off + 3] = c3, c4
-    elif case == "derived_from_continuous":
-        base = section.base
-        _sample_core(base, coords, rng)
-        ts = rng.uniform(0.0, 1.0, m)
-        powers = one_parameter_power_batch(base.jordan, ts)
-        ambient = base.jordan.from_jordan(coords)
-        pushed = np.einsum("sj,sjk->sk", ambient, powers)
-        coords[:] = base.jordan.to_jordan(pushed)
-    else:
-        raise ValueError(case)
-
-
-def _nonzero(rng, m):
-    v = rng.normal(size=m)
-    return np.where(np.abs(v) < 1e-3, 1.0 + np.abs(v), v)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import classify_discrete
-from .errors import DetOne, ExceptionalPoint, MixedModuli
-from .linalg import integer_power
-from .sections import CrossSection, OrbitSolution, build_discrete_section
-
-TWO_PI = 2.0 * math.pi
+from .errors import DetOne, MixedModuli
+from .linalg import box_corners, integer_power
+from .sections import CrossSection, build_discrete_section, contains, piece_shifts, pushed_membership, solve_orbit
 
 
 @dataclass(frozen=True)
@@ -79,27 +77,9 @@ class ShellPartition:
         return out
 
 
-def _slab_measure(section: CrossSection) -> float:
-    """Measure of the constrained part of a case-1/2 discrete section, in
-    Jordan coordinates.  The spiral uses an exact area integral times a
-    safety factor of 2 (the shift inequality only needs an upper bound)."""
-    if section.case == "modulus_not_one":
-        lam_big = math.exp(section.params["log_span"])
-        return 2.0 * (lam_big - 1.0)
-    if section.case == "complex_modulus_not_one":
-        mu, omega = section.params["mu"], section.params["omega"]
-        lam_big = math.exp(section.params["log_span"])
-        exact = (lam_big**2 - 1.0) * (omega / (4.0 * mu)) * (math.exp(2.0 * mu) - 1.0)
-        return 2.0 * exact
-    raise ValueError(f"no slab measure for case {section.case!r}")
-
-
 def _euclid_radius(section: CrossSection, shell: ShellPartition, k: int) -> float:
     """Euclidean sup-radius of piece S_k in Jordan coordinates."""
-    if section.case == "modulus_not_one":
-        core = math.exp(section.params["log_span"])
-    else:
-        core = math.exp(section.params["log_span"] + section.params["mu"])
+    core = section.kind.core_radius(section.params)
     return math.sqrt(core**2 + shell.dim * shell.sup_radius(k) ** 2)
 
 
@@ -113,6 +93,8 @@ class ShapedSection:
     shell: ShellPartition
     free_dims: tuple
     _shifts: dict = field(default_factory=dict, repr=False)
+
+    mode = "discrete"  # a reshaped section tiles under the powers of A
 
     @property
     def matrix(self) -> np.ndarray:
@@ -128,7 +110,7 @@ class ShapedSection:
     def piece_measure_bound(self, k: int) -> float:
         """Upper bound for the ambient measure of S_k."""
         jac = abs(np.linalg.det(self.base.jordan.conjugator_inverse))
-        return jac * _slab_measure(self.base) * self.shell.volume(k)
+        return jac * self.base.kind.slab_measure(self.base.params) * self.shell.volume(k)
 
     def shift(self, k: int) -> int:
         """The orbit shift n_k applied to piece k."""
@@ -167,16 +149,10 @@ class ShapedSection:
     # -- evaluation -------------------------------------------------------
 
     def membership(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ks, reps, exc = self.base.solve(pts)
-        member = np.zeros(pts.shape[0], dtype=bool)
-        ok = ~exc
-        if np.any(ok):
-            rep_coords = self.base.jordan.to_jordan(reps[ok])
-            shells = self.shell.index_of(rep_coords[:, list(self.free_dims)])
-            wanted = np.array([self.shift(s) for s in shells])
-            member[ok] = ks[ok].astype(int) == wanted
-        return member, exc
+        return pushed_membership(self.base, points, self._shell_index, self.shift)
+
+    def _shell_index(self, coords):
+        return self.shell.index_of(coords[:, list(self.free_dims)])
 
     def solve(self, points):
         """Tile index j with ``gamma in S~ A^j`` and the representative."""
@@ -186,9 +162,7 @@ class ShapedSection:
         out_reps = np.full_like(pts, np.nan)
         ok = ~exc
         if np.any(ok):
-            rep_coords = self.base.jordan.to_jordan(reps[ok])
-            shells = self.shell.index_of(rep_coords[:, list(self.free_dims)])
-            shifts = np.array([self.shift(s) for s in shells])
+            shifts = piece_shifts(self.base, reps[ok], self._shell_index, self.shift)
             params[ok] = ks[ok].astype(int) - shifts
             idx = np.flatnonzero(ok)
             for s in np.unique(shifts):
@@ -204,7 +178,7 @@ class ShapedSection:
         for k in np.unique(shells):
             sel = np.flatnonzero(shells == k)
             coords = np.zeros((len(sel), self.n))
-            _fill_slab(self.base, coords, rng)
+            self.base.kind.fill_slab(self.base, coords, rng)
             coords[:, list(self.free_dims)] = self.shell.sample(rng, int(k), len(sel))
             ambient = self.base.jordan.from_jordan(coords)
             out[sel] = ambient @ integer_power(self.matrix, self.shift(int(k)))
@@ -223,9 +197,9 @@ class ShapedSection:
 
     def piece_box(self, k: int):
         """Tight axis-aligned box around piece ``S_k A^{n_k}`` (ambient)."""
-        box_lo, box_hi = _piece_box(self.base, self.shell, self.free_dims, k)
+        box_lo, box_hi = _piece_box(self.base, self.shell, k)
         push = integer_power(self.matrix, self.shift(k))
-        corners = _corners(box_lo, box_hi) @ self.base.jordan.conjugator @ push
+        corners = box_corners(box_lo, box_hi) @ self.base.jordan.conjugator @ push
         return corners.min(axis=0), corners.max(axis=0)
 
     def measure_estimate(self, samples: int, seed: int, max_shell: int = 24) -> "MeasureEstimate":
@@ -267,51 +241,27 @@ class ShapedSection:
         }
 
 
-def _fill_slab(section, coords, rng):
-    off = section.block.offset
-    m = coords.shape[0]
-    if section.case == "modulus_not_one":
-        lam_big = math.exp(section.params["log_span"])
-        coords[:, off] = rng.choice([-1.0, 1.0], size=m) * rng.uniform(1.0, lam_big, m)
-    else:
-        mu, omega = section.params["mu"], section.params["omega"]
-        s = rng.uniform(1.0, math.exp(section.params["log_span"]), m)
-        t = rng.uniform(0.0, 1.0, m)
-        r = s * np.exp(t * mu)
-        coords[:, off] = r * np.cos(t * omega)
-        coords[:, off + 1] = r * np.sin(t * omega)
-
-
-def _piece_box(section, shell, free_dims, k):
-    n = section.n
-    lo, hi = np.zeros(n), np.zeros(n)
-    off = section.block.offset
-    if section.case == "modulus_not_one":
-        lam_big = math.exp(section.params["log_span"])
-        lo[off], hi[off] = -lam_big, lam_big
-    else:
-        r = math.exp(section.params["log_span"] + section.params["mu"])
-        lo[off], hi[off] = -r, r
-        lo[off + 1], hi[off + 1] = -r, r
+def _piece_box(section, shell, k):
+    """Box around piece S_k in Jordan coordinates: the slab's core radius
+    on the pinned witness coordinates, the shell radius on the free ones."""
     rad = shell.sup_radius(k)
-    for d in free_dims:
-        lo[d], hi[d] = -rad, rad
+    lo, hi = np.full(section.n, -rad), np.full(section.n, rad)
+    core = section.kind.core_radius(section.params)
+    pinned = _pinned(section)
+    lo[pinned], hi[pinned] = -core, core
     return lo, hi
 
 
-def _corners(lo, hi):
-    n = len(lo)
-    out = np.empty((2**n, n))
-    for i in range(2**n):
-        for d in range(n):
-            out[i, d] = hi[d] if (i >> d) & 1 else lo[d]
-    return out
-
-
-def _free_dims(section: CrossSection):
+def _pinned(section: CrossSection) -> slice:
     off = section.block.offset
-    constrained = {off} if section.case == "modulus_not_one" else {off, off + 1}
-    return tuple(d for d in range(section.n) if d not in constrained)
+    return slice(off, off + section.kind.pinned)
+
+
+def _shaped(section: CrossSection, target: str, delta: float) -> ShapedSection:
+    """The reshaped section, sliced into shells along every unpinned coordinate."""
+    free = tuple(np.delete(np.arange(section.n), _pinned(section)).tolist())
+    return ShapedSection(base=section, target=target, delta=delta,
+                         shell=ShellPartition(dim=len(free)), free_dims=free)
 
 
 def to_finite_measure(section: CrossSection, a=None, tol=None) -> ShapedSection:
@@ -326,16 +276,9 @@ def to_finite_measure(section: CrossSection, a=None, tol=None) -> ShapedSection:
     delta = abs(float(np.linalg.det(section.matrix)))
     if abs(delta - 1.0) <= tol:
         raise DetOne(f"|det A| = {delta!r}: no finite-measure cross-section exists")
-    if section.case not in ("modulus_not_one", "complex_modulus_not_one"):
+    if not section.kind.sliceable:
         raise ValueError(f"finite-measure reshaping needs a sliceable section, got case {section.case!r}")
-    free = _free_dims(section)
-    return ShapedSection(
-        base=section,
-        target="finite",
-        delta=delta,
-        shell=ShellPartition(dim=len(free)),
-        free_dims=free,
-    )
+    return _shaped(section, "finite", delta)
 
 
 def to_bounded(section: CrossSection, a=None, tol=None) -> ShapedSection:
@@ -347,19 +290,12 @@ def to_bounded(section: CrossSection, a=None, tol=None) -> ShapedSection:
     verdict = classify_discrete(section.matrix, tol=tol)
     if not verdict.bounded:
         raise MixedModuli("eigenvalue moduli straddle 1: no bounded cross-section exists")
-    free = _free_dims(section)
-    return ShapedSection(
-        base=section,
-        target="bounded",
-        delta=abs(float(np.linalg.det(section.matrix))),
-        shell=ShellPartition(dim=len(free)),
-        free_dims=free,
-    )
+    return _shaped(section, "bounded", abs(float(np.linalg.det(section.matrix))))
 
 
 def _coerce_section(section, a):
     if isinstance(section, CrossSection):
-        if section.mode != "discrete" or section.case == "derived_from_continuous":
+        if section.mode != "discrete" or section.base is not None:
             raise ValueError("reshaping applies to the native discrete sections")
         if a is not None and not np.allclose(np.asarray(a, dtype=float), section.matrix):
             raise ValueError("matrix argument disagrees with the section's matrix")
@@ -368,18 +304,11 @@ def _coerce_section(section, a):
     return build_discrete_section(section if a is None else a)
 
 
-def shaped_contains(shaped: ShapedSection, gamma) -> bool:
-    member, exc = shaped.membership(np.atleast_2d(gamma))
-    if exc[0]:
-        raise ExceptionalPoint("point lies in the declared measure-zero set")
-    return bool(member[0])
+# the scalar wrappers only need ``membership``, ``solve`` and ``mode``
+shaped_contains = contains
 
 
-def shaped_solve_orbit(shaped: ShapedSection, gamma) -> OrbitSolution:
-    params, reps, exc = shaped.solve(np.atleast_2d(gamma))
-    if exc[0]:
-        raise ExceptionalPoint("point lies in the declared measure-zero set")
-    return OrbitSolution(parameter=int(params[0]), representative=reps[0])
+shaped_solve_orbit = solve_orbit
 
 
 @dataclass(frozen=True)

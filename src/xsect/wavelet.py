@@ -13,6 +13,7 @@ radius.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,10 +21,8 @@ import numpy as np
 
 from .classify import classify_discrete
 from .errors import NoWavelet, SearchExhausted, SelectorMiss
-from .linalg import as_matrix, integer_power, matrix_from_json, matrix_to_json
-from .sections import build_discrete_section
-
-TWO_PI = 2.0 * math.pi
+from .linalg import as_matrix, box_corners, integer_power, matrix_from_json, matrix_to_json
+from .sections import TWO_PI, build_discrete_section, pushed_membership
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,7 @@ class Lattice:
         return eta, z.astype(int)
 
     def domain_corners(self) -> np.ndarray:
-        d = self.dual_basis
-        n = self.n
-        out = np.zeros((2**n, n))
-        for i in range(2**n):
-            for b in range(n):
-                if (i >> b) & 1:
-                    out[i] += d[b]
-        return out
+        return box_corners(np.zeros(self.n), np.ones(self.n)) @ self.dual_basis
 
     def domain_diameter(self) -> float:
         corners = self.domain_corners()
@@ -139,21 +131,8 @@ class Lattice:
 
 def _integer_shell(n, r):
     """Integer vectors with sup-norm exactly r, lexicographic order."""
-    if r == 0:
-        return [np.zeros(n, dtype=int)]
-    rng = range(-r, r + 1)
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            if max(abs(v) for v in prefix) == r:
-                out.append(np.array(prefix, dtype=int))
-            return
-        for v in rng:
-            rec(prefix + [v])
-
-    rec([])
-    return out
+    cube = itertools.product(range(-r, r + 1), repeat=n)
+    return [np.asarray(z, dtype=int) for z in cube if max(map(abs, z)) == r]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +217,7 @@ class BoxUnion(RegionSet):
         dinv = np.linalg.inv(lattice.dual_basis)
         seen = {}
         for lo, hi in self.boxes:
-            corners = _box_corners(np.asarray(lo) - xi, np.asarray(hi) - xi) @ dinv
+            corners = box_corners(np.asarray(lo) - xi, np.asarray(hi) - xi) @ dinv
             zlo = np.floor(corners.min(axis=0)).astype(int)
             zhi = np.ceil(corners.max(axis=0)).astype(int)
             for z in _integer_box(zlo, zhi):
@@ -315,21 +294,10 @@ def _box_subtract(a, b):
     return out
 
 
-def _box_corners(lo, hi):
-    n = len(lo)
-    out = np.empty((2**n, n))
-    for i in range(2**n):
-        for d in range(n):
-            out[i, d] = hi[d] if (i >> d) & 1 else lo[d]
-    return out
-
-
 def _integer_box(zlo, zhi):
+    """Integer vectors with ``zlo <= z <= zhi``, lexicographic order."""
     ranges = [range(int(l), int(h) + 1) for l, h in zip(zlo, zhi)]
-    out = [[]]
-    for r in ranges:
-        out = [prefix + [v] for prefix in out for v in r]
-    return [np.asarray(v, dtype=int) for v in out]
+    return [np.asarray(z, dtype=int) for z in itertools.product(*ranges)]
 
 
 @dataclass(frozen=True)
@@ -557,16 +525,10 @@ class _SelectorRegion(RegionSet):
         active = np.flatnonzero(base_m & ~base_exc)
         if active.size == 0:
             return member, np.zeros(pts.shape[0], dtype=bool)
-        u = pts[active] @ np.linalg.inv(self.lattice.dual_basis)
-        etas = (u - np.floor(u)) @ self.lattice.dual_basis
+        etas, _ = self.lattice.wrap(pts[active])
         firsts = _first_hit_batch(self.base, self.lattice, etas, self.search_points)
         member[active] = np.all(np.abs(etas + firsts - pts[active]) <= 1e-9, axis=1)
         return member, np.zeros(pts.shape[0], dtype=bool)
-
-
-def _first_hit(region, lattice, eta, search_points):
-    out = _first_hit_batch(region, lattice, np.atleast_2d(eta), search_points)
-    return out[0]
 
 
 def _first_hit_batch(region, lattice, etas, search_points):
@@ -665,8 +627,7 @@ class _DomainPieceSaturation(RegionSet):
 
     def membership(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        u = pts @ np.linalg.inv(self.lattice.dual_basis)
-        etas = (u - np.floor(u)) @ self.lattice.dual_basis
+        etas, _ = self.lattice.wrap(pts)
         member, exc = self.residual.membership(etas + self.gamma)
         return member & ~exc, np.zeros(pts.shape[0], dtype=bool)
 
@@ -733,12 +694,7 @@ class DilationShiftedSection(RegionSet):
         i = int(i)
         if i not in self._certs:
             k = self.shift(i)
-            lo, hi = _slab_bounds(self.section, i)
-            growth = _slab_growth(self.section)
-            gamma = _dual_point_in_slab(
-                self.section, self.lattice, lo * growth**k, hi * growth**k,
-                None if self.section.case == "modulus_not_one" else k,
-            )
+            gamma = _dual_point_in_slab(self.section, self.lattice, i, k)
             if gamma is None:
                 raise SearchExhausted(f"no certified dual translate for piece {i}", radius=k)
             self._certs[i] = (k, tuple(float(v) for v in gamma))
@@ -749,23 +705,14 @@ class DilationShiftedSection(RegionSet):
         return tuple((i,) + tuple(self.certificate(i)) for i in range(1, self.pieces + 1))
 
     def membership(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ks, reps, exc = self.section.solve(pts)
-        member = np.zeros(pts.shape[0], dtype=bool)
-        ok = ~exc
-        if np.any(ok):
-            coords = self.section.jordan.to_jordan(reps[ok])
-            sval = _radial_coordinate(self.section, coords)
-            idx = _dyadic_slab_index(self.section, sval)
-            wanted = np.array([self.shift(i) for i in idx], dtype=np.int64)
-            member[ok] = ks[ok].astype(np.int64) == wanted
-        return member, exc
+        return pushed_membership(self.section, points, self._slab_index, self.shift)
+
+    def _slab_index(self, coords):
+        return _dyadic_slab_index(self.section, self.section.kind.radial_coordinate(self.section, coords))
 
     def piece_boxes_1d(self, i: int):
         """For the scalar case: the pushed slab ±[lo, hi) * growth^k."""
-        lo, hi = _slab_bounds(self.section, i)
-        g = _slab_growth(self.section) ** self.shift(i)
-        return (lo * g, hi * g)
+        return _slab_bounds(self.section, i, self.shift(i))
 
     def to_json(self) -> dict:
         return {
@@ -778,18 +725,6 @@ class DilationShiftedSection(RegionSet):
         }
 
 
-def _radial_coordinate(section, coords):
-    """The expanding radial coordinate of the representative: |x1| for a
-    real witness, the spiral radial index for a complex pair."""
-    off = section.block.offset
-    if section.case == "modulus_not_one":
-        return np.abs(coords[:, off])
-    x1, x2 = coords[:, off], coords[:, off + 1]
-    phi = np.mod(np.arctan2(x2, x1), TWO_PI)
-    r = np.hypot(x1, x2)
-    return np.exp(np.log(np.maximum(r, 1e-300)) - (phi / section.params["omega"]) * section.params["mu"])
-
-
 def _dyadic_slab_index(section, sval):
     """Index of the dyadic slab [Lam - (Lam-1) 2^{1-i}, Lam - (Lam-1) 2^{-i})."""
     lam_big = math.exp(section.params["log_span"])
@@ -799,18 +734,13 @@ def _dyadic_slab_index(section, sval):
     return np.clip(i, 0, None)
 
 
-def _slab_bounds(section, i):
+def _slab_bounds(section, i, k=0):
+    """Radial range [lo, hi) of dyadic slab i, pushed by ``A^k``."""
     lam_big = math.exp(section.params["log_span"])
     lo = lam_big - (lam_big - 1.0) * 2.0 ** (1 - i)
     hi = lam_big - (lam_big - 1.0) * 2.0 ** (-i)
-    return lo, hi
-
-
-def _slab_growth(section):
-    """Scaling of the radial coordinate per step of the expanding action."""
-    if section.case == "modulus_not_one":
-        return math.exp(section.params["log_span"])
-    return math.exp(section.params["mu"])
+    g = section.kind.slab_growth(section.params) ** k
+    return lo * g, hi * g
 
 
 def _slab_shift(section, lattice, i, max_power):
@@ -822,12 +752,12 @@ def _slab_shift(section, lattice, i, max_power):
     to succeed."""
     lo, hi = _slab_bounds(section, i)
     diam = lattice.domain_diameter()
-    growth = _slab_growth(section)
+    growth = section.kind.slab_growth(section.params)
     k_min = max(1, math.ceil(math.log(2.0 * diam / (hi - lo)) / math.log(growth)))
-    if section.case == "modulus_not_one":
+    if not section.kind.turns:
         return int(k_min)
     for k in range(int(k_min), max_power + 1):
-        if _dual_point_in_slab(section, lattice, lo * growth**k, hi * growth**k, k) is not None:
+        if _dual_point_in_slab(section, lattice, i, k) is not None:
             return k
     raise SearchExhausted(f"no admissible push for slab {i} within {max_power} powers", radius=max_power)
 
@@ -863,7 +793,7 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=1e-9,
 
 
 def _build_case_moduli(section, lattice, pieces, max_power):
-    if section.case not in ("modulus_not_one", "complex_modulus_not_one"):
+    if not section.kind.sliceable:
         raise NoWavelet("no eigenvalue with modulus away from 1")
     out = DilationShiftedSection(section=section, lattice=lattice, pieces=pieces, max_power=max_power)
     for i in range(1, pieces + 1):
@@ -871,22 +801,21 @@ def _build_case_moduli(section, lattice, pieces, max_power):
     return out
 
 
-def _dual_point_in_slab(section, lattice, slab_lo, slab_hi, spiral_k):
-    """A dual point whose whole domain translate fits inside the pushed
-    slab region; the smallest in selector order among the candidates
+def _dual_point_in_slab(section, lattice, i, k):
+    """A dual point whose whole domain translate fits inside slab i pushed
+    by ``A^k``; the smallest in selector order among the candidates
     examined (both sign branches for a real witness)."""
+    slab_lo, slab_hi = _slab_bounds(section, i, k)
     off = section.block.offset
     corners = lattice.domain_corners()
-    if spiral_k is None:
+    center = np.zeros(lattice.n)
+    if not section.kind.turns:
         # region: |x_{off}| in [slab_lo, slab_hi), all other coordinates
         # free.  Candidate tiles come from points along both branches.
         best = None
         for sign in (1.0, -1.0):
-            center = np.zeros(lattice.n)
             center[off] = sign * 0.5 * (slab_lo + slab_hi)
-            _, z = lattice.wrap(center)
-            for dz in _integer_box(-2 * np.ones(lattice.n, dtype=int), 2 * np.ones(lattice.n, dtype=int)):
-                g = lattice.dual_point(z + dz)
+            for g in _dual_points_near(lattice, center):
                 vals = corners[:, off] + g[off]
                 lo_v, hi_v = float(vals.min()), float(vals.max())
                 ok = (slab_lo <= lo_v and hi_v < slab_hi) or (slab_lo <= -hi_v and -lo_v < slab_hi)
@@ -898,18 +827,21 @@ def _dual_point_in_slab(section, lattice, slab_lo, slab_hi, spiral_k):
     # spiral region: radial index s(x) in [slab_lo, slab_hi) and flow phase
     # tau(x) in [k, k+1); conservative corner/interval arithmetic
     mu, omega = section.params["mu"], section.params["omega"]
-    target_r = math.sqrt(slab_lo * slab_hi) * math.exp(mu * (spiral_k + 0.5))
-    angle = omega * (spiral_k + 0.5)
-    center = np.zeros(lattice.n)
+    target_r = math.sqrt(slab_lo * slab_hi) * math.exp(mu * (k + 0.5))
+    angle = omega * (k + 0.5)
     center[off] = target_r * math.cos(angle)
     center[off + 1] = target_r * math.sin(angle)
-    _, z = lattice.wrap(center)
-    for dz in _integer_box(-2 * np.ones(lattice.n, dtype=int), 2 * np.ones(lattice.n, dtype=int)):
-        g = lattice.dual_point(z + dz)
-        box = corners + g
-        if _box_inside_spiral(section, box, off, slab_lo, slab_hi, spiral_k):
+    for g in _dual_points_near(lattice, center):
+        if _box_inside_spiral(section, corners + g, off, slab_lo, slab_hi, k):
             return g
     return None
+
+
+def _dual_points_near(lattice, center):
+    """Dual points within two integer steps of the domain translate holding ``center``."""
+    _, z = lattice.wrap(center)
+    two = 2 * np.ones(lattice.n, dtype=int)
+    return (lattice.dual_point(z + dz) for dz in _integer_box(-two, two))
 
 
 def _box_inside_spiral(section, box_corners, off, slab_lo, slab_hi, k):
@@ -977,7 +909,7 @@ class ConeSection(RegionSet):
 
 def _certify_cone(a, lattice, *, tol, min_translates, search_radius):
     section = build_discrete_section(a, tol=tol)
-    if section.case != "real_modulus_one_nilpotent":
+    if not section.kind.cone:
         raise NoWavelet(
             "unit-modulus case needs a real nilpotent block in dimension <= 3"
         )

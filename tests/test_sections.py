@@ -347,3 +347,14 @@ def test_case4_with_extra_semisimple_zero_block(rng):
     ts, reps, exc = s.solve(pts)
     member, _ = s.membership(reps)
     assert member.all() and not exc.any()
+
+
+def test_membership_and_solve_leave_the_serialized_section_unchanged():
+    # the equality tolerance reads cond(Q); caching it must not leak into
+    # the section's params, or its JSON would depend on call history
+    s = build_continuous_section(np.diag([1.0, 2.0]))
+    before = s.to_json()
+    pts = np.random.default_rng(7).normal(size=(50, 2))
+    s.membership(pts)
+    s.solve(pts)
+    assert s.to_json() == before

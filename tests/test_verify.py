@@ -232,3 +232,28 @@ def test_continuous_witness_and_tiling_survive_a_permuted_eigen_order():
     assert alpha == round(-1.2589975328897315, 6)  # the faster block
     assert refused < 0.05 * len(pts)
     assert passed and skipped < 0.05 * 2000
+
+
+class _HalfRefused:
+    """A region whose solver refuses every other sample."""
+
+    def __init__(self, section):
+        self.section = section
+        self.matrix = section.matrix
+
+    def membership(self, points):
+        return self.section.membership(points)
+
+    def solve(self, points):
+        ks, reps, exc = self.section.solve(points)
+        exc = exc.copy()
+        exc[::2] = True
+        return ks, reps, exc
+
+
+def test_discrete_tiling_fails_when_half_the_samples_are_refused():
+    region = _HalfRefused(build_discrete_section([[2.0]]))
+    report = check_discrete_tiling(region, samples=1000, seed=0)
+    assert report.skipped_null == 500
+    assert report.histogram == {1: 500}  # every sample that was kept tiles once
+    assert not report.passed

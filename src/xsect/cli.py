@@ -48,6 +48,7 @@ from .wavelet import (
     dimension_function,
     is_multiwavelet_set,
     partition_multiwavelet_set,
+    translation_counts,
 )
 
 EXIT_OK = 0
@@ -314,8 +315,6 @@ def _cmd_wavelet(args):
         if args.seed is not None:
             rng = np.random.default_rng(args.seed)
             xis = rng.normal(size=(args.samples, lattice.n))
-            from .wavelet import translation_counts
-
             counts = {i: translation_counts(p, lattice, xis) for i, p in enumerate(parts)}
             payload["verification"] = {
                 "samples": args.samples,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .errors import BudgetExceeded, QuadratureDivergence
+from .errors import BudgetExceeded, Overflow, QuadratureDivergence
 from .linalg import flow_rows, integer_power, one_parameter_power
 from .sections import CrossSection, derive_discrete_section
 
@@ -82,9 +82,8 @@ def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=Non
     if a is None:
         a = region.matrix
     a = np.asarray(a, dtype=float)
-    dim = a.shape[0]
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(samples, dim))
+    pts = rng.normal(size=(samples, a.shape[0]))
 
     k_lo, k_hi = k_range if k_range is not None else (-60, 60)
     skipped = 0
@@ -96,24 +95,13 @@ def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=Non
             pts, ks = pts[~exc], ks[~exc]
         predictions = ks.astype(int)
 
-    counts = np.zeros(len(pts), dtype=int)
-    shifted = pts @ integer_power(a, k_lo)
-    for k in range(k_lo, k_hi + 1):
-        member, exc = region.membership(shifted)
-        counts += (member & ~exc).astype(int)
-        if k < k_hi:
-            shifted = shifted @ a
-    outliers = 0
+    counts = dilation_counts(region, a, pts, k_lo, k_hi)
+    far = np.zeros(0, dtype=int)
     if predictions is not None:
-        # the scan counts hits of xi A^k; the solver's tile index kp means a
-        # hit at k = -kp, so heavy-tailed samples get a window around -kp
-        for i in np.flatnonzero((-predictions < k_lo + 2) | (-predictions > k_hi - 2)):
-            outliers += 1
-            kc = -int(predictions[i])
-            extra = [k for k in range(kc - 60, kc + 61) if not k_lo <= k <= k_hi]
-            points_k = np.vstack([pts[i] @ integer_power(a, k) for k in extra])
-            member, exc = region.membership(points_k)
-            counts[i] += int(np.count_nonzero(member & ~exc))
+        # the counter counts hits of xi A^k; the solver's tile index kp means
+        # a hit at k = -kp, so heavy-tailed samples get a window around -kp
+        far = np.flatnonzero((-predictions < k_lo + 2) | (-predictions > k_hi - 2))
+        counts[far] += dilation_counts(region, a, pts[far], -60, 60, centres=-predictions[far], skip=(k_lo, k_hi))
     histogram, failures = _tally(pts, counts)
     return TilingReport(
         kind="discrete_tiling",
@@ -122,9 +110,76 @@ def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=Non
         passed=not failures and _few_refused(skipped, samples),
         histogram=histogram,
         failures=failures,
-        scan={"k_lo": int(k_lo), "k_hi": int(k_hi), "outlier_windows": int(outliers)},
+        scan={"k_lo": int(k_lo), "k_hi": int(k_hi), "outlier_windows": len(far)},
         skipped_null=skipped,
     )
+
+
+# rows per membership call of the centred windows in dilation_counts
+_WINDOW_ROWS = 4096
+
+
+def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> np.ndarray:
+    """``#{k_lo <= j <= k_hi : xi A^j in region}`` for each row ``xi`` of
+    ``pts``; with ``centres`` (and ``skip``), row ``i`` takes ``A^(c_i + j)``
+    instead, leaving out the exponents in the closed range ``skip``.
+
+    Each ``A^k`` is a power of its own (:func:`_power_table`): a product
+    carried along with the points loses the contracting directions of a
+    non-normal ``A``.  A membership call takes one power of all rows, or,
+    for centred windows, one stretch of offsets: the rows of one offset
+    share their tile index, so a section sees few indices per call.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    offsets = np.arange(k_lo, k_hi + 1)
+    counts = np.zeros(len(pts), dtype=int)
+    if centres is None:
+        for power in _power_table(a, offsets)[1]:
+            member, exc = region.membership(pts @ power)
+            counts += member & ~exc
+        return counts
+    k = (offsets[:, None] + centres).ravel()
+    rows = np.tile(np.arange(len(pts)), len(offsets))
+    keep = (k < skip[0]) | (k > skip[1])
+    k, rows = k[keep], rows[keep]
+    exps, powers = _power_table(a, k)
+    for start in range(0, len(k), _WINDOW_ROWS):
+        part = slice(start, start + _WINDOW_ROWS)
+        shifted = np.einsum("ri,rij->rj", pts[rows[part]], powers[np.searchsorted(exps, k[part])])
+        member, exc = region.membership(shifted)
+        counts += np.bincount(rows[part], weights=member & ~exc, minlength=len(pts)).astype(int)
+    return counts
+
+
+def _power_table(a, exponents):
+    """The distinct ``exponents`` in increasing order, and ``A^k`` for each.
+
+    Each run of consecutive exponents on one side of zero starts at its end
+    nearest zero and walks outward by doubling, ``A^(s+i+m) = A^(s+i) A^m``:
+    like :func:`integer_power`, it multiplies powers of one sign only, so
+    the two agree to rounding and raise the same errors.
+    """
+    exps = np.unique(exponents)
+    powers = np.empty((len(exps), len(a), len(a)))
+    breaks = np.flatnonzero((np.diff(exps) != 1) | (exps[1:] == 0)) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in np.split(np.arange(len(exps)), breaks) if len(exps) else ():
+            if exps[run[0]] < 0:
+                run = run[::-1]  # walk outward from the end nearest zero
+            start = int(exps[run[0]])
+            walk = np.empty((len(run), len(a), len(a)))
+            jump = a if start >= 0 else integer_power(a, -1)
+            walk[0] = jump if start == -1 else integer_power(a, start)
+            have = 1
+            while have < len(run):
+                take = min(have, len(run) - have)
+                walk[have : have + take] = walk[:take] @ jump
+                have, jump = have + take, jump @ jump
+            powers[run] = walk
+    bad = ~np.isfinite(powers).all(axis=(1, 2))
+    if bad.any():
+        raise Overflow(f"A^{exps[bad][np.argmin(np.abs(exps[bad]))]} overflows the floating-point range")
+    return exps, powers
 
 
 def _bisect(derived, points, t_false, t_true, iters=46):

@@ -13,7 +13,6 @@ radius.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,8 +20,9 @@ import numpy as np
 
 from .classify import classify_discrete
 from .errors import NoWavelet, SearchExhausted, SelectorMiss
-from .linalg import as_matrix, box_corners, integer_power, matrix_from_json, matrix_to_json
+from .linalg import as_matrix, box_corners, matrix_from_json, matrix_to_json
 from .sections import TWO_PI, build_discrete_section, pushed_membership
+from .verify import TilingReport, dilation_counts
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,31 @@ class Lattice:
 
     def ordered_dual_points(self, count: int) -> np.ndarray:
         """The first ``count`` dual points in selector order, as an array."""
-        have = self._cache.get("ordered")
-        if have is None or len(have) < count:
-            pts = [g for _, g in self.dual_points_in_order(max_points=count)]
-            have = np.asarray(pts)
-            self._cache["ordered"] = have
-        return have[:count]
+        return self._dual_table(count=count)[1][:count]
 
     def dual_points_within(self, radius: float) -> np.ndarray:
-        """Dual points of norm <= radius, in selector order (cached)."""
-        key = ("ball", float(radius))
-        if key not in self._cache:
-            pts = [g for _, g in self.dual_points_in_order(max_norm=radius)]
-            self._cache[key] = np.asarray(pts) if pts else np.zeros((0, self.n))
-        return self._cache[key]
+        """Dual points of norm <= radius, in selector order."""
+        _, pts, norms = self._dual_table(norm=radius)
+        return pts[: np.searchsorted(norms, radius, side="right")]
+
+    def _dual_table(self, count=0, norm=-1.0):
+        """``(z, points, norms)`` in selector order: at least ``count``
+        points and every point of norm <= ``norm``.  One cached table of the
+        cube ``|z|_inf <= r``, r doubling as needed; it keeps the sorted
+        prefix below ``(r + 1) / ||basis||_2``, under which no point outside
+        the cube can fall."""
+        table = self._cache.get("dual_table")
+        while table is None or len(table[2]) < count or table[3] <= norm:
+            r = 1 if table is None else 2 * table[4]
+            zs = _integer_grid(np.full(self.n, -r), np.full(self.n, r))
+            pts = zs.astype(float) @ self.dual_basis
+            norms = np.linalg.norm(pts, axis=1)
+            order = np.lexsort(tuple(zs.T[::-1]) + (norms,))
+            bound = (r + 1) / np.linalg.norm(self.basis, 2) * (1.0 - 1e-9)
+            order = order[: np.searchsorted(norms[order], bound)]
+            table = (zs[order], pts[order], norms[order], bound, r)
+            self._cache["dual_table"] = table
+        return table[:3]
 
     @property
     def n(self) -> int:
@@ -83,39 +94,18 @@ class Lattice:
 
     def domain_diameter(self) -> float:
         corners = self.domain_corners()
-        return max(
-            float(np.linalg.norm(corners[i] - corners[j]))
-            for i in range(len(corners))
-            for j in range(i + 1, len(corners))
-        )
+        return float(np.linalg.norm(corners[:, None] - corners[None], axis=-1).max())
 
     def dual_points_in_order(self, max_points=None, max_norm=None):
         """Dual lattice points ordered by increasing norm, ties broken
         lexicographically on the integer coordinates."""
-        shell = 0
-        emitted = 0
-        pending = []
-        while True:
-            zs = _integer_shell(self.n, shell)
-            for z in zs:
-                g = self.dual_point(z)
-                pending.append((float(np.linalg.norm(g)), tuple(z), g))
-            # a shell of integer radius r yields dual norms >= r * s_min;
-            # flush entries that can no longer be beaten by later shells
-            smin = 1.0 / np.linalg.norm(np.linalg.inv(self.dual_basis), 2)
-            safe = (shell + 1) * smin
-            pending.sort(key=lambda e: (e[0], e[1]))
-            while pending and pending[0][0] <= safe:
-                norm, z, g = pending.pop(0)
-                if max_norm is not None and norm > max_norm:
-                    return
-                yield np.asarray(z, dtype=int), g
-                emitted += 1
-                if max_points is not None and emitted >= max_points:
-                    return
-            shell += 1
-            if max_norm is not None and shell * smin > max_norm and not pending:
+        i = 0
+        while max_points is None or i < max_points:
+            zs, pts, norms = self._dual_table(count=i + 1)
+            if max_norm is not None and norms[i] > max_norm:
                 return
+            yield zs[i], pts[i]
+            i += 1
 
     def to_json(self) -> dict:
         return {"basis": matrix_to_json(self.basis)}
@@ -127,12 +117,6 @@ class Lattice:
     @staticmethod
     def integers(n) -> "Lattice":
         return Lattice(np.eye(n))
-
-
-def _integer_shell(n, r):
-    """Integer vectors with sup-norm exactly r, lexicographic order."""
-    cube = itertools.product(range(-r, r + 1), repeat=n)
-    return [np.asarray(z, dtype=int) for z in cube if max(map(abs, z)) == r]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +135,9 @@ class RegionSet:
         member, _ = self.membership(np.atleast_2d(xi))
         return bool(member[0])
 
-    def candidate_dual_points(self, lattice: Lattice, xi, radius):
-        """Dual points gamma with ``xi + gamma`` possibly inside the set.
+    def candidate_dual_points(self, lattice: Lattice, xis, radius):
+        """Dual points gamma with ``xi + gamma`` possibly inside the set, for
+        every row ``xi`` of ``xis``.
 
         Complete within the radius: no false negatives among
         ``||gamma|| <= radius``."""
@@ -211,18 +196,17 @@ class BoxUnion(RegionSet):
         hi = np.max([b[1] for b in self.boxes], axis=0)
         return lo, hi
 
-    def candidate_dual_points(self, lattice: Lattice, xi, radius=None):
-        """Exact: integer ranges solved per box through the dual basis."""
-        xi = np.asarray(xi, dtype=float)
+    def candidate_dual_points(self, lattice: Lattice, xis, radius=None):
+        """Exact: the integer grid, in dual coordinates, covering every box
+        minus every row of ``xis``."""
+        if not self.boxes:
+            return np.zeros((0, lattice.n))
         dinv = np.linalg.inv(lattice.dual_basis)
-        seen = {}
-        for lo, hi in self.boxes:
-            corners = box_corners(np.asarray(lo) - xi, np.asarray(hi) - xi) @ dinv
-            zlo = np.floor(corners.min(axis=0)).astype(int)
-            zhi = np.ceil(corners.max(axis=0)).astype(int)
-            for z in _integer_box(zlo, zhi):
-                seen[tuple(z)] = lattice.dual_point(z)
-        return np.asarray(list(seen.values())) if seen else np.zeros((0, lattice.n))
+        corners = np.vstack([box_corners(lo, hi) for lo, hi in self.boxes]) @ dinv
+        rows = np.atleast_2d(xis) @ dinv
+        zlo = np.floor(corners.min(axis=0) - rows.max(axis=0)).astype(int)
+        zhi = np.ceil(corners.max(axis=0) - rows.min(axis=0)).astype(int)
+        return _integer_grid(zlo, zhi).astype(float) @ lattice.dual_basis
 
     def translate(self, offset) -> "BoxUnion":
         off = np.asarray(offset, dtype=float)
@@ -294,10 +278,10 @@ def _box_subtract(a, b):
     return out
 
 
-def _integer_box(zlo, zhi):
-    """Integer vectors with ``zlo <= z <= zhi``, lexicographic order."""
-    ranges = [range(int(l), int(h) + 1) for l, h in zip(zlo, zhi)]
-    return [np.asarray(z, dtype=int) for z in itertools.product(*ranges)]
+def _integer_grid(zlo, zhi):
+    """Integer vectors with ``zlo <= z <= zhi``, as rows in lexicographic order."""
+    axes = [np.arange(lo, hi + 1) for lo, hi in zip(zlo, zhi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True)
@@ -354,40 +338,31 @@ def translation_count(region: RegionSet, lattice: Lattice, xi, radius=100.0) -> 
     Exact for box unions (their enumerator is complete); for analytic
     regions the count is over dual points within the radius and flagged
     truncated."""
-    xi = np.asarray(xi, dtype=float)
-    if region.exact_reach:
-        cands = region.candidate_dual_points(lattice, xi)
-        truncated = False
-    else:
-        cands = region.candidate_dual_points(lattice, xi, radius)
-        truncated = True
-    if len(cands) == 0:
-        return TranslationCount(0, truncated)
-    member, exc = region.membership(xi + cands)
-    return TranslationCount(int(np.count_nonzero(member & ~exc)), truncated)
+    return TranslationCount(int(translation_counts(region, lattice, xi, radius)[0]), not region.exact_reach)
 
 
-def translation_counts(region: RegionSet, lattice: Lattice, xis, radius=100.0, chunk=64) -> np.ndarray:
-    """Vectorized :func:`translation_count` over a stack of points, using a
-    shared candidate ball (moderate chunks keep recursive membership cheap)."""
+# rows per membership call of translation_counts: moderate chunks keep
+# recursive (selector, saturation) membership cheap
+_CHUNK = 64
+
+
+def translation_counts(region: RegionSet, lattice: Lattice, xis, radius=100.0) -> np.ndarray:
+    """:func:`translation_count` of every row of ``xis``: one membership
+    call per chunk of rows, over the candidates of the whole chunk."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    cands = lattice.dual_points_within(radius)
     out = np.empty(len(xis), dtype=int)
-    for start in range(0, len(xis), chunk):
-        part = xis[start : start + chunk]
+    for start in range(0, len(xis), _CHUNK):
+        part = xis[start : start + _CHUNK]
+        cands = region.candidate_dual_points(lattice, part, radius)
         probe = (part[:, None, :] + cands[None, :, :]).reshape(-1, xis.shape[1])
         member, exc = region.membership(probe)
-        out[start : start + chunk] = (member & ~exc).reshape(len(part), len(cands)).sum(axis=1)
+        out[start : start + _CHUNK] = (member & ~exc).reshape(len(part), len(cands)).sum(axis=1)
     return out
 
 
 def dilation_count(region: RegionSet, a, xi, k_range=(-60, 60)) -> int:
     """``#{j in k_range : xi A^j in region}``."""
-    a = as_matrix(a)
-    xi = np.asarray(xi, dtype=float)
-    pts = np.vstack([xi @ integer_power(a, j) for j in range(k_range[0], k_range[1] + 1)])
-    member, exc = region.membership(pts)
-    return int(np.count_nonzero(member & ~exc))
+    return int(dilation_counts(region, as_matrix(a), xi, *k_range)[0])
 
 
 def dimension_function(region: RegionSet, xi, radius=100.0) -> TranslationCount:
@@ -402,32 +377,24 @@ def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *,
     """Sampled test of the order-L characterization: translation counts
     all equal L (or >= min_count when L is infinite) and dilation counts
     all equal 1."""
-    from .verify import TilingReport  # local import to avoid a cycle
-
     a = as_matrix(a)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
-    failures = []
-    hist = {}
-    for xi in pts:
-        tc = translation_count(region, lattice, xi, radius=radius)
-        dc = dilation_count(region, a, xi, k_range=k_range)
-        ok_t = (tc.value >= min_count) if order == math.inf else (not tc.truncated and tc.value == order)
-        key = (tc.value, dc)
-        hist[key] = hist.get(key, 0) + 1
-        if not (ok_t and dc == 1):
-            if len(failures) < 20:
-                failures.append(
-                    {"point": [float(v) for v in xi], "translation": tc.value, "dilation": dc}
-                )
-    passed = not failures
-    histogram = {f"t{t}_d{d}": c for (t, d), c in sorted(hist.items())}
+    tcs = translation_counts(region, lattice, pts, radius=radius)
+    dcs = dilation_counts(region, a, pts, *k_range)
+    ok_t = (tcs >= min_count) if order == math.inf else (tcs == order) & region.exact_reach
+    bad = np.flatnonzero(~(ok_t & (dcs == 1)))
+    failures = [
+        {"point": [float(v) for v in pts[i]], "translation": int(tcs[i]), "dilation": int(dcs[i])}
+        for i in bad[:20]
+    ]
+    pairs, freq = np.unique(np.stack([tcs, dcs], axis=1), axis=0, return_counts=True)
     return TilingReport(
         kind="multiwavelet",
         samples=samples,
         seed=seed,
-        passed=passed,
-        histogram=histogram,
+        passed=not failures,
+        histogram={f"t{t}_d{d}": int(c) for (t, d), c in zip(pairs, freq)},
         failures=failures,
         scan={"k_lo": k_range[0], "k_hi": k_range[1], "radius": radius,
               "order": "inf" if order == math.inf else int(order)},
@@ -447,18 +414,8 @@ class SaturatedRegion(RegionSet):
     radius: float = 100.0
 
     def membership(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        member = np.zeros(pts.shape[0], dtype=bool)
-        for i, xi in enumerate(pts):
-            cands = (
-                self.base.candidate_dual_points(self.lattice, xi)
-                if self.base.exact_reach
-                else self.base.candidate_dual_points(self.lattice, xi, self.radius)
-            )
-            if len(cands):
-                m, exc = self.base.membership(xi + cands)
-                member[i] = bool(np.any(m & ~exc))
-        return member, np.zeros(pts.shape[0], dtype=bool)
+        member = translation_counts(self.base, self.lattice, points, self.radius) > 0
+        return member, np.zeros(len(member), dtype=bool)
 
 
 def saturate(region: RegionSet, lattice: Lattice, radius=100.0) -> RegionSet:
@@ -586,17 +543,8 @@ def partition_multiwavelet_set(region: RegionSet, lattice: Lattice, order, *,
     for _ in range(int(order)):
         u = coset_selector_U(residual, lattice, search_points=search_points)
         out.append(u)
-        residual = _region_difference(residual, u)
+        residual = _region_op("difference", residual, u)
     return out
-
-
-def _region_difference(a, b):
-    if isinstance(a, BoxUnion) and isinstance(b, BoxUnion):
-        return a.difference(b)
-    return PredicateRegion(
-        fn=lambda pts, a=a, b=b: a.membership(pts)[0] & ~b.membership(pts)[0],
-        name="difference",
-    )
 
 
 def _partition_infinite(region, lattice, pieces, search_points):
@@ -605,14 +553,14 @@ def _partition_infinite(region, lattice, pieces, search_points):
     residual = region
     for i in range(pieces):
         v_i = _domain_translate(lattice, gammas[i])
-        inter = _region_intersect(v_i, residual)
+        inter = _region_op("intersection", v_i, residual)
         u = coset_selector_U(residual, lattice, search_points=search_points)
         # saturation of V_i cap L: every point has exactly one dual translate
         # inside V_i, namely its wrap plus gamma_i
         sat = _DomainPieceSaturation(residual=residual, lattice=lattice, gamma=gammas[i])
-        piece = _region_union(inter, _region_difference(u, sat))
+        piece = _region_op("union", inter, _region_op("difference", u, sat))
         out.append(piece)
-        residual = _region_difference(residual, piece)
+        residual = _region_op("difference", residual, piece)
     return out
 
 
@@ -636,29 +584,25 @@ def _domain_translate(lattice, gamma):
     if _is_axis_aligned(lattice.dual_basis):
         return BoxUnion.build([(gamma, gamma + np.diag(lattice.dual_basis))])
     return PredicateRegion(
-        fn=lambda pts, lat=lattice, g=gamma: np.array(
-            [np.allclose(lat.wrap(p)[0] + g, p, atol=1e-9) for p in np.atleast_2d(pts)]
-        ),
+        fn=lambda pts: np.isclose(lattice.wrap(pts)[0] + gamma, pts, atol=1e-9).all(axis=1),
         name="fundamental_translate",
     )
 
 
-def _region_intersect(a, b):
-    if isinstance(a, BoxUnion) and isinstance(b, BoxUnion):
-        return a.intersect(b)
-    return PredicateRegion(
-        fn=lambda pts, a=a, b=b: a.membership(pts)[0] & b.membership(pts)[0],
-        name="intersection",
-    )
+# name -> (exact box-union operation, pointwise combination of memberships)
+_SET_OPS = {
+    "difference": (BoxUnion.difference, lambda x, y: x & ~y),
+    "intersection": (BoxUnion.intersect, lambda x, y: x & y),
+    "union": (BoxUnion.union_disjoint, lambda x, y: x | y),
+}
 
 
-def _region_union(a, b):
+def _region_op(name, a, b):
+    """Exact box algebra when both regions are box unions, else a pointwise region."""
+    box_op, combine = _SET_OPS[name]
     if isinstance(a, BoxUnion) and isinstance(b, BoxUnion):
-        return a.union_disjoint(b)
-    return PredicateRegion(
-        fn=lambda pts, a=a, b=b: a.membership(pts)[0] | b.membership(pts)[0],
-        name="union",
-    )
+        return box_op(a, b)
+    return PredicateRegion(fn=lambda pts: combine(a.membership(pts)[0], b.membership(pts)[0]), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +784,7 @@ def _dual_point_in_slab(section, lattice, i, k):
 def _dual_points_near(lattice, center):
     """Dual points within two integer steps of the domain translate holding ``center``."""
     _, z = lattice.wrap(center)
-    two = 2 * np.ones(lattice.n, dtype=int)
-    return (lattice.dual_point(z + dz) for dz in _integer_box(-two, two))
+    return (lattice.dual_point(near) for near in _integer_grid(z - 2, z + 2))
 
 
 def _box_inside_spiral(section, box_corners, off, slab_lo, slab_hi, k):

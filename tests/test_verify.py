@@ -257,3 +257,39 @@ def test_discrete_tiling_fails_when_half_the_samples_are_refused():
     assert report.skipped_null == 500
     assert report.histogram == {1: 500}  # every sample that was kept tiles once
     assert not report.passed
+
+
+# one fixed non-normal conjugator: the orbit scan must keep the contracting
+# directions of P^-1 diag(...) P, which a product carried along the scan loses
+_P = np.array([[1.0, 0.4], [-0.3, 1.2]])
+
+
+def test_discrete_tiling_counts_fresh_powers_of_a_non_normal_matrix():
+    # moduli on both sides of 1 (and one modulus 1): every sample hits once
+    for moduli in ([2.0, 0.5], [2.0, 1.0]):
+        a = np.linalg.inv(_P) @ np.diag(moduli) @ _P
+        report = check_discrete_tiling(build_discrete_section(a), samples=10_000, seed=0)
+        assert report.histogram == {1: 10_000}, moduli
+        assert report.passed
+    # the derived section of a continuous generator with eigenvalues of both signs
+    derived = derive_discrete_section(build_continuous_section([[0.5, 1.0], [0.2, -0.3]]))
+    report = check_discrete_tiling(derived, samples=800, seed=3)
+    assert report.histogram == {1: 800}
+    assert report.passed
+
+
+def test_dilation_counts_match_one_power_per_point():
+    from xsect.linalg import integer_power
+    from xsect.verify import dilation_counts
+
+    a = np.linalg.inv(_P) @ np.diag([2.0, 0.5]) @ _P
+    section = build_discrete_section(a)
+    pts = np.random.default_rng(7).normal(size=(40, 2))
+    centres = np.random.default_rng(8).integers(-90, 90, size=40)
+    got = dilation_counts(section, a, pts, -30, 30, centres=centres, skip=(-10, 10))
+    want = [
+        sum(bool(section.membership(pts[i : i + 1] @ integer_power(a, k))[0][0])
+            for k in range(c - 30, c + 31) if not -10 <= k <= 10)
+        for i, c in enumerate(centres)
+    ]
+    assert got.tolist() == want

@@ -265,3 +265,23 @@ def test_order_infinity_with_unit_modulus_block(rng):
     for xi in rng.normal(size=(150, 2)):
         assert dilation_count(k, a, xi, k_range=(-40, 40)) == 1
     assert translation_count(k, Z2, [0.3, 0.4], radius=50.0).value >= 10
+
+
+def test_first_dual_points_are_sorted_by_norm_then_integer_coordinates():
+    # exact ties across integer shells: (-4, -3) and (-5, 0) both have norm 5
+    cube = [(x, y) for x in range(-12, 13) for y in range(-12, 13)]
+    want = sorted(cube, key=lambda z: (math.hypot(*z), z))[:100]
+    got = [tuple(int(v) for v in p) for p in Z2.ordered_dual_points(100)]
+    assert got == want
+    lazy = [tuple(int(v) for v in z) for z, _ in Z2.dual_points_in_order(max_points=100)]
+    assert lazy == want
+    ball = [tuple(int(v) for v in p) for p in Lattice.integers(2).dual_points_within(5.0)]
+    assert ball == [z for z in want if math.hypot(*z) <= 5.0]
+
+
+def test_translation_counters_agree_on_a_far_box():
+    far = BoxUnion.build([((150.0,), (151.0,))])
+    assert translation_count(far, Z1, [0.3]) == 1
+    assert translation_counts(far, Z1, [[0.3]]).tolist() == [1]
+    member, _ = saturate(far, Z1).membership([[0.3]])
+    assert member.tolist() == [True]

@@ -31,7 +31,6 @@ from .linalg import (
     DEFAULT_TOL,
     JordanBlock,
     RealJordanForm,
-    Spectrum,
     integer_power,
     matrix_from_json,
     matrix_to_json,

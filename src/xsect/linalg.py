@@ -13,6 +13,25 @@ Conventions used throughout the package:
   ``Omega_b = [[0, b], [-b, 0]]`` rotates rows counterclockwise by
   ``b*t``.
 
+Flows and powers act on rows of Jordan coordinates, block by block
+(:func:`jordan_power_rows`), each row by its own exponent.  A block acts
+on its cells as the complex Jordan block of ``lambda = re + i im``: a
+cell pair ``(x, y)`` is the number ``x + iy``, and ``(x, y) @ D`` is
+``(x + iy) lambda``.  Cell ``(i, i + d)`` of the block's power is
+
+* flow ``exp(pJ)``: ``e^{lambda p} p^d / d!``, that is
+  ``e^{alpha p} R(beta p) p^d / d!`` with the row rotation
+  ``R(phi) = [[cos phi, sin phi], [-sin phi, cos phi]]``;
+* integer power ``J^p``: ``C(p, d) lambda^{p-d}``, that is
+  ``r^{p-d} R((p-d) theta)`` for a pair, with the generalized binomial
+  ``C(p, d) = p (p-1) ... (p-d+1) / d!``, so negative ``p`` needs no
+  inverse.
+
+Ambient powers are ``Q J^p P``.  Their error is about ``cond(Q) eps``,
+where repeated products of the rounded ambient matrix lose ``p^2 eps``
+(Moler and Van Loan, "Nineteen dubious ways to compute the exponential
+of a matrix, twenty-five years later", SIAM Review 45, 2003).
+
 Computing a Jordan form in floating point is intrinsically delicate
 (the form is a discontinuous function of the matrix), so the solver
 clusters eigenvalues over a ladder of radii and accepts the first
@@ -128,19 +147,6 @@ class JordanBlock:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue summary: (modulus, argument, multiplicity, max chain length)."""
-
-    entries: tuple
-
-    def moduli(self):
-        return [e[0] for e in self.entries]
-
-    def total_multiplicity(self) -> int:
-        return sum(e[2] for e in self.entries)
-
-
-@dataclass(frozen=True)
 class RealJordanForm:
     """Real Jordan decomposition ``P A P^{-1} = J`` of a real matrix.
 
@@ -170,20 +176,6 @@ class RealJordanForm:
     def from_jordan(self, coords) -> np.ndarray:
         """Inverse of :meth:`to_jordan`."""
         return np.asarray(coords, dtype=float) @ self.conjugator
-
-    def spectrum(self) -> Spectrum:
-        seen = {}
-        for b in self.blocks:
-            key = (b.re, b.im)
-            mult, chain = seen.get(key, (0, 0))
-            seen[key] = (mult + b.chain, max(chain, b.chain))
-        entries = tuple(
-            (math.hypot(re, im) if im else abs(re),
-             math.atan2(im, re) if im else (0.0 if re >= 0 else math.pi),
-             mult, chain)
-            for (re, im), (mult, chain) in seen.items()
-        )
-        return Spectrum(entries=entries)
 
     def to_json(self) -> dict:
         return {
@@ -473,96 +465,95 @@ def _attempt(a, eigs, radius, tol, scale):
     )
 
 
-def _factorial_row(t, m):
-    """Upper-triangular Toeplitz matrix with t^k/k! on the k-th superdiagonal."""
-    out = np.zeros((m, m))
-    coeff = 1.0
-    tk = 1.0
-    for k in range(m):
-        if k:
-            tk *= t
-            coeff /= k
-        for i in range(m - k):
-            out[i, i + k] = tk * coeff
-    return out
+def jordan_power_rows(bform: RealJordanForm, coords, ps, *, integer=False) -> np.ndarray:
+    """Each row of Jordan coordinates times its own block power:
+    ``coords[s] @ exp(ps[s] * J)``, or ``coords[s] @ J^ps[s]`` when ``integer``.
 
-
-def jordan_flow_matrix(bform: RealJordanForm, t: float) -> np.ndarray:
-    """``exp(t*J)`` assembled block by block (Jordan coordinates).
-
-    Block-diagonal, so coordinate scales never mix across blocks."""
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    n = bform.n
-    jt = np.zeros((n, n))
-    for b in bform.blocks:
-        lam_t = math.exp(b.alpha * t)
-        if not math.isfinite(lam_t):
-            raise Overflow(f"exp({b.alpha} * {t}) overflows")
-        toep = _factorial_row(t, b.chain)
-        o = b.offset
-        if b.is_complex:
-            c, s = math.cos(b.beta * t), math.sin(b.beta * t)
-            rot = np.array([[c, s], [-s, c]])
-            jt[o : o + b.size, o : o + b.size] = lam_t * np.kron(toep, rot)
-        else:
-            jt[o : o + b.chain, o : o + b.chain] = lam_t * toep
-    if not np.all(np.isfinite(jt)):
-        raise Overflow("matrix exponential overflowed")
-    return jt
-
-
-def one_parameter_power(bform: RealJordanForm, t: float) -> np.ndarray:
-    """``exp(t*B)`` from the closed per-block formula, conjugated back.
-
-    Each real block contributes ``exp(alpha t)`` times the unipotent
-    Toeplitz factor; a complex-pair block additionally rotates each 2x2
-    cell by ``beta*t``.  The exact one-parameter group law holds up to
-    floating-point accumulation.
+    Blocks act separately and no (s, n, n) stack is formed (the formulas
+    are in the module docstring).  An overflowing power gives inf or nan
+    rows, which callers flag or raise on.
     """
-    out = bform.conjugator_inverse @ jordan_flow_matrix(bform, t) @ bform.conjugator
-    if not np.all(np.isfinite(out)):
-        raise Overflow("matrix exponential overflowed")
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    return _power_stack(bform, coords[:, None, :], np.asarray(ps, dtype=float).reshape(len(coords)), integer)[:, 0]
+
+
+def jordan_power_batch(bform: RealJordanForm, ps, *, integer=False) -> np.ndarray:
+    """``exp(p * J)`` (or ``J^p`` when ``integer``) for each exponent, in
+    Jordan coordinates: the kernel on identity rows; (len(ps), n, n)."""
+    return _power_stack(bform, np.eye(bform.n)[None], np.asarray(ps, dtype=float).reshape(-1), integer)
+
+
+def _power_stack(bform, rows, ps, integer):
+    """``rows[s, i] @ (block power at ps[s])`` for an (s, r, n) stack; a
+    stack of one is shared by every exponent."""
+    out = np.empty((len(ps),) + rows.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in bform.blocks:
+            span = slice(b.offset, b.offset + b.size)
+            out[..., span] = _block_power_rows(b, rows[..., span], ps, integer)
     return out
+
+
+def _block_power_rows(b: JordanBlock, rows, ps, integer):
+    """One block's rows times its power, as the complex Jordan block of
+    ``lambda = re + i im`` acting on the cells (a pair ``(x, y)`` is the
+    number ``x + iy``, and ``(x, y) @ D`` is ``(x + iy) lambda``)."""
+    lam = complex(b.re, b.im) if b.is_complex else b.re
+    if not integer:
+        power = np.exp(lam * ps)
+    elif b.is_complex:
+        # r^p e^{i p theta} in extended precision: a double angle p theta
+        # is off by |p| eps, 1e-10 at |p| ~ 10^6
+        q, re, im = ps.astype(np.longdouble), np.longdouble(b.re), np.longdouble(b.im)
+        r_p, angle = np.exp(q * np.log(np.hypot(re, im))), q * np.arctan2(im, re)
+        power = (r_p * np.cos(angle)).astype(float) + 1j * (r_p * np.sin(angle)).astype(float)
+    else:
+        power = np.power(lam, ps)
+    cells = np.ascontiguousarray(rows).view(complex) if b.is_complex else rows
+    acc = cells * power[:, None, None]
+    # the chain: cell j gains coeff_d(p) (cell j - d), coeff_d = p^d / d!
+    # (flow) or C(p, d) lambda^-d (power)
+    shifted, coeff = (acc.copy() if b.chain > 1 else acc), 1.0
+    for d in range(1, b.chain):
+        coeff = coeff * ((ps - (d - 1)) / (d * lam) if integer else ps / d)
+        acc[..., d:] += coeff[:, None, None] * shifted[..., : b.chain - d]
+    return acc.view(float) if b.is_complex else acc
 
 
 def jordan_flow_batch(bform: RealJordanForm, ts) -> np.ndarray:
     """Vectorized ``exp(t*J)`` (Jordan coordinates); returns (len(ts), n, n)."""
-    ts = np.asarray(ts, dtype=float)
-    n = bform.n
-    jt = np.zeros((ts.shape[0], n, n))
-    for b in bform.blocks:
-        with np.errstate(over="ignore"):
-            lam_t = np.exp(b.alpha * ts)
-        o = b.offset
-        if b.is_complex:
-            c, s = np.cos(b.beta * ts), np.sin(b.beta * ts)
-            for i in range(b.chain):
-                for k in range(b.chain - i):
-                    w = lam_t * ts**k / math.factorial(k)
-                    r, cidx = o + 2 * i, o + 2 * (i + k)
-                    jt[:, r, cidx] = w * c
-                    jt[:, r, cidx + 1] = w * s
-                    jt[:, r + 1, cidx] = -w * s
-                    jt[:, r + 1, cidx + 1] = w * c
-        else:
-            for i in range(b.chain):
-                for k in range(b.chain - i):
-                    jt[:, o + i, o + i + k] = lam_t * ts**k / math.factorial(k)
-    if not np.all(np.isfinite(jt)):
+    jt = jordan_power_batch(bform, ts)
+    if not np.isfinite(jt).all():
         raise Overflow("matrix exponential overflowed")
     return jt
 
 
 def one_parameter_power_batch(bform: RealJordanForm, ts) -> np.ndarray:
-    """Vectorized ``exp(t*B)`` for an array of times; returns (len(ts), n, n)."""
-    jt = jordan_flow_batch(bform, ts)
-    return np.einsum("ij,sjk,kl->sil", bform.conjugator_inverse, jt, bform.conjugator)
+    """Vectorized ``exp(t*B) = Q exp(tJ) P`` for an array of times; returns (len(ts), n, n)."""
+    out = bform.conjugator_inverse @ jordan_flow_batch(bform, ts) @ bform.conjugator
+    if not np.isfinite(out).all():
+        raise Overflow("matrix exponential overflowed")
+    return out
+
+
+def one_parameter_power(bform: RealJordanForm, t: float) -> np.ndarray:
+    """``exp(t*B)`` from the closed per-block formula, conjugated back.
+
+    The exact one-parameter group law holds up to floating-point
+    accumulation.
+    """
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    return one_parameter_power_batch(bform, [float(t)])[0]
 
 
 def flow_rows(bform: RealJordanForm, points, ts) -> np.ndarray:
-    """Each row flowed by its own time: ``points[s] @ exp(ts[s] * B)``."""
-    return np.einsum("sj,sjk->sk", points, one_parameter_power_batch(bform, ts))
+    """Each row flowed by its own time: ``points[s] @ exp(ts[s] * B)``,
+    formed in Jordan coordinates."""
+    out = bform.from_jordan(jordan_power_rows(bform, bform.to_jordan(points), ts))
+    if not np.isfinite(out).all():
+        raise Overflow("matrix exponential overflowed")
+    return out
 
 
 def integer_power(a, k: int) -> np.ndarray:

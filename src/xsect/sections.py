@@ -36,9 +36,8 @@ from .linalg import (
     DEFAULT_TOL,
     RealJordanForm,
     flow_rows,
-    integer_power,
-    jordan_flow_batch,
-    jordan_flow_matrix,
+    integer_power,  # noqa: F401  kept importable here: perfbench's tracer rebinds it in this module
+    jordan_power_rows,
     matrix_from_json,
     matrix_to_json,
     one_parameter_power,
@@ -129,13 +128,7 @@ class CrossSection:
         """Vectorized orbit solve: (parameter array, representatives, exceptional)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         coords = self.jordan.to_jordan(pts)
-        return _solve_core(self, pts, coords)
-
-    def power(self, t):
-        """The acting power: ``A^t`` (continuous) or ``A^k`` (discrete)."""
-        if self.mode == "continuous":
-            return one_parameter_power(self.jordan, float(t))
-        return integer_power(self.matrix, int(t))
+        return _solve_core(self, coords)
 
     def sample(self, rng, count):
         """Draw points from the section (free coordinates standard normal)."""
@@ -261,10 +254,10 @@ class _Case:
         """Scale of the equality constraints, or None when there are none."""
         return None
 
-    def inverse_tile_power(self, section):
-        """``k -> J^-k``: the inverse tile power in Jordan coordinates."""
-        j = section.jordan.jordan_matrix()
-        return lambda k: integer_power(j, -int(k))
+    @property
+    def flows(self) -> bool:
+        """The form is that of a generator ``B``: the action at ``p`` is ``exp(pB)``."""
+        return self.mode == "continuous"
 
     def slab_measure(self, params) -> float:
         raise ValueError(f"no slab measure for case {self.name!r}")
@@ -724,6 +717,7 @@ class _DerivedFromContinuous(_Case):
     are the base's, and the tile index is ``floor(-t)``."""
 
     json_tags = (("derived", True),)
+    flows = True  # A = exp(B), and the Jordan form is that of B
 
     def matrix(self, section):
         return one_parameter_power(section.jordan, 1.0)
@@ -740,9 +734,6 @@ class _DerivedFromContinuous(_Case):
 
     def parameter(self, section, w, exceptional):
         return np.floor(-section.base.kind.parameter(section.base, w, exceptional)).astype(int)
-
-    def inverse_tile_power(self, section):
-        return lambda k: jordan_flow_matrix(section.jordan, -float(k))
 
     def sample(self, section, coords, rng):
         base = section.base
@@ -819,50 +810,37 @@ def _membership_core(section, coords):
     return kind.member(section, w, exceptional) & ~exceptional, exceptional
 
 
-def _orbit_parameters(section, coords):
-    """Flow times (continuous) or tile indices (discrete), and the null-set mask."""
+def power_rows(section, coords, ps):
+    """Jordan coordinates moved by the action at parameter ``p``: ``c @ J^p``,
+    or the flow ``c @ exp(pJ)`` when the form is that of a generator."""
+    return jordan_power_rows(section.jordan, coords, ps, integer=not section.kind.flows)
+
+
+def _solve_core(section, coords):
+    # flow times (continuous) or tile indices (discrete)
     exceptional = section.kind.null_mask(section, coords)
-    return section.kind.parameter(section, coords[:, section.block.offset :], exceptional), exceptional
-
-
-def _solve_core(section, points, coords):
-    if section.mode == "continuous":
-        ts, exceptional = _orbit_parameters(section, coords)
+    params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional)
+    continuous = section.mode == "continuous"
+    if continuous:
         # flow times whose exponentials leave the float range cannot yield a
         # representable representative: flag instead of overflowing the batch
         alpha_max = max(abs(b.alpha) for b in section.jordan.blocks)
-        exceptional = exceptional | (np.abs(ts) * alpha_max > 700.0)
-        ts = np.where(exceptional, np.nan, ts)
-        reps = np.full_like(points, np.nan)
-        ok = ~exceptional
-        if np.any(ok):
-            flows = jordan_flow_batch(section.jordan, ts[ok])
-            rep_coords = np.einsum("sj,sjk->sk", coords[ok], flows)
-            reps[ok] = section.jordan.from_jordan(rep_coords)
-            _, rep_exc = _membership_core(section, rep_coords)
-            if rep_exc.any():
-                exceptional = exceptional.copy()
-                exceptional[np.flatnonzero(ok)[rep_exc]] = True
-        return ts, reps, exceptional
-    ks, exceptional = _orbit_parameters(section, coords)
-    # representatives through Jordan coordinates: the block-diagonal power
-    # never mixes scales across blocks, so the constrained coordinates stay
-    # accurate even when free blocks grow enormous
-    block_power = section.kind.inverse_tile_power(section)
-    reps = np.full_like(points, np.nan)
-    ok = ~exceptional
-    for k in np.unique(ks[ok]):
-        mask = ok & (ks == k)
-        reps[mask] = section.jordan.from_jordan(coords[mask] @ block_power(k))
-    # a representative whose own evaluation collapses (constrained block
-    # dwarfed by free blocks beyond float resolution) is flagged just like
-    # a null-set point: refuse rather than return an unusable answer
-    if np.any(ok):
-        _, rep_exc = _membership_core(section, section.jordan.to_jordan(reps[ok]))
-        exceptional = exceptional.copy()
-        exceptional[np.flatnonzero(ok)[rep_exc]] = True
-    ks = np.where(exceptional, 0, ks)
-    return ks.astype(float), reps, exceptional
+        exceptional = exceptional | (np.abs(params) * alpha_max > 700.0)
+    # the representative is gamma A^t (flow time t) or gamma A^-k (tile index
+    # k), taken in Jordan coordinates: block powers never mix scales across
+    # blocks, so the constrained coordinates stay accurate even when free
+    # blocks grow enormous
+    rep_coords = power_rows(section, coords, np.where(exceptional, 0.0, params if continuous else -params))
+    # a representative that overflows, or whose own evaluation collapses
+    # (constrained block dwarfed by free blocks beyond float resolution), is
+    # flagged just like a null-set point: refuse rather than return an
+    # unusable answer
+    exceptional |= _membership_core(section, rep_coords)[1] | ~np.isfinite(rep_coords).all(axis=1)
+    reps = section.jordan.from_jordan(rep_coords)
+    reps[exceptional] = np.nan
+    if continuous:
+        return np.where(exceptional, np.nan, params), reps, exceptional
+    return np.where(exceptional, 0, params).astype(float), reps, exceptional
 
 
 def piece_shifts(section, reps, piece_of, shift) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 from .classify import classify_discrete
 from .errors import DetOne, MixedModuli
 from .linalg import box_corners, integer_power
-from .sections import CrossSection, build_discrete_section, contains, piece_shifts, pushed_membership, solve_orbit
+from .sections import (CrossSection, build_discrete_section, contains, piece_shifts, power_rows,
+                       pushed_membership, solve_orbit)
 
 
 @dataclass(frozen=True)
@@ -164,11 +165,8 @@ class ShapedSection:
         if np.any(ok):
             shifts = piece_shifts(self.base, reps[ok], self._shell_index, self.shift)
             params[ok] = ks[ok].astype(int) - shifts
-            idx = np.flatnonzero(ok)
-            for s in np.unique(shifts):
-                push = integer_power(self.matrix, int(s))
-                sel = idx[shifts == s]
-                out_reps[sel] = reps[sel] @ push
+            form = self.base.jordan
+            out_reps[ok] = form.from_jordan(power_rows(self.base, form.to_jordan(reps[ok]), shifts))
         return params, out_reps, exc
 
     def sample_pieces(self, rng, count: int, max_shell: int = 12) -> np.ndarray:

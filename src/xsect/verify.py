@@ -25,8 +25,9 @@ import numpy as np
 from scipy import integrate
 
 from .errors import BudgetExceeded, Overflow, QuadratureDivergence
-from .linalg import flow_rows, integer_power, one_parameter_power
+from .linalg import flow_rows, integer_power, jordan_power_batch, one_parameter_power
 from .sections import CrossSection, derive_discrete_section
+from .shaping import ShapedSection
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> n
     ``pts``; with ``centres`` (and ``skip``), row ``i`` takes ``A^(c_i + j)``
     instead, leaving out the exponents in the closed range ``skip``.
 
-    Each ``A^k`` is a power of its own (:func:`_power_table`): a product
+    Each ``A^k`` is a power of its own (:func:`_powers`): a product
     carried along with the points loses the contracting directions of a
     non-normal ``A``.  A membership call takes one power of all rows, or,
     for centred windows, one stretch of offsets: the rows of one offset
@@ -134,7 +135,7 @@ def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> n
     offsets = np.arange(k_lo, k_hi + 1)
     counts = np.zeros(len(pts), dtype=int)
     if centres is None:
-        for power in _power_table(a, offsets)[1]:
+        for power in _powers(region, a, offsets)[1]:
             member, exc = region.membership(pts @ power)
             counts += member & ~exc
         return counts
@@ -142,7 +143,7 @@ def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> n
     rows = np.tile(np.arange(len(pts)), len(offsets))
     keep = (k < skip[0]) | (k > skip[1])
     k, rows = k[keep], rows[keep]
-    exps, powers = _power_table(a, k)
+    exps, powers = _powers(region, a, k)
     for start in range(0, len(k), _WINDOW_ROWS):
         part = slice(start, start + _WINDOW_ROWS)
         shifted = np.einsum("ri,rij->rj", pts[rows[part]], powers[np.searchsorted(exps, k[part])])
@@ -151,34 +152,50 @@ def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> n
     return counts
 
 
+def _powers(region, a, exponents):
+    """The distinct ``exponents`` in increasing order, and ``A^k`` for each:
+    ``Q J^k P`` with exact block powers for a (reshaped) discrete section
+    under its own matrix, else :func:`_power_table`.  Float powers of the
+    rounded ``A`` are off by about ``k^2 eps``: at the far tile indices of a
+    shear (``|k|`` of 10^4 to 10^6) they miscount samples."""
+    section = region.base if isinstance(region, ShapedSection) else region
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(section, CrossSection) and section.mode == "discrete" and np.array_equal(a, region.matrix):
+            exps, form = np.unique(exponents), section.jordan
+            jk = jordan_power_batch(form, exps, integer=not section.kind.flows)
+            powers = form.conjugator_inverse @ jk @ form.conjugator
+        else:
+            exps, powers = _power_table(a, exponents)
+    bad = ~np.isfinite(powers).all(axis=(1, 2))
+    if bad.any():
+        raise Overflow(f"A^{exps[bad][np.argmin(np.abs(exps[bad]))]} overflows the floating-point range")
+    return exps, powers
+
+
 def _power_table(a, exponents):
     """The distinct ``exponents`` in increasing order, and ``A^k`` for each.
 
     Each run of consecutive exponents on one side of zero starts at its end
     nearest zero and walks outward by doubling, ``A^(s+i+m) = A^(s+i) A^m``:
     like :func:`integer_power`, it multiplies powers of one sign only, so
-    the two agree to rounding and raise the same errors.
+    the two agree to rounding.
     """
     exps = np.unique(exponents)
     powers = np.empty((len(exps), len(a), len(a)))
     breaks = np.flatnonzero((np.diff(exps) != 1) | (exps[1:] == 0)) + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for run in np.split(np.arange(len(exps)), breaks) if len(exps) else ():
-            if exps[run[0]] < 0:
-                run = run[::-1]  # walk outward from the end nearest zero
-            start = int(exps[run[0]])
-            walk = np.empty((len(run), len(a), len(a)))
-            jump = a if start >= 0 else integer_power(a, -1)
-            walk[0] = jump if start == -1 else integer_power(a, start)
-            have = 1
-            while have < len(run):
-                take = min(have, len(run) - have)
-                walk[have : have + take] = walk[:take] @ jump
-                have, jump = have + take, jump @ jump
-            powers[run] = walk
-    bad = ~np.isfinite(powers).all(axis=(1, 2))
-    if bad.any():
-        raise Overflow(f"A^{exps[bad][np.argmin(np.abs(exps[bad]))]} overflows the floating-point range")
+    for run in np.split(np.arange(len(exps)), breaks) if len(exps) else ():
+        if exps[run[0]] < 0:
+            run = run[::-1]  # walk outward from the end nearest zero
+        start = int(exps[run[0]])
+        walk = np.empty((len(run), len(a), len(a)))
+        jump = a if start >= 0 else integer_power(a, -1)
+        walk[0] = jump if start == -1 else integer_power(a, start)
+        have = 1
+        while have < len(run):
+            take = min(have, len(run) - have)
+            walk[have : have + take] = walk[:take] @ jump
+            have, jump = have + take, jump @ jump
+        powers[run] = walk
     return exps, powers
 
 

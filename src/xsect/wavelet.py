@@ -487,6 +487,14 @@ class _SelectorRegion(RegionSet):
         member[active] = np.all(np.abs(etas + firsts - pts[active]) <= 1e-9, axis=1)
         return member, np.zeros(pts.shape[0], dtype=bool)
 
+    def to_json(self) -> dict:
+        return {
+            "kind": "selector",
+            "base": self.base.to_json(),
+            "lattice": self.lattice.to_json(),
+            "search_points": self.search_points,
+        }
+
 
 def _first_hit_batch(region, lattice, etas, search_points):
     """First dual point (selector order) hitting the region, per row of

@@ -150,6 +150,26 @@ def test_wavelet_check_and_partition(workdir, capsys):
     assert out["pieces"][1]["boxes"] == [{"lo": [-2.0], "hi": [-1.0]}]
 
 
+@pytest.mark.parametrize("basis, boxes, order", [
+    ([[1.0, 0.3], [0.0, 2.0]], [([0.0, 0.0], [1.0, 1.0])], 1),
+    ([[1.0, 0.0], [1.0, 1.0]],
+     [([-1.0, -1.0], [-0.5, 1.0]), ([-0.5, -1.0], [0.5, -0.5]), ([-0.5, 0.5], [0.5, 1.0]), ([0.5, -1.0], [1.0, 1.0])],
+     3),
+])
+def test_wavelet_partition_on_a_skewed_lattice(workdir, capsys, basis, boxes, order):
+    # a dual basis that is not axis-aligned makes selector pieces, which
+    # serialize with their base region, lattice and search size
+    _, write = workdir
+    lat = write("g.json", {"basis": {"rows": basis}})
+    region = write("k.json", {"kind": "boxes", "boxes": [{"lo": lo, "hi": hi} for lo, hi in boxes]})
+    code, out = run(capsys, ["wavelet", "partition", "--lattice", lat, "--region", region, "--order", str(order)])
+    assert code == 0
+    assert len(out["pieces"]) == order
+    first = out["pieces"][0]
+    assert first["kind"] == "selector" and first["search_points"] == 4000
+    assert first["lattice"]["basis"]["rows"] == basis
+
+
 def test_wavelet_dimfn(workdir, capsys):
     _, write = workdir
     region = write("w.json", {"kind": "boxes", "boxes": [{"lo": [0.0], "hi": [1.5]}]})

@@ -5,7 +5,12 @@ import pytest
 
 from xsect.errors import IllConditioned, Overflow, Singular
 from xsect.linalg import (
+    JordanBlock,
+    RealJordanForm,
+    assemble_jordan_matrix,
     integer_power,
+    jordan_power_batch,
+    jordan_power_rows,
     matrix_from_json,
     matrix_to_json,
     one_parameter_power,
@@ -136,6 +141,86 @@ def test_one_parameter_batch_matches_scalar(rng):
     batch = one_parameter_power_batch(f, ts)
     for i, t in enumerate(ts):
         np.testing.assert_allclose(batch[i], one_parameter_power(f, t), atol=1e-11)
+
+
+def _jordan_form_of_blocks(*specs):
+    """A form in Jordan coordinates (``Q = P = I``) with the blocks
+    ``(re, im, chain)``, in order."""
+    blocks, offset = [], 0
+    for re, im, chain in specs:
+        blocks.append(JordanBlock(re=re, im=im, chain=chain, offset=offset))
+        offset += blocks[-1].size
+    eye = np.eye(offset)
+    return RealJordanForm(matrix=assemble_jordan_matrix(blocks, offset), blocks=tuple(blocks),
+                          conjugator=eye, conjugator_inverse=eye, tol=1e-9, residual=0.0)
+
+
+def _pair(r, theta):
+    return (r * math.cos(theta), r * math.sin(theta))
+
+
+# moduli near 1 keep |p| = 10^6 representable; the last form's powers
+# overflow there and are checked up to |p| = 1000 only
+ORACLE_FORMS = {
+    "real_negative_complex_chain3": [(1.0000003, 0.0, 1), (-0.9999996, 0.0, 1),
+                                     (*_pair(1.0 + 2e-7, 0.7), 1), (0.9999999, 0.0, 3)],
+    "complex_chain3_negative_chain2": [(*_pair(1.0 - 1e-7, 2.3), 3), (-1.0000002, 0.0, 2)],
+    "expanding_and_contracting": [(2.0, 0.0, 1), (0.3, 0.4, 1), (-0.5, 0.0, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FORMS))
+def test_block_powers_match_an_exact_oracle(name):
+    import mpmath
+
+    form = _jordan_form_of_blocks(*ORACLE_FORMS[name])
+    rng = np.random.default_rng(5)
+    coords = rng.normal(size=(3, form.n))
+    exponents = [(float(p), True) for p in (1, -1, 7, -7, 1000, -1000, 10**6, -(10**6))]
+    exponents += [(float(t), False) for t in rng.uniform(-5.0, 5.0, 6)]
+    checked = 0
+    with mpmath.workdps(50):
+        for p, integer in exponents:
+            got = jordan_power_rows(form, coords, np.full(len(coords), p), integer=integer)
+            for b in form.blocks:
+                span = slice(b.offset, b.offset + b.size)
+                jb = mpmath.matrix(assemble_jordan_matrix([JordanBlock(b.re, b.im, b.chain, 0)], b.size).tolist())
+                power = jb ** int(p) if integer else mpmath.expm(mpmath.mpf(p) * jb)
+                for row, out in zip(coords[:, span], got[:, span]):
+                    want = mpmath.matrix([row.tolist()]) * power
+                    norm = mpmath.norm(want)
+                    if not 1e-300 < norm < 1e300:
+                        continue  # the exact row is outside the float range
+                    err = max(abs(mpmath.mpf(float(x)) - w) for x, w in zip(out, want))
+                    assert err <= 1e-12 * norm, (name, p, integer, b, float(err / norm))
+                    checked += 1
+    # every block at |p| <= 7 and at all six times, at least
+    assert checked >= len(coords) * len(form.blocks) * 10
+
+
+def test_block_power_group_laws(rng):
+    # integer powers in Jordan coordinates: J^a J^b = J^(a + b), also
+    # across the sign and far beyond the range of integer_power
+    form = _jordan_form_of_blocks(*ORACLE_FORMS["complex_chain3_negative_chain2"])
+    for a, b in [(3, -5), (-400, 250), (2 * 10**6, -10**6)]:
+        lhs = jordan_power_batch(form, [a], integer=True)[0] @ jordan_power_batch(form, [b], integer=True)[0]
+        rhs = jordan_power_batch(form, [a + b], integer=True)[0]
+        assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
+    # and the flow of a conjugated generator with a rotating chain
+    om = np.array([[0.2, 1.3], [-1.3, 0.2]])
+    gen, _ = random_conjugate(np.block([[om, np.eye(2)], [np.zeros((2, 2)), om]]), 31)
+    f = real_jordan_form(gen, require_invertible=False)
+    for s, t in rng.uniform(-5, 5, (20, 2)):
+        lhs = one_parameter_power(f, s) @ one_parameter_power(f, t)
+        rhs = one_parameter_power(f, s + t)
+        assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
+
+
+def test_one_parameter_power_refuses_a_non_finite_time():
+    f = real_jordan_form([[0.5]])
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            one_parameter_power(f, t)
 
 
 def test_integer_power_examples():

@@ -358,3 +358,14 @@ def test_membership_and_solve_leave_the_serialized_section_unchanged():
     s.membership(pts)
     s.solve(pts)
     assert s.to_json() == before
+
+
+def test_tile_index_beyond_a_million_is_solved():
+    section = build_discrete_section(SHEAR)
+    gamma = np.array([2.0**-22, 1.5 + 2.0**-24])  # x2 / x1 = 6291456.25
+    sol = solve_orbit(section, gamma)
+    assert sol.parameter == 6_291_456
+    assert contains(section, sol.representative)
+    assert solve_orbit(section, sol.representative).parameter == 0
+    # the representative gamma A^-k is exact in Jordan coordinates
+    assert sol.representative.tolist() == [2.0**-22, 2.0**-24]

@@ -293,3 +293,19 @@ def test_dilation_counts_match_one_power_per_point():
         for i, c in enumerate(centres)
     ]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("conjugator_seed, seed", [(1015, 1), (1017, 4), (1018, 4), (1016, 3)])
+def test_conjugated_shear_far_tile_indices_count_once(conjugator_seed, seed):
+    # the heavy-tailed windows reach |k| of 10^5 to 10^6, where float powers
+    # of the rounded conjugated shear miss the section (or exceed the range
+    # of integer_power); Jordan powers Q J^k P count every sample once
+    g = np.random.default_rng(conjugator_seed)
+    while True:
+        p = g.normal(size=(2, 2))
+        if np.linalg.cond(p) < 50:
+            break
+    a = np.linalg.inv(p) @ SHEAR @ p
+    report = check_discrete_tiling(build_discrete_section(a), samples=10_000, seed=seed)
+    assert report.histogram == {1: 10_000}
+    assert report.passed

@@ -287,20 +287,20 @@ def _cmd_integrate(args):
     return EXIT_OK
 
 
+# the options each wavelet action requires, in the order they are checked
+_WAVELET_NEEDS = {"check": ("lattice", "matrix", "region"), "partition": ("lattice", "region"),
+                  "dimfn": ("region", "point"), "build-inf": ("lattice", "matrix")}
+
+
 def _cmd_wavelet(args):
     lattice = Lattice.from_json(_load_json(args.lattice)) if args.lattice else None
     matrix = matrix_from_json(_load_json(args.matrix)) if args.matrix else None
     inputs = [args.lattice, args.matrix, args.region]
-    if args.action in ("check", "partition", "build-inf") and lattice is None:
-        raise UsageError(f"wavelet {args.action} requires --lattice")
-    if args.action in ("check", "build-inf") and matrix is None:
-        raise UsageError(f"wavelet {args.action} requires --matrix")
-    if args.action in ("check", "partition", "dimfn") and not args.region:
-        raise UsageError(f"wavelet {args.action} requires --region")
-    if args.action == "dimfn" and not args.point:
-        raise UsageError("wavelet dimfn requires --point")
+    for name in _WAVELET_NEEDS[args.action]:
+        if not getattr(args, name):
+            raise UsageError(f"wavelet {args.action} requires --{name}")
+    region = _region_from_json(_load_json(args.region)) if "region" in _WAVELET_NEEDS[args.action] else None
     if args.action == "check":
-        region = _region_from_json(_load_json(args.region))
         order = math.inf if args.order == "inf" else int(args.order)
         report = is_multiwavelet_set(
             region, matrix, lattice, order, samples=args.samples, seed=args.seed
@@ -308,7 +308,6 @@ def _cmd_wavelet(args):
         _emit({"report": report.to_json()}, args, inputs)
         return EXIT_OK if report.passed else EXIT_ERROR
     if args.action == "partition":
-        region = _region_from_json(_load_json(args.region))
         order = math.inf if args.order == "inf" else int(args.order)
         parts = partition_multiwavelet_set(region, lattice, order, pieces=args.pieces)
         payload = {"pieces": [p.to_json() for p in parts], "verification": None}
@@ -328,16 +327,13 @@ def _cmd_wavelet(args):
         _emit(payload, args, inputs)
         return EXIT_OK
     if args.action == "dimfn":
-        region = _region_from_json(_load_json(args.region))
         xi = _parse_point(args.point)
         count = dimension_function(region, xi)
         _emit({"dimension": count.value, "truncated": count.truncated}, args, inputs)
         return EXIT_OK
-    if args.action == "build-inf":
-        k = build_order_infinity_set(matrix, lattice, pieces=args.pieces, tol=args.tol)
-        _emit({"region": k.to_json()}, args, inputs)
-        return EXIT_OK
-    raise UsageError(f"unknown wavelet action {args.action!r}")
+    k = build_order_infinity_set(matrix, lattice, pieces=args.pieces, tol=args.tol)  # build-inf
+    _emit({"region": k.to_json()}, args, inputs)
+    return EXIT_OK
 
 
 def _build_parser() -> _Parser:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BudgetExceeded, Overflow, QuadratureDivergence
 from .linalg import flow_rows, integer_power, jordan_power_batch, one_parameter_power
@@ -318,6 +317,7 @@ def orbit_integral(f, section: CrossSection, *, decay_radius, budget=10**7,
     """
     if section.mode != "continuous":
         raise ValueError("orbit_integral expects a continuous section")
+    from scipy import integrate  # here: it takes most of the package's import time
     frame = _OrbitFrame(f, section, float(decay_radius), budget)
     integrand, ranges = section.kind.orbit_integrand(section, frame)
     try:

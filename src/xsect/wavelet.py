@@ -2,13 +2,14 @@
 
 A set K is a multi-wavelet set of order L for (A, Gamma) iff its
 dual-lattice translates cover R^n with multiplicity L while its
-A-dilates cover with multiplicity 1.  Verified sets are partitioned
-into order-1 pieces by repeatedly extracting a coset selector U(K):
-the first dual-lattice translate (in a fixed total order) carrying each
-residue class into K.  Box-union geometry keeps every set operation
-exact; analytic geometries (cones, dilation-shifted slabs) evaluate
-pointwise with a lattice-local enumerator bounded by an explicit
-radius.
+A-dilates cover with multiplicity 1.  Sets of finite order are
+partitioned into order-1 pieces by repeatedly extracting a coset
+selector U(K): the first dual-lattice translate (in a fixed total order)
+carrying each residue class into K.  Sets of infinite order are split
+coset by coset (see :func:`partition_multiwavelet_set`).  Box-union
+geometry keeps every set operation exact; analytic geometries (cones,
+dilation-shifted slabs) evaluate pointwise with a lattice-local
+enumerator bounded by an explicit radius.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import classify_discrete
-from .errors import NoWavelet, SearchExhausted, SelectorMiss
+from .errors import DimensionTooHigh, NoWavelet, SearchExhausted, SelectorMiss, UsageError
 from .linalg import as_matrix, box_corners, matrix_from_json, matrix_to_json
 from .sections import TWO_PI, build_discrete_section, pushed_membership
 from .verify import TilingReport, dilation_counts
@@ -288,8 +289,8 @@ def _integer_grid(zlo, zhi):
 class PredicateRegion(RegionSet):
     """Analytic region: membership closure plus an optional bounded reach.
 
-    Composed regions (partition residuals) get queried repeatedly on the
-    same probe arrays, so results are memoized on the array bytes.
+    A finite-order partition of a non-box region re-queries its residuals
+    on the same probe arrays, so results are memoized on the array bytes.
     """
 
     fn: object
@@ -341,8 +342,8 @@ def translation_count(region: RegionSet, lattice: Lattice, xi, radius=100.0) -> 
     return TranslationCount(int(translation_counts(region, lattice, xi, radius)[0]), not region.exact_reach)
 
 
-# rows per membership call of translation_counts: moderate chunks keep
-# recursive (selector, saturation) membership cheap
+# rows per membership call of translation_counts: bounds the probe array
+# and with it the coset search a selector or partition piece runs over it
 _CHUNK = 64
 
 
@@ -426,18 +427,16 @@ def coset_selector_U(region: RegionSet, lattice: Lattice, *, search_points=4000)
     """The selector U(K): keep, in each dual-coset, the first point of K in
     the fixed dual order (increasing norm, lexicographic ties).
 
-    Exact box-union geometry when K is a box union; otherwise a
-    pointwise selector with a bounded search."""
-    if isinstance(region, BoxUnion):
-        return _selector_boxes(region, lattice, search_points)
+    Exact box-union geometry when K is a box union and Y a box;
+    otherwise a pointwise selector with a bounded search."""
+    d = lattice.dual_basis
+    # Y is a box when the dual basis is diagonal with a positive diagonal
+    if isinstance(region, BoxUnion) and np.allclose(d, np.diag(np.diag(d))) and np.all(np.diag(d) > 0):
+        return _selector_boxes(region, lattice)
     return _SelectorRegion(base=region, lattice=lattice, search_points=search_points)
 
 
-def _selector_boxes(region: BoxUnion, lattice: Lattice, search_points) -> BoxUnion:
-    # Y as a box needs an axis-aligned dual basis with positive diagonal;
-    # general lattices fall back to the pointwise selector
-    if not _is_axis_aligned(lattice.dual_basis):
-        return _SelectorRegion(base=region, lattice=lattice, search_points=search_points)
+def _selector_boxes(region: BoxUnion, lattice: Lattice) -> BoxUnion:
     n = lattice.n
     y = BoxUnion.build([(np.zeros(n), np.diag(lattice.dual_basis))])
     covered = BoxUnion.build([])
@@ -459,14 +458,8 @@ def _selector_boxes(region: BoxUnion, lattice: Lattice, search_points) -> BoxUni
             f"selector did not cover the fundamental domain within radius {reach}",
             radius=reach,
         )
-    out = BoxUnion.build([])
-    for piece in selected:
-        out = out.union_disjoint(piece)
-    return out
-
-
-def _is_axis_aligned(m):
-    return np.allclose(m, np.diag(np.diag(m))) and np.all(np.diag(m) > 0)
+    # pieces of distinct cosets of Y, so pairwise disjoint
+    return BoxUnion.build([box for piece in selected for box in piece.boxes])
 
 
 @dataclass(frozen=True)
@@ -480,11 +473,10 @@ class _SelectorRegion(RegionSet):
         member = np.zeros(pts.shape[0], dtype=bool)
         base_m, base_exc = self.base.membership(pts)
         active = np.flatnonzero(base_m & ~base_exc)
-        if active.size == 0:
-            return member, np.zeros(pts.shape[0], dtype=bool)
-        etas, _ = self.lattice.wrap(pts[active])
-        firsts = _first_hit_batch(self.base, self.lattice, etas, self.search_points)
-        member[active] = np.all(np.abs(etas + firsts - pts[active]) <= 1e-9, axis=1)
+        if active.size:
+            etas, z = self.lattice.wrap(pts[active])
+            first = _first_hits(self.base, self.lattice, etas, 1, self.search_points, must=True)
+            member[active] = _is_offset(self.lattice, first, z)[:, 0]
         return member, np.zeros(pts.shape[0], dtype=bool)
 
     def to_json(self) -> dict:
@@ -496,36 +488,44 @@ class _SelectorRegion(RegionSet):
         }
 
 
-def _first_hit_batch(region, lattice, etas, search_points):
-    """First dual point (selector order) hitting the region, per row of
-    ``etas``; all rows are resolved against shared candidate blocks."""
-    m_pts = etas.shape[0]
-    firsts = np.full((m_pts, etas.shape[1]), np.nan)
-    unresolved = np.arange(m_pts)
-    cands = lattice.ordered_dual_points(search_points)
+def _first_hits(region, lattice, etas, count, search_points, must):
+    """Selector-order indices of the first ``count`` dual points hitting the
+    region from each row of ``etas`` (-1 where fewer lie among the first
+    ``search_points``, shared or per row); rows share candidate blocks, and
+    a row in ``must`` with fewer hits raises :class:`SelectorMiss`."""
+    hits = np.full((etas.shape[0], count), -1)
+    found = np.zeros(etas.shape[0], dtype=int)
+    limits = np.broadcast_to(search_points, found.shape)
+    unresolved = np.flatnonzero(limits > 0)
+    cands = lattice.ordered_dual_points(int(limits.max(initial=0)))
     # geometrically growing blocks: most rows resolve among the first few
     # candidates, so the wide (expensive) probes see few unresolved rows
     start, block_size = 0, 8
-    while start < len(cands):
-        block = cands[start : start + block_size]
+    while unresolved.size:
+        block = cands[start : start + min(block_size, int(limits[unresolved].max()) - start)]
         probe = (etas[unresolved][:, None, :] + block[None, :, :]).reshape(-1, etas.shape[1])
         member, exc = region.membership(probe)
-        hits = (member & ~exc).reshape(len(unresolved), len(block))
-        any_hit = hits.any(axis=1)
-        if np.any(any_hit):
-            first_idx = np.argmax(hits[any_hit], axis=1)
-            firsts[unresolved[any_hit]] = block[first_idx]
-            unresolved = unresolved[~any_hit]
-        if unresolved.size == 0:
-            return firsts
+        rows, cols = np.nonzero((member & ~exc).reshape(len(unresolved), len(block)))
+        # rows come sorted, so a hit's rank in its row is its distance from
+        # the row's first hit, after the hits of earlier blocks
+        rank = found[unresolved[rows]] + np.arange(len(rows)) - np.searchsorted(rows, rows)
+        keep = rank < count
+        hits[unresolved[rows[keep]], rank[keep]] = start + cols[keep]
+        found[unresolved] += np.bincount(rows, minlength=len(unresolved))
         start += len(block)
         block_size = min(4 * block_size, 4096)
-    miss = etas[unresolved[0]]
-    raise SelectorMiss(
-        f"no dual translate within {search_points} candidates hits the region",
-        point=[float(v) for v in miss],
-        radius=float(search_points),
-    )
+        unresolved = unresolved[(found[unresolved] < count) & (limits[unresolved] > start)]
+    missed = np.flatnonzero(must & (hits[:, -1] < 0))
+    if missed.size:
+        raise SelectorMiss(f"no dual translate within {int(limits.max())} candidates hits the region",
+                           point=[float(v) for v in etas[missed[0]]], radius=float(limits.max()))
+    return hits
+
+
+def _is_offset(lattice, idx, z):
+    """Whether the selector-order index ``idx[r, j]`` is the dual offset ``z[r]``."""
+    zs = lattice._dual_table(count=int(idx.max(initial=0)) + 1)[0]
+    return (idx >= 0) & (zs[idx] == z[:, None, :]).all(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -537,80 +537,83 @@ def partition_multiwavelet_set(region: RegionSet, lattice: Lattice, order, *,
     """Split a multi-wavelet set of order L into order-1 pieces.
 
     Finite L: L selector extractions (no seeding partition is needed).
-    Infinite L: seed piece i with the translate Y + gamma_i of the dual
-    fundamental domain (selector order), add the selector of what is
-    left, and subtract the saturation overlap; ``pieces`` many pieces
-    are produced.
+    Infinite L: ``pieces`` many pieces.  In each dual coset ``eta + Gamma*``
+    piece i takes ``eta + gamma_i`` (selector order) if it is in the set
+    and no earlier piece took it, else the first point of the set that no
+    earlier piece took; so the set's first i + 1 points there decide it.
     """
     if order == math.inf:
         if pieces is None:
             raise ValueError("pieces= is required for infinite order")
-        return _partition_infinite(region, lattice, pieces, search_points)
+        if isinstance(region, BoxUnion):
+            # where Y is a box, the exact selector refuses a box set whose
+            # dual translates leave part of Y uncovered
+            coset_selector_U(region, lattice, search_points=search_points)
+        return [_InfinitePiece(region, lattice, i, search_points) for i in range(pieces)]
     out = []
     residual = region
     for _ in range(int(order)):
         u = coset_selector_U(residual, lattice, search_points=search_points)
         out.append(u)
-        residual = _region_op("difference", residual, u)
-    return out
-
-
-def _partition_infinite(region, lattice, pieces, search_points):
-    gammas = [g for _, g in lattice.dual_points_in_order(max_points=pieces)]
-    out = []
-    residual = region
-    for i in range(pieces):
-        v_i = _domain_translate(lattice, gammas[i])
-        inter = _region_op("intersection", v_i, residual)
-        u = coset_selector_U(residual, lattice, search_points=search_points)
-        # saturation of V_i cap L: every point has exactly one dual translate
-        # inside V_i, namely its wrap plus gamma_i
-        sat = _DomainPieceSaturation(residual=residual, lattice=lattice, gamma=gammas[i])
-        piece = _region_op("union", inter, _region_op("difference", u, sat))
-        out.append(piece)
-        residual = _region_op("difference", residual, piece)
+        residual = _difference(residual, u)
     return out
 
 
 @dataclass(frozen=True)
-class _DomainPieceSaturation(RegionSet):
-    """``(V cap L)^t`` for a fundamental-domain translate ``V = Y + gamma``:
-    membership reduces to one residual query at the wrapped point."""
+class _InfinitePiece(RegionSet):
+    """Piece ``index`` of the order-infinity partition of ``base`` (the
+    rule is in :func:`partition_multiwavelet_set`)."""
 
-    residual: RegionSet
+    base: RegionSet
     lattice: Lattice
-    gamma: np.ndarray
+    index: int
+    search_points: int
 
     def membership(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        etas, _ = self.lattice.wrap(pts)
-        member, exc = self.residual.membership(etas + self.gamma)
-        return member & ~exc, np.zeros(pts.shape[0], dtype=bool)
+        member = np.zeros(pts.shape[0], dtype=bool)
+        base_m, base_exc = self.base.membership(pts)
+        active = np.flatnonzero(base_m & ~base_exc)
+        if active.size:
+            etas, z = self.lattice.wrap(pts[active])
+            # while a point is untaken each piece takes gamma_j or a hit no
+            # later than it, so the search stops at the point's norm; a point
+            # beyond the search is never taken, so each piece must find a hit
+            norms = self.lattice._dual_table(count=self.search_points)[2][: self.search_points]
+            own_norm = np.linalg.norm(z @ self.lattice.dual_basis, axis=1)
+            limits = np.maximum(np.searchsorted(norms, own_norm * (1 + 1e-9), side="right"), self.index + 1)
+            hits = _first_hits(self.base, self.lattice, etas, self.index + 1, limits,
+                               must=own_norm > norms[-1] * (1 + 1e-9))
+            member[active] = _is_offset(self.lattice, _coset_walk(hits)[:, -1:], z)[:, 0]
+        return member, np.zeros(pts.shape[0], dtype=bool)
+
+    def to_json(self) -> dict:
+        # the seed translate united with the selector part
+        return {"kind": "analytic", "name": "union"}
 
 
-def _domain_translate(lattice, gamma):
-    if _is_axis_aligned(lattice.dual_basis):
-        return BoxUnion.build([(gamma, gamma + np.diag(lattice.dual_basis))])
-    return PredicateRegion(
-        fn=lambda pts: np.isclose(lattice.wrap(pts)[0] + gamma, pts, atol=1e-9).all(axis=1),
-        name="fundamental_translate",
-    )
+# perfbench/spans.py traces region membership under this name
+_DomainPieceSaturation = _InfinitePiece
 
 
-# name -> (exact box-union operation, pointwise combination of memberships)
-_SET_OPS = {
-    "difference": (BoxUnion.difference, lambda x, y: x & ~y),
-    "intersection": (BoxUnion.intersect, lambda x, y: x & y),
-    "union": (BoxUnion.union_disjoint, lambda x, y: x | y),
-}
+def _coset_walk(hits):
+    """The hit each piece j takes from each row of first hits (candidate j
+    is ``gamma_j``): j if it is a hit not yet taken, else the first hit
+    not yet taken, else none (-1)."""
+    rows = np.arange(hits.shape[0])
+    taken = np.full(hits.shape, -1)
+    for j in range(hits.shape[1]):
+        free = (hits >= 0) & ~(hits[:, :, None] == taken[:, None, :j]).any(axis=2)
+        first = np.where(free.any(axis=1), hits[rows, np.argmax(free, axis=1)], -1)
+        taken[:, j] = np.where((free & (hits == j)).any(axis=1), j, first)
+    return taken
 
 
-def _region_op(name, a, b):
+def _difference(a, b):
     """Exact box algebra when both regions are box unions, else a pointwise region."""
-    box_op, combine = _SET_OPS[name]
     if isinstance(a, BoxUnion) and isinstance(b, BoxUnion):
-        return box_op(a, b)
-    return PredicateRegion(fn=lambda pts: combine(a.membership(pts)[0], b.membership(pts)[0]), name=name)
+        return a.difference(b)
+    return PredicateRegion(fn=lambda pts: a.membership(pts)[0] & ~b.membership(pts)[0], name="difference")
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +731,9 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=1e-9,
     """
     a = as_matrix(a)
     if a.shape[0] != lattice.n:
-        raise ValueError("matrix and lattice dimensions disagree")
+        raise UsageError("matrix and lattice dimensions disagree")
     if a.shape[0] > 3:
-        raise ValueError("the lattice search is supported for n <= 3")
+        raise DimensionTooHigh("the lattice search is supported for n <= 3")
     verdict = classify_discrete(a, tol=tol)
     if not verdict.exists:
         raise NoWavelet("matrix is similar to a unitary matrix")

@@ -191,6 +191,19 @@ def test_wavelet_build_inf_and_nowavelet(workdir, capsys):
     assert code == 2 and out["code"] == "no_wavelet"
 
 
+@pytest.mark.parametrize("rows, basis, code", [
+    ([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]],
+     np.eye(4).tolist(), "dimension_too_high"),
+    ([[2.0]], np.eye(2).tolist(), "usage"),
+])
+def test_wavelet_build_inf_refusals_are_json(workdir, capsys, rows, basis, code):
+    _, write = workdir
+    mat = write("a.json", {"n": len(rows), "rows": rows})
+    lat = write("g.json", {"basis": {"rows": basis}})
+    exit_code, out = run(capsys, ["wavelet", "build-inf", "--matrix", mat, "--lattice", lat])
+    assert exit_code == 1 and out["code"] == code
+
+
 def test_grid_export(workdir, capsys, tmp_path):
     tmp, write = workdir
     path = write("shear.json", {"n": 2, "rows": [[1.0, 1.0], [0.0, 1.0]]})

@@ -210,10 +210,32 @@ def test_order_infinity_spiral(rng):
     assert bad == 0
 
 
+# Memberships of the order-infinity pieces, pinned from the nested
+# construction (residual of residual) that the coset walk replaced.
+PINNED_1D = [[180, 221, 222, 223, 224], [176, 177, 178, 179, 220], [175, 226, 227, 228, 229]]
+PINNED_SPIRAL = [[0, 5, 10, 15, 20, 25, 30, 35], [1, 6, 11, 16, 21, 26, 31, 36], [2, 7, 12, 17, 22, 27, 32, 37]]
+PINNED_DOUBLED = [list(range(40, 50)), list(range(10, 20))] + [[]] * 6
+PINNED_ANNULUS = [
+    [22, 23, 24, 25, 37, 38, 39, 40, 52, 53, 54, 55, 116, 117, 118, 131, 132, 133, 146, 147, 148,
+     161, 162, 163, 172, 173, 174, 175, 176, 177, 178, 187, 188, 189, 190, 191, 192, 193,
+     202, 203, 204, 205, 206, 207, 208],
+    [26, 27, 28, 41, 42, 43, 56, 57, 58, 71, 72, 73, 86, 87, 88, 101, 102, 103, 106, 107, 108,
+     121, 122, 123, 136, 137, 138, 151, 152, 153, 166, 167, 168, 181, 182, 183, 196, 197, 198],
+    [16, 17, 18, 19, 20, 21, 31, 32, 33, 34, 35, 36, 46, 47, 48, 49, 50, 51, 61, 62, 63, 76, 77, 78,
+     91, 92, 93, 169, 170, 171, 184, 185, 186, 199, 200, 201],
+    [],
+]
+
+
+def _members(parts, pts):
+    return [np.flatnonzero(p.membership(pts)[0]).tolist() for p in parts]
+
+
 def test_infinite_partition_pieces(rng):
     k = build_order_infinity_set([[2.0]], Z1, pieces=8)
     parts = partition_multiwavelet_set(k, Z1, math.inf, pieces=3)
     grid = np.linspace(-40, 40, 401).reshape(-1, 1)
+    assert _members(parts, grid) == PINNED_1D
     members = [p.membership(grid)[0] for p in parts]
     in_k, _ = k.membership(grid)
     for i, m in enumerate(members):
@@ -223,6 +245,51 @@ def test_infinite_partition_pieces(rng):
     xis = rng.uniform(-0.5, 0.5, size=(80, 1))
     for p in parts:
         assert (translation_counts(p, Z1, xis, radius=80.0) == 1).all()
+
+
+@pytest.mark.parametrize("lattice", [Z2, Lattice([[1.0, 0.3], [0.0, 1.0]])])
+def test_infinite_partition_of_the_spiral_set(lattice):
+    k = build_order_infinity_set([[0.0, 2.0], [-2.0, 0.0]], lattice, pieces=4)
+    # the first five points of the set in each of eight dual cosets
+    etas = np.array([[0.1, 0.2], [0.55, 0.35], [0.8, 0.9], [0.3, 0.7],
+                     [0.95, 0.05], [0.02, 0.01], [0.5, 0.5], [0.25, 0.999]]) @ lattice.dual_basis
+    probe = etas[:, None, :] + lattice.ordered_dual_points(400)[None]
+    inside = k.membership(probe.reshape(-1, 2))[0].reshape(len(etas), -1)
+    pts = np.concatenate([row[np.flatnonzero(hit)[:5]] for row, hit in zip(probe, inside)])
+    parts = partition_multiwavelet_set(k, lattice, math.inf, pieces=3)
+    assert _members(parts, pts) == PINNED_SPIRAL
+    for p in parts:
+        assert (translation_counts(p, lattice, etas, radius=10.0) == 1).all()
+
+
+def test_infinite_partition_of_finite_order_box_sets(rng):
+    # surplus pieces of a finite-order set stay empty and do not raise
+    parts = partition_multiwavelet_set(TWO_SIDED, Z1, math.inf, pieces=8)
+    assert _members(parts, np.linspace(-3, 3, 61).reshape(-1, 1)) == PINNED_DOUBLED
+    xis = rng.normal(size=(200, 1))
+    assert [np.unique(translation_counts(p, Z1, xis)).tolist() for p in parts] == [[1]] * 2 + [[0]] * 6
+    annulus = BoxUnion.build([((-1.0, -1.0), (-0.5, 1.0)), ((-0.5, -1.0), (0.5, -0.5)),
+                              ((-0.5, 0.5), (0.5, 1.0)), ((0.5, -1.0), (1.0, 1.0))])
+    parts = partition_multiwavelet_set(annulus, Z2, math.inf, pieces=4)
+    axis = np.linspace(-1.05, 1.05, 15)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert _members(parts, grid) == PINNED_ANNULUS
+    xis = rng.normal(size=(40, 2))
+    assert [np.unique(translation_counts(p, Z2, xis, radius=8.0)).tolist() for p in parts] == [[1]] * 3 + [[0]]
+
+
+def test_infinite_partition_refuses_a_set_missing_cosets():
+    k = BoxUnion.build([((0.0,), (0.5,))])
+    with pytest.raises(SelectorMiss):
+        partition_multiwavelet_set(k, Z1, math.inf, pieces=2)
+    # a point no earlier piece took must be reached by the piece's search
+    skew = Lattice([[1.0, 0.3], [0.0, 1.0]])
+    far = BoxUnion.build([((5.0, 0.0), (6.0, 1.0))])
+    parts = partition_multiwavelet_set(far, skew, math.inf, pieces=2, search_points=8)
+    with pytest.raises(SelectorMiss):
+        parts[0].membership([[5.5, 0.5]])
+    parts = partition_multiwavelet_set(far, skew, math.inf, pieces=2)
+    assert [p.membership([[5.5, 0.5], [0.5, 0.5]])[0].tolist() for p in parts] == [[True, False], [False, False]]
 
 
 def test_box_algebra():

@@ -175,18 +175,23 @@ def classify_discrete(a, tol=DEFAULT_TOL) -> DiscreteVerdict:
                     "existence verdict would be unreliable"
                 )
 
-    moduli = [blk.modulus for blk in form.blocks]
-    bounded = all(m > 1.0 + tol for m in moduli) or all(m < 1.0 - tol for m in moduli)
     finite = abs(det_modulus - 1.0) > tol
     return DiscreteVerdict(
         exists=case is not None,
         finite_measure=finite,
-        bounded=bounded,
+        bounded=moduli_one_side(form, tol),
         case=case,
         witness_block=witness,
         det_modulus=det_modulus,
         jordan=form,
     )
+
+
+def moduli_one_side(form: RealJordanForm, tol) -> bool:
+    """True iff every eigenvalue modulus of ``form`` exceeds ``1 + tol``, or
+    every one is below ``1 - tol``: the rule for a bounded cross-section."""
+    moduli = [blk.modulus for blk in form.blocks]
+    return all(m > 1.0 + tol for m in moduli) or all(m < 1.0 - tol for m in moduli)
 
 
 def is_similar_to_unitary(a, tol=DEFAULT_TOL) -> bool:

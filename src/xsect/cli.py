@@ -13,6 +13,7 @@ or conditioning errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import classify_continuous, classify_discrete, is_similar_to_unitary
+from .classify import classify_continuous, classify_discrete
 from .errors import (
     DetOne,
     DimensionTooHigh,
@@ -115,6 +116,30 @@ def _load_json(path):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_matrix(path) -> np.ndarray:
+    try:
+        return matrix_from_json(_load_json(path))
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _load_section(path, tol):
+    try:
+        return section_from_json(_load_json(path), tol=tol)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _parse_order(text):
+    """``--order``: an integer or ``inf``."""
+    if text == "inf":
+        return math.inf
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid order {text!r}: expected an integer or 'inf'") from None
+
+
 def _manifest(args, inputs) -> dict:
     return {
         "command": list(getattr(args, "_argv", [])),
@@ -177,12 +202,12 @@ def _grid_points(n, extent, count):
 
 
 def _cmd_classify(args):
-    obj = _load_json(args.matrix)
-    m = matrix_from_json(obj)
+    m = _load_matrix(args.matrix)
     if args.mode == "discrete":
         verdict = classify_discrete(m, tol=args.tol)
         payload = verdict.to_json()
-        payload["similar_to_unitary"] = is_similar_to_unitary(m, tol=args.tol)
+        # similar to a unitary matrix exactly when no cross-section exists
+        payload["similar_to_unitary"] = not verdict.exists
         payload["jordan_blocks"] = [b.to_json() for b in verdict.jordan.blocks]
     else:
         verdict = classify_continuous(m, tol=args.tol)
@@ -194,7 +219,7 @@ def _cmd_classify(args):
 
 def _cmd_build(args):
     path = args.matrix or args.generator
-    m = matrix_from_json(_load_json(path))
+    m = _load_matrix(path)
     if args.mode == "discrete":
         section = build_discrete_section(m, tol=args.tol)
     else:
@@ -211,7 +236,7 @@ def _cmd_build(args):
 
 
 def _cmd_solve(args):
-    section = section_from_json(_load_json(args.section), tol=args.tol)
+    section = _load_section(args.section, args.tol)
     gamma = _parse_point(args.point)
     if gamma.shape[0] != section.n:
         raise UsageError(f"point has {gamma.shape[0]} coordinates, section expects {section.n}")
@@ -228,8 +253,8 @@ def _cmd_solve(args):
 
 
 def _cmd_shape(args):
-    section = section_from_json(_load_json(args.section), tol=args.tol)
-    a = matrix_from_json(_load_json(args.matrix)) if args.matrix else None
+    section = _load_section(args.section, args.tol)
+    a = _load_matrix(args.matrix) if args.matrix else None
     shaped = (
         to_finite_measure(section, a, tol=args.tol)
         if args.target == "finite"
@@ -248,9 +273,9 @@ def _cmd_shape(args):
 def _cmd_verify(args):
     if args.samples <= 0:
         raise UsageError("--samples must be positive")
-    section = section_from_json(_load_json(args.section), tol=args.tol)
+    section = _load_section(args.section, args.tol)
     if args.matrix:
-        given = matrix_from_json(_load_json(args.matrix))
+        given = _load_matrix(args.matrix)
         stored = section.jordan.matrix
         if given.shape != stored.shape or not np.allclose(given, stored):
             raise UsageError("--matrix disagrees with the section's matrix")
@@ -270,7 +295,7 @@ def _cmd_verify(args):
 
 
 def _cmd_integrate(args):
-    section = section_from_json(_load_json(args.section), tol=args.tol)
+    section = _load_section(args.section, args.tol)
     if args.field == "gaussian":
         def field(x):
             x = np.asarray(x, dtype=float)
@@ -294,22 +319,20 @@ _WAVELET_NEEDS = {"check": ("lattice", "matrix", "region"), "partition": ("latti
 
 def _cmd_wavelet(args):
     lattice = Lattice.from_json(_load_json(args.lattice)) if args.lattice else None
-    matrix = matrix_from_json(_load_json(args.matrix)) if args.matrix else None
+    matrix = _load_matrix(args.matrix) if args.matrix else None
     inputs = [args.lattice, args.matrix, args.region]
     for name in _WAVELET_NEEDS[args.action]:
         if not getattr(args, name):
             raise UsageError(f"wavelet {args.action} requires --{name}")
     region = _region_from_json(_load_json(args.region)) if "region" in _WAVELET_NEEDS[args.action] else None
     if args.action == "check":
-        order = math.inf if args.order == "inf" else int(args.order)
         report = is_multiwavelet_set(
-            region, matrix, lattice, order, samples=args.samples, seed=args.seed
+            region, matrix, lattice, args.order, samples=args.samples, seed=args.seed
         )
         _emit({"report": report.to_json()}, args, inputs)
         return EXIT_OK if report.passed else EXIT_ERROR
     if args.action == "partition":
-        order = math.inf if args.order == "inf" else int(args.order)
-        parts = partition_multiwavelet_set(region, lattice, order, pieces=args.pieces)
+        parts = partition_multiwavelet_set(region, lattice, args.order, pieces=args.pieces)
         payload = {"pieces": [p.to_json() for p in parts], "verification": None}
         if args.seed is not None:
             rng = np.random.default_rng(args.seed)
@@ -336,7 +359,10 @@ def _cmd_wavelet(args):
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused by later
+    ones: ``parse_args`` returns a fresh namespace each time."""
     parser = _Parser(prog="xsect", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -402,7 +428,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix")
     p.add_argument("--lattice")
     p.add_argument("--region")
-    p.add_argument("--order", default="1")
+    p.add_argument("--order", type=_parse_order, default="1")
     p.add_argument("--pieces", type=int, default=8)
     p.add_argument("--point")
     p.add_argument("--samples", type=int, default=1000)

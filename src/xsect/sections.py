@@ -843,11 +843,8 @@ def _solve_core(section, coords):
     return np.where(exceptional, 0, params).astype(float), reps, exceptional
 
 
-def piece_shifts(section, reps, piece_of, shift) -> np.ndarray:
-    """The shift of the piece holding each representative of ``section``:
-    ``piece_of`` maps Jordan coordinates to piece indices, and ``shift``
-    is called once per distinct piece."""
-    idx = piece_of(section.jordan.to_jordan(reps))
+def piece_shifts(idx, shift) -> np.ndarray:
+    """``shift(i)`` for each piece index in ``idx``, called once per distinct piece."""
     pieces = np.unique(idx)
     return np.array([shift(i) for i in pieces], dtype=np.int64)[np.searchsorted(pieces, idx)]
 
@@ -855,14 +852,20 @@ def piece_shifts(section, reps, piece_of, shift) -> np.ndarray:
 def pushed_membership(section, points, piece_of, shift):
     """Membership in ``union_i S_i A^shift(i)`` for the pieces ``S_i`` of
     ``section``: a point's tile index must equal the shift of the piece
-    holding its representative."""
+    holding its representative.  A representative that ``piece_of`` puts
+    in piece 0 (no piece: it rounded onto an edge of the section) is
+    flagged exceptional."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ks, reps, exc = section.solve(pts)
     member = np.zeros(pts.shape[0], dtype=bool)
     ok = ~exc
     if np.any(ok):
-        shifts = piece_shifts(section, reps[ok], piece_of, shift)
-        member[ok] = ks[ok].astype(np.int64) == shifts
+        idx = piece_of(section.jordan.to_jordan(reps[ok]))
+        edge = idx == 0
+        if edge.any():  # rows on an edge are rare: compact only when there are some
+            exc[ok] = edge
+            ok, idx = ~exc, idx[~edge]
+        member[ok] = ks[ok].astype(np.int64) == piece_shifts(idx, shift)
     return member, exc
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import classify_discrete
+from .classify import classify_discrete, moduli_one_side
 from .errors import DetOne, MixedModuli
 from .linalg import box_corners, integer_power
 from .sections import (CrossSection, build_discrete_section, contains, piece_shifts, power_rows,
@@ -94,6 +94,9 @@ class ShapedSection:
     shell: ShellPartition
     free_dims: tuple
     _shifts: dict = field(default_factory=dict, repr=False)
+    # ||A^(direction * j)||_2 for j = 0, 1, ...: the bounded-shift walk,
+    # shared by every shell and extended where it ends
+    _power_norms: list = field(default_factory=list, repr=False)
 
     mode = "discrete"  # a reshaped section tiles under the powers of A
 
@@ -138,10 +141,12 @@ class ShapedSection:
         radius = _euclid_radius(self.base, self.shell, k) * np.linalg.norm(
             self.base.jordan.conjugator, 2
         )
+        norms = self._power_norms
         j = 0
         while True:
-            bound = np.linalg.norm(integer_power(self.matrix, direction * j), 2) * radius
-            if bound <= 1.0:
+            if j == len(norms):
+                norms.append(np.linalg.norm(integer_power(self.matrix, direction * j), 2))
+            if norms[j] * radius <= 1.0:
                 return direction * j
             j += 1
             if j > 10_000:
@@ -163,10 +168,11 @@ class ShapedSection:
         out_reps = np.full_like(pts, np.nan)
         ok = ~exc
         if np.any(ok):
-            shifts = piece_shifts(self.base, reps[ok], self._shell_index, self.shift)
-            params[ok] = ks[ok].astype(int) - shifts
             form = self.base.jordan
-            out_reps[ok] = form.from_jordan(power_rows(self.base, form.to_jordan(reps[ok]), shifts))
+            coords = form.to_jordan(reps[ok])
+            shifts = piece_shifts(self._shell_index(coords), self.shift)
+            params[ok] = ks[ok].astype(int) - shifts
+            out_reps[ok] = form.from_jordan(power_rows(self.base, coords, shifts))
         return params, out_reps, exc
 
     def sample_pieces(self, rng, count: int, max_shell: int = 12) -> np.ndarray:
@@ -282,11 +288,13 @@ def to_finite_measure(section: CrossSection, a=None, tol=None) -> ShapedSection:
 def to_bounded(section: CrossSection, a=None, tol=None) -> ShapedSection:
     """Reshape into a cross-section inside the closed unit ball.
 
-    Requires every eigenvalue modulus strictly on one side of 1."""
+    Requires every eigenvalue modulus strictly on one side of 1.  At the
+    section's own tolerance its Jordan form decides; any other ``tol``
+    classifies the matrix again."""
     section = _coerce_section(section, a)
     tol = section.tol if tol is None else tol
-    verdict = classify_discrete(section.matrix, tol=tol)
-    if not verdict.bounded:
+    form = section.jordan if tol == section.tol else classify_discrete(section.matrix, tol=tol).jordan
+    if not moduli_one_side(form, tol):
         raise MixedModuli("eigenvalue moduli straddle 1: no bounded cross-section exists")
     return _shaped(section, "bounded", abs(float(np.linalg.det(section.matrix))))
 

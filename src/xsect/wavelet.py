@@ -681,12 +681,15 @@ class DilationShiftedSection(RegionSet):
 
 
 def _dyadic_slab_index(section, sval):
-    """Index of the dyadic slab [Lam - (Lam-1) 2^{1-i}, Lam - (Lam-1) 2^{-i})."""
+    """Index of the dyadic slab [Lam - (Lam-1) 2^{1-i}, Lam - (Lam-1) 2^{-i}),
+    or 0 where rounding put ``sval`` on an edge of the radial range
+    [1, Lam): below 1, or within ``tol * Lam`` of Lam, where the slabs are
+    too thin to place a point at the working tolerance."""
     lam_big = math.exp(section.params["log_span"])
     frac = (lam_big - sval) / (lam_big - 1.0)
-    with np.errstate(divide="ignore"):
-        i = np.floor(-np.log2(np.maximum(frac, 1e-300))).astype(int) + 1
-    return np.clip(i, 0, None)
+    # a value at the outer edge goes below the range, to slab 0, like one under 1
+    frac = np.where(frac < section.tol * lam_big / (lam_big - 1.0), 2.0, frac)
+    return np.clip(np.floor(-np.log2(frac)).astype(int) + 1, 0, None)
 
 
 def _slab_bounds(section, i, k=0):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from xsect.cli import main, render_json
+from xsect.classify import is_similar_to_unitary
+from xsect.cli import _build_parser, main, render_json
 
 
 @pytest.fixture
@@ -250,3 +251,56 @@ def test_grid_export_rejects_high_dimension(workdir, capsys):
     path = write("a4.json", {"n": 4, "rows": rows})
     code, out = run(capsys, ["build", "--mode", "discrete", "--matrix", path, "--dump", "x.csv"])
     assert code == 1 and out["code"] == "dimension_too_high"
+
+
+def test_parser_reuse_carries_no_state(workdir, capsys):
+    tmp, write = workdir
+    path = write("two.json", {"n": 1, "rows": [[2.0]]})
+    argv = ["classify", "--mode", "discrete", "--matrix", path]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    code, out = run(capsys, ["solve", "--section", path])
+    assert code == 1 and out["code"] == "usage"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("rows", [[[0.0, -1.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 3.0]]],
+                         ids=["rotation", "shear", "diag23"])
+def test_classify_similar_to_unitary_matches_the_library(workdir, capsys, rows):
+    _, write = workdir
+    path = write("m.json", {"n": 2, "rows": rows})
+    code, out = run(capsys, ["classify", "--mode", "discrete", "--matrix", path])
+    assert code == 0
+    assert out["similar_to_unitary"] is is_similar_to_unitary(np.array(rows))
+
+
+@pytest.mark.parametrize("action", ["check", "partition"])
+def test_wavelet_order_must_be_an_integer_or_inf(workdir, capsys, action):
+    _, write = workdir
+    mat = write("a.json", {"n": 1, "rows": [[2.0]]})
+    lat = write("g.json", {"basis": {"n": 1, "rows": [[1.0]]}})
+    region = write("k.json", {"kind": "boxes", "boxes": [{"lo": [1.0], "hi": [2.0]}]})
+    code, out = run(capsys, ["wavelet", action, "--matrix", mat, "--lattice", lat, "--region", region,
+                             "--order", "two", "--seed", "1"])
+    assert code == 1 and out["code"] == "usage"
+    assert "--order" in out["error"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"mode": "weird", "matrix": {"n": 1, "rows": [[2.0]]}},
+    {"mode": "discrete", "case": "complex_modulus_not_one", "matrix": {"n": 1, "rows": [[2.0]]}},
+], ids=["unknown_mode", "case_mismatch"])
+def test_malformed_section_file_is_usage_error(workdir, capsys, doc):
+    _, write = workdir
+    sec = write("S.json", doc)
+    code, out = run(capsys, ["solve", "--section", sec, "--point", "1"])
+    assert code == 1 and out["code"] == "usage"
+
+
+def test_non_square_matrix_file_is_usage_error(workdir, capsys):
+    _, write = workdir
+    path = write("m.json", {"rows": [[1, 2]]})
+    code, out = run(capsys, ["classify", "--mode", "discrete", "--matrix", path])
+    assert code == 1 and out["code"] == "usage"

@@ -8,6 +8,7 @@ from xsect.linalg import integer_power
 from xsect.sections import build_discrete_section
 from xsect.shaping import (
     ShellPartition,
+    _euclid_radius,
     estimate_measure,
     shaped_contains,
     shaped_solve_orbit,
@@ -15,7 +16,7 @@ from xsect.shaping import (
     to_finite_measure,
 )
 
-from conftest import DIAG21, DIAG23, DIAG2_HALF, SPIRAL
+from conftest import DIAG21, DIAG23, DIAG2_HALF, SPIRAL, random_conjugate
 
 
 def test_shell_partition_closed_form():
@@ -147,6 +148,38 @@ def test_bounded_pieces_inside_unit_ball(matrix, rng):
     assert (np.linalg.norm(pts, axis=1) <= 1.0 + 1e-9).all()
     member, exc = shaped.membership(pts)
     assert member.all() and not exc.any()
+
+
+def _reference_bounded_shift(shaped, k):
+    """The bounded-target search as a loop that restarts at j = 0 for every shell."""
+    form = shaped.base.jordan
+    direction = -1 if all(b.modulus > 1.0 for b in form.blocks) else 1
+    radius = _euclid_radius(shaped.base, shaped.shell, k) * np.linalg.norm(form.conjugator, 2)
+    j = 0
+    while np.linalg.norm(integer_power(shaped.matrix, direction * j), 2) * radius > 1.0:
+        j += 1
+    return direction * j
+
+
+def _rotation_scaling(r, t):
+    return r * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+# two complex pairs of moduli 1.5 and 2: the witness pins one pair and the
+# shells run over the other, so the shift grows with the shell
+TWO_SPIRALS = np.block([[_rotation_scaling(1.5, 0.9), np.zeros((2, 2))],
+                        [np.zeros((2, 2)), _rotation_scaling(2.0, 2.1)]])
+
+
+@pytest.mark.parametrize("matrix", [DIAG23, [[0.5]], random_conjugate(TWO_SPIRALS, 4)[0]],
+                         ids=["diag23", "half", "conjugated_two_spirals"])
+def test_bounded_shifts_match_a_search_from_zero(matrix):
+    section = build_discrete_section(matrix)
+    expected = [_reference_bounded_shift(to_bounded(section), k) for k in range(1, 25)]
+    ascending = to_bounded(section)
+    assert [ascending.shift(k) for k in range(1, 25)] == expected
+    descending = to_bounded(section)
+    assert [descending.shift(k) for k in range(24, 0, -1)] == expected[::-1]
 
 
 def test_bounded_tiling_preserved(rng):

@@ -210,6 +210,31 @@ def test_order_infinity_spiral(rng):
     assert bad == 0
 
 
+# members among 10^4 standard Gaussian points (default_rng(3)), pinned
+# before edge representatives were flagged exceptional
+PINNED_SPIRAL_GAUSSIAN = [
+    4, 123, 164, 496, 1115, 1155, 1173, 1206, 1246, 1318, 1946, 2205, 2246, 2316, 2357, 2373, 2584,
+    2811, 2886, 3076, 3165, 3418, 3447, 3663, 3738, 3904, 4109, 4285, 4296, 4335, 4578, 4705, 4781,
+    4846, 4876, 4885, 4889, 5376, 5513, 5589, 5640, 5694, 5841, 5851, 5894, 5946, 5978, 6246, 6585,
+    6746, 6777, 6781, 7267, 7626, 7711, 7747, 7897, 7965, 7988, 8036, 8475, 8568, 8569, 8635, 9037,
+    9063, 9123, 9154, 9213, 9357, 9368, 9420, 9458, 9669, 9714, 9727, 9746, 9929, 9957, 9974,
+]
+
+
+def test_order_infinity_spiral_membership_at_lattice_points():
+    # these representatives round onto an edge of the radial range [1, 16):
+    # exactly 16 at (1, 1), a wrapped phase below 1 at the others
+    k = build_order_infinity_set([[0, 2], [-2, 0]], Lattice([[1, 0], [0, 1]]), pieces=4)
+    member, exc = k.membership(np.array([[1.0, 1.0], [0.0, 3.0], [-5.0, 0.0]]))
+    assert exc.all() and not member.any()
+    grid = np.array([(a, b) for a in range(-30, 31) for b in range(-30, 31) if (a, b) != (0, 0)], dtype=float)
+    member, exc = k.membership(grid)  # raises nowhere on the lattice
+    assert not (member & exc).any()
+    member, exc = k.membership(np.random.default_rng(3).normal(size=(10_000, 2)))
+    assert not exc.any()
+    assert np.flatnonzero(member).tolist() == PINNED_SPIRAL_GAUSSIAN
+
+
 # Memberships of the order-infinity pieces, pinned from the nested
 # construction (residual of residual) that the coset walk replaced.
 PINNED_1D = [[180, 221, 222, 223, 224], [176, 177, 178, 179, 220], [175, 226, 227, 228, 229]]

@@ -116,18 +116,21 @@ def _load_json(path):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix(path) -> np.ndarray:
+def _load(path, parse, *args):
+    """``parse`` of the JSON document at ``path`` (a matrix, section or
+    lattice loader); a document it rejects is a usage error."""
     try:
-        return matrix_from_json(_load_json(path))
+        return parse(_load_json(path), *args)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _load_section(path, tol):
-    try:
-        return section_from_json(_load_json(path), tol=tol)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+def _check_matrix(path, section):
+    """The optional ``--matrix`` must be the section's own."""
+    if path:
+        given, stored = _load(path, matrix_from_json), section.jordan.matrix
+        if given.shape != stored.shape or not np.allclose(given, stored):
+            raise UsageError("--matrix disagrees with the section's matrix")
 
 
 def _parse_order(text):
@@ -202,7 +205,7 @@ def _grid_points(n, extent, count):
 
 
 def _cmd_classify(args):
-    m = _load_matrix(args.matrix)
+    m = _load(args.matrix, matrix_from_json)
     if args.mode == "discrete":
         verdict = classify_discrete(m, tol=args.tol)
         payload = verdict.to_json()
@@ -218,8 +221,8 @@ def _cmd_classify(args):
 
 
 def _cmd_build(args):
-    path = args.matrix or args.generator
-    m = _load_matrix(path)
+    path = args.matrix or args.generator  # argparse requires exactly one
+    m = _load(path, matrix_from_json)
     if args.mode == "discrete":
         section = build_discrete_section(m, tol=args.tol)
     else:
@@ -236,7 +239,7 @@ def _cmd_build(args):
 
 
 def _cmd_solve(args):
-    section = _load_section(args.section, args.tol)
+    section = _load(args.section, section_from_json, args.tol)
     gamma = _parse_point(args.point)
     if gamma.shape[0] != section.n:
         raise UsageError(f"point has {gamma.shape[0]} coordinates, section expects {section.n}")
@@ -253,12 +256,14 @@ def _cmd_solve(args):
 
 
 def _cmd_shape(args):
-    section = _load_section(args.section, args.tol)
-    a = _load_matrix(args.matrix) if args.matrix else None
+    section = _load(args.section, section_from_json, args.tol)
+    if section.mode != "discrete" or section.base is not None:
+        raise UsageError("shape needs a native discrete section")
+    _check_matrix(args.matrix, section)
     shaped = (
-        to_finite_measure(section, a, tol=args.tol)
+        to_finite_measure(section, tol=args.tol)
         if args.target == "finite"
-        else to_bounded(section, a, tol=args.tol)
+        else to_bounded(section, tol=args.tol)
     )
     payload = {"shaped": shaped.to_json()}
     if args.target == "finite" and args.samples:
@@ -273,12 +278,8 @@ def _cmd_shape(args):
 def _cmd_verify(args):
     if args.samples <= 0:
         raise UsageError("--samples must be positive")
-    section = _load_section(args.section, args.tol)
-    if args.matrix:
-        given = _load_matrix(args.matrix)
-        stored = section.jordan.matrix
-        if given.shape != stored.shape or not np.allclose(given, stored):
-            raise UsageError("--matrix disagrees with the section's matrix")
+    section = _load(args.section, section_from_json, args.tol)
+    _check_matrix(args.matrix, section)
     if args.mode == "discrete":
         if section.mode != "discrete":
             section = derive_discrete_section(section)
@@ -295,7 +296,9 @@ def _cmd_verify(args):
 
 
 def _cmd_integrate(args):
-    section = _load_section(args.section, args.tol)
+    section = _load(args.section, section_from_json, args.tol)
+    if section.mode != "continuous":
+        raise UsageError("integrate needs a continuous section")
     if args.field == "gaussian":
         def field(x):
             x = np.asarray(x, dtype=float)
@@ -318,13 +321,13 @@ _WAVELET_NEEDS = {"check": ("lattice", "matrix", "region"), "partition": ("latti
 
 
 def _cmd_wavelet(args):
-    lattice = Lattice.from_json(_load_json(args.lattice)) if args.lattice else None
-    matrix = _load_matrix(args.matrix) if args.matrix else None
+    lattice = _load(args.lattice, Lattice.from_json) if args.lattice else None
+    matrix = _load(args.matrix, matrix_from_json) if args.matrix else None
     inputs = [args.lattice, args.matrix, args.region]
     for name in _WAVELET_NEEDS[args.action]:
         if not getattr(args, name):
             raise UsageError(f"wavelet {args.action} requires --{name}")
-    region = _region_from_json(_load_json(args.region)) if "region" in _WAVELET_NEEDS[args.action] else None
+    region = _load(args.region, _region_from_json) if "region" in _WAVELET_NEEDS[args.action] else None
     if args.action == "check":
         report = is_multiwavelet_set(
             region, matrix, lattice, args.order, samples=args.samples, seed=args.seed
@@ -380,8 +383,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build", help="construct an explicit cross-section")
     p.add_argument("--mode", choices=["discrete", "continuous"], required=True)
-    p.add_argument("--matrix")
-    p.add_argument("--generator")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix")
+    source.add_argument("--generator")
     p.add_argument("--out")
     p.add_argument("--dump", help="CSV grid export of the section (n <= 3)")
     p.add_argument("--grid", type=int, default=200)

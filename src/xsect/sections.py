@@ -908,7 +908,7 @@ def section_from_json(obj, tol=None) -> CrossSection:
     if "matrix" not in obj and "section" in obj:
         obj = obj["section"]  # accept a whole emitted build document
     mode = obj.get("mode")
-    matrix = matrix_from_json(obj["matrix"])
+    matrix = matrix_from_json(obj.get("matrix"))  # a missing matrix is malformed JSON too
     tol = float(obj.get("tol", DEFAULT_TOL)) if tol is None else tol
     if mode == "continuous":
         section = build_continuous_section(matrix, tol=tol)

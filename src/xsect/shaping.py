@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import classify_discrete, moduli_one_side
-from .errors import DetOne, MixedModuli
+from .errors import DetOne, MixedModuli, SearchExhausted
 from .linalg import box_corners, integer_power
 from .sections import (CrossSection, build_discrete_section, contains, piece_shifts, power_rows,
                        pushed_membership, solve_orbit)
@@ -84,6 +84,11 @@ def _euclid_radius(section: CrossSection, shell: ShellPartition, k: int) -> floa
     return math.sqrt(core**2 + shell.dim * shell.sup_radius(k) ** 2)
 
 
+# powers walked for a bounded shift before the search gives up: a modulus
+# within about 1e-4 of 1 can need more
+_MAX_SHIFT = 10_000
+
+
 @dataclass(frozen=True)
 class ShapedSection:
     """A reshaped cross-section ``union_k S_k A^{n_k}``."""
@@ -142,15 +147,13 @@ class ShapedSection:
             self.base.jordan.conjugator, 2
         )
         norms = self._power_norms
-        j = 0
-        while True:
+        for j in range(_MAX_SHIFT + 1):
             if j == len(norms):
                 norms.append(np.linalg.norm(integer_power(self.matrix, direction * j), 2))
             if norms[j] * radius <= 1.0:
                 return direction * j
-            j += 1
-            if j > 10_000:
-                raise RuntimeError("no shift pulls the piece into the unit ball")
+        raise SearchExhausted(f"no shift within {_MAX_SHIFT} powers pulls piece {k} into the unit ball",
+                              radius=_MAX_SHIFT)
 
     # -- evaluation -------------------------------------------------------
 

@@ -198,11 +198,21 @@ def _power_table(a, exponents):
     return exps, powers
 
 
-def _bisect(derived, points, t_false, t_true, iters=46):
+# halvings of each edge bracket (2e-3 wide) in the continuous check: past
+# float resolution for flow times of order one
+_BISECT_ITERS = 46
+# the continuous check: half-width of the time window searched for further
+# section hits, its dense grid step, and the tolerance on the refined length
+_WINDOW = 5.0
+_GRID_STEP = 1e-3
+_QUAD_TOL = 1e-6
+
+
+def _bisect(derived, points, t_false, t_true):
     """Bisect between a non-member time and a member time, per sample."""
     a = t_false.copy()
     b = t_true.copy()
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (a + b)
         member, _ = derived.membership(flow_rows(derived.jordan, points, mid))
         a = np.where(member, a, mid)
@@ -211,15 +221,14 @@ def _bisect(derived, points, t_false, t_true, iters=46):
 
 
 def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
-                            window=5.0, grid_step=1e-3, grid_subsample=200,
-                            quad_tol=1e-6) -> TilingReport:
+                            grid_subsample=200) -> TilingReport:
     """Verify the unit-time sweep identity and uniqueness of flow times.
 
     For each Gaussian sample the set ``{t : xi A^t in T}`` (``T`` the
     swept discrete section) is the interval ``[t_c, t_c + 1)`` with
     ``t_c`` the closed-form flow time.  Both endpoints are re-found by
     bisection of the membership indicator and the refined length must be
-    1 within ``quad_tol``, else :class:`QuadratureDivergence` is raised.
+    1 within ``_QUAD_TOL``, else :class:`QuadratureDivergence` is raised.
     Uniqueness of the section hit is checked on every sample through the
     case's branch candidates inside the window, and by a dense
     membership grid on a subsample.
@@ -244,20 +253,20 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     lengths = right_found - left_found
     length_dev = float(np.max(np.abs(lengths - 1.0))) if len(lengths) else 0.0
     edge_dev = float(max(np.max(np.abs(left_found - left)), np.max(np.abs(right_found - right)))) if len(pts) else 0.0
-    if length_dev > quad_tol:
+    if length_dev > _QUAD_TOL:
         raise QuadratureDivergence(
-            f"refined sweep length deviates from 1 by {length_dev:.3e} (> {quad_tol})"
+            f"refined sweep length deviates from 1 by {length_dev:.3e} (> {_QUAD_TOL})"
         )
 
     # uniqueness: branch candidates within the window
-    counts = _branch_candidate_counts(section, pts, ts, window)
+    counts = _branch_candidate_counts(section, pts, ts, _WINDOW)
     histogram, failures = _tally(pts, counts)
 
     # dense grid on a subsample: the swept membership must form one run
     runs_bad = 0
     sub = pts[: min(grid_subsample, len(pts))]
     sub_t = ts[: len(sub)]
-    grid = np.arange(-window, window + grid_step / 2, grid_step)
+    grid = np.arange(-_WINDOW, _WINDOW + _GRID_STEP / 2, _GRID_STEP)
     for i in range(len(sub)):
         times = sub_t[i] + grid
         rows = np.repeat(sub[i : i + 1], len(times), axis=0)
@@ -273,7 +282,7 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
         passed=passed,
         histogram=histogram,
         failures=failures,
-        scan={"window": window, "grid_step": grid_step, "grid_subsample": len(sub)},
+        scan={"window": _WINDOW, "grid_step": _GRID_STEP, "grid_subsample": len(sub)},
         skipped_null=skipped,
         extras={
             "max_length_deviation": length_dev,

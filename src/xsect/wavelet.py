@@ -2,13 +2,12 @@
 
 A set K is a multi-wavelet set of order L for (A, Gamma) iff its
 dual-lattice translates cover R^n with multiplicity L while its
-A-dilates cover with multiplicity 1.  Sets of finite order are
-partitioned into order-1 pieces by repeatedly extracting a coset
-selector U(K): the first dual-lattice translate (in a fixed total order)
-carrying each residue class into K.  Sets of infinite order are split
-coset by coset (see :func:`partition_multiwavelet_set`).  Box-union
-geometry keeps every set operation exact; analytic geometries (cones,
-dilation-shifted slabs) evaluate pointwise with a lattice-local
+A-dilates cover with multiplicity 1.  Such sets are split into order-1
+pieces coset by coset (see :func:`partition_multiwavelet_set`); piece 0
+of a finite order is the coset selector U(K), the first dual-lattice
+translate (in a fixed total order) carrying each residue class into K.
+Box-union geometry keeps every set operation exact; analytic geometries
+(cones, dilation-shifted slabs) evaluate pointwise with a lattice-local
 enumerator bounded by an explicit radius.
 """
 
@@ -92,10 +91,6 @@ class Lattice:
 
     def domain_corners(self) -> np.ndarray:
         return box_corners(np.zeros(self.n), np.ones(self.n)) @ self.dual_basis
-
-    def domain_diameter(self) -> float:
-        corners = self.domain_corners()
-        return float(np.linalg.norm(corners[:, None] - corners[None], axis=-1).max())
 
     def dual_points_in_order(self, max_points=None, max_norm=None):
         """Dual lattice points ordered by increasing norm, ties broken
@@ -287,26 +282,14 @@ def _integer_grid(zlo, zhi):
 
 @dataclass(frozen=True)
 class PredicateRegion(RegionSet):
-    """Analytic region: membership closure plus an optional bounded reach.
-
-    A finite-order partition of a non-box region re-queries its residuals
-    on the same probe arrays, so results are memoized on the array bytes.
-    """
+    """Analytic region given by a vectorized membership closure."""
 
     fn: object
     name: str = "analytic"
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def membership(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        key = (pts.shape, hash(pts.tobytes()))
-        member = self._memo.get(key)
-        if member is None:
-            member = np.asarray(self.fn(pts), dtype=bool)
-            if len(self._memo) > 32:
-                self._memo.clear()
-            self._memo[key] = member
-        return member, np.zeros(pts.shape[0], dtype=bool)
+        return np.asarray(self.fn(pts), dtype=bool), np.zeros(pts.shape[0], dtype=bool)
 
     def to_json(self) -> dict:
         return {"kind": "analytic", "name": self.name}
@@ -372,18 +355,21 @@ def dimension_function(region: RegionSet, xi, radius=100.0) -> TranslationCount:
     return translation_count(region, Lattice.integers(len(xi)), xi, radius=radius)
 
 
+# translation count that passes for infinite multiplicity in a sampled check
+_MIN_COUNT = 10
+
+
 def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *,
-                        samples=1000, seed=0, k_range=(-60, 60), radius=100.0,
-                        min_count=10):
+                        samples=1000, seed=0, k_range=(-60, 60), radius=100.0):
     """Sampled test of the order-L characterization: translation counts
-    all equal L (or >= min_count when L is infinite) and dilation counts
-    all equal 1."""
+    all equal L (or >= ``_MIN_COUNT`` when L is infinite) and dilation
+    counts all equal 1."""
     a = as_matrix(a)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
     tcs = translation_counts(region, lattice, pts, radius=radius)
     dcs = dilation_counts(region, a, pts, *k_range)
-    ok_t = (tcs >= min_count) if order == math.inf else (tcs == order) & region.exact_reach
+    ok_t = (tcs >= _MIN_COUNT) if order == math.inf else (tcs == order) & region.exact_reach
     bad = np.flatnonzero(~(ok_t & (dcs == 1)))
     failures = [
         {"point": [float(v) for v in pts[i]], "translation": int(tcs[i]), "dilation": int(dcs[i])}
@@ -463,39 +449,61 @@ def _selector_boxes(region: BoxUnion, lattice: Lattice) -> BoxUnion:
 
 
 @dataclass(frozen=True)
-class _SelectorRegion(RegionSet):
+class _CosetPiece(RegionSet):
+    """One of the first ``index + 1`` points of ``base`` in each dual coset (the subclass says which)."""
+
     base: RegionSet
     lattice: Lattice
     search_points: int
+    index: int = 0
 
-    def membership(self, points):
+    def candidate_dual_points(self, lattice, xis, radius):
+        return self.base.candidate_dual_points(lattice, xis, radius)  # a piece lies inside its base
+
+    def _membership(self, points, walk):
+        """Points of ``base`` whose dual offset is hit ``index`` of their
+        coset, or with ``walk`` the hit :func:`_coset_walk` gives the piece."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         member = np.zeros(pts.shape[0], dtype=bool)
         base_m, base_exc = self.base.membership(pts)
         active = np.flatnonzero(base_m & ~base_exc)
         if active.size:
             etas, z = self.lattice.wrap(pts[active])
-            first = _first_hits(self.base, self.lattice, etas, 1, self.search_points, must=True)
-            member[active] = _is_offset(self.lattice, first, z)[:, 0]
+            # the point is a hit and, while untaken, each piece takes a hit no
+            # later than it, so the search stops at the point's norm; a point
+            # beyond the search is never taken, so there the hits must be found
+            norms = self.lattice._dual_table(count=self.search_points)[2][: self.search_points]
+            own_norm = np.linalg.norm(z @ self.lattice.dual_basis, axis=1)
+            limits = np.maximum(np.searchsorted(norms, own_norm * (1 + 1e-9), side="right"), self.index + 1)
+            hits = _first_hits(self.base, self.lattice, etas, self.index + 1, limits,
+                               must=own_norm > norms[-1] * (1 + 1e-9))
+            taken = (_coset_walk(hits) if walk else hits)[:, -1]
+            zs = self.lattice._dual_table(count=int(taken.max(initial=0)) + 1)[0]
+            member[active] = (taken >= 0) & (zs[taken] == z).all(axis=1)
         return member, np.zeros(pts.shape[0], dtype=bool)
 
+
+@dataclass(frozen=True)
+class _SelectorRegion(_CosetPiece):
+    """Piece ``index`` of a pointwise finite-order partition: the (index + 1)-th
+    point of ``base`` in each dual coset.  Piece 0 is the selector U(base)."""
+
+    def membership(self, points):
+        return self._membership(points, walk=False)
+
     def to_json(self) -> dict:
-        return {
-            "kind": "selector",
-            "base": self.base.to_json(),
-            "lattice": self.lattice.to_json(),
-            "search_points": self.search_points,
-        }
+        # piece i is U(K minus pieces 0..i-1): a later piece names that difference as its base
+        return {"kind": "selector", "lattice": self.lattice.to_json(), "search_points": self.search_points,
+                "base": self.base.to_json() if self.index == 0 else {"kind": "analytic", "name": "difference"}}
 
 
-def _first_hits(region, lattice, etas, count, search_points, must):
+def _first_hits(region, lattice, etas, count, limits, must):
     """Selector-order indices of the first ``count`` dual points hitting the
-    region from each row of ``etas`` (-1 where fewer lie among the first
-    ``search_points``, shared or per row); rows share candidate blocks, and
-    a row in ``must`` with fewer hits raises :class:`SelectorMiss`."""
+    region from each row of ``etas`` (-1 where fewer lie among the row's
+    first ``limits`` candidates); rows share candidate blocks, and a row in
+    ``must`` with fewer hits raises :class:`SelectorMiss`."""
     hits = np.full((etas.shape[0], count), -1)
     found = np.zeros(etas.shape[0], dtype=int)
-    limits = np.broadcast_to(search_points, found.shape)
     unresolved = np.flatnonzero(limits > 0)
     cands = lattice.ordered_dual_points(int(limits.max(initial=0)))
     # geometrically growing blocks: most rows resolve among the first few
@@ -522,12 +530,6 @@ def _first_hits(region, lattice, etas, count, search_points, must):
     return hits
 
 
-def _is_offset(lattice, idx, z):
-    """Whether the selector-order index ``idx[r, j]`` is the dual offset ``z[r]``."""
-    zs = lattice._dual_table(count=int(idx.max(initial=0)) + 1)[0]
-    return (idx >= 0) & (zs[idx] == z[:, None, :]).all(axis=2)
-
-
 # ---------------------------------------------------------------------------
 # partitioning
 
@@ -536,11 +538,12 @@ def partition_multiwavelet_set(region: RegionSet, lattice: Lattice, order, *,
                                pieces=None, search_points=4000):
     """Split a multi-wavelet set of order L into order-1 pieces.
 
-    Finite L: L selector extractions (no seeding partition is needed).
-    Infinite L: ``pieces`` many pieces.  In each dual coset ``eta + Gamma*``
-    piece i takes ``eta + gamma_i`` (selector order) if it is in the set
-    and no earlier piece took it, else the first point of the set that no
-    earlier piece took; so the set's first i + 1 points there decide it.
+    Finite L: piece i takes, in each dual coset ``eta + Gamma*``, the
+    (i+1)-th point of the set in selector order (piece 0 is U(K)).
+    Infinite L: ``pieces`` many pieces; piece i takes ``eta + gamma_i`` if
+    it is in the set and no earlier piece took it, else the first point of
+    the set that no earlier piece took; so the set's first i + 1 points
+    there decide it.
     """
     if order == math.inf:
         if pieces is None:
@@ -549,43 +552,23 @@ def partition_multiwavelet_set(region: RegionSet, lattice: Lattice, order, *,
             # where Y is a box, the exact selector refuses a box set whose
             # dual translates leave part of Y uncovered
             coset_selector_U(region, lattice, search_points=search_points)
-        return [_InfinitePiece(region, lattice, i, search_points) for i in range(pieces)]
-    out = []
-    residual = region
+        return [_InfinitePiece(region, lattice, search_points, i) for i in range(pieces)]
+    out, residual = [], region
     for _ in range(int(order)):
         u = coset_selector_U(residual, lattice, search_points=search_points)
+        if not isinstance(u, BoxUnion):  # pointwise: every piece reads the set itself
+            return [_SelectorRegion(region, lattice, search_points, i) for i in range(int(order))]
         out.append(u)
-        residual = _difference(residual, u)
+        residual = residual.difference(u)
     return out
 
 
 @dataclass(frozen=True)
-class _InfinitePiece(RegionSet):
-    """Piece ``index`` of the order-infinity partition of ``base`` (the
-    rule is in :func:`partition_multiwavelet_set`)."""
-
-    base: RegionSet
-    lattice: Lattice
-    index: int
-    search_points: int
+class _InfinitePiece(_CosetPiece):
+    """Piece ``index`` of the order-infinity partition (rule in :func:`partition_multiwavelet_set`)."""
 
     def membership(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        member = np.zeros(pts.shape[0], dtype=bool)
-        base_m, base_exc = self.base.membership(pts)
-        active = np.flatnonzero(base_m & ~base_exc)
-        if active.size:
-            etas, z = self.lattice.wrap(pts[active])
-            # while a point is untaken each piece takes gamma_j or a hit no
-            # later than it, so the search stops at the point's norm; a point
-            # beyond the search is never taken, so each piece must find a hit
-            norms = self.lattice._dual_table(count=self.search_points)[2][: self.search_points]
-            own_norm = np.linalg.norm(z @ self.lattice.dual_basis, axis=1)
-            limits = np.maximum(np.searchsorted(norms, own_norm * (1 + 1e-9), side="right"), self.index + 1)
-            hits = _first_hits(self.base, self.lattice, etas, self.index + 1, limits,
-                               must=own_norm > norms[-1] * (1 + 1e-9))
-            member[active] = _is_offset(self.lattice, _coset_walk(hits)[:, -1:], z)[:, 0]
-        return member, np.zeros(pts.shape[0], dtype=bool)
+        return self._membership(points, walk=True)
 
     def to_json(self) -> dict:
         # the seed translate united with the selector part
@@ -609,13 +592,6 @@ def _coset_walk(hits):
     return taken
 
 
-def _difference(a, b):
-    """Exact box algebra when both regions are box unions, else a pointwise region."""
-    if isinstance(a, BoxUnion) and isinstance(b, BoxUnion):
-        return a.difference(b)
-    return PredicateRegion(fn=lambda pts: a.membership(pts)[0] & ~b.membership(pts)[0], name="difference")
-
-
 # ---------------------------------------------------------------------------
 # order-infinity wavelet sets
 
@@ -630,7 +606,6 @@ class DilationShiftedSection(RegionSet):
     section: object  # CrossSection for the expanding action
     lattice: Lattice
     pieces: int
-    max_power: int = 400
     _shifts: dict = field(default_factory=dict, repr=False)
     _certs: dict = field(default_factory=dict, repr=False)
 
@@ -641,7 +616,7 @@ class DilationShiftedSection(RegionSet):
     def shift(self, i: int) -> int:
         i = int(i)
         if i not in self._shifts:
-            self._shifts[i] = _slab_shift(self.section, self.lattice, i, self.max_power)
+            self._shifts[i] = _slab_shift(self.section, self.lattice, i)
         return self._shifts[i]
 
     def certificate(self, i: int):
@@ -701,27 +676,31 @@ def _slab_bounds(section, i, k=0):
     return lo * g, hi * g
 
 
-def _slab_shift(section, lattice, i, max_power):
+# pushes of a spiral slab tried before the search for its certificate gives up
+_MAX_POWER = 200
+
+
+def _slab_shift(section, lattice, i):
     """Power pushing slab i over a whole dual-domain translate.
 
     For a real witness the width rule suffices: once the pushed slab is
-    at least twice the domain diameter wide, the tile of its midpoint
-    fits.  The spiral additionally needs the conservative geometric test
-    to succeed."""
+    at least twice the domain diameter (in Jordan coordinates) wide, the
+    tile of its midpoint fits.  The spiral additionally needs the
+    conservative geometric test to succeed."""
     lo, hi = _slab_bounds(section, i)
-    diam = lattice.domain_diameter()
+    corners = section.jordan.to_jordan(lattice.domain_corners())
+    diam = float(np.linalg.norm(corners[:, None] - corners[None], axis=-1).max())
     growth = section.kind.slab_growth(section.params)
     k_min = max(1, math.ceil(math.log(2.0 * diam / (hi - lo)) / math.log(growth)))
     if not section.kind.turns:
         return int(k_min)
-    for k in range(int(k_min), max_power + 1):
+    for k in range(int(k_min), _MAX_POWER + 1):
         if _dual_point_in_slab(section, lattice, i, k) is not None:
             return k
-    raise SearchExhausted(f"no admissible push for slab {i} within {max_power} powers", radius=max_power)
+    raise SearchExhausted(f"no admissible push for slab {i} within {_MAX_POWER} powers", radius=_MAX_POWER)
 
 
-def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=1e-9,
-                             max_power=200, search_radius=100.0) -> RegionSet:
+def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=1e-9, search_radius=100.0) -> RegionSet:
     """A set whose dilates tile once and whose dual translates cover with
     infinite multiplicity (certified for finitely many translates).
 
@@ -746,14 +725,14 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=1e-9,
         if max(moduli) <= 1.0 + tol:
             work = np.linalg.inv(a)  # orbits agree; build along the expanding side
         section = build_discrete_section(work, tol=tol)
-        return _build_case_moduli(section, lattice, pieces, max_power)
+        return _build_case_moduli(section, lattice, pieces)
     return _certify_cone(a, lattice, tol=tol, min_translates=pieces, search_radius=search_radius)
 
 
-def _build_case_moduli(section, lattice, pieces, max_power):
+def _build_case_moduli(section, lattice, pieces):
     if not section.kind.sliceable:
         raise NoWavelet("no eigenvalue with modulus away from 1")
-    out = DilationShiftedSection(section=section, lattice=lattice, pieces=pieces, max_power=max_power)
+    out = DilationShiftedSection(section=section, lattice=lattice, pieces=pieces)
     for i in range(1, pieces + 1):
         out.certificate(i)  # force the certificate search now
     return out
@@ -762,19 +741,20 @@ def _build_case_moduli(section, lattice, pieces, max_power):
 def _dual_point_in_slab(section, lattice, i, k):
     """A dual point whose whole domain translate fits inside slab i pushed
     by ``A^k``; the smallest in selector order among the candidates
-    examined (both sign branches for a real witness)."""
-    slab_lo, slab_hi = _slab_bounds(section, i, k)
+    examined (both sign branches for a real witness).  The slab is a set
+    of Jordan coordinates, so the translates' corners are mapped there."""
     off = section.block.offset
-    corners = lattice.domain_corners()
+    corners = section.jordan.to_jordan(lattice.domain_corners())
     center = np.zeros(lattice.n)
     if not section.kind.turns:
-        # region: |x_{off}| in [slab_lo, slab_hi), all other coordinates
+        # region: |c_{off}| in the pushed slab, all other coordinates
         # free.  Candidate tiles come from points along both branches.
+        slab_lo, slab_hi = _slab_bounds(section, i, k)
         best = None
         for sign in (1.0, -1.0):
             center[off] = sign * 0.5 * (slab_lo + slab_hi)
-            for g in _dual_points_near(lattice, center):
-                vals = corners[:, off] + g[off]
+            for g, c in _dual_points_near(section, lattice, center):
+                vals = corners[:, off] + c[off]
                 lo_v, hi_v = float(vals.min()), float(vals.max())
                 ok = (slab_lo <= lo_v and hi_v < slab_hi) or (slab_lo <= -hi_v and -lo_v < slab_hi)
                 if ok:
@@ -782,23 +762,28 @@ def _dual_point_in_slab(section, lattice, i, k):
                     if best is None or key < best[0]:
                         best = (key, g)
         return None if best is None else best[1]
-    # spiral region: radial index s(x) in [slab_lo, slab_hi) and flow phase
-    # tau(x) in [k, k+1); conservative corner/interval arithmetic
+    # spiral region: radial index s(c) in the unpushed slab (A^k keeps it)
+    # and flow phase tau(c) in [k, k+1); conservative interval arithmetic
+    slab_lo, slab_hi = _slab_bounds(section, i)
     mu, omega = section.params["mu"], section.params["omega"]
     target_r = math.sqrt(slab_lo * slab_hi) * math.exp(mu * (k + 0.5))
     angle = omega * (k + 0.5)
     center[off] = target_r * math.cos(angle)
     center[off + 1] = target_r * math.sin(angle)
-    for g in _dual_points_near(lattice, center):
-        if _box_inside_spiral(section, corners + g, off, slab_lo, slab_hi, k):
+    for g, c in _dual_points_near(section, lattice, center):
+        if _box_inside_spiral(section, corners + c, off, slab_lo, slab_hi, k):
             return g
     return None
 
 
-def _dual_points_near(lattice, center):
-    """Dual points within two integer steps of the domain translate holding ``center``."""
-    _, z = lattice.wrap(center)
-    return (lattice.dual_point(near) for near in _integer_grid(z - 2, z + 2))
+def _dual_points_near(section, lattice, center):
+    """Dual points within two integer steps of the domain translate holding
+    the point of Jordan coordinates ``center``, each with its own."""
+    _, z = lattice.wrap(section.jordan.from_jordan(center))
+    dual = lattice.dual_basis
+    for near in _integer_grid(z - 2, z + 2):
+        g = near.astype(float) @ dual
+        yield g, section.jordan.to_jordan(g)
 
 
 def _box_inside_spiral(section, box_corners, off, slab_lo, slab_hi, k):
@@ -871,10 +856,10 @@ def _certify_cone(a, lattice, *, tol, min_translates, search_radius):
             "unit-modulus case needs a real nilpotent block in dimension <= 3"
         )
     off = section.block.offset
-    corners = lattice.domain_corners()
+    corners = section.jordan.to_jordan(lattice.domain_corners())  # the cone is a set of Jordan coordinates
     found = []
     for _, g in lattice.dual_points_in_order(max_norm=search_radius):
-        box = corners + g
+        box = corners + section.jordan.to_jordan(g)
         x1 = box[:, off]
         x2 = box[:, off + 1]
         # guaranteed ratio bounds of x2/x1 over the box, per sign branch

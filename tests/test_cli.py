@@ -304,3 +304,37 @@ def test_non_square_matrix_file_is_usage_error(workdir, capsys):
     path = write("m.json", {"rows": [[1, 2]]})
     code, out = run(capsys, ["classify", "--mode", "discrete", "--matrix", path])
     assert code == 1 and out["code"] == "usage"
+
+
+@pytest.mark.parametrize("case", ["shape_continuous", "shape_other_matrix", "integrate_discrete", "section_without_matrix",
+                                  "non_square_lattice", "overlapping_region", "build_without_matrix",
+                                  "build_with_both"])
+def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, case):
+    _, write = workdir
+    two = write("two.json", {"n": 1, "rows": [[2.0]]})
+    three = write("three.json", {"n": 1, "rows": [[3.0]]})
+    cont = write("C.json", {"mode": "continuous", "matrix": {"n": 1, "rows": [[0.5]]}})
+    disc = write("D.json", {"mode": "discrete", "matrix": {"n": 1, "rows": [[2.0]]}})
+    argv = {
+        "shape_continuous": ["shape", "--section", cont, "--target", "finite"],
+        "shape_other_matrix": ["shape", "--section", disc, "--matrix", three, "--target", "bounded"],
+        "integrate_discrete": ["integrate", "--section", disc],
+        "section_without_matrix": ["solve", "--section", write("S.json", {"mode": "discrete"}), "--point", "1"],
+        "non_square_lattice": ["wavelet", "partition", "--lattice", write("g.json", {"basis": {"rows": [[1.0, 2.0]]}}),
+                               "--region", write("k.json", {"kind": "boxes", "boxes": [{"lo": [0.0], "hi": [1.0]}]})],
+        "overlapping_region": ["wavelet", "dimfn", "--point", "0.5", "--region", write("o.json", {
+            "kind": "boxes", "boxes": [{"lo": [0.0], "hi": [1.0]}, {"lo": [0.5], "hi": [2.0]}]})],
+        "build_without_matrix": ["build", "--mode", "discrete"],
+        "build_with_both": ["build", "--mode", "discrete", "--matrix", two, "--generator", two],
+    }[case]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0])["code"] == "usage"
+
+
+def test_bounded_reshape_that_cannot_converge_is_refused(workdir, capsys):
+    _, write = workdir
+    sec = write("S.json", {"mode": "discrete", "matrix": {"n": 2, "rows": [[1.0 + 1e-7, 0.0], [0.0, 3.0]]}})
+    code, out = run(capsys, ["shape", "--section", sec, "--target", "bounded"])
+    assert code == 1 and out["code"] == "search_exhausted"

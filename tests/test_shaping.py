@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xsect.errors import DetOne, ExceptionalPoint, MixedModuli
+from xsect.errors import DetOne, ExceptionalPoint, MixedModuli, SearchExhausted
 from xsect.linalg import integer_power
 from xsect.sections import build_discrete_section
 from xsect.shaping import (
@@ -215,3 +215,12 @@ def test_spiral_measure_bound_is_actually_an_upper_bound():
     mc = member.mean() * (2 * r_max) ** 2
     assert mc <= shaped.piece_measure_bound(1)
     assert mc >= shaped.piece_measure_bound(1) / 4.0  # bound is not absurdly loose
+
+
+def test_bounded_shift_search_that_cannot_converge_refuses():
+    # modulus 1 + 1e-7 is outside the tolerance, but 10^4 powers shrink by
+    # only about 0.1%: the walk ends at its bound
+    shaped = to_bounded(build_discrete_section(np.diag([1.0 + 1e-7, 3.0])))
+    with pytest.raises(SearchExhausted) as info:
+        shaped.shift(1)
+    assert info.value.radius == 10_000

@@ -117,10 +117,13 @@ def _load_json(path):
 
 
 def _load(path, parse, *args):
-    """``parse`` of the JSON document at ``path`` (a matrix, section or
-    lattice loader); a document it rejects is a usage error."""
+    """``parse`` of the JSON object at ``path`` (a matrix, section, lattice
+    or region loader); a document it rejects is a usage error."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
-        return parse(_load_json(path), *args)
+        return parse(doc, *args)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
@@ -133,14 +136,27 @@ def _check_matrix(path, section):
             raise UsageError("--matrix disagrees with the section's matrix")
 
 
+def _count(minimum):
+    """argparse type: an integer of at least ``minimum``."""
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return count
+
+
+_positive, _non_negative = _count(1), _count(0)  # the latter: 0 turns the option off
+
+
 def _parse_order(text):
-    """``--order``: an integer or ``inf``."""
+    """``--order``: an integer >= 1 or ``inf``."""
     if text == "inf":
         return math.inf
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid order {text!r}: expected an integer or 'inf'") from None
+        return _positive(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"invalid order {text!r}: expected an integer >= 1 or 'inf'") from None
 
 
 def _manifest(args, inputs) -> dict:
@@ -154,16 +170,24 @@ def _manifest(args, inputs) -> dict:
 
 
 def _region_from_json(obj):
-    if obj.get("kind") == "boxes":
-        return BoxUnion.build([(b["lo"], b["hi"]) for b in obj["boxes"]])
-    raise UsageError(f"unsupported region kind {obj.get('kind')!r}")
+    if obj.get("kind") != "boxes":
+        raise UsageError(f"unsupported region kind {obj.get('kind')!r}")
+    boxes = obj.get("boxes")
+    if not isinstance(boxes, list) or not all(isinstance(b, dict) and {"lo", "hi"} <= b.keys() for b in boxes):
+        raise ValueError("a boxes region needs 'boxes', a list of objects with 'lo' and 'hi'")
+    return BoxUnion.build([(b["lo"], b["hi"]) for b in boxes])
 
 
-def _parse_point(text) -> np.ndarray:
+def _parse_point(text, n, owner) -> np.ndarray:
+    """The ``--point`` of an ``owner`` of dimension ``n`` (0 for an empty
+    region, which fits any point)."""
     try:
-        return np.array([float(v) for v in text.split(",")])
+        point = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise UsageError(f"malformed point {text!r}") from exc
+    if n and point.shape[0] != n:
+        raise UsageError(f"point has {point.shape[0]} coordinates, {owner} expects {n}")
+    return point
 
 
 def _emit(payload, args, inputs, out_path=None):
@@ -240,10 +264,7 @@ def _cmd_build(args):
 
 def _cmd_solve(args):
     section = _load(args.section, section_from_json, args.tol)
-    gamma = _parse_point(args.point)
-    if gamma.shape[0] != section.n:
-        raise UsageError(f"point has {gamma.shape[0]} coordinates, section expects {section.n}")
-    sol = solve_orbit(section, gamma)
+    sol = solve_orbit(section, _parse_point(args.point, section.n, "section"))
     _emit(
         {
             "parameter": sol.parameter,
@@ -276,8 +297,6 @@ def _cmd_shape(args):
 
 
 def _cmd_verify(args):
-    if args.samples <= 0:
-        raise UsageError("--samples must be positive")
     section = _load(args.section, section_from_json, args.tol)
     _check_matrix(args.matrix, section)
     if args.mode == "discrete":
@@ -353,8 +372,7 @@ def _cmd_wavelet(args):
         _emit(payload, args, inputs)
         return EXIT_OK
     if args.action == "dimfn":
-        xi = _parse_point(args.point)
-        count = dimension_function(region, xi)
+        count = dimension_function(region, _parse_point(args.point, region.n, "region"))
         _emit({"dimension": count.value, "truncated": count.truncated}, args, inputs)
         return EXIT_OK
     k = build_order_infinity_set(matrix, lattice, pieces=args.pieces, tol=args.tol)  # build-inf
@@ -388,7 +406,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--generator")
     p.add_argument("--out")
     p.add_argument("--dump", help="CSV grid export of the section (n <= 3)")
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--grid", type=_positive, default=200)
     p.add_argument("--grid-extent", type=float, default=4.0)
     common(p)
     p.set_defaults(func=_cmd_build)
@@ -403,7 +421,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--section", required=True)
     p.add_argument("--matrix")
     p.add_argument("--target", choices=["finite", "bounded"], required=True)
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo measure estimate budget")
+    p.add_argument("--samples", type=_non_negative, default=0, help="Monte Carlo measure estimate budget")
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=_cmd_shape)
@@ -412,7 +430,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--section", required=True)
     p.add_argument("--matrix", help="optional cross-check against the section's matrix")
     p.add_argument("--mode", choices=["discrete", "continuous"], required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive, required=True)
     p.add_argument("--dump", help="CSV dump of the samples")
     common(p, seed_required=True)
     p.set_defaults(func=_cmd_verify)
@@ -423,7 +441,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=float, default=8.0)
     p.add_argument("--epsabs", type=float, default=1e-6)
     p.add_argument("--epsrel", type=float, default=1e-6)
-    p.add_argument("--jacobian-points", type=int, default=0)
+    p.add_argument("--jacobian-points", type=_non_negative, default=0)
     common(p)
     p.set_defaults(func=_cmd_integrate)
 
@@ -433,9 +451,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--lattice")
     p.add_argument("--region")
     p.add_argument("--order", type=_parse_order, default="1")
-    p.add_argument("--pieces", type=int, default=8)
+    p.add_argument("--pieces", type=_positive, default=8)
     p.add_argument("--point")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive, default=1000)
     common(p)
     p.set_defaults(func=_cmd_wavelet)
     return parser

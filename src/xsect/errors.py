@@ -74,10 +74,8 @@ class BudgetExceeded(XsectError):
 
     code = "budget_exceeded"
 
-    def __init__(self, message, partial=None, error_bound=None, evaluations=None):
+    def __init__(self, message, evaluations=None):
         super().__init__(message)
-        self.partial = partial
-        self.error_bound = error_bound
         self.evaluations = evaluations
 
 

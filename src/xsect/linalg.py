@@ -36,7 +36,10 @@ Computing a Jordan form in floating point is intrinsically delicate
 (the form is a discontinuous function of the matrix), so the solver
 clusters eigenvalues over a ladder of radii and accepts the first
 clustering whose chain structure is consistent and whose reassembly
-residual passes the tolerance.  Ambiguity is an error, never a guess.
+residual passes the tolerance.  For each cluster eigenvalue ``lambda``
+every power of ``A - lambda I`` is formed and factored once: one SVD gives
+its rank, its null basis and the ambiguity check, and the nullity
+increments give the chain lengths.  Ambiguity is an error, never a guess.
 """
 
 from __future__ import annotations
@@ -236,70 +239,35 @@ class _Inconsistent(Exception):
     """Internal: this clustering radius does not yield a coherent structure."""
 
 
-def _rank_with_gap(m, threshold):
-    """Rank by singular-value threshold; ambiguity near the threshold fails."""
-    if m.size == 0:
-        return 0
-    svals = np.linalg.svd(m, compute_uv=False)
-    lo, hi = threshold / 10.0, threshold * 10.0
-    if np.any((svals > lo) & (svals < hi)):
-        raise _Inconsistent("singular value inside the ambiguity window")
-    return int(np.count_nonzero(svals >= hi))
-
-
-def _chain_sizes(a, lam, m_alg, tol):
-    """Chain-length multiset for eigenvalue ``lam`` (complex arithmetic)."""
-    n = a.shape[0]
-    shifted = a.astype(complex) - lam * np.eye(n)
-    base = max(float(np.linalg.norm(shifted, 2)), 1.0)
-    nullities = [0]
-    power = np.eye(n, dtype=complex)
-    for j in range(1, m_alg + 1):
-        power = power @ shifted
-        rank = _rank_with_gap(power, tol * base**j)
-        nullities.append(n - rank)
-        if nullities[-1] == m_alg:
-            break
-    if nullities[-1] != m_alg:
-        raise _Inconsistent("generalized eigenspace does not reach multiplicity")
-    deltas = [nullities[j] - nullities[j - 1] for j in range(1, len(nullities))]
-    if any(d <= 0 for d in deltas) or any(deltas[j] < deltas[j + 1] for j in range(len(deltas) - 1)):
-        raise _Inconsistent("nullity increments not monotone")
-    deltas.append(0)
-    # number of chains of length exactly j
-    sizes = []
-    for j in range(1, len(deltas)):
-        for _ in range(deltas[j - 1] - deltas[j]):
-            sizes.append(j)
-    if sum(sizes) != m_alg:
-        raise _Inconsistent("chain sizes do not sum to the multiplicity")
-    return sorted(sizes, reverse=True)
-
-
-def _null_basis(m, threshold):
-    """Orthonormal basis (columns) of the numerical null space."""
-    u, s, vh = np.linalg.svd(m)
-    rank = int(np.count_nonzero(s >= threshold))
-    return vh[rank:].conj().T
-
-
-def _jordan_chains(a, lam, sizes, tol):
-    """Jordan chains for eigenvalue ``lam``; each chain is a list of columns
-    ordered eigenvector first."""
+def _jordan_chains(a, lam, m_alg, tol):
+    """Jordan chains for eigenvalue ``lam``, each a list of columns ordered
+    eigenvector first, from one SVD per power of ``A - lam I`` (complex for
+    a pair, real for a real ``lam``; Golub and Wilkinson, SIAM Review 1976)."""
     n = a.shape[0]
     complex_mode = abs(lam.imag) > 0
     dtype = complex if complex_mode else float
     shifted = (a.astype(dtype) - (lam if complex_mode else lam.real) * np.eye(n, dtype=dtype))
     base = max(float(np.linalg.norm(shifted, 2)), 1.0)
-    p = max(sizes)
     null_bases = [np.zeros((n, 0), dtype=dtype)]
     power = np.eye(n, dtype=dtype)
-    for j in range(1, p + 1):
+    for j in range(1, m_alg + 1):
         power = power @ shifted
-        null_bases.append(_null_basis(power, tol * base**j))
+        _, s, vh = np.linalg.svd(power)
+        threshold = tol * base**j
+        if np.any((s > threshold / 10.0) & (s < threshold * 10.0)):
+            raise _Inconsistent("singular value inside the ambiguity window")
+        null_bases.append(vh[np.count_nonzero(s >= threshold):].conj().T)
+        if null_bases[-1].shape[1] == m_alg:
+            break
+    if null_bases[-1].shape[1] != m_alg:
+        raise _Inconsistent("generalized eigenspace does not reach multiplicity")
+    # deltas[j - 1]: chains of length >= j
+    deltas = [hi.shape[1] - lo.shape[1] for lo, hi in zip(null_bases, null_bases[1:])] + [0]
+    if any(d <= 0 for d in deltas[:-1]) or any(x < y for x, y in zip(deltas, deltas[1:])):
+        raise _Inconsistent("nullity increments not monotone")
     chains = []
-    for height in range(p, 0, -1):
-        need = sizes.count(height)
+    for height in range(len(deltas) - 1, 0, -1):
+        need = deltas[height - 1] - deltas[height]
         if need == 0:
             continue
         # span to avoid: null(shifted^(height-1)) plus the height-level
@@ -308,7 +276,7 @@ def _jordan_chains(a, lam, sizes, tol):
         for ch in chains:
             if len(ch) > height:
                 avoid.append(ch[height - 1].reshape(n, 1))
-        avoid_m = np.hstack(avoid) if avoid else np.zeros((n, 0), dtype=dtype)
+        avoid_m = np.hstack(avoid)
         if avoid_m.shape[1]:
             q, _ = np.linalg.qr(avoid_m)
         else:
@@ -427,9 +395,7 @@ def _attempt(a, eigs, radius, tol, scale):
     blocks = []
     offset = 0
     for lam, m_alg, _ in cluster_specs:
-        sizes = _chain_sizes(a, lam, m_alg, tol)
-        chains = _jordan_chains(a, lam, sizes, tol)
-        for chain in chains:
+        for chain in _jordan_chains(a, lam, m_alg, tol):
             if abs(lam.imag) > 0:
                 for v in chain:
                     columns.append(np.real(v))
@@ -557,7 +523,7 @@ def flow_rows(bform: RealJordanForm, points, ts) -> np.ndarray:
 
 
 def integer_power(a, k: int) -> np.ndarray:
-    """``A^k`` by binary exponentiation (``A^0 = I``, negative via solves)."""
+    """``A^k`` by binary exponentiation (``A^0 = I``; negative ``k`` inverts ``A``)."""
     a = as_matrix(a)
     k = int(k)
     if abs(k) > 10**6:

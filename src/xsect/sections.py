@@ -905,7 +905,7 @@ def section_to_json(section: CrossSection) -> dict:
 
 
 def section_from_json(obj, tol=None) -> CrossSection:
-    if "matrix" not in obj and "section" in obj:
+    if "matrix" not in obj and isinstance(obj.get("section"), dict):
         obj = obj["section"]  # accept a whole emitted build document
     mode = obj.get("mode")
     matrix = matrix_from_json(obj.get("matrix"))  # a missing matrix is malformed JSON too

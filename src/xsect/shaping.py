@@ -87,6 +87,9 @@ def _euclid_radius(section: CrossSection, shell: ShellPartition, k: int) -> floa
 # powers walked for a bounded shift before the search gives up: a modulus
 # within about 1e-4 of 1 can need more
 _MAX_SHIFT = 10_000
+# shells mixed by sample_pieces, and shells sampled by measure_estimate
+_SAMPLE_SHELLS = 12
+_ESTIMATE_SHELLS = 24
 
 
 @dataclass(frozen=True)
@@ -178,9 +181,9 @@ class ShapedSection:
             out_reps[ok] = form.from_jordan(power_rows(self.base, coords, shifts))
         return params, out_reps, exc
 
-    def sample_pieces(self, rng, count: int, max_shell: int = 12) -> np.ndarray:
+    def sample_pieces(self, rng, count: int) -> np.ndarray:
         """Draw points from the reshaped set, mixing the first shells."""
-        shells = rng.integers(1, max_shell + 1, size=count) if self.shell.dim else np.ones(count, dtype=int)
+        shells = rng.integers(1, _SAMPLE_SHELLS + 1, size=count) if self.shell.dim else np.ones(count, dtype=int)
         out = np.empty((count, self.n))
         for k in np.unique(shells):
             sel = np.flatnonzero(shells == k)
@@ -209,18 +212,18 @@ class ShapedSection:
         corners = box_corners(box_lo, box_hi) @ self.base.jordan.conjugator @ push
         return corners.min(axis=0), corners.max(axis=0)
 
-    def measure_estimate(self, samples: int, seed: int, max_shell: int = 24) -> "MeasureEstimate":
+    def measure_estimate(self, samples: int, seed: int) -> "MeasureEstimate":
         """Stratified Monte Carlo estimate of the total measure.
 
         Each piece is sampled inside its own tight box (a global box
         would dwarf the set and make the estimate vacuous); the strata
         estimates and their Bernoulli variances add, and pieces beyond
-        ``max_shell`` contribute the tail bound ``2^-max_shell``."""
-        per = max(samples // max_shell, 1)
+        ``_ESTIMATE_SHELLS`` contribute the tail bound."""
+        per = max(samples // _ESTIMATE_SHELLS, 1)
         total = 0.0
         var = 0.0
         rng = np.random.default_rng(seed)
-        for k in range(1, max_shell + 1):
+        for k in range(1, _ESTIMATE_SHELLS + 1):
             lo, hi = self.piece_box(k)
             vol = float(np.prod(hi - lo))
             pts = rng.uniform(lo, hi, size=(per, self.n))
@@ -231,9 +234,9 @@ class ShapedSection:
         return MeasureEstimate(
             estimate=total,
             bound=3.0 * math.sqrt(var),
-            samples=per * max_shell,
+            samples=per * _ESTIMATE_SHELLS,
             seed=seed,
-            tail_bound=self.weight(max_shell),
+            tail_bound=self.weight(_ESTIMATE_SHELLS),
         )
 
     def to_json(self) -> dict:
@@ -340,7 +343,7 @@ class MeasureEstimate:
         }
 
 
-def estimate_measure(region, box_lo, box_hi, samples: int, seed: int, tail_bound=0.0) -> MeasureEstimate:
+def estimate_measure(region, box_lo, box_hi, samples: int, seed: int) -> MeasureEstimate:
     """Unbiased Monte Carlo estimate of the measure of ``region`` inside a
     box, with a 3-sigma Bernoulli half-width.
 
@@ -368,5 +371,4 @@ def estimate_measure(region, box_lo, box_hi, samples: int, seed: int, tail_bound
         samples=samples,
         seed=seed,
         box_volume=vol,
-        tail_bound=tail_bound,
     )

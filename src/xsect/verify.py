@@ -397,7 +397,11 @@ class _Budget(Exception):
 # Jacobian validation
 
 
-def jacobian_check(section: CrossSection, *, points=100, seed=0, step=1e-5) -> float:
+# central-difference step of the Jacobian check
+_JACOBIAN_STEP = 1e-5
+
+
+def jacobian_check(section: CrossSection, *, points=100, seed=0) -> float:
     """Max relative deviation between the closed-form Jacobian of the flow
     parametrization and a central finite-difference determinant.
 
@@ -424,9 +428,9 @@ def jacobian_check(section: CrossSection, *, points=100, seed=0, step=1e-5) -> f
         jac = np.empty((n, n))
         for i in range(n):
             up, dn = p.copy(), p.copy()
-            up[i] += step
-            dn[i] -= step
-            jac[i] = (params_to_point(up) - params_to_point(dn)) / (2 * step)
+            up[i] += _JACOBIAN_STEP
+            dn[i] -= _JACOBIAN_STEP
+            jac[i] = (params_to_point(up) - params_to_point(dn)) / (2 * _JACOBIAN_STEP)
         fd = float(np.linalg.det(jac))
         cf = kind.jacobian_weight(section, p) * math.exp(trace * p[0])
         worst = max(worst, abs(fd - cf) / max(abs(cf), 1e-300))

@@ -108,6 +108,8 @@ class Lattice:
 
     @staticmethod
     def from_json(obj) -> "Lattice":
+        if not isinstance(obj, dict) or "basis" not in obj:
+            raise ValueError("lattice JSON must be an object with a 'basis' field")
         return Lattice(matrix_from_json(obj["basis"]))
 
     @staticmethod
@@ -152,6 +154,8 @@ class BoxUnion(RegionSet):
     def build(boxes) -> "BoxUnion":
         norm = []
         for lo, hi in boxes:
+            if np.ndim(lo) > 1 or np.ndim(hi) > 1:
+                raise ValueError("box endpoints must be flat lists")
             lo = tuple(float(v) for v in np.atleast_1d(lo))
             hi = tuple(float(v) for v in np.atleast_1d(hi))
             if len(lo) != len(hi):
@@ -357,18 +361,20 @@ def dimension_function(region: RegionSet, xi, radius=100.0) -> TranslationCount:
 
 # translation count that passes for infinite multiplicity in a sampled check
 _MIN_COUNT = 10
+# the sampled check's dilation powers and dual-point search radius
+_K_RANGE = (-60, 60)
+_SEARCH_RADIUS = 100.0
 
 
-def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *,
-                        samples=1000, seed=0, k_range=(-60, 60), radius=100.0):
+def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *, samples=1000, seed=0):
     """Sampled test of the order-L characterization: translation counts
     all equal L (or >= ``_MIN_COUNT`` when L is infinite) and dilation
     counts all equal 1."""
     a = as_matrix(a)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
-    tcs = translation_counts(region, lattice, pts, radius=radius)
-    dcs = dilation_counts(region, a, pts, *k_range)
+    tcs = translation_counts(region, lattice, pts, radius=_SEARCH_RADIUS)
+    dcs = dilation_counts(region, a, pts, *_K_RANGE)
     ok_t = (tcs >= _MIN_COUNT) if order == math.inf else (tcs == order) & region.exact_reach
     bad = np.flatnonzero(~(ok_t & (dcs == 1)))
     failures = [
@@ -383,7 +389,7 @@ def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *,
         passed=not failures,
         histogram={f"t{t}_d{d}": int(c) for (t, d), c in zip(pairs, freq)},
         failures=failures,
-        scan={"k_lo": k_range[0], "k_hi": k_range[1], "radius": radius,
+        scan={"k_lo": _K_RANGE[0], "k_hi": _K_RANGE[1], "radius": _SEARCH_RADIUS,
               "order": "inf" if order == math.inf else int(order)},
     )
 

@@ -308,13 +308,24 @@ def test_non_square_matrix_file_is_usage_error(workdir, capsys):
 
 @pytest.mark.parametrize("case", ["shape_continuous", "shape_other_matrix", "integrate_discrete", "section_without_matrix",
                                   "non_square_lattice", "overlapping_region", "build_without_matrix",
-                                  "build_with_both"])
+                                  "build_with_both", "lattice_without_basis", "region_without_boxes",
+                                  "box_without_hi", "box_with_nested_endpoints", "section_not_an_object",
+                                  "nested_section_not_an_object", "lattice_not_an_object",
+                                  "region_not_an_object", "dimfn_point_of_wrong_dimension", "check_zero_samples",
+                                  "check_negative_samples", "partition_order_zero", "partition_zero_pieces",
+                                  "partition_negative_pieces", "build_inf_zero_pieces", "shape_negative_samples",
+                                  "build_negative_grid", "verify_zero_samples", "integrate_negative_jacobian_points"])
 def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, case):
-    _, write = workdir
+    tmp, write = workdir
     two = write("two.json", {"n": 1, "rows": [[2.0]]})
     three = write("three.json", {"n": 1, "rows": [[3.0]]})
     cont = write("C.json", {"mode": "continuous", "matrix": {"n": 1, "rows": [[0.5]]}})
     disc = write("D.json", {"mode": "discrete", "matrix": {"n": 1, "rows": [[2.0]]}})
+    z1 = write("z1.json", {"basis": {"n": 1, "rows": [[1.0]]}})
+    unit = write("unit.json", {"kind": "boxes", "boxes": [{"lo": [-0.5], "hi": [0.5]}]})
+    square = write("square.json", {"kind": "boxes", "boxes": [{"lo": [-0.5, -0.5], "hi": [0.5, 0.5]}]})
+    check = ["wavelet", "check", "--region", unit, "--matrix", two, "--lattice", z1, "--seed", "1"]
+    partition = ["wavelet", "partition", "--region", unit, "--lattice", z1]
     argv = {
         "shape_continuous": ["shape", "--section", cont, "--target", "finite"],
         "shape_other_matrix": ["shape", "--section", disc, "--matrix", three, "--target", "bounded"],
@@ -326,6 +337,29 @@ def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, ca
             "kind": "boxes", "boxes": [{"lo": [0.0], "hi": [1.0]}, {"lo": [0.5], "hi": [2.0]}]})],
         "build_without_matrix": ["build", "--mode", "discrete"],
         "build_with_both": ["build", "--mode", "discrete", "--matrix", two, "--generator", two],
+        "lattice_without_basis": ["wavelet", "partition", "--region", unit, "--lattice", write("no_basis.json", {"x": 1})],
+        "region_without_boxes": ["wavelet", "dimfn", "--point", "0.1", "--region", write("no_boxes.json", {"kind": "boxes"})],
+        "box_without_hi": ["wavelet", "dimfn", "--point", "0.1",
+                           "--region", write("no_hi.json", {"kind": "boxes", "boxes": [{"lo": [0.0]}]})],
+        "box_with_nested_endpoints": ["wavelet", "dimfn", "--point", "0.1", "--region", write(
+            "nested_box.json", {"kind": "boxes", "boxes": [{"lo": [[0.0]], "hi": [[1.0]]}]})],
+        "section_not_an_object": ["solve", "--section", write("list_section.json", [1.0]), "--point", "1"],
+        "nested_section_not_an_object": ["solve", "--section", write("nested_section.json", {"section": [1.0]}),
+                                         "--point", "1"],
+        "lattice_not_an_object": ["wavelet", "partition", "--region", unit, "--lattice", write("list_lattice.json", [[1.0]])],
+        "region_not_an_object": ["wavelet", "dimfn", "--point", "0.1", "--region", write("number_region.json", 3)],
+        "dimfn_point_of_wrong_dimension": ["wavelet", "dimfn", "--point", "0.1", "--region", square],
+        "check_zero_samples": check + ["--samples", "0"],
+        "check_negative_samples": check + ["--samples", "-5"],
+        "partition_order_zero": partition + ["--order", "0"],
+        "partition_zero_pieces": partition + ["--order", "inf", "--pieces", "0"],
+        "partition_negative_pieces": partition + ["--order", "inf", "--pieces", "-2"],
+        "build_inf_zero_pieces": ["wavelet", "build-inf", "--matrix", two, "--lattice", z1, "--pieces", "0"],
+        "shape_negative_samples": ["shape", "--section", disc, "--target", "finite", "--samples", "-3", "--seed", "1"],
+        "build_negative_grid": ["build", "--mode", "discrete", "--matrix", two, "--grid", "-1",
+                                "--dump", str(tmp / "dump.csv")],
+        "verify_zero_samples": ["verify", "--section", disc, "--mode", "discrete", "--samples", "0", "--seed", "1"],
+        "integrate_negative_jacobian_points": ["integrate", "--section", cont, "--jacobian-points", "-1"],
     }[case]
     code = main(argv)
     lines = capsys.readouterr().out.splitlines()

@@ -155,6 +155,41 @@ def _jordan_form_of_blocks(*specs):
                           conjugator=eye, conjugator_inverse=eye, tol=1e-9, residual=0.0)
 
 
+def _unimodular(n, seed):
+    """An integer matrix of determinant 1, a product of elementary row
+    additions, with cond < 150; its inverse is an integer matrix too."""
+    g = np.random.default_rng(seed)
+    while True:
+        p = np.eye(n)
+        for _ in range(2 * n):
+            i, j = g.choice(n, size=2, replace=False)
+            p[i] += g.choice([-1.0, 1.0]) * p[j]
+        if np.linalg.cond(p) < 150:
+            return p
+
+
+# several chains sharing an eigenvalue: (re, im, chain) blocks and the seed of P
+CHAIN_CASES = {
+    "3_1_at_2": ([(2.0, 0.0, 3), (2.0, 0.0, 1)], 1),
+    "2_2_at_2": ([(2.0, 0.0, 2), (2.0, 0.0, 2)], 2),
+    "2_1_1_at_-1.5": ([(-1.5, 0.0, 2), (-1.5, 0.0, 1), (-1.5, 0.0, 1)], 3),
+    "2_1_at_3_and_1_at_0.5": ([(3.0, 0.0, 2), (3.0, 0.0, 1), (0.5, 0.0, 1)], 4),
+    "pair_2_1_at_0.5+2i": ([(0.5, 2.0, 2), (0.5, 2.0, 1)], 5),
+    "1_1_1_1_at_2": ([(2.0, 0.0, 1)] * 4, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(CHAIN_CASES))
+def test_chain_lengths_of_conjugated_jordan_matrices(name):
+    specs, seed = CHAIN_CASES[name]
+    j = _jordan_form_of_blocks(*specs).matrix
+    p = _unimodular(j.shape[0], seed)
+    a = np.round(np.linalg.inv(p)) @ j @ p
+    f = real_jordan_form(a)
+    assert sorted((round(b.re, 6), round(b.im, 6), b.chain) for b in f.blocks) == sorted(specs)
+    assert f.residual <= f.tol * max(np.linalg.norm(a, 2), 1.0)
+
+
 def _pair(r, theta):
     return (r * math.cos(theta), r * math.sin(theta))
 

@@ -2,10 +2,12 @@
 
 A cross-section turns the plane into (section point) x (flow time), and
 the change of variables carries an explicit Jacobian weight per case:
-|alpha| delta^t for a scaling witness, s beta delta^t for a rotating
-one, |s| delta^t for the shear, beta p delta^t for the rotating shear
-(delta = det exp(B)).  The weights are validated against central finite
-differences, then used to reproduce Gaussian integrals.
+|alpha| delta^t for a scaling witness and s beta delta^t for a rotating
+one (delta = det exp(B)).  The shear and the rotating shear substitute
+u = t s and u = t p for the flow time, which leaves the weights
+delta^(u/s) and beta delta^(u/p), both constant on the pure block.  The
+weights are validated against central finite differences of the same
+chart, then used to reproduce Gaussian integrals.
 """
 
 import math

@@ -348,6 +348,8 @@ def _cmd_wavelet(args):
             raise UsageError(f"wavelet {args.action} requires --{name}")
     region = _load(args.region, _region_from_json) if "region" in _WAVELET_NEEDS[args.action] else None
     if args.action == "check":
+        if args.seed is None:
+            raise UsageError("--seed is required for wavelet check")
         report = is_multiwavelet_set(
             region, matrix, lattice, args.order, samples=args.samples, seed=args.seed
         )

@@ -26,17 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .classify import classify_continuous, classify_discrete
-from .errors import ExceptionalPoint, NoSection
+from .errors import DimensionTooHigh, ExceptionalPoint, NoSection
 from .linalg import (
     DEFAULT_TOL,
     RealJordanForm,
     flow_rows,
     integer_power,  # noqa: F401  kept importable here: perfbench's tracer rebinds it in this module
+    jordan_flow_batch,
     jordan_power_rows,
     matrix_from_json,
     matrix_to_json,
@@ -266,9 +267,6 @@ class _Case:
         """Flow-time period of the section-hit candidates, None if unique."""
         return None
 
-    def jacobian_draw(self, section, p, rng):
-        """Redraw the parameters that have a restricted domain."""
-
 
 def _on_ray(section, w):
     """The leading pair on the zero-angle ray, and its radius."""
@@ -281,19 +279,171 @@ def _nonzero(rng, m):
     return np.where(np.abs(v) < 1e-3, 1.0 + np.abs(v), v)
 
 
-def _free_coords(section, c, span, values):
-    """Fill every coordinate outside the witness slots off..off+span-1."""
-    off = section.block.offset
-    c[[d for d in range(section.n) if not off <= d < off + span]] = values
-    return c
+# ---------------------------------------------------------------------------
+# flow charts of the continuous cases
 
 
-def _scaling_time_range(frame, alpha):
-    return tuple(sorted((math.log(1e-5) / alpha, math.log(1.5 * frame.R * frame.q_norm) / alpha)))
+class _Chart:
+    """Flow coordinates of a continuous section: ``p`` names a section point
+    ``c`` and a flow time ``t`` (``origin``), and ``point`` is ``c @ exp(tJ)``
+    in Jordan coordinates; these cover R^n up to a null set.  ``p`` lists
+    the outermost integration variable first and the free coordinates
+    last.  ``weight`` is the signed Jacobian determinant of ``point``,
+    ``delta^t`` included; ``ranges`` cover the decay ball of ambient radius
+    ``radius``.  A ``mirrored`` chart covers half of R^n, ``x -> -x`` the rest.
+
+    The substituted charts of the nilpotent witnesses take ``u = t x1`` in
+    place of ``t`` and give ``point`` in closed form on the pure block,
+    whose trace is 0: there ``delta = 1``."""
+
+    mirrored = False
+
+    def __init__(self, section, radius=None):
+        vars(self).update(section.params)  # alpha, beta, log_span, ... as attributes
+        self.form, self.off, self.radius = section.jordan, section.block.offset, radius
+        self.free = np.array([d for d in range(section.n) if not self.off <= d < self.off + self.span], dtype=np.intp)
+        self.pure = not self.free.size
+        self.trace = float(np.trace(section.matrix))
+        self.flow = lru_cache(maxsize=65536)(lambda t: jordan_flow_batch(self.form, [t])[0])  # exp(tJ)
+
+    def origin(self, p):
+        lead, t = self.lead(p)
+        c = np.zeros(self.form.n)
+        c[self.off : self.off + self.span] = lead
+        c[self.free] = p[len(p) - self.free.size :]
+        return c, t
+
+    def point(self, p):
+        c, t = self.origin(p)
+        return c @ self.flow(t)
+
+    def draw(self, rng):
+        return rng.uniform(-2.0, 2.0, self.form.n)
+
+    def reach(self, pure=False):
+        """Radius of the decay ball in Jordan coordinates; ``pure`` refuses free coordinates."""
+        if pure and not self.pure:
+            raise DimensionTooHigh(f"orbit_integral integrates this case on its pure {self.span}x{self.span} block only")
+        return self.radius * float(np.linalg.norm(self.form.conjugator_inverse, 2))
+
+    def flow_ranges(self, *middle):
+        """The flow time's range, ``middle``, then the range of each free
+        coordinate at that time: ``|c_d| <= R ||column d of Q exp(-tJ)||``."""
+
+        def free_range(d, *outer):
+            bound = self.radius * float(np.linalg.norm(self.form.conjugator_inverse @ self.flow(-outer[-1])[:, d]))
+            return -bound - 1.0, bound + 1.0
+
+        time = tuple(sorted((math.log(1e-5) / self.alpha, math.log(1.5 * self.reach()) / self.alpha)))
+        return [time, *middle] + [partial(free_range, d) for d in self.free]
+
+
+class _ScalingChart(_Chart):
+    """``(t, free...) -> (1, free) @ exp(tJ)``, weight ``alpha delta^t``."""
+
+    span, mirrored = 1, True
+
+    def lead(self, p):
+        return (1.0,), p[0]
+
+    def weight(self, p):
+        return self.alpha * math.exp(self.trace * p[0])
+
+    def ranges(self):
+        return self.flow_ranges()
+
+
+class _RotatingChart(_Chart):
+    """``(t, s, free...) -> (s, 0, free) @ exp(tJ)``, ``1 <= s < Lambda``,
+    weight ``-s beta delta^t``."""
+
+    span = 2
+
+    def lead(self, p):
+        return (p[1], 0.0), p[0]
+
+    def weight(self, p):
+        return -p[1] * self.beta * math.exp(self.trace * p[0])
+
+    def ranges(self):
+        return self.flow_ranges((1.0, math.exp(self.log_span)))
+
+    def draw(self, rng):
+        p = super().draw(rng)
+        p[1] = rng.uniform(1.0, math.exp(self.log_span))
+        return p
+
+
+class _ShearChart(_Chart):
+    """``(s, u, free...) -> (s, 0, free) @ exp((u/s) J)``, which is ``(s, u)``
+    on the pure block, also as ``s -> 0``; weight ``delta^(u/s)``."""
+
+    span = 2
+
+    def lead(self, p):
+        return (p[0], 0.0), p[1] / p[0]
+
+    def point(self, p):
+        return np.array((p[0], p[1])) if self.pure else super().point(p)
+
+    def weight(self, p):
+        return 1.0 if self.pure else math.exp(self.trace * p[1] / p[0])
+
+    def ranges(self):
+        r = 1.5 * self.reach(pure=True)
+        return [(-r, r), (-r - 1.0, r + 1.0)]
+
+    def draw(self, rng):
+        p = super().draw(rng)
+        p[0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        return p
+
+
+class _RotatingShearChart(_Chart):
+    """``(p, s, q, u, free...) -> (p, 0, q, s, free) @ exp((u/p) J)`` with
+    ``0 <= q < 2 pi p / beta``, weight ``-beta delta^(u/p)``."""
+
+    span = 4
+
+    def lead(self, p):
+        return (p[0], 0.0, p[2], p[1]), p[3] / p[0]
+
+    def point(self, p):
+        if not self.pure:
+            return super().point(p)
+        pv, s, q, u = p
+        theta = self.beta * u / pv
+        c, sn = math.cos(theta), math.sin(theta)
+        w = u + q
+        return np.array((pv * c, pv * sn, w * c - s * sn, w * sn + s * c))
+
+    def weight(self, p):
+        return -self.beta if self.pure else -self.beta * math.exp(self.trace * p[3] / p[0])
+
+    def ranges(self):
+        beta, reach = self.beta, self.reach(pure=True)
+
+        def u_range(q, s, p):
+            # support of f: (u+q)^2 + s^2 + p^2 <= (Jordan radius)^2
+            slack = (1.2 * reach) ** 2 - s**2 - p**2
+            if slack <= 0.0:
+                return (0.0, 0.0)
+            w = math.sqrt(slack) + 0.5
+            return (-q - w, -q + w)
+
+        return [(1e-12, 1.5 * reach), (-1.5 * reach, 1.5 * reach), lambda s, p: (0.0, TWO_PI * p / beta), u_range]
+
+    def draw(self, rng):
+        p = super().draw(rng)
+        p[0] = rng.uniform(0.5, 2.0)
+        p[2] = rng.uniform(0.0, TWO_PI * p[0] / self.beta)
+        return p
 
 
 class _RealNonzero(_Case):
     """The leading coordinate of a real block pinned to +/-1."""
+
+    chart = _ScalingChart
 
     def params(self, blk):
         return {"alpha": blk.alpha}
@@ -311,35 +461,11 @@ class _RealNonzero(_Case):
     def sample(self, section, coords, rng):
         coords[:, section.block.offset] = rng.choice([-1.0, 1.0], size=coords.shape[0])
 
-    # parameters (t, free...): weight alpha * delta^t
-    def jacobian_point(self, section, p):
-        c = np.zeros(section.n)
-        c[section.block.offset] = 1.0
-        return _free_coords(section, c, 1, p[1:])
-
-    def jacobian_weight(self, section, p):
-        return section.params["alpha"]
-
-    def orbit_integrand(self, section, frame):
-        alpha = section.params["alpha"]
-        off = section.block.offset
-        others = [d for d in range(section.n) if d != off]
-
-        def integrand(*args):
-            frame.guard()
-            a, tvar = args[:-1], args[-1]
-            total = 0.0
-            for eps_sign in (1.0, -1.0):
-                coords = {off: eps_sign}
-                coords.update({d: v for d, v in zip(others, a)})
-                total += frame.f(frame.point(tvar, coords))
-            return total * abs(alpha) * math.exp(frame.trace * tvar) * frame.conj_det
-
-        return integrand, frame.free_ranges(others) + [_scaling_time_range(frame, alpha)]
-
 
 class _ComplexNonzero(_Case):
     """The radial segment [1, Lambda) on the zero-angle ray of the pair."""
+
+    chart = _RotatingChart
 
     def params(self, blk):
         mu = abs(blk.alpha)
@@ -375,36 +501,11 @@ class _ComplexNonzero(_Case):
     def branch_period(self, params):
         return TWO_PI / params["beta"]
 
-    # parameters (t, s, free...): weight -s beta delta^t
-    def jacobian_point(self, section, p):
-        c = np.zeros(section.n)
-        c[section.block.offset] = p[1]
-        return _free_coords(section, c, 2, p[2:])
-
-    def jacobian_weight(self, section, p):
-        return -p[1] * section.params["beta"]
-
-    def jacobian_draw(self, section, p, rng):
-        p[1] = rng.uniform(1.0, math.exp(section.params["log_span"]))
-
-    def orbit_integrand(self, section, frame):
-        alpha, beta = section.params["alpha"], section.params["beta"]
-        lam_big = math.exp(section.params["log_span"])
-        off = section.block.offset
-        others = [d for d in range(section.n) if d not in (off, off + 1)]
-
-        def integrand(*args):
-            frame.guard()
-            a, svar, tvar = args[:-2], args[-2], args[-1]
-            coords = {off: svar, off + 1: 0.0}
-            coords.update({d: v for d, v in zip(others, a)})
-            return frame.f(frame.point(tvar, coords)) * svar * beta * math.exp(frame.trace * tvar) * frame.conj_det
-
-        return integrand, frame.free_ranges(others) + [(1.0, lam_big), _scaling_time_range(frame, alpha)]
-
 
 class _ZeroNilpotent(_Case):
     """The second chain coordinate of a nilpotent zero block set to 0."""
+
+    chart = _ShearChart
 
     def eq_scale(self, section, w):
         return np.maximum(np.abs(w[:, 0]), 1.0)
@@ -420,40 +521,12 @@ class _ZeroNilpotent(_Case):
         coords[:, off] = _nonzero(rng, coords.shape[0])
         coords[:, off + 1] = 0.0
 
-    # parameters (t, s, free...): weight -s delta^t
-    jacobian_point = _ComplexNonzero.jacobian_point
-
-    def jacobian_weight(self, section, p):
-        return -p[1]
-
-    def jacobian_draw(self, section, p, rng):
-        p[1] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-
-    def orbit_integrand(self, section, frame):
-        # pure 2x2 block (trace 0, so delta^t = 1); substituting u = t*s
-        # fixes the inner domain and cancels the |s| weight exactly
-        if section.n != 2:
-            raise ValueError("orbit_integral supports the shear case for the pure 2x2 block")
-        off = section.block.offset
-
-        def integrand(uvar, svar):
-            frame.guard()
-            if svar == 0.0:
-                # continuous limit of the substituted parametrization:
-                # (s, 0) A^{u/s} = (s, u) -> (0, u)
-                c = np.zeros(section.n)
-                c[off + 1] = uvar
-                return frame.f(section.jordan.from_jordan(c)) * frame.conj_det
-            tvar = uvar / svar
-            return frame.f(frame.point(tvar, {off: svar, off + 1: 0.0})) * frame.conj_det
-
-        u_cap = 1.5 * frame.R + 1.0
-        return integrand, [(-u_cap, u_cap), (-1.5 * frame.R, 1.5 * frame.R)]
-
 
 class _ImaginaryNilpotent(_Case):
     """The leading pair on angle zero, the third coordinate boxed into
     [0, 2*pi*p/beta)."""
+
+    chart = _RotatingShearChart
 
     def params(self, blk):
         return {"beta": blk.beta}
@@ -477,53 +550,6 @@ class _ImaginaryNilpotent(_Case):
         coords[:, off + 2] = rng.uniform(0.0, 1.0, m) * (TWO_PI / section.params["beta"]) * p
 
     branch_period = _ComplexNonzero.branch_period
-
-    # parameters (t, p, q, s, free...): weight -beta p delta^t
-    def jacobian_point(self, section, p):
-        c = np.zeros(section.n)
-        off = section.block.offset
-        c[off], c[off + 2], c[off + 3] = p[1], p[2], p[3]
-        return _free_coords(section, c, 4, p[4:])
-
-    def jacobian_weight(self, section, p):
-        return -section.params["beta"] * p[1]
-
-    def jacobian_draw(self, section, p, rng):
-        p[1] = rng.uniform(0.5, 2.0)
-        p[2] = rng.uniform(0.0, TWO_PI * p[1] / section.params["beta"])
-
-    def orbit_integrand(self, section, frame):
-        beta = section.params["beta"]
-        # pure 4x4 block (trace 0); substituting u = t*p fixes the inner
-        # domain and reduces the weight to the constant beta
-        if section.n != 4:
-            raise ValueError("orbit_integral supports the rotating shear case for the pure 4x4 block")
-        conj = section.jordan.conjugator
-        canonical = np.allclose(conj, np.eye(4), atol=1e-12)
-        R = frame.R
-
-        def integrand(uvar, qvar, svar, pvar):
-            frame.guard()
-            theta = beta * uvar / pvar
-            c, sn = math.cos(theta), math.sin(theta)
-            w = uvar + qvar
-            x = (pvar * c, pvar * sn, w * c - svar * sn, w * sn + svar * c)
-            if not canonical:
-                x = np.asarray(x) @ conj
-            return frame.f(np.asarray(x)) * beta * frame.conj_det
-
-        def q_range(svar, pvar):
-            return (0.0, TWO_PI * pvar / beta)
-
-        def u_range(qvar, svar, pvar):
-            # support of f: (u+q)^2 + s^2 + p^2 <= (decay radius)^2
-            slack = (1.2 * R) ** 2 - svar**2 - pvar**2
-            if slack <= 0.0:
-                return (0.0, 0.0)
-            w = math.sqrt(slack) + 0.5
-            return (-qvar - w, -qvar + w)
-
-        return integrand, [u_range, q_range, (-1.5 * R, 1.5 * R), (1e-12, 1.5 * R)]
 
 
 class _ModulusNotOne(_Case):

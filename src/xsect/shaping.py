@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import classify_discrete, moduli_one_side
-from .errors import DetOne, MixedModuli, SearchExhausted
+from .errors import DetOne, MixedModuli, SearchExhausted, UsageError
 from .linalg import box_corners, integer_power
 from .sections import (CrossSection, build_discrete_section, contains, piece_shifts, power_rows,
                        pushed_membership, solve_orbit)
@@ -218,8 +218,11 @@ class ShapedSection:
         Each piece is sampled inside its own tight box (a global box
         would dwarf the set and make the estimate vacuous); the strata
         estimates and their Bernoulli variances add, and pieces beyond
-        ``_ESTIMATE_SHELLS`` contribute the tail bound."""
-        per = max(samples // _ESTIMATE_SHELLS, 1)
+        ``_ESTIMATE_SHELLS`` contribute the tail bound.  A budget below one
+        sample per shell raises :class:`UsageError`."""
+        if samples < _ESTIMATE_SHELLS:
+            raise UsageError(f"the measure estimate needs at least {_ESTIMATE_SHELLS} samples, one per shell")
+        per = samples // _ESTIMATE_SHELLS
         total = 0.0
         var = 0.0
         rng = np.random.default_rng(seed)

@@ -8,12 +8,12 @@ section over unit time yields a discrete cross-section: the time set
 come from the closed-form solve and are cross-checked by bisection
 refinement of the membership indicator.
 
-Orbit integration evaluates ``integral of f over R^n`` in the section's
-flow coordinates, with the closed-form Jacobian weight of the
-parametrization (``-s delta^t`` and ``-beta p delta^t`` for the two
-nilpotent cases; the analogous weights ``alpha delta^t`` and
-``-s beta delta^t`` for the scaling cases are validated against central
-finite differences by :func:`jacobian_check`).
+Orbit integration evaluates ``integral of f over R^n`` on the section's
+flow chart, with its closed-form Jacobian weight: ``alpha delta^t``
+(scaling), ``-s beta delta^t`` (rotating), and for the nilpotent cases,
+which substitute ``u = t s`` and ``u = t p``, ``delta^(u/s)`` (shear) and
+``-beta delta^(u/p)`` (rotating shear).  :func:`jacobian_check` compares
+each weight with central finite differences of the same chart.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, Overflow, QuadratureDivergence
-from .linalg import flow_rows, integer_power, jordan_power_batch, one_parameter_power
+from .linalg import flow_rows, integer_power, jordan_power_batch, jordan_power_rows
 from .sections import CrossSection, derive_discrete_section
 from .shaping import ShapedSection
 
@@ -321,76 +321,37 @@ def orbit_integral(f, section: CrossSection, *, decay_radius, budget=10**7,
 
     ``f`` maps an ambient row vector to a scalar and must be negligible
     outside the ball of radius ``decay_radius``; the parameter domains
-    are truncated accordingly.  Raises :class:`BudgetExceeded` when the
-    evaluation budget runs out.
+    are truncated accordingly.  The integrand is ``f(x) |weight| |det P|``
+    on the section's chart (``x = point @ P``).  Raises
+    :class:`BudgetExceeded` when the evaluation budget runs out, and
+    :class:`DimensionTooHigh` for a chart without integration ranges.
     """
     if section.mode != "continuous":
         raise ValueError("orbit_integral expects a continuous section")
     from scipy import integrate  # here: it takes most of the package's import time
-    frame = _OrbitFrame(f, section, float(decay_radius), budget)
-    integrand, ranges = section.kind.orbit_integrand(section, frame)
-    try:
-        value, _ = integrate.nquad(
-            integrand, ranges, opts={"epsabs": epsabs, "epsrel": epsrel, "limit": 80}
-        )
-    except _Budget:
-        raise BudgetExceeded(
-            f"orbit integral exceeded the evaluation budget ({budget})",
-            evaluations=frame.evals,
-        ) from None
+    chart = section.kind.chart(section, float(decay_radius))
+    ranges = chart.ranges()[::-1]  # nquad takes the innermost variable first
+    conj = section.jordan.conjugator
+    scale = abs(float(np.linalg.det(conj)))
+    if np.allclose(conj, np.eye(section.n), rtol=0.0, atol=1e-12):
+        conj = None  # a canonical generator: the point is already ambient
+    point, weight, mirrored = chart.point, chart.weight, chart.mirrored
+    evals = 0
+
+    def integrand(*args):
+        nonlocal evals
+        evals += 1
+        if evals > budget:
+            raise BudgetExceeded(f"orbit integral exceeded the evaluation budget ({budget})", evaluations=evals)
+        params = args[::-1]
+        x = point(params)
+        if conj is not None:
+            x = x @ conj
+        value = f(x) + f(-x) if mirrored else f(x)
+        return value * abs(weight(params)) * scale
+
+    value, _ = integrate.nquad(integrand, ranges, opts={"epsabs": epsabs, "epsrel": epsrel, "limit": 80})
     return float(value)
-
-
-class _OrbitFrame:
-    """What every case's orbit integrand shares: the integrand ``f``, the
-    cached flow, the evaluation budget and the truncation of the
-    parameter domains to the decay ball of radius ``R``."""
-
-    def __init__(self, f, section, R, budget):
-        self.f = f
-        self.form = section.jordan
-        self.R = R
-        self.budget = budget
-        self.evals = 0
-        self.trace = float(np.trace(section.matrix))
-        self.conj_det = abs(float(np.linalg.det(self.form.conjugator)))
-        self.q_norm = float(np.linalg.norm(self.form.conjugator_inverse, 2))
-        self._flows = {}
-
-    def flow(self, tvar):
-        if tvar not in self._flows:
-            if len(self._flows) > 65536:
-                self._flows.clear()
-            self._flows[tvar] = one_parameter_power(self.form, tvar)
-        return self._flows[tvar]
-
-    def point(self, tvar, coords):
-        """Ambient point of the Jordan coordinates ``{index: value}`` flowed by ``tvar``."""
-        c = np.zeros(self.form.n)
-        for d, v in coords.items():
-            c[d] = v
-        return self.form.from_jordan(c) @ self.flow(tvar)
-
-    def guard(self):
-        self.evals += 1
-        if self.evals > self.budget:
-            raise _Budget()
-
-    def coord_bound(self, d, tvar):
-        # preimage of the decay ball: |c_d| <= R * ||column d of exp(-tB) Q||
-        col = np.linalg.norm((self.flow(-tvar) @ self.form.conjugator_inverse)[:, d])
-        return self.R * col + 1.0
-
-    def free_ranges(self, dims):
-        """nquad ranges of the free coordinates ``dims``, each bounded at the flow time."""
-        return [
-            (lambda d: (lambda *args: (-self.coord_bound(d, args[-1]), self.coord_bound(d, args[-1]))))(d)
-            for d in dims
-        ]
-
-
-class _Budget(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -402,36 +363,29 @@ _JACOBIAN_STEP = 1e-5
 
 
 def jacobian_check(section: CrossSection, *, points=100, seed=0) -> float:
-    """Max relative deviation between the closed-form Jacobian of the flow
-    parametrization and a central finite-difference determinant.
+    """Max relative deviation between the closed-form Jacobian weight of the
+    section's chart and a central finite-difference determinant of its
+    ``point``, at ``points`` drawn parameter vectors.
 
-    Evaluated in Jordan coordinates, where the closed forms are
-    ``alpha * delta^t`` (scaling), ``-s beta delta^t`` (rotating),
-    ``-s delta^t`` (shear) and ``-beta p delta^t`` (rotating shear).
+    Evaluated in Jordan coordinates on the chart that :func:`orbit_integral`
+    integrates, whose weights are ``alpha delta^t`` (scaling),
+    ``-s beta delta^t`` (rotating), ``delta^(u/s)`` (shear, ``u = t s``)
+    and ``-beta delta^(u/p)`` (rotating shear, ``u = t p``).  Each drawn
+    ``point`` is also compared with the kernel flow of its section point,
+    so a wrong closed form counts as a deviation.
     """
     if section.mode != "continuous":
         raise ValueError("jacobian_check expects a continuous section")
     rng = np.random.default_rng(seed)
-    kind, form, n = section.kind, section.jordan, section.n
-    trace = float(np.trace(section.matrix))
-
-    def params_to_point(p):
-        c = kind.jacobian_point(section, p)
-        return form.to_jordan(form.from_jordan(c) @ one_parameter_power(form, p[0]))
-
-    # every case parametrizes R^n with exactly n parameters:
-    # (t, free...) / (t, s, free...) / (t, p, q, s, free...)
+    chart = section.kind.chart(section)
+    steps = _JACOBIAN_STEP * np.eye(section.n)
     worst = 0.0
     for _ in range(points):
-        p = rng.uniform(-2.0, 2.0, n)
-        kind.jacobian_draw(section, p, rng)
-        jac = np.empty((n, n))
-        for i in range(n):
-            up, dn = p.copy(), p.copy()
-            up[i] += _JACOBIAN_STEP
-            dn[i] -= _JACOBIAN_STEP
-            jac[i] = (params_to_point(up) - params_to_point(dn)) / (2 * _JACOBIAN_STEP)
-        fd = float(np.linalg.det(jac))
-        cf = kind.jacobian_weight(section, p) * math.exp(trace * p[0])
+        p = chart.draw(rng)
+        c, t = chart.origin(p)
+        flowed = jordan_power_rows(section.jordan, c, [t])[0]
+        worst = max(worst, float(np.max(np.abs(chart.point(p) - flowed)) / max(np.max(np.abs(flowed)), 1.0)))
+        fd = float(np.linalg.det([(chart.point(p + h) - chart.point(p - h)) / (2 * _JACOBIAN_STEP) for h in steps]))
+        cf = chart.weight(p)
         worst = max(worst, abs(fd - cf) / max(abs(cf), 1e-300))
     return worst

@@ -205,6 +205,21 @@ def test_wavelet_build_inf_refusals_are_json(workdir, capsys, rows, basis, code)
     assert exit_code == 1 and out["code"] == code
 
 
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+    [[0.0, math.pi, 1.0, 0.0, 0.0, 0.0], [-math.pi, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, math.pi, 0.0, 0.0],
+     [0.0, 0.0, -math.pi, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, -1.0, 0.0]],
+], ids=["nilpotent_chain3", "rotating_shear_plus_rotation"])
+def test_integrate_refusals_are_json(workdir, capsys, rows):
+    tmp, write = workdir
+    gen = write("b.json", {"n": len(rows), "rows": rows})
+    sec = str(tmp / "S.json")
+    assert main(["build", "--mode", "continuous", "--generator", gen, "--out", sec]) == 0
+    capsys.readouterr()
+    exit_code, out = run(capsys, ["integrate", "--section", sec])
+    assert exit_code == 1 and out["code"] == "dimension_too_high"
+
+
 def test_grid_export(workdir, capsys, tmp_path):
     tmp, write = workdir
     path = write("shear.json", {"n": 2, "rows": [[1.0, 1.0], [0.0, 1.0]]})
@@ -314,7 +329,8 @@ def test_non_square_matrix_file_is_usage_error(workdir, capsys):
                                   "region_not_an_object", "dimfn_point_of_wrong_dimension", "check_zero_samples",
                                   "check_negative_samples", "partition_order_zero", "partition_zero_pieces",
                                   "partition_negative_pieces", "build_inf_zero_pieces", "shape_negative_samples",
-                                  "build_negative_grid", "verify_zero_samples", "integrate_negative_jacobian_points"])
+                                  "build_negative_grid", "verify_zero_samples", "integrate_negative_jacobian_points",
+                                  "check_without_seed", "shape_samples_below_one_per_shell"])
 def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, case):
     tmp, write = workdir
     two = write("two.json", {"n": 1, "rows": [[2.0]]})
@@ -360,6 +376,9 @@ def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, ca
                                 "--dump", str(tmp / "dump.csv")],
         "verify_zero_samples": ["verify", "--section", disc, "--mode", "discrete", "--samples", "0", "--seed", "1"],
         "integrate_negative_jacobian_points": ["integrate", "--section", cont, "--jacobian-points", "-1"],
+        "check_without_seed": check[:-2],
+        "shape_samples_below_one_per_shell": ["shape", "--section", disc, "--target", "finite", "--samples", "5",
+                                              "--seed", "1"],
     }[case]
     code = main(argv)
     lines = capsys.readouterr().out.splitlines()

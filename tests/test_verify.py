@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from xsect.errors import BudgetExceeded
 from xsect.sections import build_continuous_section, build_discrete_section, derive_discrete_section
@@ -173,6 +174,56 @@ def test_jacobian_closed_form_rotating_shear_value():
     assert abs(-beta * 1.0 * math.exp(0.0) - (-math.pi)) < 1e-15
     section = build_continuous_section(case4_generator(beta))
     assert jacobian_check(section, points=5, seed=2) <= 1e-6
+
+
+def _rotation(beta):
+    return np.array([[0.0, beta], [-beta, 0.0]])
+
+
+def _conjugated(b, seed=3):
+    """``P^-1 B P`` for the first Gaussian ``P`` of ``default_rng(seed)`` with cond(P) < 20."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p = rng.normal(size=b.shape)
+        if np.linalg.cond(p) < 20:
+            return np.linalg.solve(p, b @ p)
+
+
+_L2 = math.log(2.0)
+FREE_COORDINATE_GENERATORS = {
+    "chain3_ln2": ("real_nonzero", np.array([[_L2, 1.0, 0.0], [0.0, _L2, 1.0], [0.0, 0.0, _L2]])),
+    "rotating_plus_rotation": ("complex_nonzero", block_diag([[1.0, 2 * math.pi], [-2 * math.pi, 1.0]], _rotation(1.0))),
+    "shear_plus_rotation": ("zero_nilpotent", block_diag([[0.0, 1.0], [0.0, 0.0]], _rotation(1.0))),
+    "nilpotent_chain3": ("zero_nilpotent", np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])),
+    "rotating_shear_plus_rotation": ("imaginary_nilpotent", block_diag(case4_generator(), _rotation(1.0))),
+}
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conjugated"])
+@pytest.mark.parametrize("name", list(FREE_COORDINATE_GENERATORS))
+def test_jacobian_check_with_free_coordinates(name, conjugate):
+    case, b = FREE_COORDINATE_GENERATORS[name]
+    section = build_continuous_section(_conjugated(b) if conjugate else b)
+    assert section.case == case
+    assert jacobian_check(section, points=50, seed=4) <= 1e-6
+
+
+def test_jacobian_check_compares_closed_forms_with_the_flow(monkeypatch):
+    # a closed form shifted by a constant keeps its Jacobian: only the
+    # comparison with the kernel flow of the section point sees it
+    section = build_continuous_section([[0.0, 1.0], [0.0, 0.0]])
+    chart = section.kind.chart
+    closed = chart.point
+    monkeypatch.setattr(chart, "point", lambda self, p: closed(self, p) + np.array([0.0, 1.0]))
+    assert jacobian_check(section, points=5, seed=1) > 0.1
+
+
+def test_orbit_integral_reaches_the_jordan_radius_of_the_decay_ball():
+    # the conjugator is diag(1, 0.1), so Jordan coordinates stretch x2 by
+    # 10: the decay ball of radius 8 reaches Jordan radius 80
+    section = build_continuous_section([[0.0, 0.1], [0.0, 0.0]])
+    value = orbit_integral(gaussian_density, section, decay_radius=8.0)
+    assert abs(value - 1.0) < 0.01
 
 
 def test_continuous_tiling_on_derived_discrete_sum(rng):

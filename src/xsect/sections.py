@@ -89,10 +89,11 @@ class CrossSection:
         """The case object: null set, predicate, orbit parameter, sampler."""
         return _CASES[self.case]
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The acting matrix: A for discrete mode, the generator B for
-        continuous mode.  A derived discrete section acts under exp(B)."""
+        continuous mode.  A derived discrete section acts under exp(B).
+        Cached, never serialized."""
         return self.kind.matrix(self)
 
     @property
@@ -221,6 +222,15 @@ class _Case:
     (continuous cases) or the tile index ``k`` with ``gamma in S @ A^k``
     (discrete cases); ``exceptional`` is the null-set mask, so the
     formulas never divide by a vanishing witness coordinate.
+
+    ``gauge`` gives ``(g, rate, lo, hi)`` or None: a witness coordinate ``g``
+    that the action at ``p`` moves to exactly ``g + p*rate``, with
+    ``lo <= g <= hi`` on the set; ``g`` is not finite on the null set.  The
+    leading cell moves as ``c1 lambda^p`` whatever the chain length, so
+    ``log|x1|`` and ``log r`` gain ``p log|lambda|`` (``p alpha``, flows); the
+    next cell gains ``p lambda^(p-1) c1`` (``p c1``), so ``x2/x1`` gains
+    ``p/lambda`` (``p``) and ``Re(z2/z1)`` gains ``p`` once a power's ``z2``
+    is rotated by ``beta``; a unit-time sweep widens its base's range by ``rate``.
     """
 
     name: str
@@ -255,6 +265,9 @@ class _Case:
         """Scale of the equality constraints, or None when there are none."""
         return None
 
+    def gauge(self, section, w):
+        return None
+
     @property
     def flows(self) -> bool:
         """The form is that of a generator ``B``: the action at ``p`` is ``exp(pB)``."""
@@ -272,6 +285,11 @@ def _on_ray(section, w):
     """The leading pair on the zero-angle ray, and its radius."""
     r = np.hypot(w[:, 0], w[:, 1])
     return (np.abs(w[:, 1]) <= section.tol * np.maximum(r, 1.0)) & (w[:, 0] > 0), r
+
+
+def _re_ratio(w, z2):
+    """``Re(z2 / z1)`` for the leading pair ``z1`` of ``w`` and the pair ``z2``."""
+    return (z2[0] * w[:, 0] + z2[1] * w[:, 1]) / (w[:, 0] ** 2 + w[:, 1] ** 2)
 
 
 def _nonzero(rng, m):
@@ -454,6 +472,9 @@ class _RealNonzero(_Case):
     def member(self, section, w, exceptional):
         return np.abs(np.abs(w[:, 0]) - 1.0) <= section.tol
 
+    def gauge(self, section, w):
+        return np.log(np.abs(w[:, 0])), section.params["alpha"], 0.0, 0.0
+
     def parameter(self, section, w, exceptional):
         safe = np.where(exceptional, 1.0, np.abs(w[:, 0]))
         return -np.log(safe) / section.params["alpha"]
@@ -484,6 +505,9 @@ class _ComplexNonzero(_Case):
         logr = np.log(np.where(r > 0, r, 1.0))
         return on_ray & (logr >= 0.0) & (logr < section.params["log_span"])
 
+    def gauge(self, section, w):
+        return np.log(np.hypot(w[:, 0], w[:, 1])), section.params["alpha"], 0.0, section.params["log_span"]
+
     def parameter(self, section, w, exceptional):
         alpha, beta, mu = section.params["alpha"], section.params["beta"], section.params["mu"]
         sigma = 1.0 if alpha > 0 else -1.0
@@ -513,6 +537,9 @@ class _ZeroNilpotent(_Case):
     def member(self, section, w, exceptional):
         return np.abs(w[:, 1]) <= section.tol * np.maximum(np.abs(w[:, 0]), 1.0)
 
+    def gauge(self, section, w):
+        return w[:, 1] / w[:, 0], 1.0, 0.0, 0.0
+
     def parameter(self, section, w, exceptional):
         return -w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
 
@@ -536,6 +563,9 @@ class _ImaginaryNilpotent(_Case):
     def member(self, section, w, exceptional):
         on_ray, _ = _on_ray(section, w)
         return on_ray & (w[:, 2] >= 0.0) & (w[:, 2] < (TWO_PI / section.params["beta"]) * w[:, 0])
+
+    def gauge(self, section, w):
+        return _re_ratio(w, (w[:, 2], w[:, 3])), 1.0, 0.0, TWO_PI / section.params["beta"]
 
     def parameter(self, section, w, exceptional):
         x1 = np.where(exceptional, 1.0, w[:, 0])
@@ -566,6 +596,9 @@ class _ModulusNotOne(_Case):
     def member(self, section, w, exceptional):
         a1 = np.abs(w[:, 0])
         return (a1 >= 1.0) & (a1 < math.exp(section.params["log_span"]))
+
+    def gauge(self, section, w):
+        return np.log(np.abs(w[:, 0])), math.log(abs(section.params["lam"])), 0.0, section.params["log_span"]
 
     def parameter(self, section, w, exceptional):
         u = np.log(np.where(exceptional, 1.0, np.abs(w[:, 0]))) / section.params["log_span"]
@@ -625,6 +658,10 @@ class _ComplexModulusNotOne(_Case):
         logr = np.log(np.where(r > 0, r, 1.0))
         logs = logr - (phi / section.params["omega"]) * section.params["mu"]
         return (phi < section.params["omega"]) & (logs >= 0.0) & (logs < section.params["log_span"])
+
+    def gauge(self, section, w):
+        mu, span = section.params["mu"], section.params["log_span"]
+        return np.log(np.hypot(w[:, 0], w[:, 1])), mu if section.params["expanding"] else -mu, 0.0, span + mu
 
     def parameter(self, section, w, exceptional):
         mu, omega = section.params["mu"], section.params["omega"]
@@ -700,6 +737,9 @@ class _RealModulusOneNilpotent(_Case):
         k = section.params["lam"] * np.floor(ratio)
         return k.astype(int)
 
+    def gauge(self, section, w):
+        return w[:, 1] / w[:, 0], section.params["lam"], 0.0, 1.0
+
     def sample(self, section, coords, rng):
         off = section.block.offset
         s = _nonzero(rng, coords.shape[0])
@@ -719,6 +759,10 @@ class _ComplexModulusOneNilpotent(_Case):
 
     def parameter(self, section, w, exceptional):
         return np.floor(_flow_time_mod1(section.params["beta"], w)).astype(int)
+
+    def gauge(self, section, w):
+        beta = section.params["beta"]  # the second pair rotated by beta: the flow coordinates of _flow_time_mod1
+        return _re_ratio(w, _rotate_rows(w[:, 2], w[:, 3], beta)), 1.0, 0.0, TWO_PI / beta + 1.0
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -760,6 +804,10 @@ class _DerivedFromContinuous(_Case):
 
     def parameter(self, section, w, exceptional):
         return np.floor(-section.base.kind.parameter(section.base, w, exceptional)).astype(int)
+
+    def gauge(self, section, w):
+        g, rate, lo, hi = section.base.kind.gauge(section.base, w)
+        return g, rate, lo + min(rate, 0.0), hi + max(rate, 0.0)
 
     def sample(self, section, coords, rng):
         base = section.base

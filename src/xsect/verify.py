@@ -2,8 +2,11 @@
 
 The discrete check counts, for Gaussian-sampled points, how many powers
 ``xi A^k`` land in the candidate set; a cross-section gives multiplicity
-exactly 1.  The continuous check exploits that sweeping a continuous
-section over unit time yields a discrete cross-section: the time set
+exactly 1.  A cross-section under its own matrix is probed only in each
+sample's gauge bracket of ``k`` (``_Case.gauge``); reshaped sections, other
+regions and ``exhaustive=True`` take the full scan.  The continuous check
+exploits that sweeping a continuous section over unit time yields a
+discrete cross-section: the time set
 ``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
 come from the closed-form solve and are cross-checked by bisection
 refinement of the membership indicator.
@@ -69,15 +72,16 @@ def _few_refused(skipped, samples) -> bool:
     return skipped <= samples // 20
 
 
-def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=None) -> TilingReport:
+def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=None, exhaustive=False) -> TilingReport:
     """Count orbit hits ``#{k : xi A^k in region}`` over Gaussian samples.
 
     ``region`` needs a vectorized ``membership`` method; cross-sections
     and reshaped sections also provide ``solve``, whose predicted tile
     indices extend the scan: every sample is scanned over the base
     window plus, for heavy-tailed predictions outside it, a 60-wide
-    window around its own predicted index.  Failures (multiplicity !=
-    1) are reported in-band, never raised.
+    window around its own predicted index.  ``exhaustive`` passes on to
+    :func:`dilation_counts`.  Failures (multiplicity != 1) are reported
+    in-band, never raised.
     """
     if a is None:
         a = region.matrix
@@ -95,13 +99,14 @@ def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=Non
             pts, ks = pts[~exc], ks[~exc]
         predictions = ks.astype(int)
 
-    counts = dilation_counts(region, a, pts, k_lo, k_hi)
+    counts = dilation_counts(region, a, pts, k_lo, k_hi, exhaustive=exhaustive)
     far = np.zeros(0, dtype=int)
     if predictions is not None:
         # the counter counts hits of xi A^k; the solver's tile index kp means
         # a hit at k = -kp, so heavy-tailed samples get a window around -kp
         far = np.flatnonzero((-predictions < k_lo + 2) | (-predictions > k_hi - 2))
-        counts[far] += dilation_counts(region, a, pts[far], -60, 60, centres=-predictions[far], skip=(k_lo, k_hi))
+        counts[far] += dilation_counts(region, a, pts[far], -60, 60, centres=-predictions[far], skip=(k_lo, k_hi),
+                                       exhaustive=exhaustive)
     histogram, failures = _tally(pts, counts)
     return TilingReport(
         kind="discrete_tiling",
@@ -115,39 +120,70 @@ def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=Non
     )
 
 
-# rows per membership call of the centred windows in dilation_counts
-_WINDOW_ROWS = 4096
-
-
-def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> np.ndarray:
+def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None, exhaustive=False) -> np.ndarray:
     """``#{k_lo <= j <= k_hi : xi A^j in region}`` for each row ``xi`` of
-    ``pts``; with ``centres`` (and ``skip``), row ``i`` takes ``A^(c_i + j)``
-    instead, leaving out the exponents in the closed range ``skip``.
+    ``pts``; with ``centres``, row ``i`` takes ``A^(c_i + j)`` instead,
+    leaving out the exponents in the closed range ``skip`` (if given).
 
     Each ``A^k`` is a power of its own (:func:`_powers`): a product
     carried along with the points loses the contracting directions of a
-    non-normal ``A``.  A membership call takes one power of all rows, or,
-    for centred windows, one stretch of offsets: the rows of one offset
-    share their tile index, so a section sees few indices per call.
+    non-normal ``A``.  A discrete cross-section under its own matrix is
+    probed only in each row's gauge bracket (:func:`_bracket`).  Otherwise,
+    or if ``exhaustive``, every ``k`` is probed: a membership call takes one
+    power of all rows, or, for centred windows, a stretch of (row, k) pairs.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    offsets = np.arange(k_lo, k_hi + 1)
-    counts = np.zeros(len(pts), dtype=int)
-    if centres is None:
-        for power in _powers(region, a, offsets)[1]:
+    bracket = None if exhaustive else _bracket(region, a, pts)
+    if centres is None and bracket is None:
+        counts = np.zeros(len(pts), dtype=int)
+        for power in _powers(region, a, np.arange(k_lo, k_hi + 1))[1]:
             member, exc = region.membership(pts @ power)
             counts += member & ~exc
         return counts
-    k = (offsets[:, None] + centres).ravel()
-    rows = np.tile(np.arange(len(pts)), len(offsets))
-    keep = (k < skip[0]) | (k > skip[1])
-    k, rows = k[keep], rows[keep]
+    lo, hi = (k_lo, k_hi) if centres is None else (np.add(centres, k_lo), np.add(centres, k_hi))
+    if bracket is not None:
+        lo, hi = np.maximum(bracket[0], lo), np.minimum(bracket[1], hi)
+    return _pair_counts(region, a, pts, lo, hi, (1, 0) if skip is None else skip)
+
+
+def _bracket(region, a, pts):
+    """Per row, the ``k`` range ``[floor(min) - 1, ceil(max) + 1]`` of
+    ``{k : g + k*rate in [lo, hi]}``, outside which ``xi A^k`` misses the
+    section, and an empty range where ``g`` is not finite; None unless
+    :func:`_powers` takes exact Jordan powers and the case has a gauge."""
+    if not (isinstance(region, CrossSection) and region.mode == "discrete" and np.array_equal(a, region.matrix)):
+        return None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gauge = region.kind.gauge(region, region.jordan.to_jordan(pts)[:, region.block.offset :])
+        if gauge is None:
+            return None
+        g, rate, lo, hi = gauge
+        ends = np.sort([(lo - g) / rate, (hi - g) / rate], axis=0)
+        ends = np.where(np.isfinite(ends).all(axis=0), np.clip(ends, -1e15, 1e15), [[1e15], [-1e15]])
+    return (np.floor(ends[0]) - 1).astype(int), (np.ceil(ends[1]) + 1).astype(int)
+
+
+def _pair_counts(region, a, pts, lo, hi, skip):
+    """``#{lo_i <= k <= hi_i, k outside skip : xi_i A^k in region}``.  The
+    pairs are sorted by ``k``; the rows of one ``k`` are shifted as in the
+    full scan, ``pts[rows] @ A^k``, and a membership call takes the shifted
+    rows of consecutive ``k`` until they are as many as a full-scan call's,
+    which keeps the working set near the full scan's."""
+    grid = lo[:, None] + np.arange(np.max(hi - lo, initial=-1) + 1)
+    mask = (grid <= hi[:, None]) & ((grid < skip[0]) | (grid > skip[1]))
+    order = np.argsort(grid[mask], kind="stable")
+    rows = np.nonzero(mask)[0][order]
+    k = grid[mask][order]
+    del grid, mask, order
     exps, powers = _powers(region, a, k)
-    for start in range(0, len(k), _WINDOW_ROWS):
-        part = slice(start, start + _WINDOW_ROWS)
-        shifted = np.einsum("ri,rij->rj", pts[rows[part]], powers[np.searchsorted(exps, k[part])])
-        member, exc = region.membership(shifted)
-        counts += np.bincount(rows[part], weights=member & ~exc, minlength=len(pts)).astype(int)
+    stops = np.searchsorted(k, exps, side="right")
+    counts, first, batch = np.zeros(len(pts), dtype=int), 0, []
+    for start, stop, power in zip(np.r_[0, stops[:-1]], stops, powers):
+        batch.append(pts[rows[start:stop]] @ power)
+        if stop - first >= len(pts) or stop == len(k):
+            member, exc = region.membership(np.concatenate(batch))
+            counts += np.bincount(rows[first:stop], weights=member & ~exc, minlength=len(pts)).astype(int)
+            first, batch = stop, []
     return counts
 
 

@@ -391,3 +391,34 @@ def test_bounded_reshape_that_cannot_converge_is_refused(workdir, capsys):
     sec = write("S.json", {"mode": "discrete", "matrix": {"n": 2, "rows": [[1.0 + 1e-7, 0.0], [0.0, 3.0]]}})
     code, out = run(capsys, ["shape", "--section", sec, "--target", "bounded"])
     assert code == 1 and out["code"] == "search_exhausted"
+
+
+# the kinds of the verify requests of a CLI mix, with the sha256 of the output
+# of the full scan over k in [-60, 60]: the gauge bracket prints the same bytes
+_R = [[0.6, 0.8], [-0.8, 0.6]]
+_GOLDEN_VERIFY = {
+    "modulus_not_one": ("discrete", [[2.0, 1.0], [0.5, 2.5]], 5,
+                        "67054d4eacd03a48be03ccb04b2264c473bafa807a06638ebe74f5d3b2a919de"),
+    "complex_modulus_not_one": ("discrete", [[1.0, 2.0], [-1.5, 0.5]], 6,
+                                "6afe37703f582dc90f771a8f48a445cc774c6169f357cb13c4f0b36405975b0c"),
+    "complex_modulus_one_nilpotent": ("discrete", [_R[0] + [1.0, 0.0], _R[1] + [0.0, 1.0], [0.0, 0.0] + _R[0],
+                                                   [0.0, 0.0] + _R[1]], 7,
+                                      "9cea2f146c3d1918ba697e3b9813d525f7bd15a34670d631478fa8ab6fcc33fe"),
+    "real_nonzero": ("continuous", [[0.5, 1.0], [0.0, -0.3]], 8,
+                     "6251ccc4ae70ab1ba5f6ea8372fa1bc919192a5410748458ca28623d90787e10"),
+    "complex_nonzero": ("continuous", [[1.0, 6.0], [-6.5, 1.0]], 9,
+                        "aa241a51a6c9279fea22ea3a26757fe6e733a1036264c8a8b10e33aeba5fb0d8"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_VERIFY))
+def test_discrete_verify_prints_the_full_scan_bytes(tmp_path, monkeypatch, capsys, case):
+    import hashlib
+
+    mode, rows, seed, digest = _GOLDEN_VERIFY[case]
+    monkeypatch.chdir(tmp_path)  # the manifest names the section file by this relative path
+    (tmp_path / "S.json").write_text(json.dumps({"mode": mode, "matrix": {"n": len(rows), "rows": rows}}))
+    code = main(["verify", "--section", "S.json", "--mode", "discrete", "--samples", "2000", "--seed", str(seed)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -369,3 +369,13 @@ def test_tile_index_beyond_a_million_is_solved():
     assert solve_orbit(section, sol.representative).parameter == 0
     # the representative gamma A^-k is exact in Jordan coordinates
     assert sol.representative.tolist() == [2.0**-22, 2.0**-24]
+
+
+def test_acting_matrix_is_cached_and_never_serialized():
+    # a derived section's matrix is exp(B): one closed-form power, read once
+    derived = derive_discrete_section(build_continuous_section([[0.5, 1.0], [0.2, -0.3]]))
+    before = derived.to_json()
+    assert derived.matrix is derived.matrix
+    np.testing.assert_allclose(derived.matrix, one_parameter_power(derived.jordan, 1.0), rtol=0, atol=0)
+    assert derived.to_json() == before
+    assert derive_discrete_section(derived.base).to_json() == before

@@ -8,9 +8,10 @@ from scipy.linalg import block_diag
 from xsect.errors import BudgetExceeded
 from xsect.sections import build_continuous_section, build_discrete_section, derive_discrete_section
 from xsect.shaping import to_finite_measure
-from xsect.verify import check_continuous_tiling, check_discrete_tiling, jacobian_check, orbit_integral
+from xsect.verify import (check_continuous_tiling, check_discrete_tiling, dilation_counts, jacobian_check,
+                          orbit_integral)
 
-from conftest import DIAG21, SHEAR, SPIRAL
+from conftest import DIAG21, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
 
 
 def gaussian_density(x):
@@ -331,7 +332,6 @@ def test_discrete_tiling_counts_fresh_powers_of_a_non_normal_matrix():
 
 def test_dilation_counts_match_one_power_per_point():
     from xsect.linalg import integer_power
-    from xsect.verify import dilation_counts
 
     a = np.linalg.inv(_P) @ np.diag([2.0, 0.5]) @ _P
     section = build_discrete_section(a)
@@ -356,7 +356,87 @@ def test_conjugated_shear_far_tile_indices_count_once(conjugator_seed, seed):
         p = g.normal(size=(2, 2))
         if np.linalg.cond(p) < 50:
             break
-    a = np.linalg.inv(p) @ SHEAR @ p
-    report = check_discrete_tiling(build_discrete_section(a), samples=10_000, seed=seed)
+    section = build_discrete_section(np.linalg.inv(p) @ SHEAR @ p)
+    report = check_discrete_tiling(section, samples=10_000, seed=seed)
     assert report.histogram == {1: 10_000}
     assert report.passed
+    # the gauge bracket counts the far windows as the full scan does
+    assert report.scan["outlier_windows"] > 0
+    assert report.to_json() == check_discrete_tiling(section, samples=10_000, seed=seed, exhaustive=True).to_json()
+
+
+def test_centred_windows_without_skip_count_every_offset():
+    section = build_discrete_section(np.diag([2.0, 0.5]))
+    pts = np.random.default_rng(9).normal(size=(30, 2))
+    centres = np.random.default_rng(10).integers(-40, 40, size=30)
+    for exhaustive in (False, True):
+        got = dilation_counts(section, section.matrix, pts, -5, 5, centres=centres, exhaustive=exhaustive)
+        # the orbit of xi meets the shell at k = -solve: once within 5 of each centre
+        ks = section.solve(pts)[0].astype(int)
+        assert got.tolist() == (np.abs(-ks - centres) <= 5).astype(int).tolist()
+
+
+def _rot(theta):
+    return np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
+
+
+# one input per discrete case, the 6x6 with free blocks of modulus one, and
+# the generators whose unit-time sweeps are derived discrete sections
+_GAUGED_DISCRETE = {
+    "modulus_not_one": np.array([[2.0, 1.0], [0.0, 2.0]]),
+    "contracting_modulus": np.diag([0.5, 0.9]),
+    "complex_modulus_not_one": SPIRAL,
+    "contracting_spiral": 0.5 * _rot(1.0),
+    "real_modulus_one_nilpotent": SHEAR,
+    "negative_shear": np.array([[-1.0, 1.0], [0.0, -1.0]]),
+    "complex_modulus_one_nilpotent": imaginary_nilpotent_4d(),
+    "six_free_blocks": block_diag([[1.6]], _rot(0.7), SHEAR, [[-1.0]]),
+}
+_GAUGED_GENERATORS = {
+    "real_nonzero": [[math.log(2.0), 1.0], [0.0, math.log(2.0)]],
+    "complex_nonzero": [[1.0, 2 * math.pi], [-2 * math.pi, 1.0]],
+    "zero_nilpotent": [[0.0, 1.0], [0.0, 0.0]],
+    "imaginary_nilpotent": case4_generator(),
+}
+
+
+def _gauged_section(name, conjugator_seed):
+    derived = name not in _GAUGED_DISCRETE
+    m = np.asarray(_GAUGED_GENERATORS[name] if derived else _GAUGED_DISCRETE[name], dtype=float)
+    if conjugator_seed is not None:
+        m = random_conjugate(m, conjugator_seed)[0]
+    if derived:
+        return derive_discrete_section(build_continuous_section(m))
+    return build_discrete_section(m)
+
+
+_GAUGED = [(name, seed) for name in [*_GAUGED_DISCRETE, *_GAUGED_GENERATORS] for seed in (None, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("name, conjugator_seed", _GAUGED)
+def test_bracketed_counts_equal_the_full_scan(name, conjugator_seed):
+    section = _gauged_section(name, conjugator_seed)
+    assert section.kind.gauge(section, np.ones((1, section.n))) is not None
+    a = section.matrix
+    pts = np.random.default_rng(41).normal(size=(400, section.n))
+    base = dilation_counts(section, a, pts, -60, 60)
+    assert base.tolist() == dilation_counts(section, a, pts, -60, 60, exhaustive=True).tolist()
+    # centred windows around the predicted hit, and around random centres
+    hits = -section.solve(pts)[0].astype(int)
+    for centres in (hits, np.random.default_rng(42).integers(-200, 200, size=len(pts))):
+        kw = dict(centres=centres, skip=(-10, 10))
+        assert dilation_counts(section, a, pts, -60, 60, **kw).tolist() == \
+            dilation_counts(section, a, pts, -60, 60, exhaustive=True, **kw).tolist()
+
+
+@pytest.mark.parametrize("name, conjugator_seed", _GAUGED)
+def test_bracket_probes_at_most_twelve_powers_per_sample(monkeypatch, name, conjugator_seed):
+    from xsect.sections import CrossSection
+
+    section = _gauged_section(name, conjugator_seed)
+    rows = []
+    membership = CrossSection.membership
+    monkeypatch.setattr(CrossSection, "membership", lambda s, pts: rows.append(len(pts)) or membership(s, pts))
+    report = check_discrete_tiling(section, samples=2000, seed=5)
+    assert report.passed
+    assert sum(rows) <= 12 * 2000

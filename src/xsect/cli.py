@@ -185,6 +185,8 @@ def _parse_point(text, n, owner) -> np.ndarray:
         point = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise UsageError(f"malformed point {text!r}") from exc
+    if not np.isfinite(point).all():
+        raise UsageError(f"point coordinates must be finite, got {text!r}")
     if n and point.shape[0] != n:
         raise UsageError(f"point has {point.shape[0]} coordinates, {owner} expects {n}")
     return point

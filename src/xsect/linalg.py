@@ -25,7 +25,10 @@ cell pair ``(x, y)`` is the number ``x + iy``, and ``(x, y) @ D`` is
 * integer power ``J^p``: ``C(p, d) lambda^{p-d}``, that is
   ``r^{p-d} R((p-d) theta)`` for a pair, with the generalized binomial
   ``C(p, d) = p (p-1) ... (p-d+1) / d!``, so negative ``p`` needs no
-  inverse.
+  inverse.  For a pair, ``lambda^p`` is formed in extended precision,
+  with the chain coefficients, once per distinct exponent of the batch
+  and gathered to the rows; a row gets the same bits as in a batch of
+  its own.
 
 Ambient powers are ``Q J^p P``.  Their error is about ``cond(Q) eps``,
 where repeated products of the rounded ambient matrix lose ``p^2 eps``
@@ -463,26 +466,33 @@ def _power_stack(bform, rows, ps, integer):
 def _block_power_rows(b: JordanBlock, rows, ps, integer):
     """One block's rows times its power, as the complex Jordan block of
     ``lambda = re + i im`` acting on the cells (a pair ``(x, y)`` is the
-    number ``x + iy``, and ``(x, y) @ D`` is ``(x + iy) lambda``)."""
+    number ``x + iy``, and ``(x, y) @ D`` is ``(x + iy) lambda``).  A pair's
+    integer power and chain coefficients are formed once per distinct
+    exponent, in extended precision, and gathered to the rows."""
     lam = complex(b.re, b.im) if b.is_complex else b.re
+    row_of = slice(None)  # the exponent of each row: ps[row_of]
     if not integer:
         power = np.exp(lam * ps)
     elif b.is_complex:
         # r^p e^{i p theta} in extended precision: a double angle p theta
-        # is off by |p| eps, 1e-10 at |p| ~ 10^6
+        # is off by |p| eps, 1e-10 at |p| ~ 10^6.  A batch of tile indices
+        # holds few distinct ones; told apart by their bits, each row gets
+        # the bits it gets in a batch of its own
+        bits, row_of = np.unique(ps.view(np.int64), return_inverse=True)
+        ps = bits.view(float)
         q, re, im = ps.astype(np.longdouble), np.longdouble(b.re), np.longdouble(b.im)
         r_p, angle = np.exp(q * np.log(np.hypot(re, im))), q * np.arctan2(im, re)
         power = (r_p * np.cos(angle)).astype(float) + 1j * (r_p * np.sin(angle)).astype(float)
     else:
         power = np.power(lam, ps)
     cells = np.ascontiguousarray(rows).view(complex) if b.is_complex else rows
-    acc = cells * power[:, None, None]
+    acc = cells * power[row_of][:, None, None]
     # the chain: cell j gains coeff_d(p) (cell j - d), coeff_d = p^d / d!
     # (flow) or C(p, d) lambda^-d (power)
     shifted, coeff = (acc.copy() if b.chain > 1 else acc), 1.0
     for d in range(1, b.chain):
         coeff = coeff * ((ps - (d - 1)) / (d * lam) if integer else ps / d)
-        acc[..., d:] += coeff[:, None, None] * shifted[..., : b.chain - d]
+        acc[..., d:] += coeff[row_of][:, None, None] * shifted[..., : b.chain - d]
     return acc.view(float) if b.is_complex else acc
 
 

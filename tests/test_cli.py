@@ -330,7 +330,8 @@ def test_non_square_matrix_file_is_usage_error(workdir, capsys):
                                   "check_negative_samples", "partition_order_zero", "partition_zero_pieces",
                                   "partition_negative_pieces", "build_inf_zero_pieces", "shape_negative_samples",
                                   "build_negative_grid", "verify_zero_samples", "integrate_negative_jacobian_points",
-                                  "check_without_seed", "shape_samples_below_one_per_shell"])
+                                  "check_without_seed", "shape_samples_below_one_per_shell",
+                                  "solve_nonfinite_point", "dimfn_nonfinite_point"])
 def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, case):
     tmp, write = workdir
     two = write("two.json", {"n": 1, "rows": [[2.0]]})
@@ -379,6 +380,8 @@ def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, ca
         "check_without_seed": check[:-2],
         "shape_samples_below_one_per_shell": ["shape", "--section", disc, "--target", "finite", "--samples", "5",
                                               "--seed", "1"],
+        "solve_nonfinite_point": ["solve", "--section", disc, "--point", "nan"],
+        "dimfn_nonfinite_point": ["wavelet", "dimfn", "--point", "inf", "--region", unit],
     }[case]
     code = main(argv)
     lines = capsys.readouterr().out.splitlines()

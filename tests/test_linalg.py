@@ -233,6 +233,24 @@ def test_block_powers_match_an_exact_oracle(name):
     assert checked >= len(coords) * len(form.blocks) * 10
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_FORMS))
+def test_batched_block_powers_equal_one_row_calls_bitwise(name):
+    # a batch with mixed, repeated exponents gives each row exactly what a
+    # call on that row alone gives: the integer power is formed once per
+    # distinct exponent and gathered, the flow per row
+    form = _jordan_form_of_blocks(*ORACLE_FORMS[name])
+    rng = np.random.default_rng(11)
+    exponents = [0, 1, -1, 7, -7, 1000, -1000, 10**6, -(10**6)]
+    times = np.concatenate([np.repeat(rng.uniform(-5.0, 5.0, 4), 3), [0.0, -0.0]])
+    for ps, integer in [(np.repeat(exponents, 3).astype(float), True), (times, False)]:
+        ps = rng.permutation(ps)
+        coords = rng.normal(size=(len(ps), form.n))
+        got = jordan_power_rows(form, coords, ps, integer=integer)
+        want = np.vstack([jordan_power_rows(form, c, [p], integer=integer) for c, p in zip(coords, ps)])
+        assert got.tobytes() == want.tobytes(), (name, integer)
+        assert jordan_power_rows(form, coords[:0], ps[:0], integer=integer).shape == (0, form.n)
+
+
 def test_block_power_group_laws(rng):
     # integer powers in Jordan coordinates: J^a J^b = J^(a + b), also
     # across the sign and far beyond the range of integer_power

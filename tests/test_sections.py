@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from xsect.sections import (
     section_to_json,
     solve_orbit,
 )
+from xsect.shaping import to_bounded, to_finite_measure
 
 from conftest import ROT90, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
 
@@ -379,3 +381,32 @@ def test_acting_matrix_is_cached_and_never_serialized():
     np.testing.assert_allclose(derived.matrix, one_parameter_power(derived.jordan, 1.0), rtol=0, atol=0)
     assert derived.to_json() == before
     assert derive_discrete_section(derived.base).to_json() == before
+
+
+NONFINITE_REGIONS = {
+    **{f"continuous_{k}": partial(build_continuous_section, m) for k, m in CONTINUOUS_FIXTURES.items()},
+    **{f"discrete_{k}": partial(build_discrete_section, m) for k, m in DISCRETE_FIXTURES.items()},
+    "derived": lambda: derive_discrete_section(build_continuous_section(CONTINUOUS_FIXTURES["complex_nonzero"])),
+    "finite_measure": lambda: to_finite_measure(build_discrete_section(np.diag([2.0, 0.9]))),
+    "bounded": lambda: to_bounded(build_discrete_section(np.diag([2.0, 3.0]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE_REGIONS))
+def test_non_finite_rows_are_exceptional_without_a_warning(name):
+    # nan, inf or -inf in any coordinate, or in all, is refused like the
+    # origin (a null-set point, last row); the finite first row answers as
+    # it does alone.  The RuntimeWarning filter of the suite fails any warning.
+    region = NONFINITE_REGIONS[name]()
+    n = region.n
+    rows = [np.full(n, 0.7)]
+    for bad in (math.nan, math.inf, -math.inf):
+        rows += [np.where(np.arange(n) == j, bad, 0.7) for j in range(n)] + [np.full(n, bad)]
+    pts = np.array(rows + [np.zeros(n)])
+    member, exc = region.membership(pts)
+    params, reps, solve_exc = region.solve(pts)
+    assert exc[1:].all() and solve_exc[1:].all() and not member[1:].any()
+    assert np.isnan(reps[1:]).all()
+    alone = (*region.membership(pts[:1]), *region.solve(pts[:1]))
+    for got, want in zip((member, exc, params, reps, solve_exc), alone):
+        assert got[:1].tobytes() == want.tobytes()

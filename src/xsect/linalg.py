@@ -35,6 +35,12 @@ where repeated products of the rounded ambient matrix lose ``p^2 eps``
 (Moler and Van Loan, "Nineteen dubious ways to compute the exponential
 of a matrix, twenty-five years later", SIAM Review 45, 2003).
 
+Row reductions over the n <= 8 coordinates of a point run column by
+column: a NumPy reduce along so short a last axis costs more than the
+arithmetic it does.  :func:`row_norms` gives the bits of
+``np.linalg.norm(c, axis=1)`` that way; a column-wise ``&``
+(:func:`finite_rows`) or ``np.maximum`` is exact in any order.
+
 Computing a Jordan form in floating point is intrinsically delicate
 (the form is a discontinuous function of the matrix), so the solver
 clusters eigenvalues over a ladder of radii and accepts the first
@@ -478,8 +484,9 @@ def _block_power_rows(b: JordanBlock, rows, ps, integer):
         # is off by |p| eps, 1e-10 at |p| ~ 10^6.  A batch of tile indices
         # holds few distinct ones; told apart by their bits, each row gets
         # the bits it gets in a batch of its own
-        bits, row_of = np.unique(ps.view(np.int64), return_inverse=True)
-        ps = bits.view(float)
+        if len(ps) > 1:  # a batch of one needs no table
+            bits, row_of = np.unique(ps.view(np.int64), return_inverse=True)
+            ps = bits.view(float)
         q, re, im = ps.astype(np.longdouble), np.longdouble(b.re), np.longdouble(b.im)
         r_p, angle = np.exp(q * np.log(np.hypot(re, im))), q * np.arctan2(im, re)
         power = (r_p * np.cos(angle)).astype(float) + 1j * (r_p * np.sin(angle)).astype(float)
@@ -544,6 +551,29 @@ def integer_power(a, k: int) -> np.ndarray:
         out = np.linalg.matrix_power(a, k)
     if not np.all(np.isfinite(out)):
         raise Overflow(f"A^{k} overflows the floating-point range")
+    return out
+
+
+def row_norms(c) -> np.ndarray:
+    """``np.linalg.norm(c, axis=1)`` of an (m, n) array, bit for bit.
+
+    Below 8 columns NumPy adds a row's squares from left to right, which is
+    the order of the column loop; from 8 on it sums pairwise, and its own
+    norm is taken.  An overflowing square warns as it does there."""
+    n = c.shape[1]
+    if not 0 < n < 8:
+        return np.linalg.norm(c, axis=1)
+    acc = c[:, 0] * c[:, 0]
+    for j in range(1, n):
+        acc += c[:, j] * c[:, j]
+    return np.sqrt(acc)
+
+
+def finite_rows(c) -> np.ndarray:
+    """``np.isfinite(c).all(axis=1)`` of an (m, n) array, column by column."""
+    out = np.ones(c.shape[0], dtype=bool)
+    for j in range(c.shape[1]):
+        out &= np.isfinite(c[:, j])
     return out
 
 

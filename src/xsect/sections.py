@@ -35,6 +35,7 @@ from .errors import DimensionTooHigh, ExceptionalPoint, NoSection
 from .linalg import (
     DEFAULT_TOL,
     RealJordanForm,
+    finite_rows,
     flow_rows,
     integer_power,  # noqa: F401  kept importable here: perfbench's tracer rebinds it in this module
     jordan_flow_batch,
@@ -42,6 +43,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     one_parameter_power,
+    row_norms,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -134,7 +136,7 @@ class CrossSection:
         null set: it is flagged exceptional like one, with no float warning."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.isfinite(pts).all():  # one test of the whole array is 20x cheaper than per row
-            pts = np.where(np.isfinite(pts).all(axis=1, keepdims=True), pts, 0.0)
+            pts = np.where(finite_rows(pts)[:, None], pts, 0.0)
         return self.jordan.to_jordan(pts)
 
     def sample(self, rng, count):
@@ -257,10 +259,12 @@ class _Case:
         kind = "coordinate_zero" if self.pinned == 1 else "pair_zero"
         return {"kind": kind, "indices": list(range(off, off + self.pinned))}
 
-    def null_mask(self, section, coords):
-        # an overflowing norm yields inf and the point is flagged exceptional
-        with np.errstate(over="ignore"):
-            scale = np.maximum(np.linalg.norm(coords, axis=1), 1.0)
+    def null_mask(self, section, coords, norms):
+        """``|x1| <= tol * max(||c||, 1)`` (``|z1|`` for a pair).  ``norms``
+        holds ``||c||`` of each row of ``coords``, from
+        :func:`~xsect.linalg.row_norms`: one call per batch serves this mask
+        and the equality-resolution mask."""
+        scale = np.maximum(norms, 1.0)
         w = coords[:, section.block.offset :]
         if self.pinned == 1:
             return np.abs(w[:, 0]) <= section.tol * scale
@@ -800,8 +804,8 @@ class _DerivedFromContinuous(_Case):
     def null_set(self, section):
         return section.base.null_set()
 
-    def null_mask(self, section, coords):
-        return section.base.kind.null_mask(section.base, coords)
+    def null_mask(self, section, coords, norms):
+        return section.base.kind.null_mask(section.base, coords, norms)
 
     def member(self, section, w, exceptional):
         u = -section.base.kind.parameter(section.base, w, exceptional)
@@ -866,7 +870,15 @@ def _flow_time_mod1(beta, w, exceptional):
 # membership and orbit solving
 
 
-def _eq_resolution_mask(section, coords, eq_scale):
+def _norms(coords):
+    """Euclidean norm of each row of Jordan coordinates, by
+    :func:`~xsect.linalg.row_norms`; an overflowing norm yields inf, and the
+    point is flagged exceptional."""
+    with np.errstate(over="ignore"):
+        return row_norms(coords)
+
+
+def _eq_resolution_mask(section, norms, eq_scale):
     """True where the point's float representation is too coarse to decide
     the case's equality constraints at the working tolerance.
 
@@ -875,17 +887,18 @@ def _eq_resolution_mask(section, coords, eq_scale):
     tolerance the membership question is undecidable and is refused like
     a null-set point."""
     with np.errstate(over="ignore"):
-        noise = 8.0 * section._conj_cond * np.finfo(float).eps * np.linalg.norm(coords, axis=1)
+        noise = 8.0 * section._conj_cond * np.finfo(float).eps * norms
     return section.tol * eq_scale < noise
 
 
 def _membership_core(section, coords):
     kind = section.kind
     w = coords[:, section.block.offset :]
-    exceptional = kind.null_mask(section, coords)
+    norms = _norms(coords)
+    exceptional = kind.null_mask(section, coords, norms)
     eq_scale = kind.eq_scale(section, w)
     if eq_scale is not None:
-        exceptional |= _eq_resolution_mask(section, coords, eq_scale)
+        exceptional |= _eq_resolution_mask(section, norms, eq_scale)
     return kind.member(section, w, exceptional) & ~exceptional, exceptional
 
 
@@ -897,7 +910,7 @@ def power_rows(section, coords, ps):
 
 def _solve_core(section, coords):
     # flow times (continuous) or tile indices (discrete)
-    exceptional = section.kind.null_mask(section, coords)
+    exceptional = section.kind.null_mask(section, coords, _norms(coords))
     params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional)
     continuous = section.mode == "continuous"
     if continuous:
@@ -914,7 +927,7 @@ def _solve_core(section, coords):
     # (constrained block dwarfed by free blocks beyond float resolution), is
     # flagged just like a null-set point: refuse rather than return an
     # unusable answer
-    exceptional |= _membership_core(section, rep_coords)[1] | ~np.isfinite(rep_coords).all(axis=1)
+    exceptional |= _membership_core(section, rep_coords)[1] | ~finite_rows(rep_coords)
     reps = section.jordan.from_jordan(rep_coords)
     reps[exceptional] = np.nan
     if continuous:

@@ -40,9 +40,14 @@ class ShellPartition:
     dim: int
 
     def index_of(self, values) -> np.ndarray:
+        """Shell index of each row of an (m, dim) array."""
+        values = np.asarray(values)
         if self.dim == 0:
-            return np.ones(np.asarray(values).shape[0], dtype=int)
-        r = np.max(np.abs(values), axis=-1)
+            return np.ones(values.shape[0], dtype=int)
+        # the sup-norm of each row, column by column (see xsect.linalg)
+        r = np.abs(values[:, 0])
+        for j in range(1, self.dim):
+            np.maximum(r, np.abs(values[:, j]), out=r)
         with np.errstate(divide="ignore"):
             k = np.where(r < 1.0, 1, np.floor(np.log2(np.maximum(r, 1.0))).astype(int) + 2)
         return k
@@ -121,7 +126,8 @@ class ShapedSection:
 
     def piece_measure_bound(self, k: int) -> float:
         """Upper bound for the ambient measure of S_k."""
-        jac = abs(np.linalg.det(self.base.jordan.conjugator_inverse))
+        # gamma = c @ P: an ambient set is |det P| times its Jordan measure
+        jac = abs(np.linalg.det(self.base.jordan.conjugator))
         return jac * self.base.kind.slab_measure(self.base.params) * self.shell.volume(k)
 
     def shift(self, k: int) -> int:

@@ -181,8 +181,13 @@ class BoxUnion(RegionSet):
     def membership(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         member = np.zeros(pts.shape[0], dtype=bool)
+        if self.boxes and pts.shape[1] != self.n:
+            raise ValueError(f"points have {pts.shape[1]} coordinates, the region {self.n}")
         for lo, hi in self.boxes:
-            inside = np.all((pts >= np.asarray(lo)) & (pts < np.asarray(hi)), axis=1)
+            inside = np.ones(pts.shape[0], dtype=bool)
+            for j, (l, h) in enumerate(zip(lo, hi)):  # column by column (see xsect.linalg)
+                inside &= pts[:, j] >= l
+                inside &= pts[:, j] < h
             member |= inside
         return member, np.zeros(pts.shape[0], dtype=bool)
 
@@ -338,6 +343,8 @@ def translation_counts(region: RegionSet, lattice: Lattice, xis, radius=100.0) -
     """:func:`translation_count` of every row of ``xis``: one membership
     call per chunk of rows, over the candidates of the whole chunk."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    if not np.isfinite(xis).all():
+        raise ValueError("points must be finite")
     out = np.empty(len(xis), dtype=int)
     for start in range(0, len(xis), _CHUNK):
         part = xis[start : start + _CHUNK]

@@ -8,6 +8,7 @@ from xsect.linalg import (
     JordanBlock,
     RealJordanForm,
     assemble_jordan_matrix,
+    finite_rows,
     integer_power,
     jordan_power_batch,
     jordan_power_rows,
@@ -16,6 +17,7 @@ from xsect.linalg import (
     one_parameter_power,
     one_parameter_power_batch,
     real_jordan_form,
+    row_norms,
 )
 
 from conftest import SHEAR, SPIRAL, random_conjugate
@@ -323,3 +325,27 @@ def test_matrix_json_roundtrip():
     np.testing.assert_array_equal(matrix_from_json(matrix_to_json(a)), a)
     with pytest.raises(ValueError):
         matrix_from_json({"n": 3, "rows": [[1.0]]})
+
+
+def _oracle_rows(n, rng):
+    """Rows at scales 1, 1e150 (squares overflow) and 1e-160 (squares
+    underflow), plus rows holding nan, +-inf or only zeros."""
+    rows = [rng.normal(size=(200, n)) * scale for scale in (1.0, 1e150, 1e-160)]
+    special = np.zeros((3 * n + 2, n))
+    for j in range(n):
+        special[3 * j : 3 * j + 3, j] = (math.nan, math.inf, -math.inf)
+    special[-1] = math.nan
+    return np.vstack(rows + [special])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_column_loops_equal_axis_reductions_bitwise(n):
+    # the row reductions of the solve and membership paths run column by
+    # column; each must give the bits of the NumPy reduction it replaces
+    rng = np.random.default_rng(n)
+    c = _oracle_rows(n, rng)
+    for layout in (c, np.asfortranarray(c), np.hstack([c, c])[:, ::2]):
+        with np.errstate(over="ignore"):
+            assert row_norms(layout).tobytes() == np.linalg.norm(layout, axis=1).tobytes()
+    assert np.array_equal(finite_rows(c), np.isfinite(c).all(axis=1))
+    assert finite_rows(c[:, :0]).all() and row_norms(c[:0]).shape == (0,)

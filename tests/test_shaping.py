@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xsect.errors import DetOne, ExceptionalPoint, MixedModuli, SearchExhausted
-from xsect.linalg import integer_power
+from xsect.linalg import box_corners, integer_power
 from xsect.sections import build_discrete_section
 from xsect.shaping import (
     ShellPartition,
@@ -27,6 +27,18 @@ def test_shell_partition_closed_form():
     assert shell.volume(1) == 4.0
     assert shell.volume(2) == 16.0 - 4.0
     assert shell.volume(3) == 64.0 - 16.0
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_shell_index_equals_its_axis_reduction(dim):
+    # index_of takes the sup-norm column by column; it must agree with the
+    # reduction over the last axis, also on the shell edges 1, 2 and 4
+    g = np.random.default_rng(dim)
+    edges = np.array([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -2.0, 4.0, 3.999, 1e300])
+    pts = np.vstack([g.normal(size=(500, dim)) * 3.0, g.choice(edges, size=(500, dim))])
+    r = np.max(np.abs(pts), axis=-1)
+    want = np.where(r < 1.0, 1, np.floor(np.log2(np.maximum(r, 1.0))).astype(int) + 2)
+    np.testing.assert_array_equal(ShellPartition(dim=dim).index_of(pts), want)
 
 
 def test_shell_sampler_stays_in_shell(rng):
@@ -215,6 +227,22 @@ def test_spiral_measure_bound_is_actually_an_upper_bound():
     mc = member.mean() * (2 * r_max) ** 2
     assert mc <= shaped.piece_measure_bound(1)
     assert mc >= shaped.piece_measure_bound(1) / 4.0  # bound is not absurdly loose
+
+
+@pytest.mark.parametrize("p", [[[2.0, 1.0], [0.0, 1.0]], [[0.5, 0.2], [0.1, 0.6]]])
+def test_conjugated_spiral_measure_bound_is_an_upper_bound(p):
+    # the ambient set is its Jordan-coordinate set times P (gamma = c @ P),
+    # so its measure carries |det P|; sampled over the box around the
+    # Jordan box's corners mapped by P
+    s = build_discrete_section(np.linalg.inv(p) @ SPIRAL @ np.asarray(p))
+    bound = to_finite_measure(s).piece_measure_bound(1)
+    r_max = math.exp(s.params["log_span"] + s.params["mu"])
+    corners = box_corners([-r_max] * 2, [r_max] * 2) @ s.jordan.conjugator
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    pts = np.random.default_rng(13).uniform(lo, hi, size=(400_000, 2))
+    member, _ = s.membership(pts)
+    mc = member.mean() * np.prod(hi - lo)
+    assert bound / 4.0 <= mc <= bound
 
 
 def test_bounded_shift_search_that_cannot_converge_refuses():

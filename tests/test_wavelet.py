@@ -50,6 +50,39 @@ def test_dual_point_order_is_norm_then_lex():
     assert [tuple(int(v) for v in p) for p in pts] == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_membership_equals_its_axis_reduction(n):
+    # the box test runs column by column; it must agree with the reduction
+    # over each row, also on points exactly on lo and on hi
+    g = np.random.default_rng(n)
+    region = BoxUnion.build([(-1.0 - 0.5 * np.arange(n), 0.25 + np.arange(n)), ((2.0,) * n, (3.0,) * n)])
+    ends = sorted({v for lo, hi in region.boxes for v in lo + hi})
+    pts = np.vstack([g.normal(size=(400, n)) * 2.0, g.choice(ends + [-np.inf, np.nan], size=(400, n))])
+    want = np.zeros(len(pts), dtype=bool)
+    for lo, hi in region.boxes:
+        want |= np.all((pts >= np.asarray(lo)) & (pts < np.asarray(hi)), axis=1)
+    member, exc = region.membership(pts)
+    np.testing.assert_array_equal(member, want)
+    assert want.any() and not want.all() and not exc.any()
+    # a region without boxes holds no point
+    empty, _ = BoxUnion.build([]).membership(pts)
+    assert not empty.any()
+    with pytest.raises(ValueError):
+        region.membership(np.zeros((2, n + 1)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_counts_refuse_a_non_finite_point(bad):
+    # a non-finite point has no lattice offset to count from; the suite's
+    # RuntimeWarning filter fails a float warning on the way
+    with pytest.raises(ValueError):
+        dimension_function(SHANNON, [bad])
+    with pytest.raises(ValueError):
+        translation_count(SHANNON, Z1, [bad])
+    with pytest.raises(ValueError):
+        translation_counts(TWO_SIDED, Z1, [[0.3], [bad]])
+
+
 def test_translation_count_examples():
     assert translation_count(TWO_SIDED, Z1, [0.3]).value == 2
     assert translation_count(BoxUnion.build([((0.0,), (1.0,))]), Z1, [0.3]).value == 1

@@ -189,15 +189,6 @@ class RealJordanForm:
         """Inverse of :meth:`to_jordan`."""
         return np.asarray(coords, dtype=float) @ self.conjugator
 
-    def to_json(self) -> dict:
-        return {
-            "matrix": matrix_to_json(self.matrix),
-            "blocks": [b.to_json() for b in self.blocks],
-            "conjugator": matrix_to_json(self.conjugator),
-            "conjugator_inverse": matrix_to_json(self.conjugator_inverse),
-            "residual": self.residual,
-        }
-
 
 def assemble_jordan_matrix(blocks, n) -> np.ndarray:
     J = np.zeros((n, n))

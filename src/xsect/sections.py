@@ -124,11 +124,16 @@ class CrossSection:
         the declared null set are flagged exceptional and reported as
         non-members; scalar wrappers turn that flag into an error.
         """
-        return _membership_core(self, self._coords(points))
+        coords = self._coords(points)
+        exceptional = _refused(self, coords)
+        return self.kind.member(self, coords[:, self.block.offset :], exceptional) & ~exceptional, exceptional
 
     def solve(self, points):
         """Vectorized orbit solve: (parameter array, representatives, exceptional)."""
-        return _solve_core(self, self._coords(points))
+        params, rep_coords, exceptional = _solve_core(self, self._coords(points))
+        reps = self.jordan.from_jordan(rep_coords)
+        reps[exceptional] = np.nan
+        return params, reps, exceptional
 
     def _coords(self, points):
         """Jordan coordinates of an (m, n) stack of ambient rows.  A row with
@@ -228,9 +233,12 @@ class _Case:
     ``parameter`` is the flow time ``t`` with ``gamma @ A^t in S``
     (continuous cases) or the tile index ``k`` with ``gamma in S @ A^k``
     (discrete cases); ``exceptional`` is the null-set mask, so the
-    formulas never divide by a vanishing witness coordinate.
+    formulas never divide by a vanishing witness coordinate.  A discrete
+    section meets every orbit once, so it is the set of points of tile
+    index 0, which is the default ``member``; the two slab cases test
+    their slab without a log and a floor per point.
 
-    ``gauge`` gives ``(g, rate, lo, hi)`` or None: a witness coordinate ``g``
+    ``gauge`` gives ``(g, rate, lo, hi)``: a witness coordinate ``g``
     that the action at ``p`` moves to exactly ``g + p*rate``, with
     ``lo <= g <= hi`` on the set; ``g`` is not finite on the null set.  The
     leading cell moves as ``c1 lambda^p`` whatever the chain length, so
@@ -274,8 +282,9 @@ class _Case:
         """Scale of the equality constraints, or None when there are none."""
         return None
 
-    def gauge(self, section, w):
-        return None
+    def member(self, section, w, exceptional):
+        with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it is masked out
+            return self.parameter(section, w, exceptional) == 0
 
     @property
     def flows(self) -> bool:
@@ -631,12 +640,6 @@ class _ModulusNotOne(_Case):
         """Sup-norm radius of the constrained coordinates."""
         return math.exp(params["log_span"])
 
-    def fill_slab(self, section, coords, rng):
-        """Constrained coordinates of points spread over the slab."""
-        lam_big = math.exp(section.params["log_span"])
-        m = coords.shape[0]
-        coords[:, section.block.offset] = rng.choice([-1.0, 1.0], size=m) * rng.uniform(1.0, lam_big, m)
-
     def radial_coordinate(self, section, coords):
         """The expanding radial coordinate of a representative."""
         return np.abs(coords[:, section.block.offset])
@@ -706,16 +709,6 @@ class _ComplexModulusNotOne(_Case):
     def core_radius(self, params):
         return math.exp(params["log_span"] + params["mu"])
 
-    def fill_slab(self, section, coords, rng):
-        off = section.block.offset
-        m = coords.shape[0]
-        mu, omega = section.params["mu"], section.params["omega"]
-        s = rng.uniform(1.0, math.exp(section.params["log_span"]), m)
-        t = rng.uniform(0.0, 1.0, m)
-        r = s * np.exp(t * mu)
-        coords[:, off] = r * np.cos(t * omega)
-        coords[:, off + 1] = r * np.sin(t * omega)
-
     def radial_coordinate(self, section, coords):
         # the spiral radial index
         x1, x2 = coords[:, section.block.offset], coords[:, section.block.offset + 1]
@@ -734,12 +727,6 @@ class _RealModulusOneNilpotent(_Case):
 
     def params(self, blk):
         return {"lam": 1.0 if blk.re > 0 else -1.0}
-
-    def member(self, section, w, exceptional):
-        x1, x2 = w[:, 0], w[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(x1 != 0, x2 / np.where(x1 != 0, x1, 1.0), 0.0)
-        return (ratio >= 0.0) & (ratio < 1.0)
 
     def parameter(self, section, w, exceptional):
         ratio = w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
@@ -761,10 +748,6 @@ class _ComplexModulusOneNilpotent(_Case):
 
     def params(self, blk):
         return {"beta": blk.argument}
-
-    def member(self, section, w, exceptional):
-        u = _flow_time_mod1(section.params["beta"], w, exceptional)
-        return (u >= 0.0) & (u < 1.0)
 
     def parameter(self, section, w, exceptional):
         return np.floor(_flow_time_mod1(section.params["beta"], w, exceptional)).astype(int)
@@ -806,10 +789,6 @@ class _DerivedFromContinuous(_Case):
 
     def null_mask(self, section, coords, norms):
         return section.base.kind.null_mask(section.base, coords, norms)
-
-    def member(self, section, w, exceptional):
-        u = -section.base.kind.parameter(section.base, w, exceptional)
-        return (u >= 0.0) & (u < 1.0)
 
     def parameter(self, section, w, exceptional):
         return np.floor(-section.base.kind.parameter(section.base, w, exceptional)).astype(int)
@@ -891,15 +870,16 @@ def _eq_resolution_mask(section, norms, eq_scale):
     return section.tol * eq_scale < noise
 
 
-def _membership_core(section, coords):
+def _refused(section, coords):
+    """Rows refused as exceptional: the declared null set, and the rows too
+    coarse to resolve the case's equality constraints."""
     kind = section.kind
-    w = coords[:, section.block.offset :]
     norms = _norms(coords)
-    exceptional = kind.null_mask(section, coords, norms)
-    eq_scale = kind.eq_scale(section, w)
+    refused = kind.null_mask(section, coords, norms)
+    eq_scale = kind.eq_scale(section, coords[:, section.block.offset :])
     if eq_scale is not None:
-        exceptional |= _eq_resolution_mask(section, norms, eq_scale)
-    return kind.member(section, w, exceptional) & ~exceptional, exceptional
+        refused |= _eq_resolution_mask(section, norms, eq_scale)
+    return refused
 
 
 def power_rows(section, coords, ps):
@@ -909,9 +889,11 @@ def power_rows(section, coords, ps):
 
 
 def _solve_core(section, coords):
-    # flow times (continuous) or tile indices (discrete)
+    """Flow times (continuous) or tile indices (discrete), the
+    representatives in Jordan coordinates, and the refusal mask."""
     exceptional = section.kind.null_mask(section, coords, _norms(coords))
-    params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional)
+    with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it reads 0
+        params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional)
     continuous = section.mode == "continuous"
     if continuous:
         # flow times whose exponentials leave the float range cannot yield a
@@ -927,38 +909,39 @@ def _solve_core(section, coords):
     # (constrained block dwarfed by free blocks beyond float resolution), is
     # flagged just like a null-set point: refuse rather than return an
     # unusable answer
-    exceptional |= _membership_core(section, rep_coords)[1] | ~finite_rows(rep_coords)
-    reps = section.jordan.from_jordan(rep_coords)
-    reps[exceptional] = np.nan
+    exceptional |= _refused(section, rep_coords) | ~finite_rows(rep_coords)
     if continuous:
-        return np.where(exceptional, np.nan, params), reps, exceptional
-    return np.where(exceptional, 0, params).astype(float), reps, exceptional
+        return np.where(exceptional, np.nan, params), rep_coords, exceptional
+    return np.where(exceptional, 0, params).astype(float), rep_coords, exceptional
 
 
-def piece_shifts(idx, shift) -> np.ndarray:
-    """``shift(i)`` for each piece index in ``idx``, called once per distinct piece."""
-    pieces = np.unique(idx)
-    return np.array([shift(i) for i in pieces], dtype=np.int64)[np.searchsorted(pieces, idx)]
+def pushed_solve(section, points, piece_of, shift):
+    """Orbit solve in ``union_i S_i A^shift(i)`` for the pieces ``S_i`` of
+    ``section``: ``(tile, reps, shifts, refused)``.  ``tile`` is the tile
+    index in ``section`` minus ``shifts``, the shift of the piece
+    ``piece_of(reps)`` holding the base representative, whose Jordan
+    coordinates are ``reps``.  A representative in piece 0 (no piece: it
+    rounded onto an edge of the section) is refused; a refused row has
+    shift 0 and no usable representative."""
+    ks, reps, refused = _solve_core(section, section._coords(points))
+    shifts = np.zeros(len(ks), dtype=np.int64)
+    ok = ~refused
+    if np.any(ok):
+        idx = piece_of(reps[ok])
+        edge = idx == 0
+        if edge.any():  # rows on an edge are rare: compact only when there are some
+            refused[ok] = edge
+            ok, idx = ~refused, idx[~edge]
+        pieces = np.unique(idx)  # one call of shift per distinct piece
+        shifts[ok] = np.array([shift(i) for i in pieces], dtype=np.int64)[np.searchsorted(pieces, idx)]
+    return ks.astype(np.int64) - shifts, reps, shifts, refused
 
 
 def pushed_membership(section, points, piece_of, shift):
-    """Membership in ``union_i S_i A^shift(i)`` for the pieces ``S_i`` of
-    ``section``: a point's tile index must equal the shift of the piece
-    holding its representative.  A representative that ``piece_of`` puts
-    in piece 0 (no piece: it rounded onto an edge of the section) is
-    flagged exceptional."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ks, reps, exc = section.solve(pts)
-    member = np.zeros(pts.shape[0], dtype=bool)
-    ok = ~exc
-    if np.any(ok):
-        idx = piece_of(section.jordan.to_jordan(reps[ok]))
-        edge = idx == 0
-        if edge.any():  # rows on an edge are rare: compact only when there are some
-            exc[ok] = edge
-            ok, idx = ~exc, idx[~edge]
-        member[ok] = ks[ok].astype(np.int64) == piece_shifts(idx, shift)
-    return member, exc
+    """Membership in ``union_i S_i A^shift(i)``: like any discrete set, the
+    points of tile index 0 (see :func:`pushed_solve`), with the refusal mask."""
+    tile, _, _, refused = pushed_solve(section, points, piece_of, shift)
+    return (tile == 0) & ~refused, refused
 
 
 # ---------------------------------------------------------------------------

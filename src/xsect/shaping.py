@@ -24,8 +24,8 @@ import numpy as np
 from .classify import classify_discrete, moduli_one_side
 from .errors import DetOne, MixedModuli, SearchExhausted, UsageError
 from .linalg import box_corners, integer_power
-from .sections import (CrossSection, build_discrete_section, contains, piece_shifts, power_rows,
-                       pushed_membership, solve_orbit)
+from .sections import (CrossSection, build_discrete_section, contains, power_rows, pushed_membership,
+                       pushed_solve, solve_orbit)
 
 
 @dataclass(frozen=True)
@@ -174,18 +174,10 @@ class ShapedSection:
 
     def solve(self, points):
         """Tile index j with ``gamma in S~ A^j`` and the representative."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ks, reps, exc = self.base.solve(pts)
-        params = np.zeros(pts.shape[0])
-        out_reps = np.full_like(pts, np.nan)
-        ok = ~exc
-        if np.any(ok):
-            form = self.base.jordan
-            coords = form.to_jordan(reps[ok])
-            shifts = piece_shifts(self._shell_index(coords), self.shift)
-            params[ok] = ks[ok].astype(int) - shifts
-            out_reps[ok] = form.from_jordan(power_rows(self.base, coords, shifts))
-        return params, out_reps, exc
+        tile, reps, shifts, exc = pushed_solve(self.base, points, self._shell_index, self.shift)
+        out_reps, ok = np.full_like(reps, np.nan), ~exc
+        out_reps[ok] = self.base.jordan.from_jordan(power_rows(self.base, reps[ok], shifts[ok]))
+        return tile.astype(float), out_reps, exc
 
     def sample_pieces(self, rng, count: int) -> np.ndarray:
         """Draw points from the reshaped set, mixing the first shells."""
@@ -194,7 +186,7 @@ class ShapedSection:
         for k in np.unique(shells):
             sel = np.flatnonzero(shells == k)
             coords = np.zeros((len(sel), self.n))
-            self.base.kind.fill_slab(self.base, coords, rng)
+            self.base.kind.sample(self.base, coords, rng)
             coords[:, list(self.free_dims)] = self.shell.sample(rng, int(k), len(sel))
             ambient = self.base.jordan.from_jordan(coords)
             out[sel] = ambient @ integer_power(self.matrix, self.shift(int(k)))

@@ -150,14 +150,11 @@ def _bracket(region, a, pts):
     """Per row, the ``k`` range ``[floor(min) - 1, ceil(max) + 1]`` of
     ``{k : g + k*rate in [lo, hi]}``, outside which ``xi A^k`` misses the
     section, and an empty range where ``g`` is not finite; None unless
-    :func:`_powers` takes exact Jordan powers and the case has a gauge."""
+    :func:`_powers` takes exact Jordan powers."""
     if not (isinstance(region, CrossSection) and region.mode == "discrete" and np.array_equal(a, region.matrix)):
         return None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gauge = region.kind.gauge(region, region.jordan.to_jordan(pts)[:, region.block.offset :])
-        if gauge is None:
-            return None
-        g, rate, lo, hi = gauge
+        g, rate, lo, hi = region.kind.gauge(region, region.jordan.to_jordan(pts)[:, region.block.offset :])
         ends = np.sort([(lo - g) / rate, (hi - g) / rate], axis=0)
         ends = np.where(np.isfinite(ends).all(axis=0), np.clip(ends, -1e15, 1e15), [[1e15], [-1e15]])
     return (np.floor(ends[0]) - 1).astype(int), (np.ceil(ends[1]) + 1).astype(int)

@@ -619,8 +619,8 @@ class DilationShiftedSection(RegionSet):
     section: object  # CrossSection for the expanding action
     lattice: Lattice
     pieces: int
-    _shifts: dict = field(default_factory=dict, repr=False)
-    _certs: dict = field(default_factory=dict, repr=False)
+    # slab index -> (power, certified dual point or None until certified)
+    _slabs: dict = field(default_factory=dict, repr=False)
 
     @property
     def matrix(self):
@@ -628,20 +628,22 @@ class DilationShiftedSection(RegionSet):
 
     def shift(self, i: int) -> int:
         i = int(i)
-        if i not in self._shifts:
-            self._shifts[i] = _slab_shift(self.section, self.lattice, i)
-        return self._shifts[i]
+        if i not in self._slabs:
+            self._slabs[i] = _slab_shift(self.section, self.lattice, i)
+        return self._slabs[i][0]
 
     def certificate(self, i: int):
         """(power, dual point) with ``Y + gamma`` inside piece i."""
         i = int(i)
-        if i not in self._certs:
-            k = self.shift(i)
+        if i not in self._slabs:
+            self.shift(i)
+        k, gamma = self._slabs[i]
+        if gamma is None:  # a real witness: the width rule set the power without a search
             gamma = _dual_point_in_slab(self.section, self.lattice, i, k)
             if gamma is None:
                 raise SearchExhausted(f"no certified dual translate for piece {i}", radius=k)
-            self._certs[i] = (k, tuple(float(v) for v in gamma))
-        return self._certs[i]
+            self._slabs[i] = (k, gamma)
+        return k, tuple(float(v) for v in gamma)
 
     @property
     def certificates(self):
@@ -694,22 +696,24 @@ _MAX_POWER = 200
 
 
 def _slab_shift(section, lattice, i):
-    """Power pushing slab i over a whole dual-domain translate.
+    """Power pushing slab i over a whole dual-domain translate, and the
+    dual point of that translate, or None where no search was run.
 
     For a real witness the width rule suffices: once the pushed slab is
     at least twice the domain diameter (in Jordan coordinates) wide, the
     tile of its midpoint fits.  The spiral additionally needs the
-    conservative geometric test to succeed."""
+    conservative geometric test to succeed, which finds the dual point."""
     lo, hi = _slab_bounds(section, i)
     corners = section.jordan.to_jordan(lattice.domain_corners())
     diam = float(np.linalg.norm(corners[:, None] - corners[None], axis=-1).max())
     growth = section.kind.slab_growth(section.params)
     k_min = max(1, math.ceil(math.log(2.0 * diam / (hi - lo)) / math.log(growth)))
     if not section.kind.turns:
-        return int(k_min)
+        return int(k_min), None
     for k in range(int(k_min), _MAX_POWER + 1):
-        if _dual_point_in_slab(section, lattice, i, k) is not None:
-            return k
+        gamma = _dual_point_in_slab(section, lattice, i, k)
+        if gamma is not None:
+            return k, gamma
     raise SearchExhausted(f"no admissible push for slab {i} within {_MAX_POWER} powers", radius=_MAX_POWER)
 
 
@@ -753,9 +757,11 @@ def _build_case_moduli(section, lattice, pieces):
 
 def _dual_point_in_slab(section, lattice, i, k):
     """A dual point whose whole domain translate fits inside slab i pushed
-    by ``A^k``; the smallest in selector order among the candidates
-    examined (both sign branches for a real witness).  The slab is a set
-    of Jordan coordinates, so the translates' corners are mapped there."""
+    by ``A^k``, or None.  Of the :func:`_dual_points_near` candidates that
+    pass, a real witness keeps the least in (norm, float coordinates) over
+    both sign branches, a spiral the first in integer-grid order; neither
+    need be the least in selector order.  The slab is a set of Jordan
+    coordinates, so the translates' corners are mapped there."""
     off = section.block.offset
     corners = section.jordan.to_jordan(lattice.domain_corners())
     center = np.zeros(lattice.n)

@@ -101,6 +101,32 @@ def test_verify_deterministic_bytes(workdir, capsys):
     assert first == second
 
 
+def test_verify_continuous_mode(workdir, capsys):
+    _, write = workdir
+    sec = write("C.json", {"mode": "continuous", "matrix": {"n": 2, "rows": [[0.0, 1.0], [0.0, 0.0]]}})
+    code, out = run(capsys, ["verify", "--section", sec, "--mode", "continuous", "--samples", "200", "--seed", "1"])
+    assert code == 0
+    report = out["report"]
+    assert report["kind"] == "continuous_tiling" and report["passed"] is True
+    assert report["histogram"] == {"1": 200} and report["skipped_null"] == 0
+
+
+def test_verify_dump_writes_one_row_per_sample(workdir, capsys):
+    # the samples of a discrete check as CSV: a member is a point of tile index 0
+    tmp, write = workdir
+    sec = write("C.json", {"mode": "continuous", "matrix": {"n": 2, "rows": [[0.0, 1.0], [0.0, 0.0]]}})
+    dump = tmp / "samples.csv"
+    code, out = run(capsys, ["verify", "--section", sec, "--mode", "discrete", "--samples", "50", "--seed", "2",
+                             "--dump", str(dump)])
+    assert code == 0 and out["report"]["passed"] is True
+    header, *rows = dump.read_text().splitlines()
+    assert header == "x1,x2,member,parameter" and len(rows) == 50
+    fields = [row.split(",") for row in rows]
+    assert all(len(f) == 4 for f in fields)
+    assert all((member == "1") == (tile == "0") for *_, member, tile in fields)
+    assert {member for *_, member, _ in fields} == {"0", "1"}
+
+
 def test_shape_det_one_exit_2(workdir, capsys):
     tmp, write = workdir
     path = write("m.json", {"n": 2, "rows": [[2.0, 0.0], [0.0, 0.5]]})
@@ -169,6 +195,19 @@ def test_wavelet_partition_on_a_skewed_lattice(workdir, capsys, basis, boxes, or
     first = out["pieces"][0]
     assert first["kind"] == "selector" and first["search_points"] == 4000
     assert first["lattice"]["basis"]["rows"] == basis
+
+
+def test_wavelet_partition_verified_by_seed(workdir, capsys):
+    # with --seed the pieces of the doubled set on Z are checked to tile once each
+    _, write = workdir
+    lat = write("g.json", {"basis": {"n": 1, "rows": [[1.0]]}})
+    region = write("k.json", {"kind": "boxes", "boxes": [{"lo": [-2.0], "hi": [-1.0]}, {"lo": [1.0], "hi": [2.0]}]})
+    code, out = run(capsys, ["wavelet", "partition", "--lattice", lat, "--region", region, "--order", "2",
+                             "--seed", "3", "--samples", "100"])
+    assert code == 0
+    check = out["verification"]
+    assert check["pieces_count_one"] is True and (check["samples"], check["seed"]) == (100, 3)
+    assert check["histograms"] == {"0": {"1": 100}, "1": {"1": 100}}
 
 
 def test_wavelet_dimfn(workdir, capsys):
@@ -330,7 +369,7 @@ def test_non_square_matrix_file_is_usage_error(workdir, capsys):
                                   "check_negative_samples", "partition_order_zero", "partition_zero_pieces",
                                   "partition_negative_pieces", "build_inf_zero_pieces", "shape_negative_samples",
                                   "build_negative_grid", "verify_zero_samples", "integrate_negative_jacobian_points",
-                                  "check_without_seed", "shape_samples_below_one_per_shell",
+                                  "check_without_seed", "shape_without_seed", "shape_samples_below_one_per_shell",
                                   "solve_nonfinite_point", "dimfn_nonfinite_point"])
 def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, case):
     tmp, write = workdir
@@ -378,6 +417,7 @@ def test_inputs_that_do_not_fit_the_command_are_usage_errors(workdir, capsys, ca
         "verify_zero_samples": ["verify", "--section", disc, "--mode", "discrete", "--samples", "0", "--seed", "1"],
         "integrate_negative_jacobian_points": ["integrate", "--section", cont, "--jacobian-points", "-1"],
         "check_without_seed": check[:-2],
+        "shape_without_seed": ["shape", "--section", disc, "--target", "finite", "--samples", "100"],
         "shape_samples_below_one_per_shell": ["shape", "--section", disc, "--target", "finite", "--samples", "5",
                                               "--seed", "1"],
         "solve_nonfinite_point": ["solve", "--section", disc, "--point", "nan"],

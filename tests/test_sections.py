@@ -11,13 +11,15 @@ from xsect.sections import (
     build_discrete_section,
     contains,
     derive_discrete_section,
+    pushed_solve,
     section_from_json,
     section_to_json,
     solve_orbit,
 )
 from xsect.shaping import to_bounded, to_finite_measure
+from xsect.wavelet import Lattice, build_order_infinity_set
 
-from conftest import ROT90, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
+from conftest import DIAG23, ROT90, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
 
 
 def omega_block(beta):
@@ -410,3 +412,63 @@ def test_non_finite_rows_are_exceptional_without_a_warning(name):
     alone = (*region.membership(pts[:1]), *region.solve(pts[:1]))
     for got, want in zip((member, exc, params, reps, solve_exc), alone):
         assert got[:1].tobytes() == want.tobytes()
+
+
+SLICEABLE = [k for k in sorted(DISCRETE_FIXTURES) if k.startswith(("modulus_not_one", "complex_modulus_not_one"))]
+TILED_REGIONS = {
+    **{k: partial(build_discrete_section, m) for k, m in DISCRETE_FIXTURES.items()},
+    **{f"{k}_conj{seed}": partial(build_discrete_section, random_conjugate(m, seed)[0])
+       for k, m in DISCRETE_FIXTURES.items() for seed in (91, 47)},
+    **{f"derived_{k}": partial(lambda b: derive_discrete_section(build_continuous_section(b)), m)
+       for k, m in CONTINUOUS_FIXTURES.items()},
+    **{f"finite_{k}": partial(lambda a: to_finite_measure(build_discrete_section(a)), DISCRETE_FIXTURES[k])
+       for k in SLICEABLE},
+    **{f"bounded_{k}": partial(lambda a: to_bounded(build_discrete_section(a)), DISCRETE_FIXTURES[k])
+       for k in SLICEABLE},
+    "order_infinity_cone": lambda: build_order_infinity_set(SHEAR, Lattice.integers(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILED_REGIONS))
+def test_membership_is_tile_index_zero(name):
+    # a discrete cross-section meets each orbit once: a point is a member
+    # exactly when its tile index is 0, wherever neither call refuses it
+    region = TILED_REGIONS[name]()
+    pts = np.random.default_rng(5).normal(size=(2000, region.matrix.shape[0]))
+    member, exc = region.membership(pts)
+    tile, reps, solve_exc = region.solve(pts)
+    both = ~exc & ~solve_exc
+    assert both.sum() >= 1900 and member.any()
+    assert (member[both] == (tile[both] == 0)).all()
+    if name.startswith(("finite_", "bounded_")):
+        # a reshaped set's representatives are members and re-solve to tile 0
+        rep_member, rep_exc = region.membership(reps[~solve_exc])
+        again, _, again_exc = region.solve(reps[~solve_exc])
+        assert not rep_exc.any() and not again_exc.any()
+        assert rep_member.all() and (again == 0).all()
+
+
+@pytest.mark.parametrize("a", [DIAG23, SPIRAL], ids=["real", "spiral"])
+def test_pushed_membership_is_pushed_tile_index_zero(a):
+    # Gaussian points, and lattice points, some of whose representatives
+    # round onto an edge of the radial range and are refused
+    k = build_order_infinity_set(a, Lattice.integers(2), pieces=4)
+    grid = np.stack(np.meshgrid(np.arange(-20.0, 21.0), np.arange(-20.0, 21.0)), axis=-1).reshape(-1, 2)
+    pts = np.vstack([np.random.default_rng(6).normal(size=(4000, 2)) * 30.0, grid])
+    member, exc = k.membership(pts)
+    tile, _, shifts, refused = pushed_solve(k.section, pts, k._slab_index, k.shift)
+    assert (exc == refused).all() and member.any() and refused.any()
+    assert (member == ((tile == 0) & ~refused)).all() and (shifts[refused] == 0).all()
+
+
+@pytest.mark.parametrize("name", sorted(TILED_REGIONS))
+def test_rows_beyond_the_float_range_are_refused_without_a_warning(name):
+    # rows near 1e300 overflow the norm and are refused; the cone and shear
+    # cases read their tile indices beyond int64 there, which must not warn
+    # (the suite's RuntimeWarning filter fails any warning)
+    region = TILED_REGIONS[name]()
+    pts = np.random.default_rng(7).normal(size=(200, region.matrix.shape[0])) * 1e300
+    member, exc = region.membership(pts)
+    tile, reps, solve_exc = region.solve(pts)
+    assert exc.all() and solve_exc.all() and not member.any()
+    assert (tile == 0).all() and np.isnan(reps).all()

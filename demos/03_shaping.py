@@ -11,8 +11,8 @@ import numpy as np
 
 from xsect import (
     build_discrete_section,
-    shaped_contains,
-    shaped_solve_orbit,
+    contains,
+    solve_orbit,
     to_bounded,
     to_finite_measure,
 )
@@ -33,9 +33,9 @@ print(f"stratified Monte Carlo measure: {est.estimate:.4f} +/- {est.bound:.4f}"
       f" (+ tail bound {est.tail_bound:.1e}) <= 1")
 
 print("\nmembership moved with the pieces:")
-print("  (0.15, 0.5) in reshaped set:", shaped_contains(shaped, [0.15, 0.5]))
-print("  (1.20, 0.5) in reshaped set:", shaped_contains(shaped, [1.2, 0.5]))
-sol = shaped_solve_orbit(shaped, [1.2, 0.5])
+print("  (0.15, 0.5) in reshaped set:", contains(shaped, [0.15, 0.5]))
+print("  (1.20, 0.5) in reshaped set:", contains(shaped, [1.2, 0.5]))
+sol = solve_orbit(shaped, [1.2, 0.5])
 print(f"  but its orbit still hits it once: tile {sol.parameter}, rep {sol.representative}")
 
 # A = diag(2, 3) is expansive, so the pieces can be pulled into the unit ball.

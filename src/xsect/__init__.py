@@ -60,8 +60,6 @@ from .shaping import (
     ShapedSection,
     ShellPartition,
     estimate_measure,
-    shaped_contains,
-    shaped_solve_orbit,
     to_bounded,
     to_finite_measure,
 )

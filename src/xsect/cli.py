@@ -283,11 +283,7 @@ def _cmd_shape(args):
     if section.mode != "discrete" or section.base is not None:
         raise UsageError("shape needs a native discrete section")
     _check_matrix(args.matrix, section)
-    shaped = (
-        to_finite_measure(section, tol=args.tol)
-        if args.target == "finite"
-        else to_bounded(section, tol=args.tol)
-    )
+    shaped = to_finite_measure(section) if args.target == "finite" else to_bounded(section)
     payload = {"shaped": shaped.to_json()}
     if args.target == "finite" and args.samples:
         if args.seed is None:

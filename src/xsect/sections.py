@@ -915,33 +915,50 @@ def _solve_core(section, coords):
     return np.where(exceptional, 0, params).astype(float), rep_coords, exceptional
 
 
-def pushed_solve(section, points, piece_of, shift):
-    """Orbit solve in ``union_i S_i A^shift(i)`` for the pieces ``S_i`` of
-    ``section``: ``(tile, reps, shifts, refused)``.  ``tile`` is the tile
-    index in ``section`` minus ``shifts``, the shift of the piece
-    ``piece_of(reps)`` holding the base representative, whose Jordan
-    coordinates are ``reps``.  A representative in piece 0 (no piece: it
-    rounded onto an edge of the section) is refused; a refused row has
-    shift 0 and no usable representative."""
-    ks, reps, refused = _solve_core(section, section._coords(points))
-    shifts = np.zeros(len(ks), dtype=np.int64)
-    ok = ~refused
-    if np.any(ok):
-        idx = piece_of(reps[ok])
-        edge = idx == 0
-        if edge.any():  # rows on an edge are rare: compact only when there are some
-            refused[ok] = edge
-            ok, idx = ~refused, idx[~edge]
-        pieces = np.unique(idx)  # one call of shift per distinct piece
-        shifts[ok] = np.array([shift(i) for i in pieces], dtype=np.int64)[np.searchsorted(pieces, idx)]
-    return ks.astype(np.int64) - shifts, reps, shifts, refused
+class PushedSection:
+    """A union ``union_i S_i A^shift(i)`` of the pieces ``S_i`` of the discrete
+    cross-section ``base``: a reshaped or an order-infinity set.  Like any
+    discrete set it is its points of tile index 0, where a point's tile
+    index is its tile index in ``base`` minus the shift of the piece that
+    holds its base representative.  A subclass supplies ``base``,
+    ``shift(i)`` and ``piece_of(coords)``, the piece of each representative
+    in Jordan coordinates; piece 0 (no piece: the representative rounded
+    onto an edge of the section) is refused."""
 
+    mode = "discrete"
 
-def pushed_membership(section, points, piece_of, shift):
-    """Membership in ``union_i S_i A^shift(i)``: like any discrete set, the
-    points of tile index 0 (see :func:`pushed_solve`), with the refusal mask."""
-    tile, _, _, refused = pushed_solve(section, points, piece_of, shift)
-    return (tile == 0) & ~refused, refused
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.base.matrix
+
+    @property
+    def n(self) -> int:
+        return self.base.n
+
+    def _pushed(self, points):
+        """``(tile, reps, pieces, shifts, refused)``: the pushed tile index, the
+        base representatives' Jordan coordinates, and each row's piece and
+        shift; a refused row has piece 0, shift 0 and no usable representative."""
+        ks, reps, refused = _solve_core(self.base, self.base._coords(points))
+        pieces = np.zeros(len(ks), dtype=int)
+        pieces[~refused] = self.piece_of(reps[~refused])
+        refused |= pieces == 0
+        distinct, inverse = np.unique(pieces[~refused], return_inverse=True)  # one shift per distinct piece
+        shifts = np.zeros(len(ks), dtype=np.int64)
+        shifts[~refused] = np.array([self.shift(i) for i in distinct], dtype=np.int64)[inverse]
+        return ks.astype(np.int64) - shifts, reps, pieces, shifts, refused
+
+    def membership(self, points):
+        """The points of pushed tile index 0, with the refusal mask."""
+        tile, _, _, _, refused = self._pushed(points)
+        return (tile == 0) & ~refused, refused
+
+    def solve(self, points):
+        """Tile index j with ``gamma in S~ A^j`` and the representative."""
+        tile, reps, _, shifts, refused = self._pushed(points)
+        out_reps, ok = np.full_like(reps, np.nan), ~refused
+        out_reps[ok] = self.base.jordan.from_jordan(power_rows(self.base, reps[ok], shifts[ok]))
+        return tile.astype(float), out_reps, refused
 
 
 # ---------------------------------------------------------------------------

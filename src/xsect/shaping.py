@@ -9,9 +9,10 @@ that either the total measure stays below 1 (``delta^{n_k} <=
 d_k/m(S_k)`` with weights ``d_k = 2^{-k}`` summing to 1) or every piece
 lands inside the closed unit ball.
 
-Membership in the reshaped set is computable: solve the base orbit,
-read off which shell the representative lives in, and compare the tile
-index with that shell's shift.
+A reshaped set is a :class:`~xsect.sections.PushedSection` whose pieces
+are the shells, so it is its points of tile index 0 and the scalar
+``contains`` and ``solve_orbit`` serve it.  Reshaping takes only the
+section, and uses its matrix and tolerance.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import classify_discrete, moduli_one_side
+from .classify import moduli_one_side
 from .errors import DetOne, MixedModuli, SearchExhausted, UsageError
 from .linalg import box_corners, integer_power
-from .sections import (CrossSection, build_discrete_section, contains, power_rows, pushed_membership,
-                       pushed_solve, solve_orbit)
+from .sections import CrossSection, PushedSection
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,9 @@ _ESTIMATE_SHELLS = 24
 
 
 @dataclass(frozen=True)
-class ShapedSection:
-    """A reshaped cross-section ``union_k S_k A^{n_k}``."""
+class ShapedSection(PushedSection):
+    """A reshaped cross-section ``union_k S_k A^{n_k}``: piece k is the dyadic
+    shell k of the free coordinates."""
 
     base: CrossSection
     target: str  # 'finite' | 'bounded'
@@ -111,15 +112,8 @@ class ShapedSection:
     # shared by every shell and extended where it ends
     _power_norms: list = field(default_factory=list, repr=False)
 
-    mode = "discrete"  # a reshaped section tiles under the powers of A
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.base.matrix
-
-    @property
-    def n(self) -> int:
-        return self.base.n
+    # in the class body: perfbench's tracer wraps these names of this class
+    membership, solve = PushedSection.membership, PushedSection.solve
 
     def weight(self, k: int) -> float:
         return 2.0 ** (-k)
@@ -166,18 +160,9 @@ class ShapedSection:
 
     # -- evaluation -------------------------------------------------------
 
-    def membership(self, points):
-        return pushed_membership(self.base, points, self._shell_index, self.shift)
-
-    def _shell_index(self, coords):
+    def piece_of(self, coords):
+        """Shell of each base representative (Jordan coordinates)."""
         return self.shell.index_of(coords[:, list(self.free_dims)])
-
-    def solve(self, points):
-        """Tile index j with ``gamma in S~ A^j`` and the representative."""
-        tile, reps, shifts, exc = pushed_solve(self.base, points, self._shell_index, self.shift)
-        out_reps, ok = np.full_like(reps, np.nan), ~exc
-        out_reps[ok] = self.base.jordan.from_jordan(power_rows(self.base, reps[ok], shifts[ok]))
-        return tile.astype(float), out_reps, exc
 
     def sample_pieces(self, rng, count: int) -> np.ndarray:
         """Draw points from the reshaped set, mixing the first shells."""
@@ -214,7 +199,9 @@ class ShapedSection:
         """Stratified Monte Carlo estimate of the total measure.
 
         Each piece is sampled inside its own tight box (a global box
-        would dwarf the set and make the estimate vacuous); the strata
+        would dwarf the set and make the estimate vacuous), and stratum k
+        counts only the points of piece k: the boxes of skewed pieces
+        overlap, and other pieces may reach into them.  The strata
         estimates and their Bernoulli variances add, and pieces beyond
         ``_ESTIMATE_SHELLS`` contribute the tail bound.  A budget below one
         sample per shell raises :class:`UsageError`."""
@@ -228,8 +215,8 @@ class ShapedSection:
             lo, hi = self.piece_box(k)
             vol = float(np.prod(hi - lo))
             pts = rng.uniform(lo, hi, size=(per, self.n))
-            member, exc = self.membership(pts)
-            p = float(np.count_nonzero(member & ~exc)) / per
+            tile, _, piece, _, refused = self._pushed(pts)
+            p = float(np.count_nonzero((tile == 0) & (piece == k) & ~refused)) / per
             total += p * vol
             var += (p * (1.0 - p) / per) * vol * vol
         return MeasureEstimate(
@@ -275,53 +262,36 @@ def _shaped(section: CrossSection, target: str, delta: float) -> ShapedSection:
                          shell=ShellPartition(dim=len(free)), free_dims=free)
 
 
-def to_finite_measure(section: CrossSection, a=None, tol=None) -> ShapedSection:
+def to_finite_measure(section: CrossSection) -> ShapedSection:
     """Reshape into a cross-section of measure at most 1.
 
     Requires ``|det A| != 1``; under that hypothesis the section built
-    by :func:`build_discrete_section` is always one of the two sliceable
-    cases (some eigenvalue modulus differs from 1).
+    by :func:`~xsect.sections.build_discrete_section` is always one of the
+    two sliceable cases (some eigenvalue modulus differs from 1).
     """
-    section = _coerce_section(section, a)
-    tol = section.tol if tol is None else tol
+    _check_native(section)
     delta = abs(float(np.linalg.det(section.matrix)))
-    if abs(delta - 1.0) <= tol:
+    if abs(delta - 1.0) <= section.tol:
         raise DetOne(f"|det A| = {delta!r}: no finite-measure cross-section exists")
     if not section.kind.sliceable:
         raise ValueError(f"finite-measure reshaping needs a sliceable section, got case {section.case!r}")
     return _shaped(section, "finite", delta)
 
 
-def to_bounded(section: CrossSection, a=None, tol=None) -> ShapedSection:
+def to_bounded(section: CrossSection) -> ShapedSection:
     """Reshape into a cross-section inside the closed unit ball.
 
-    Requires every eigenvalue modulus strictly on one side of 1.  At the
-    section's own tolerance its Jordan form decides; any other ``tol``
-    classifies the matrix again."""
-    section = _coerce_section(section, a)
-    tol = section.tol if tol is None else tol
-    form = section.jordan if tol == section.tol else classify_discrete(section.matrix, tol=tol).jordan
-    if not moduli_one_side(form, tol):
+    Requires every eigenvalue modulus strictly on one side of 1, as the
+    section's Jordan form reads them at its own tolerance."""
+    _check_native(section)
+    if not moduli_one_side(section.jordan, section.tol):
         raise MixedModuli("eigenvalue moduli straddle 1: no bounded cross-section exists")
     return _shaped(section, "bounded", abs(float(np.linalg.det(section.matrix))))
 
 
-def _coerce_section(section, a):
-    if isinstance(section, CrossSection):
-        if section.mode != "discrete" or section.base is not None:
-            raise ValueError("reshaping applies to the native discrete sections")
-        if a is not None and not np.allclose(np.asarray(a, dtype=float), section.matrix):
-            raise ValueError("matrix argument disagrees with the section's matrix")
-        return section
-    # allow passing the matrix directly
-    return build_discrete_section(section if a is None else a)
-
-
-# the scalar wrappers only need ``membership``, ``solve`` and ``mode``
-shaped_contains = contains
-
-
-shaped_solve_orbit = solve_orbit
+def _check_native(section):
+    if not isinstance(section, CrossSection) or section.mode != "discrete" or section.base is not None:
+        raise ValueError("reshaping applies to the native discrete sections")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The discrete check counts, for Gaussian-sampled points, how many powers
 ``xi A^k`` land in the candidate set; a cross-section gives multiplicity
 exactly 1.  A cross-section under its own matrix is probed only in each
-sample's gauge bracket of ``k`` (``_Case.gauge``); reshaped sections, other
+sample's gauge bracket of ``k`` (``_Case.gauge``); pushed sets, other
 regions and ``exhaustive=True`` take the full scan.  The continuous check
 exploits that sweeping a continuous section over unit time yields a
 discrete cross-section: the time set
@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, Overflow, QuadratureDivergence
 from .linalg import flow_rows, integer_power, jordan_power_batch, jordan_power_rows
-from .sections import CrossSection, derive_discrete_section
-from .shaping import ShapedSection
+from .sections import CrossSection, PushedSection, derive_discrete_section
 
 
 @dataclass(frozen=True)
@@ -72,24 +71,27 @@ def _few_refused(skipped, samples) -> bool:
     return skipped <= samples // 20
 
 
-def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=None, exhaustive=False) -> TilingReport:
-    """Count orbit hits ``#{k : xi A^k in region}`` over Gaussian samples.
+# powers k_lo..k_hi of the discrete check's base and outlier windows
+_K_RANGE = (-60, 60)
+
+
+def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -> TilingReport:
+    """Count orbit hits ``#{k : xi A^k in region}`` over Gaussian samples,
+    ``A`` being ``region.matrix``.
 
     ``region`` needs a vectorized ``membership`` method; cross-sections
-    and reshaped sections also provide ``solve``, whose predicted tile
-    indices extend the scan: every sample is scanned over the base
-    window plus, for heavy-tailed predictions outside it, a 60-wide
-    window around its own predicted index.  ``exhaustive`` passes on to
+    and pushed sets also provide ``solve``, whose predicted tile indices
+    extend the scan: every sample is scanned over the base window plus,
+    for heavy-tailed predictions outside it, the same window around its
+    own predicted index.  ``exhaustive`` passes on to
     :func:`dilation_counts`.  Failures (multiplicity != 1) are reported
     in-band, never raised.
     """
-    if a is None:
-        a = region.matrix
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(region.matrix, dtype=float)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
 
-    k_lo, k_hi = k_range if k_range is not None else (-60, 60)
+    k_lo, k_hi = _K_RANGE
     skipped = 0
     predictions = None
     if hasattr(region, "solve"):
@@ -105,7 +107,7 @@ def check_discrete_tiling(region, a=None, *, samples=10_000, seed=0, k_range=Non
         # the counter counts hits of xi A^k; the solver's tile index kp means
         # a hit at k = -kp, so heavy-tailed samples get a window around -kp
         far = np.flatnonzero((-predictions < k_lo + 2) | (-predictions > k_hi - 2))
-        counts[far] += dilation_counts(region, a, pts[far], -60, 60, centres=-predictions[far], skip=(k_lo, k_hi),
+        counts[far] += dilation_counts(region, a, pts[far], k_lo, k_hi, centres=-predictions[far], skip=_K_RANGE,
                                        exhaustive=exhaustive)
     histogram, failures = _tally(pts, counts)
     return TilingReport(
@@ -186,11 +188,11 @@ def _pair_counts(region, a, pts, lo, hi, skip):
 
 def _powers(region, a, exponents):
     """The distinct ``exponents`` in increasing order, and ``A^k`` for each:
-    ``Q J^k P`` with exact block powers for a (reshaped) discrete section
-    under its own matrix, else :func:`_power_table`.  Float powers of the
-    rounded ``A`` are off by about ``k^2 eps``: at the far tile indices of a
-    shear (``|k|`` of 10^4 to 10^6) they miscount samples."""
-    section = region.base if isinstance(region, ShapedSection) else region
+    ``Q J^k P`` with exact block powers for a discrete cross-section or a
+    pushed set under its own matrix, else :func:`_power_table`.  Float
+    powers of the rounded ``A`` are off by about ``k^2 eps``: at the far
+    tile indices of a shear (``|k|`` of 10^4 to 10^6) they miscount samples."""
+    section = region.base if isinstance(region, PushedSection) else region
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(section, CrossSection) and section.mode == "discrete" and np.array_equal(a, region.matrix):
             exps, form = np.unique(exponents), section.jordan

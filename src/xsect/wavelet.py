@@ -21,7 +21,7 @@ import numpy as np
 from .classify import classify_discrete
 from .errors import DimensionTooHigh, NoWavelet, SearchExhausted, SelectorMiss, UsageError
 from .linalg import as_matrix, box_corners, matrix_from_json, matrix_to_json
-from .sections import TWO_PI, build_discrete_section, pushed_membership
+from .sections import TWO_PI, PushedSection, build_discrete_section
 from .verify import TilingReport, dilation_counts
 
 
@@ -610,26 +610,25 @@ def _coset_walk(hits):
 
 
 @dataclass(frozen=True)
-class DilationShiftedSection(RegionSet):
+class DilationShiftedSection(PushedSection, RegionSet):
     """``union_i S_i A^{k_i}`` over ALL dyadic radial slices of an expanding
     cross-section, each pushed far enough out to swallow a dual-domain
     translate.  Shifts are computed lazily per slab index; the first
     ``pieces`` slabs carry explicit dual-point certificates."""
 
-    section: object  # CrossSection for the expanding action
+    base: object  # CrossSection for the expanding action
     lattice: Lattice
     pieces: int
     # slab index -> (power, certified dual point or None until certified)
     _slabs: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def matrix(self):
-        return self.section.matrix
+    # in the class body: perfbench's tracer wraps this name of this class
+    membership = PushedSection.membership
 
     def shift(self, i: int) -> int:
         i = int(i)
         if i not in self._slabs:
-            self._slabs[i] = _slab_shift(self.section, self.lattice, i)
+            self._slabs[i] = _slab_shift(self.base, self.lattice, i)
         return self._slabs[i][0]
 
     def certificate(self, i: int):
@@ -639,7 +638,7 @@ class DilationShiftedSection(RegionSet):
             self.shift(i)
         k, gamma = self._slabs[i]
         if gamma is None:  # a real witness: the width rule set the power without a search
-            gamma = _dual_point_in_slab(self.section, self.lattice, i, k)
+            gamma = _dual_point_in_slab(self.base, self.lattice, i, k)
             if gamma is None:
                 raise SearchExhausted(f"no certified dual translate for piece {i}", radius=k)
             self._slabs[i] = (k, gamma)
@@ -649,15 +648,13 @@ class DilationShiftedSection(RegionSet):
     def certificates(self):
         return tuple((i,) + tuple(self.certificate(i)) for i in range(1, self.pieces + 1))
 
-    def membership(self, points):
-        return pushed_membership(self.section, points, self._slab_index, self.shift)
-
-    def _slab_index(self, coords):
-        return _dyadic_slab_index(self.section, self.section.kind.radial_coordinate(self.section, coords))
+    def piece_of(self, coords):
+        """Dyadic slab of each base representative (Jordan coordinates)."""
+        return _dyadic_slab_index(self.base, self.base.kind.radial_coordinate(self.base, coords))
 
     def piece_boxes_1d(self, i: int):
         """For the scalar case: the pushed slab ±[lo, hi) * growth^k."""
-        return _slab_bounds(self.section, i, self.shift(i))
+        return _slab_bounds(self.base, i, self.shift(i))
 
     def to_json(self) -> dict:
         return {
@@ -749,7 +746,7 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=1e-9, search_
 def _build_case_moduli(section, lattice, pieces):
     if not section.kind.sliceable:
         raise NoWavelet("no eigenvalue with modulus away from 1")
-    out = DilationShiftedSection(section=section, lattice=lattice, pieces=pieces)
+    out = DilationShiftedSection(base=section, lattice=lattice, pieces=pieces)
     for i in range(1, pieces + 1):
         out.certificate(i)  # force the certificate search now
     return out

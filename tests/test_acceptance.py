@@ -118,7 +118,7 @@ def test_criterion_02_cross_section_tiling():
         assert not exc.any()
         member, _ = section.membership(reps)
         assert member.all(), f"{case}: representative outside section"
-        report = check_discrete_tiling(section, samples=10_000, seed=SEED, k_range=(-60, 60))
+        report = check_discrete_tiling(section, samples=10_000, seed=SEED)
         assert report.passed, f"{case}: {report.histogram}"
         # disjointness probes
         inside = section.sample(rng, 1000)

@@ -7,11 +7,11 @@ import pytest
 from xsect.errors import ExceptionalPoint, NoSection
 from xsect.linalg import integer_power, one_parameter_power, real_jordan_form
 from xsect.sections import (
+    PushedSection,
     build_continuous_section,
     build_discrete_section,
     contains,
     derive_discrete_section,
-    pushed_solve,
     section_from_json,
     section_to_json,
     solve_orbit,
@@ -426,6 +426,8 @@ TILED_REGIONS = {
     **{f"bounded_{k}": partial(lambda a: to_bounded(build_discrete_section(a)), DISCRETE_FIXTURES[k])
        for k in SLICEABLE},
     "order_infinity_cone": lambda: build_order_infinity_set(SHEAR, Lattice.integers(2)),
+    "order_infinity_real": lambda: build_order_infinity_set(DIAG23, Lattice.integers(2), pieces=4),
+    "order_infinity_spiral": lambda: build_order_infinity_set(SPIRAL, Lattice.integers(2), pieces=4),
 }
 
 
@@ -440,8 +442,8 @@ def test_membership_is_tile_index_zero(name):
     both = ~exc & ~solve_exc
     assert both.sum() >= 1900 and member.any()
     assert (member[both] == (tile[both] == 0)).all()
-    if name.startswith(("finite_", "bounded_")):
-        # a reshaped set's representatives are members and re-solve to tile 0
+    if isinstance(region, PushedSection):
+        # a pushed set's representatives are members and re-solve to tile 0
         rep_member, rep_exc = region.membership(reps[~solve_exc])
         again, _, again_exc = region.solve(reps[~solve_exc])
         assert not rep_exc.any() and not again_exc.any()
@@ -456,9 +458,10 @@ def test_pushed_membership_is_pushed_tile_index_zero(a):
     grid = np.stack(np.meshgrid(np.arange(-20.0, 21.0), np.arange(-20.0, 21.0)), axis=-1).reshape(-1, 2)
     pts = np.vstack([np.random.default_rng(6).normal(size=(4000, 2)) * 30.0, grid])
     member, exc = k.membership(pts)
-    tile, _, shifts, refused = pushed_solve(k.section, pts, k._slab_index, k.shift)
+    tile, _, pieces, shifts, refused = k._pushed(pts)
     assert (exc == refused).all() and member.any() and refused.any()
     assert (member == ((tile == 0) & ~refused)).all() and (shifts[refused] == 0).all()
+    assert (pieces[refused] == 0).all() and (pieces[~refused] >= 1).all()
 
 
 @pytest.mark.parametrize("name", sorted(TILED_REGIONS))

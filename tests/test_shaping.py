@@ -5,13 +5,17 @@ import pytest
 
 from xsect.errors import DetOne, ExceptionalPoint, MixedModuli, SearchExhausted
 from xsect.linalg import box_corners, integer_power
-from xsect.sections import build_discrete_section
+from xsect.sections import (
+    build_continuous_section,
+    build_discrete_section,
+    contains,
+    derive_discrete_section,
+    solve_orbit,
+)
 from xsect.shaping import (
     ShellPartition,
     _euclid_radius,
     estimate_measure,
-    shaped_contains,
-    shaped_solve_orbit,
     to_bounded,
     to_finite_measure,
 )
@@ -60,10 +64,10 @@ def test_finite_measure_diag21_worked_example():
     assert shaped.shift(1) == -3
     # piece S_1 A^-3 has measure 1/2
     assert abs(shaped.weight(1) - 0.5) < 1e-15
-    assert shaped_contains(shaped, [0.15, 0.5])
-    assert not shaped_contains(shaped, [1.2, 0.5])  # its piece was shifted away
+    assert contains(shaped, [0.15, 0.5])
+    assert not contains(shaped, [1.2, 0.5])  # its piece was shifted away
     with pytest.raises(ExceptionalPoint):
-        shaped_contains(shaped, [0.0, 1.0])
+        contains(shaped, [0.0, 1.0])
 
 
 def test_finite_measure_rejects_det_one():
@@ -73,10 +77,10 @@ def test_finite_measure_rejects_det_one():
 
 def test_shaped_solve_composes_shift():
     shaped = to_finite_measure(build_discrete_section(DIAG21))
-    sol = shaped_solve_orbit(shaped, [1.2, 0.5])
+    sol = solve_orbit(shaped, [1.2, 0.5])
     assert sol.parameter == 3  # base tile 0 minus shift -3
     np.testing.assert_allclose(sol.representative, [0.15, 0.5], atol=1e-12)
-    assert shaped_contains(shaped, sol.representative)
+    assert contains(shaped, sol.representative)
 
 
 @pytest.mark.parametrize("matrix", [DIAG21, DIAG23, SPIRAL], ids=["diag21", "diag23", "spiral"])
@@ -127,13 +131,41 @@ def test_finite_measure_bound_holds(matrix):
     assert est.estimate + est.tail_bound <= 1.0 + est.bound
 
 
-def test_finite_measure_estimate_matches_closed_form():
-    # independent oracle: the total measure is the sum of the piece
-    # measures delta^{n_k} m(S_k), exact for the axis-aligned case
-    shaped = to_finite_measure(build_discrete_section(DIAG21))
-    closed = sum(shaped.delta ** shaped.shift(k) * shaped.piece_measure_bound(k) for k in range(1, 25))
+def _exact_slab_area(section):
+    """Area of the slab in Jordan coordinates: ``2 (Lambda - 1)`` for a real
+    witness, ``(Lambda^2 - 1)(omega / 4 mu)(e^{2 mu} - 1)`` for a spiral."""
+    lam_big = math.exp(section.params["log_span"])
+    if not section.kind.turns:
+        return 2.0 * (lam_big - 1.0)
+    mu, omega = section.params["mu"], section.params["omega"]
+    return (lam_big**2 - 1.0) * (omega / (4.0 * mu)) * (math.exp(2.0 * mu) - 1.0)
+
+
+@pytest.mark.parametrize("matrix", [DIAG21, random_conjugate(DIAG21, 91)[0], [[1.2, -0.5], [0.5, 1.2]]],
+                         ids=["diag21", "conjugated_diag21", "spiral"])
+def test_finite_measure_estimate_matches_closed_form(matrix):
+    # independent oracle: the pieces are disjoint, and piece k has measure
+    # delta^{n_k} |det P| area(slab) vol(shell k); a spiral has one piece.
+    # Skewed pieces' boxes overlap, and a spiral's boxes all cover its one
+    # piece: stratum k must count only piece k
+    shaped = to_finite_measure(build_discrete_section(matrix))
+    jac = abs(np.linalg.det(shaped.base.jordan.conjugator))
+    area = _exact_slab_area(shaped.base)
+    pieces = range(1, 25) if shaped.shell.dim else (1,)
+    closed = sum(shaped.delta ** shaped.shift(k) * jac * area * shaped.shell.volume(k) for k in pieces)
     est = shaped.measure_estimate(samples=200_000, seed=9)
     assert abs(est.estimate - closed) <= est.bound + 1e-3
+
+
+@pytest.mark.parametrize("reshape", [to_finite_measure, to_bounded])
+@pytest.mark.parametrize("source", [
+    lambda: DIAG23,
+    lambda: derive_discrete_section(build_continuous_section([[0.5, 1.0], [0.2, -0.3]])),
+    lambda: build_continuous_section([[0.5, 1.0], [0.2, -0.3]]),
+], ids=["matrix", "derived", "continuous"])
+def test_reshaping_takes_only_a_native_discrete_section(reshape, source):
+    with pytest.raises(ValueError, match="native discrete sections"):
+        reshape(source())
 
 
 def test_bounded_diag23_worked_example():

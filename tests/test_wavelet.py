@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xsect.errors import NoWavelet, SelectorMiss
+from xsect.verify import check_discrete_tiling
 from xsect.wavelet import (
     BoxUnion,
     ConeSection,
@@ -19,7 +20,7 @@ from xsect.wavelet import (
     translation_counts,
 )
 
-from conftest import DIAG23, ROT90, SHEAR, SPIRAL
+from conftest import DIAG23, ROT90, SHEAR, SPIRAL, random_conjugate
 
 Z1 = Lattice.integers(1)
 Z2 = Lattice.integers(2)
@@ -508,3 +509,13 @@ def test_order_infinity_certificates_lie_in_the_set(a):
         if not (member & ~exc).all():
             outside.append(g)
     assert len(gammas) == 4 and outside == []
+
+
+@pytest.mark.parametrize("seed", [91, 47])
+@pytest.mark.parametrize("a", [DIAG23, SPIRAL, np.diag([0.5, 0.25])], ids=["real", "spiral", "contracting"])
+def test_order_infinity_sets_tile_under_their_matrix(a, seed):
+    # an order-infinity set solves like a reshaped one, so the check scans
+    # it under its own (expanding) matrix with outlier windows
+    k = build_order_infinity_set(random_conjugate(a, seed)[0], Z2, pieces=4)
+    report = check_discrete_tiling(k, samples=2000, seed=3)
+    assert report.passed and report.histogram == {1: 2000}

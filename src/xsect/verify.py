@@ -2,11 +2,11 @@
 
 The discrete check counts, for Gaussian-sampled points, how many powers
 ``xi A^k`` land in the candidate set; a cross-section gives multiplicity
-exactly 1.  A cross-section under its own matrix is probed only in each
-sample's gauge bracket of ``k`` (``_Case.gauge``); pushed sets, other
-regions and ``exhaustive=True`` take the full scan.  The continuous check
-exploits that sweeping a continuous section over unit time yields a
-discrete cross-section: the time set
+exactly 1.  A cross-section under its own matrix, the order-infinity cone
+too, is probed only in each sample's gauge bracket of ``k``
+(``_Case.gauge``); pushed sets, other regions and ``exhaustive=True`` take
+the full scan.  The continuous check exploits that sweeping a continuous
+section over unit time yields a discrete cross-section: the time set
 ``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
 come from the closed-form solve and are cross-checked by bisection
 refinement of the membership indicator.
@@ -71,44 +71,30 @@ def _few_refused(skipped, samples) -> bool:
     return skipped <= samples // 20
 
 
-# powers k_lo..k_hi of the discrete check's base and outlier windows
-_K_RANGE = (-60, 60)
+# powers k_lo..k_hi of the base and outlier windows of every dilation count
+K_RANGE = (-60, 60)
 
 
 def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -> TilingReport:
     """Count orbit hits ``#{k : xi A^k in region}`` over Gaussian samples,
-    ``A`` being ``region.matrix``.
+    ``A`` being ``region.matrix``, with :func:`scan_dilations`.
 
     ``region`` needs a vectorized ``membership`` method; cross-sections
-    and pushed sets also provide ``solve``, whose predicted tile indices
-    extend the scan: every sample is scanned over the base window plus,
-    for heavy-tailed predictions outside it, the same window around its
-    own predicted index.  ``exhaustive`` passes on to
-    :func:`dilation_counts`.  Failures (multiplicity != 1) are reported
-    in-band, never raised.
+    (the order-infinity cone too) and pushed sets also provide ``solve``,
+    whose predicted tile indices add the outlier windows; the rows it
+    refuses are dropped and counted as skipped.  ``exhaustive`` passes on
+    to :func:`dilation_counts`.  Failures (multiplicity != 1) are
+    reported in-band, never raised.
     """
     a = np.asarray(region.matrix, dtype=float)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
 
-    k_lo, k_hi = _K_RANGE
-    skipped = 0
-    predictions = None
+    skipped, tiles = 0, None
     if hasattr(region, "solve"):
         ks, _, exc = region.solve(pts)
-        if exc.any():
-            skipped = int(exc.sum())
-            pts, ks = pts[~exc], ks[~exc]
-        predictions = ks.astype(int)
-
-    counts = dilation_counts(region, a, pts, k_lo, k_hi, exhaustive=exhaustive)
-    far = np.zeros(0, dtype=int)
-    if predictions is not None:
-        # the counter counts hits of xi A^k; the solver's tile index kp means
-        # a hit at k = -kp, so heavy-tailed samples get a window around -kp
-        far = np.flatnonzero((-predictions < k_lo + 2) | (-predictions > k_hi - 2))
-        counts[far] += dilation_counts(region, a, pts[far], k_lo, k_hi, centres=-predictions[far], skip=_K_RANGE,
-                                       exhaustive=exhaustive)
+        skipped, pts, tiles = int(exc.sum()), pts[~exc], ks[~exc].astype(int)
+    counts, windows = scan_dilations(region, a, pts, tiles, exhaustive=exhaustive)
     histogram, failures = _tally(pts, counts)
     return TilingReport(
         kind="discrete_tiling",
@@ -117,9 +103,24 @@ def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -
         passed=not failures and _few_refused(skipped, samples),
         histogram=histogram,
         failures=failures,
-        scan={"k_lo": int(k_lo), "k_hi": int(k_hi), "outlier_windows": len(far)},
+        scan={"k_lo": K_RANGE[0], "k_hi": K_RANGE[1], "outlier_windows": windows},
         skipped_null=skipped,
     )
+
+
+def scan_dilations(region, a, pts, tiles=None, *, exhaustive=False):
+    """``#{k : xi A^k in region}`` per row of ``pts`` over the base window,
+    and the number of outlier windows: given tile indices (``kp`` means a
+    hit at ``k = -kp``), a row whose hit is near or past the window's
+    edge is also scanned over the same window around ``-kp``."""
+    k_lo, k_hi = K_RANGE
+    counts = dilation_counts(region, a, pts, k_lo, k_hi, exhaustive=exhaustive)
+    if tiles is None:
+        return counts, 0
+    far = np.flatnonzero((-tiles < k_lo + 2) | (-tiles > k_hi - 2))
+    counts[far] += dilation_counts(region, a, pts[far], k_lo, k_hi, centres=-tiles[far], skip=K_RANGE,
+                                   exhaustive=exhaustive)
+    return counts, len(far)
 
 
 def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None, exhaustive=False) -> np.ndarray:
@@ -148,12 +149,22 @@ def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None, exha
     return _pair_counts(region, a, pts, lo, hi, (1, 0) if skip is None else skip)
 
 
+def _jordan_section(region, a):
+    """The discrete cross-section whose Jordan form counts ``region`` under
+    ``a``: the region itself, or a pushed set's base, when ``a`` is the
+    region's matrix; else None."""
+    section = region.base if isinstance(region, PushedSection) else region
+    own = isinstance(section, CrossSection) and section.mode == "discrete" and np.array_equal(a, region.matrix)
+    return section if own else None
+
+
 def _bracket(region, a, pts):
     """Per row, the ``k`` range ``[floor(min) - 1, ceil(max) + 1]`` of
     ``{k : g + k*rate in [lo, hi]}``, outside which ``xi A^k`` misses the
-    section, and an empty range where ``g`` is not finite; None unless
-    :func:`_powers` takes exact Jordan powers."""
-    if not (isinstance(region, CrossSection) and region.mode == "discrete" and np.array_equal(a, region.matrix)):
+    section, and an empty range where ``g`` is not finite.  None unless
+    the region is its own :func:`_jordan_section`: a pushed set's pieces
+    sit at other powers than its base's bracket."""
+    if _jordan_section(region, a) is not region:
         return None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g, rate, lo, hi = region.kind.gauge(region, region.jordan.to_jordan(pts)[:, region.block.offset :])
@@ -188,13 +199,13 @@ def _pair_counts(region, a, pts, lo, hi, skip):
 
 def _powers(region, a, exponents):
     """The distinct ``exponents`` in increasing order, and ``A^k`` for each:
-    ``Q J^k P`` with exact block powers for a discrete cross-section or a
-    pushed set under its own matrix, else :func:`_power_table`.  Float
-    powers of the rounded ``A`` are off by about ``k^2 eps``: at the far
-    tile indices of a shear (``|k|`` of 10^4 to 10^6) they miscount samples."""
-    section = region.base if isinstance(region, PushedSection) else region
+    ``Q J^k P`` with exact block powers in the form of the region's
+    :func:`_jordan_section`, else :func:`_power_table`.  Float powers of
+    the rounded ``A`` are off by about ``k^2 eps``: at the far tile
+    indices of a shear (``|k|`` of 10^4 to 10^6) they miscount samples."""
+    section = _jordan_section(region, a)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(section, CrossSection) and section.mode == "discrete" and np.array_equal(a, region.matrix):
+        if section is not None:
             exps, form = np.unique(exponents), section.jordan
             jk = jordan_power_batch(form, exps, integer=not section.kind.flows)
             powers = form.conjugator_inverse @ jk @ form.conjugator

@@ -14,15 +14,14 @@ enumerator bounded by an explicit radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .classify import classify_discrete
-from .errors import DimensionTooHigh, NoWavelet, SearchExhausted, SelectorMiss, UsageError
-from .linalg import as_matrix, box_corners, matrix_from_json, matrix_to_json
-from .sections import TWO_PI, PushedSection, build_discrete_section
-from .verify import TilingReport, dilation_counts
+from .errors import DimensionTooHigh, NoSection, NoWavelet, SearchExhausted, SelectorMiss, UsageError
+from .linalg import DEFAULT_TOL, as_matrix, box_corners, matrix_from_json, matrix_to_json
+from .sections import TWO_PI, CrossSection, PushedSection, build_discrete_section
+from .verify import K_RANGE, TilingReport, dilation_counts, scan_dilations
 
 
 @dataclass(frozen=True)
@@ -313,16 +312,10 @@ class TranslationCount:
     value: int
     truncated: bool
 
-    def __int__(self):
-        return self.value
-
     def __eq__(self, other):
         if isinstance(other, TranslationCount):
             return (self.value, self.truncated) == (other.value, other.truncated)
         return not self.truncated and self.value == other
-
-    def __ge__(self, other):
-        return self.value >= other
 
 
 def translation_count(region: RegionSet, lattice: Lattice, xi, radius=100.0) -> TranslationCount:
@@ -368,20 +361,25 @@ def dimension_function(region: RegionSet, xi, radius=100.0) -> TranslationCount:
 
 # translation count that passes for infinite multiplicity in a sampled check
 _MIN_COUNT = 10
-# the sampled check's dilation powers and dual-point search radius
-_K_RANGE = (-60, 60)
+# the sampled check's dual-point search radius
 _SEARCH_RADIUS = 100.0
 
 
 def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *, samples=1000, seed=0):
     """Sampled test of the order-L characterization: translation counts
     all equal L (or >= ``_MIN_COUNT`` when L is infinite) and dilation
-    counts all equal 1."""
+    counts all equal 1, counted by :func:`xsect.verify.scan_dilations`:
+    a set that solves under ``a`` as its own matrix (such as the cone)
+    adds its outlier windows, a refused row counting as tile index 0."""
     a = as_matrix(a)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
     tcs = translation_counts(region, lattice, pts, radius=_SEARCH_RADIUS)
-    dcs = dilation_counts(region, a, pts, *_K_RANGE)
+    tiles = None
+    if hasattr(region, "solve") and np.array_equal(a, region.matrix):
+        ks, _, refused = region.solve(pts)
+        tiles = np.where(refused, 0, ks).astype(int)
+    dcs, _ = scan_dilations(region, a, pts, tiles)
     ok_t = (tcs >= _MIN_COUNT) if order == math.inf else (tcs == order) & region.exact_reach
     bad = np.flatnonzero(~(ok_t & (dcs == 1)))
     failures = [
@@ -396,7 +394,7 @@ def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *, sample
         passed=not failures,
         histogram={f"t{t}_d{d}": int(c) for (t, d), c in zip(pairs, freq)},
         failures=failures,
-        scan={"k_lo": _K_RANGE[0], "k_hi": _K_RANGE[1], "radius": _SEARCH_RADIUS,
+        scan={"k_lo": K_RANGE[0], "k_hi": K_RANGE[1], "radius": _SEARCH_RADIUS,
               "order": "inf" if order == math.inf else int(order)},
     )
 
@@ -714,7 +712,7 @@ def _slab_shift(section, lattice, i):
     raise SearchExhausted(f"no admissible push for slab {i} within {_MAX_POWER} powers", radius=_MAX_POWER)
 
 
-def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=1e-9, search_radius=100.0) -> RegionSet:
+def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=DEFAULT_TOL, search_radius=100.0) -> RegionSet:
     """A set whose dilates tile once and whose dual translates cover with
     infinite multiplicity (certified for finitely many translates).
 
@@ -730,22 +728,16 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=1e-9, search_
         raise UsageError("matrix and lattice dimensions disagree")
     if a.shape[0] > 3:
         raise DimensionTooHigh("the lattice search is supported for n <= 3")
-    verdict = classify_discrete(a, tol=tol)
-    if not verdict.exists:
-        raise NoWavelet("matrix is similar to a unitary matrix")
-    moduli = [b.modulus for b in verdict.jordan.blocks]
-    if any(abs(m - 1.0) > tol for m in moduli):
-        work = a
-        if max(moduli) <= 1.0 + tol:
-            work = np.linalg.inv(a)  # orbits agree; build along the expanding side
-        section = build_discrete_section(work, tol=tol)
-        return _build_case_moduli(section, lattice, pieces)
-    return _certify_cone(a, lattice, tol=tol, min_translates=pieces, search_radius=search_radius)
-
-
-def _build_case_moduli(section, lattice, pieces):
+    try:
+        section = build_discrete_section(a, tol=tol)
+    except NoSection:
+        raise NoWavelet("matrix is similar to a unitary matrix") from None
+    if section.kind.cone:
+        return _certify_cone(section, lattice, min_translates=pieces, search_radius=search_radius)
     if not section.kind.sliceable:
-        raise NoWavelet("no eigenvalue with modulus away from 1")
+        raise NoWavelet("unit-modulus case needs a real nilpotent block in dimension <= 3")
+    if max(b.modulus for b in section.jordan.blocks) <= 1.0 + tol:
+        section = build_discrete_section(np.linalg.inv(a), tol=tol)  # orbits agree; build along the expanding side
     out = DilationShiftedSection(base=section, lattice=lattice, pieces=pieces)
     for i in range(1, pieces + 1):
         out.certificate(i)  # force the certificate search now
@@ -841,22 +833,15 @@ def _box_min_radius(x, y):
 
 
 @dataclass(frozen=True)
-class ConeSection(RegionSet):
-    """The nilpotent cone section, certified to contain dual-domain
-    translates (so its translation multiplicity is infinite)."""
+class ConeSection(CrossSection, RegionSet):
+    """The nilpotent cone cross-section, certified to contain dual-domain
+    translates (so its translation multiplicity is infinite); the checks
+    count it in its Jordan form and gauge bracket, like any section."""
 
-    section: object
-    certificates: tuple
+    certificates: tuple = ()
 
-    def membership(self, points):
-        return self.section.membership(points)
-
-    def solve(self, points):
-        return self.section.solve(points)
-
-    @property
-    def matrix(self):
-        return self.section.matrix
+    # in the class body: perfbench's tracer wraps this name of this class
+    membership = CrossSection.membership
 
     def to_json(self) -> dict:
         return {
@@ -865,12 +850,7 @@ class ConeSection(RegionSet):
         }
 
 
-def _certify_cone(a, lattice, *, tol, min_translates, search_radius):
-    section = build_discrete_section(a, tol=tol)
-    if not section.kind.cone:
-        raise NoWavelet(
-            "unit-modulus case needs a real nilpotent block in dimension <= 3"
-        )
+def _certify_cone(section, lattice, *, min_translates, search_radius):
     off = section.block.offset
     corners = section.jordan.to_jordan(lattice.domain_corners())  # the cone is a set of Jordan coordinates
     found = []
@@ -890,7 +870,8 @@ def _certify_cone(a, lattice, *, tol, min_translates, search_radius):
         if 0.0 <= lo_ratio and hi_ratio < 1.0:
             found.append(g)
             if len(found) >= min_translates:
-                return ConeSection(section=section, certificates=tuple(tuple(v) for v in found))
+                fixed = {f.name: getattr(section, f.name) for f in fields(CrossSection)}
+                return ConeSection(**fixed, certificates=tuple(tuple(v) for v in found))
     raise SearchExhausted(
         f"only {len(found)} dual translates certified within radius {search_radius}",
         radius=search_radius,

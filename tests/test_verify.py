@@ -10,6 +10,7 @@ from xsect.sections import build_continuous_section, build_discrete_section, der
 from xsect.shaping import to_finite_measure
 from xsect.verify import (check_continuous_tiling, check_discrete_tiling, dilation_counts, jacobian_check,
                           orbit_integral)
+from xsect.wavelet import Lattice, build_order_infinity_set
 
 from conftest import DIAG21, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
 
@@ -363,6 +364,9 @@ def test_conjugated_shear_far_tile_indices_count_once(conjugator_seed, seed):
     # the gauge bracket counts the far windows as the full scan does
     assert report.scan["outlier_windows"] > 0
     assert report.to_json() == check_discrete_tiling(section, samples=10_000, seed=seed, exhaustive=True).to_json()
+    # the order-infinity cone is that section: it counts the same way
+    cone = build_order_infinity_set(np.linalg.inv(p) @ SHEAR @ p, Lattice.integers(2), pieces=4)
+    assert check_discrete_tiling(cone, samples=10_000, seed=seed).to_json() == report.to_json()
 
 
 def test_centred_windows_without_skip_count_every_offset():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import xsect.classify
 from xsect.errors import NoWavelet, SelectorMiss
+from xsect.linalg import real_jordan_form
 from xsect.verify import check_discrete_tiling
 from xsect.wavelet import (
     BoxUnion,
@@ -232,6 +234,28 @@ def test_order_infinity_shear_cone():
         assert (x1 > 0).all() or (x1 < 0).all()
         ratios = x2 / x1
         assert ratios.min() >= 0.0 and ratios.max() <= 1.0
+
+
+def test_order_infinity_shear_cone_is_a_multiwavelet_set():
+    # samples far out along the shear's orbit hit the cone outside the base
+    # window: the check scans the window around each one's own tile index
+    k = build_order_infinity_set(SHEAR, Z2, pieces=8)
+    assert is_multiwavelet_set(k, SHEAR, Z2, math.inf, samples=200, seed=0).passed
+
+
+@pytest.mark.parametrize("a, forms", [([[2.0]], 1), (SHEAR, 1), (SPIRAL, 1), ([[0.5]], 2)],
+                         ids=["two", "shear", "spiral", "half"])
+def test_order_infinity_build_takes_one_jordan_form(monkeypatch, a, forms):
+    # one for the section; a contracting matrix takes one more for its inverse
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_jordan_form(*args, **kwargs)
+
+    monkeypatch.setattr(xsect.classify, "real_jordan_form", counted)
+    build_order_infinity_set(a, Lattice.integers(len(a)), pieces=4)
+    assert len(calls) == forms
 
 
 def test_order_infinity_spiral(rng):

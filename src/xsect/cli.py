@@ -232,16 +232,13 @@ def _grid_points(n, extent, count):
 
 def _cmd_classify(args):
     m = _load(args.matrix, matrix_from_json)
+    classifier = classify_discrete if args.mode == "discrete" else classify_continuous
+    verdict = classifier(m, tol=args.tol)
+    payload = verdict.to_json()
+    payload["jordan_blocks"] = [b.to_json() for b in verdict.jordan.blocks]
     if args.mode == "discrete":
-        verdict = classify_discrete(m, tol=args.tol)
-        payload = verdict.to_json()
         # similar to a unitary matrix exactly when no cross-section exists
         payload["similar_to_unitary"] = not verdict.exists
-        payload["jordan_blocks"] = [b.to_json() for b in verdict.jordan.blocks]
-    else:
-        verdict = classify_continuous(m, tol=args.tol)
-        payload = verdict.to_json()
-        payload["jordan_blocks"] = [b.to_json() for b in verdict.jordan.blocks]
     _emit(payload, args, [args.matrix])
     return EXIT_OK
 
@@ -308,7 +305,7 @@ def _cmd_verify(args):
         pts = rng.normal(size=(args.samples, section.n))
         params, _, exc = section.solve(pts)
         export_samples(section, pts, args.dump, parameters=np.where(exc, np.nan, params))
-    _emit({"report": report.to_json()}, args, [args.section])
+    _emit({"report": report.to_json()}, args, [args.section, args.matrix])
     return EXIT_OK if report.passed else EXIT_ERROR
 
 

@@ -45,10 +45,13 @@ Computing a Jordan form in floating point is intrinsically delicate
 (the form is a discontinuous function of the matrix), so the solver
 clusters eigenvalues over a ladder of radii and accepts the first
 clustering whose chain structure is consistent and whose reassembly
-residual passes the tolerance.  For each cluster eigenvalue ``lambda``
-every power of ``A - lambda I`` is formed and factored once: one SVD gives
-its rank, its null basis and the ambiguity check, and the nullity
-increments give the chain lengths.  Ambiguity is an error, never a guess.
+residual passes the tolerance.  ``eigvals`` returns the complex pairs of
+a real matrix as exact conjugates, so the clusters are mirror images and
+a pair is read from its cluster above the real axis.  For each cluster
+eigenvalue ``lambda`` every power of ``A - lambda I`` is formed and
+factored once: one SVD gives its rank, its null basis and the ambiguity
+check, and the nullity increments give the chain lengths.  Ambiguity is
+an error, never a guess.
 """
 
 from __future__ import annotations
@@ -191,20 +194,16 @@ class RealJordanForm:
 
 
 def assemble_jordan_matrix(blocks, n) -> np.ndarray:
+    """``J``: a block's cells are ``[[re]]`` or ``D``, and each cell after
+    the first has an identity directly above it."""
     J = np.zeros((n, n))
     for b in blocks:
-        o = b.offset
-        if b.is_complex:
-            D = np.array([[b.re, b.im], [-b.im, b.re]])
-            for i in range(b.chain):
-                J[o + 2 * i : o + 2 * i + 2, o + 2 * i : o + 2 * i + 2] = D
-            for i in range(b.chain - 1):
-                J[o + 2 * i : o + 2 * i + 2, o + 2 * i + 2 : o + 2 * i + 4] = np.eye(2)
-        else:
-            for i in range(b.chain):
-                J[o + i, o + i] = b.re
-            for i in range(b.chain - 1):
-                J[o + i, o + i + 1] = 1.0
+        cell = np.array([[b.re, b.im], [-b.im, b.re]]) if b.is_complex else np.array([[b.re]])
+        w = len(cell)
+        for i in range(b.offset, b.offset + b.size, w):
+            J[i : i + w, i : i + w] = cell
+            if i > b.offset:
+                J[i - w : i, i : i + w] = np.eye(w)
     return J
 
 
@@ -213,26 +212,20 @@ def _spectral_scale(a) -> float:
 
 
 def _cluster(eigs, radius):
-    """Group eigenvalues into connected components of the radius graph."""
-    n = len(eigs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= radius:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    """Connected components of the radius graph, sorted, each in increasing
+    index order: each index joins, and merges, the groups within ``radius``
+    of it."""
+    groups = []
+    for i, z in enumerate(eigs):
+        merged = [i]
+        for g in groups[:]:  # a copy: merged groups leave the list
+            for j in g:
+                if abs(eigs[j] - z) <= radius:
+                    groups.remove(g)
+                    merged += g
+                    break
+        groups.append(sorted(merged))
+    return sorted(groups)
 
 
 class _Inconsistent(Exception):
@@ -342,14 +335,10 @@ def real_jordan_form(a, tol=DEFAULT_TOL, *, require_invertible=True) -> RealJord
     for rel_radius in _CLUSTER_LADDER:
         if rel_radius < tol / 10:
             continue
-        radius = rel_radius * scale
         try:
-            form = _attempt(a, eigs, radius, tol, scale)
+            return _attempt(a, eigs, rel_radius * scale, tol, scale)
         except _Inconsistent as exc:
             last_error = exc
-            continue
-        if form is not None:
-            return form
     gaps = sorted(
         abs(eigs[i] - eigs[j]) for i in range(n) for j in range(i + 1, n)
     )
@@ -361,52 +350,28 @@ def real_jordan_form(a, tol=DEFAULT_TOL, *, require_invertible=True) -> RealJord
 
 
 def _attempt(a, eigs, radius, tol, scale):
+    """The form the clusters give at ``radius``, or :class:`_Inconsistent`:
+    a cluster within ``radius`` of the real axis is real, one above it gives
+    the pair, and one below is skipped (its mirror above gave the pair)."""
     n = a.shape[0]
-    groups = _cluster(eigs, radius)
-    # classify clusters as real or one half of a conjugate pair
-    cluster_specs = []  # (lam complex, m_alg, first_index) in first-occurrence order
-    used = set()
-    for g in sorted(groups, key=min):
-        if min(g) in used:
-            continue
-        vals = eigs[g]
-        mean = complex(np.mean(vals))
-        if abs(mean.imag) <= radius:
-            cluster_specs.append((complex(mean.real, 0.0), len(g), min(g)))
-            used.update(g)
-        else:
-            # find conjugate partner cluster
-            partner = None
-            for h in groups:
-                if min(h) in used or h is g:
-                    continue
-                if abs(complex(np.mean(eigs[h])) - mean.conjugate()) <= 2 * radius:
-                    partner = h
-                    break
-            if partner is None or len(partner) != len(g):
-                raise _Inconsistent("complex cluster lacks a conjugate partner")
-            used.update(g)
-            used.update(partner)
-            plus = mean if mean.imag > 0 else complex(np.mean(eigs[partner]))
-            cluster_specs.append((plus, len(g), min(min(g), min(partner))))
-    cluster_specs.sort(key=lambda c: c[2])
-
     columns = []
     blocks = []
     offset = 0
-    for lam, m_alg, _ in cluster_specs:
-        for chain in _jordan_chains(a, lam, m_alg, tol):
-            if abs(lam.imag) > 0:
-                for v in chain:
-                    columns.append(np.real(v))
+    for g in _cluster(eigs, radius):
+        mean = complex(np.mean(eigs[g]))
+        if abs(mean.imag) <= radius:
+            lam = complex(mean.real, 0.0)
+        elif mean.imag > radius:
+            lam = mean
+        else:
+            continue
+        for chain in _jordan_chains(a, lam, len(g), tol):
+            for v in chain:
+                columns.append(np.real(v))
+                if lam.imag:
                     columns.append(np.imag(v))
-                blocks.append(JordanBlock(re=lam.real, im=lam.imag, chain=len(chain), offset=offset))
-                offset += 2 * len(chain)
-            else:
-                for v in chain:
-                    columns.append(np.real(v))
-                blocks.append(JordanBlock(re=lam.real, im=0.0, chain=len(chain), offset=offset))
-                offset += len(chain)
+            blocks.append(JordanBlock(re=lam.real, im=lam.imag, chain=len(chain), offset=offset))
+            offset += blocks[-1].size
     if offset != n:
         raise _Inconsistent("block sizes do not sum to the dimension")
     q = np.column_stack(columns)

@@ -41,6 +41,16 @@ def test_classify_discrete_shear(workdir, capsys):
     assert out["manifest"]["inputs"][path]
 
 
+def test_classify_continuous_shear_generator(workdir, capsys):
+    _, write = workdir
+    path = write("shear_gen.json", {"n": 2, "rows": [[0.0, 1.0], [0.0, 0.0]]})
+    code, out = run(capsys, ["classify", "--mode", "continuous", "--matrix", path])
+    assert code == 0
+    assert out["case"] == "zero_nilpotent"
+    assert [(b["re"], b["chain"]) for b in out["jordan_blocks"]] == [(0.0, 2)]
+    assert "similar_to_unitary" not in out
+
+
 def test_build_rotation_nonexistence_exit_2(workdir, capsys):
     _, write = workdir
     path = write("rotgen.json", {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]})
@@ -99,6 +109,18 @@ def test_verify_deterministic_bytes(workdir, capsys):
     main(["verify", "--section", sec, "--mode", "discrete", "--samples", "500", "--seed", "3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_manifest_records_the_matrix(workdir, capsys):
+    tmp, write = workdir
+    path = write("two.json", {"n": 1, "rows": [[2.0]]})
+    sec = str(tmp / "S.json")
+    main(["build", "--mode", "discrete", "--matrix", path, "--out", sec])
+    capsys.readouterr()
+    code, out = run(capsys, ["verify", "--section", sec, "--matrix", path, "--mode", "discrete",
+                             "--samples", "100", "--seed", "1"])
+    assert code == 0
+    assert sorted(out["manifest"]["inputs"]) == sorted([sec, path])
 
 
 def test_verify_continuous_mode(workdir, capsys):

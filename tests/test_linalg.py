@@ -7,6 +7,10 @@ from xsect.errors import IllConditioned, Overflow, Singular
 from xsect.linalg import (
     JordanBlock,
     RealJordanForm,
+    _attempt,
+    _cluster,
+    _Inconsistent,
+    _spectral_scale,
     assemble_jordan_matrix,
     finite_rows,
     integer_power,
@@ -98,6 +102,50 @@ def test_jordan_backward_stable_merge():
     f = real_jordan_form(a, tol=1e-9)
     assert [b.chain for b in f.blocks] == [2]
     assert f.residual < 1e-12
+
+
+def test_cluster_groups_are_sorted_components():
+    # index 2 joins both earlier groups and merges them
+    assert _cluster(np.array([0.0, 2.0, 1.0, 5.0]), 1.0) == [[0, 1, 2], [3]]
+    assert _cluster(np.array([0.0, 5.0, 0.5, 5.5]), 1.0) == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("radius", [1e-9, 1e-4, 0.3, 1.0])
+def test_cluster_conjugate_groups_are_mirror_images(radius):
+    rng = np.random.default_rng(11)
+    # three complex pairs, two of them equal, and two real eigenvalues
+    j = np.zeros((8, 8))
+    for k, (re, im) in enumerate([(1.0, 0.5), (1.0, 0.5), (0.2, 0.3)]):
+        j[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[re, im], [-im, re]]
+    j[6, 6], j[7, 7] = 0.9, 1.1
+    p = rng.normal(size=(8, 8))
+    eigs = np.linalg.eigvals(np.linalg.solve(p, j @ p))
+    groups = _cluster(eigs, radius)
+    assert groups == sorted(groups) and all(g == sorted(g) for g in groups)
+    assert sorted(i for g in groups for i in g) == list(range(8))
+    label = {i: k for k, g in enumerate(groups) for i in g}
+    for i in range(8):
+        for k in range(8):
+            if abs(eigs[i] - eigs[k]) <= radius:
+                assert label[i] == label[k]
+    images = {tuple(sorted(np.conj(eigs[g]).tolist(), key=repr)) for g in groups}
+    assert images == {tuple(sorted(eigs[g].tolist(), key=repr)) for g in groups}
+
+
+def test_attempt_refuses_a_pair_whose_upper_half_is_off_the_spectrum():
+    a = np.array([[1.2, -0.5], [0.5, 1.2]])
+    scale = _spectral_scale(a)
+    eigs = np.linalg.eigvals(a)
+    radius = 1e-8 * scale
+    (block,) = _attempt(a, eigs, radius, 1e-9, scale).blocks
+    assert (block.im > 0, block.size) == (True, 2)
+    moved = eigs.copy()
+    moved[np.argmax(eigs.imag)] += 10 * radius
+    with pytest.raises(_Inconsistent):
+        _attempt(a, moved, radius, 1e-9, scale)
+    # a lone cluster below the axis gives no block
+    with pytest.raises(_Inconsistent):
+        _attempt(a, eigs[eigs.imag < 0].repeat(2), radius, 1e-9, scale)
 
 
 def test_one_parameter_scalar():

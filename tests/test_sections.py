@@ -212,6 +212,7 @@ def test_continuous_uniqueness_via_derived_tiles(name, rng):
     b = CONTINUOUS_FIXTURES[name]
     s = build_continuous_section(b)
     t = derive_discrete_section(s)
+    assert t.null_set() == s.null_set()
     pts = rng.normal(size=(800, b.shape[0]))
     counts = _scan_counts(t, pts, -40, 40)
     assert (counts == 1).all(), f"{name}: derived tile counts {np.unique(counts)}"

@@ -236,6 +236,12 @@ def test_order_infinity_shear_cone():
         assert ratios.min() >= 0.0 and ratios.max() <= 1.0
 
 
+def test_order_infinity_shear_cone_to_json():
+    doc = build_order_infinity_set(SHEAR, Z2, pieces=4).to_json()
+    assert doc["kind"] == "cone_section"
+    assert len(doc["certificates"]) == 4
+
+
 def test_order_infinity_shear_cone_is_a_multiwavelet_set():
     # samples far out along the shear's orbit hit the cone outside the base
     # window: the check scans the window around each one's own tile index
@@ -329,6 +335,7 @@ def test_infinite_partition_pieces(rng):
     xis = rng.uniform(-0.5, 0.5, size=(80, 1))
     for p in parts:
         assert (translation_counts(p, Z1, xis, radius=80.0) == 1).all()
+    assert [p.to_json() for p in parts] == [{"kind": "analytic", "name": "union"}] * 3
 
 
 @pytest.mark.parametrize("lattice", [Z2, Lattice([[1.0, 0.3], [0.0, 1.0]])])

@@ -128,6 +128,13 @@ def _load(path, parse, *args):
         raise UsageError(f"{path}: {exc}") from exc
 
 
+def _load_section(args):
+    """The ``--section`` file at ``--tol``, or else at its stored tolerance, which the manifest then records."""
+    section = _load(args.section, section_from_json, args.tol)
+    args.tol = section.tol
+    return section
+
+
 def _check_matrix(path, section):
     """The optional ``--matrix`` must be the section's own."""
     if path:
@@ -202,9 +209,11 @@ def _emit(payload, args, inputs, out_path=None):
     sys.stdout.write(text + "\n")
 
 
-def export_samples(region_like, points, path, parameters=None):
-    """CSV rows of (coordinates..., member, parameter) for external plotting."""
-    member, exc = region_like.membership(points)
+def export_samples(section, points, path):
+    """CSV rows of (coordinates..., member, parameter) for external plotting;
+    each is left blank where membership or the solve refuses the point."""
+    member, exc = section.membership(points)
+    params, _, refused = section.solve(points)
     n = points.shape[1]
     with open(path, "w") as fh:
         header = ",".join([f"x{i + 1}" for i in range(n)] + ["member", "parameter"])
@@ -212,9 +221,7 @@ def export_samples(region_like, points, path, parameters=None):
         for i, pt in enumerate(points):
             coords = ",".join(f"{v:.17g}" for v in pt)
             flag = "" if exc[i] else str(int(member[i]))
-            par = ""
-            if parameters is not None and not exc[i] and math.isfinite(parameters[i]):
-                par = f"{parameters[i]:.17g}"
+            par = "" if exc[i] or refused[i] else f"{params[i]:.17g}"
             fh.write(f"{coords},{flag},{par}\n")
 
 
@@ -252,17 +259,14 @@ def _cmd_build(args):
         section = build_continuous_section(m, tol=args.tol)
     payload = {"section": section.to_json(), "null_set": section.null_set()}
     if args.dump:
-        pts = _grid_points(section.n, args.grid_extent, args.grid)
-        params, _, exc = section.solve(pts)
-        params = np.where(exc, np.nan, params)
-        export_samples(section, pts, args.dump, parameters=params)
+        export_samples(section, _grid_points(section.n, args.grid_extent, args.grid), args.dump)
         payload["dump"] = args.dump
     _emit(payload, args, [path], out_path=args.out)
     return EXIT_OK
 
 
 def _cmd_solve(args):
-    section = _load(args.section, section_from_json, args.tol)
+    section = _load_section(args)
     sol = solve_orbit(section, _parse_point(args.point, section.n, "section"))
     _emit(
         {
@@ -276,7 +280,7 @@ def _cmd_solve(args):
 
 
 def _cmd_shape(args):
-    section = _load(args.section, section_from_json, args.tol)
+    section = _load_section(args)
     if section.mode != "discrete" or section.base is not None:
         raise UsageError("shape needs a native discrete section")
     _check_matrix(args.matrix, section)
@@ -292,7 +296,7 @@ def _cmd_shape(args):
 
 
 def _cmd_verify(args):
-    section = _load(args.section, section_from_json, args.tol)
+    section = _load_section(args)
     _check_matrix(args.matrix, section)
     if args.mode == "discrete":
         if section.mode != "discrete":
@@ -302,15 +306,13 @@ def _cmd_verify(args):
         report = check_continuous_tiling(section, samples=args.samples, seed=args.seed)
     if args.dump:
         rng = np.random.default_rng(args.seed)
-        pts = rng.normal(size=(args.samples, section.n))
-        params, _, exc = section.solve(pts)
-        export_samples(section, pts, args.dump, parameters=np.where(exc, np.nan, params))
+        export_samples(section, rng.normal(size=(args.samples, section.n)), args.dump)
     _emit({"report": report.to_json()}, args, [args.section, args.matrix])
     return EXIT_OK if report.passed else EXIT_ERROR
 
 
 def _cmd_integrate(args):
-    section = _load(args.section, section_from_json, args.tol)
+    section = _load_section(args)
     if section.mode != "continuous":
         raise UsageError("integrate needs a continuous section")
     if args.field == "gaussian":
@@ -385,8 +387,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    def common(p, seed_required=False, tol=DEFAULT_TOL):
+        # tol=None: a command reading a section file takes the tolerance the file stores
+        p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--seed", type=int, required=seed_required,
                        help="seed for stochastic subcommands (mandatory, never wall-clock)")
 
@@ -411,7 +414,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve the orbit parameter of a point")
     p.add_argument("--section", required=True)
     p.add_argument("--point", required=True)
-    common(p)
+    common(p, tol=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("shape", help="reshape to finite measure or bounded")
@@ -420,7 +423,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", choices=["finite", "bounded"], required=True)
     p.add_argument("--samples", type=_non_negative, default=0, help="Monte Carlo measure estimate budget")
     p.add_argument("--out")
-    common(p)
+    common(p, tol=None)
     p.set_defaults(func=_cmd_shape)
 
     p = sub.add_parser("verify", help="seeded tiling verification")
@@ -429,7 +432,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["discrete", "continuous"], required=True)
     p.add_argument("--samples", type=_positive, required=True)
     p.add_argument("--dump", help="CSV dump of the samples")
-    common(p, seed_required=True)
+    common(p, seed_required=True, tol=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("integrate", help="orbit integral via the flow coordinates")
@@ -439,7 +442,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epsabs", type=float, default=1e-6)
     p.add_argument("--epsrel", type=float, default=1e-6)
     p.add_argument("--jacobian-points", type=_non_negative, default=0)
-    common(p)
+    common(p, tol=None)
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("wavelet", help="multi-wavelet set operations")

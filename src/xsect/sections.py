@@ -664,11 +664,15 @@ class _ComplexModulusNotOne(_Case):
         omega = beta if expanding else TWO_PI - beta
         return dict(beta=beta, mu=mu, omega=omega, log_span=TWO_PI * mu / omega, expanding=expanding)
 
-    def member(self, section, w, exceptional):
+    def log_radial(self, section, w):
+        """The pair's angle by :func:`_angle`, and its log-radial index ``log r - (phi/omega) mu``."""
         r = np.hypot(w[:, 0], w[:, 1])
         phi = _angle(w[:, 0], w[:, 1])
         logr = np.log(np.where(r > 0, r, 1.0))
-        logs = logr - (phi / section.params["omega"]) * section.params["mu"]
+        return phi, logr - (phi / section.params["omega"]) * section.params["mu"]
+
+    def member(self, section, w, exceptional):
+        phi, logs = self.log_radial(section, w)
         return (phi < section.params["omega"]) & (logs >= 0.0) & (logs < section.params["log_span"])
 
     def gauge(self, section, w):
@@ -710,11 +714,8 @@ class _ComplexModulusNotOne(_Case):
         return math.exp(params["log_span"] + params["mu"])
 
     def radial_coordinate(self, section, coords):
-        # the spiral radial index
-        x1, x2 = coords[:, section.block.offset], coords[:, section.block.offset + 1]
-        phi = np.mod(np.arctan2(x2, x1), TWO_PI)
-        r = np.hypot(x1, x2)
-        return np.exp(np.log(np.maximum(r, 1e-300)) - (phi / section.params["omega"]) * section.params["mu"])
+        # the spiral radial index, at the angle member reads
+        return np.exp(self.log_radial(section, coords[:, section.block.offset :])[1])
 
     def slab_growth(self, params):
         return math.exp(params["mu"])
@@ -965,9 +966,10 @@ class PushedSection:
 # public scalar API
 
 
-def contains(section: CrossSection, gamma) -> bool:
-    """Exact membership test; raises ExceptionalPoint on the null set."""
-    member, exceptional = section.membership(np.atleast_2d(gamma))
+def contains(region, gamma) -> bool:
+    """Exact membership test in any set with a vectorized ``membership``
+    (sections, pushed sets, regions); raises ExceptionalPoint on a refused point."""
+    member, exceptional = region.membership(np.atleast_2d(gamma))
     if exceptional[0]:
         raise ExceptionalPoint("point lies in the declared measure-zero set")
     return bool(member[0])

@@ -79,23 +79,17 @@ def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -
     """Count orbit hits ``#{k : xi A^k in region}`` over Gaussian samples,
     ``A`` being ``region.matrix``, with :func:`scan_dilations`.
 
-    ``region`` needs a vectorized ``membership`` method; cross-sections
-    (the order-infinity cone too) and pushed sets also provide ``solve``,
-    whose predicted tile indices add the outlier windows; the rows it
-    refuses are dropped and counted as skipped.  ``exhaustive`` passes on
-    to :func:`dilation_counts`.  Failures (multiplicity != 1) are
-    reported in-band, never raised.
+    ``region`` needs a vectorized ``membership``; the rows the scan refuses
+    to solve are dropped and counted as skipped.  ``exhaustive`` passes on
+    to :func:`dilation_counts`.  Failures (multiplicity != 1) are reported
+    in-band, never raised.
     """
     a = np.asarray(region.matrix, dtype=float)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
-
-    skipped, tiles = 0, None
-    if hasattr(region, "solve"):
-        ks, _, exc = region.solve(pts)
-        skipped, pts, tiles = int(exc.sum()), pts[~exc], ks[~exc].astype(int)
-    counts, windows = scan_dilations(region, a, pts, tiles, exhaustive=exhaustive)
-    histogram, failures = _tally(pts, counts)
+    counts, windows, refused = scan_dilations(region, a, pts, exhaustive=exhaustive)
+    skipped = int(refused.sum())
+    histogram, failures = _tally(pts[~refused], counts[~refused])
     return TilingReport(
         kind="discrete_tiling",
         samples=samples,
@@ -108,19 +102,22 @@ def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -
     )
 
 
-def scan_dilations(region, a, pts, tiles=None, *, exhaustive=False):
+def scan_dilations(region, a, pts, *, exhaustive=False):
     """``#{k : xi A^k in region}`` per row of ``pts`` over the base window,
-    and the number of outlier windows: given tile indices (``kp`` means a
-    hit at ``k = -kp``), a row whose hit is near or past the window's
-    edge is also scanned over the same window around ``-kp``."""
+    the number of outlier windows, and the rows refused.  A region with a
+    ``solve`` under ``a`` as its own matrix gives each row a tile index
+    ``kp`` (a refused row reads 0), a hit at ``k = -kp``: a row whose hit
+    is near or past the window's edge is also scanned around ``-kp``."""
     k_lo, k_hi = K_RANGE
     counts = dilation_counts(region, a, pts, k_lo, k_hi, exhaustive=exhaustive)
-    if tiles is None:
-        return counts, 0
+    if not (hasattr(region, "solve") and np.array_equal(a, region.matrix)):
+        return counts, 0, np.zeros(len(counts), dtype=bool)
+    ks, _, refused = region.solve(pts)
+    tiles = np.where(refused, 0, ks).astype(int)
     far = np.flatnonzero((-tiles < k_lo + 2) | (-tiles > k_hi - 2))
     counts[far] += dilation_counts(region, a, pts[far], k_lo, k_hi, centres=-tiles[far], skip=K_RANGE,
                                    exhaustive=exhaustive)
-    return counts, len(far)
+    return counts, len(far), refused
 
 
 def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None, exhaustive=False) -> np.ndarray:

@@ -128,10 +128,6 @@ class RegionSet:
     def membership(self, points):
         raise NotImplementedError
 
-    def contains(self, xi) -> bool:
-        member, _ = self.membership(np.atleast_2d(xi))
-        return bool(member[0])
-
     def candidate_dual_points(self, lattice: Lattice, xis, radius):
         """Dual points gamma with ``xi + gamma`` possibly inside the set, for
         every row ``xi`` of ``xis``.
@@ -348,7 +344,7 @@ def translation_counts(region: RegionSet, lattice: Lattice, xis, radius=100.0) -
     return out
 
 
-def dilation_count(region: RegionSet, a, xi, k_range=(-60, 60)) -> int:
+def dilation_count(region: RegionSet, a, xi, k_range=K_RANGE) -> int:
     """``#{j in k_range : xi A^j in region}``."""
     return int(dilation_counts(region, as_matrix(a), xi, *k_range)[0])
 
@@ -368,18 +364,13 @@ _SEARCH_RADIUS = 100.0
 def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *, samples=1000, seed=0):
     """Sampled test of the order-L characterization: translation counts
     all equal L (or >= ``_MIN_COUNT`` when L is infinite) and dilation
-    counts all equal 1, counted by :func:`xsect.verify.scan_dilations`:
-    a set that solves under ``a`` as its own matrix (such as the cone)
-    adds its outlier windows, a refused row counting as tile index 0."""
+    counts all equal 1, counted by :func:`xsect.verify.scan_dilations`
+    (which also counts the rows it refuses to solve)."""
     a = as_matrix(a)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
     tcs = translation_counts(region, lattice, pts, radius=_SEARCH_RADIUS)
-    tiles = None
-    if hasattr(region, "solve") and np.array_equal(a, region.matrix):
-        ks, _, refused = region.solve(pts)
-        tiles = np.where(refused, 0, ks).astype(int)
-    dcs, _ = scan_dilations(region, a, pts, tiles)
+    dcs, _, _ = scan_dilations(region, a, pts)
     ok_t = (tcs >= _MIN_COUNT) if order == math.inf else (tcs == order) & region.exact_reach
     bad = np.flatnonzero(~(ok_t & (dcs == 1)))
     failures = [
@@ -611,13 +602,14 @@ def _coset_walk(hits):
 class DilationShiftedSection(PushedSection, RegionSet):
     """``union_i S_i A^{k_i}`` over ALL dyadic radial slices of an expanding
     cross-section, each pushed far enough out to swallow a dual-domain
-    translate.  Shifts are computed lazily per slab index; the first
-    ``pieces`` slabs carry explicit dual-point certificates."""
+    translate.  Each slab's push is found, lazily, together with its
+    certificate, the dual point of that translate; the first ``pieces``
+    slabs are certified when the set is built."""
 
     base: object  # CrossSection for the expanding action
     lattice: Lattice
     pieces: int
-    # slab index -> (power, certified dual point or None until certified)
+    # slab index -> (power, certified dual point)
     _slabs: dict = field(default_factory=dict, repr=False)
 
     # in the class body: perfbench's tracer wraps this name of this class
@@ -635,11 +627,6 @@ class DilationShiftedSection(PushedSection, RegionSet):
         if i not in self._slabs:
             self.shift(i)
         k, gamma = self._slabs[i]
-        if gamma is None:  # a real witness: the width rule set the power without a search
-            gamma = _dual_point_in_slab(self.base, self.lattice, i, k)
-            if gamma is None:
-                raise SearchExhausted(f"no certified dual translate for piece {i}", radius=k)
-            self._slabs[i] = (k, gamma)
         return k, tuple(float(v) for v in gamma)
 
     @property
@@ -686,26 +673,22 @@ def _slab_bounds(section, i, k=0):
     return lo * g, hi * g
 
 
-# pushes of a spiral slab tried before the search for its certificate gives up
+# the power up to which a slab's push is searched (at least k_min) before the search gives up
 _MAX_POWER = 200
 
 
 def _slab_shift(section, lattice, i):
-    """Power pushing slab i over a whole dual-domain translate, and the
-    dual point of that translate, or None where no search was run.
-
-    For a real witness the width rule suffices: once the pushed slab is
-    at least twice the domain diameter (in Jordan coordinates) wide, the
-    tile of its midpoint fits.  The spiral additionally needs the
-    conservative geometric test to succeed, which finds the dual point."""
+    """The first power from ``k_min`` on that pushes slab i over a whole
+    dual-domain translate, and that translate's dual point.  From ``k_min``
+    on the pushed slab is at least twice the domain diameter (in Jordan
+    coordinates) wide, so for a real witness the tile of its midpoint fits
+    at ``k_min``; a spiral may need more pushes."""
     lo, hi = _slab_bounds(section, i)
     corners = section.jordan.to_jordan(lattice.domain_corners())
     diam = float(np.linalg.norm(corners[:, None] - corners[None], axis=-1).max())
     growth = section.kind.slab_growth(section.params)
     k_min = max(1, math.ceil(math.log(2.0 * diam / (hi - lo)) / math.log(growth)))
-    if not section.kind.turns:
-        return int(k_min), None
-    for k in range(int(k_min), _MAX_POWER + 1):
+    for k in range(int(k_min), max(int(k_min), _MAX_POWER) + 1):
         gamma = _dual_point_in_slab(section, lattice, i, k)
         if gamma is not None:
             return k, gamma
@@ -739,8 +722,7 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=DEFAULT_TOL, 
     if max(b.modulus for b in section.jordan.blocks) <= 1.0 + tol:
         section = build_discrete_section(np.linalg.inv(a), tol=tol)  # orbits agree; build along the expanding side
     out = DilationShiftedSection(base=section, lattice=lattice, pieces=pieces)
-    for i in range(1, pieces + 1):
-        out.certificate(i)  # force the certificate search now
+    out.certificates  # search the first pieces' pushes now
     return out
 
 

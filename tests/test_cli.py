@@ -98,6 +98,20 @@ def test_build_solve_verify_roundtrip(workdir, capsys):
     assert out["report"]["passed"] is True
 
 
+def test_section_commands_keep_the_stored_tolerance(workdir, capsys):
+    # at tol 1e-7 the near-shear reads as a nilpotent block of modulus one;
+    # at the default 1e-9 it would rebuild as modulus_not_one and mismatch
+    tmp, write = workdir
+    path = write("near_shear.json", {"n": 2, "rows": [[1.0, 1.0], [0.0, 1.00000001]]})
+    sec = str(tmp / "S.json")
+    code, out = run(capsys, ["build", "--mode", "discrete", "--matrix", path, "--tol", "1e-7", "--out", sec])
+    assert code == 0 and out["section"]["case"] == "real_modulus_one_nilpotent"
+    code, out = run(capsys, ["solve", "--section", sec, "--point=0.3,0.7"])
+    assert code == 0 and out["manifest"]["tol"] == 1e-7
+    code, out = run(capsys, ["solve", "--section", sec, "--point=0.3,0.7", "--tol", "1e-9"])
+    assert code == 1 and "does not match" in out["error"]
+
+
 def test_verify_deterministic_bytes(workdir, capsys):
     tmp, write = workdir
     path = write("two.json", {"n": 1, "rows": [[2.0]]})

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import xsect.classify
-from xsect.errors import NoWavelet, SelectorMiss
-from xsect.linalg import real_jordan_form
+from xsect.errors import ExceptionalPoint, NoWavelet, SelectorMiss
+from xsect.linalg import jordan_power_rows, real_jordan_form
+from xsect.sections import contains
 from xsect.verify import check_discrete_tiling
 from xsect.wavelet import (
     BoxUnion,
@@ -105,10 +106,10 @@ def test_dilation_count_examples():
 
 def test_saturate_examples():
     sat = saturate(BoxUnion.build([((0.0,), (0.5,))]), Z1)
-    assert sat.contains([3.2]) and not sat.contains([3.7])
-    assert not saturate(BoxUnion.build([]), Z1).contains([0.1])
+    assert contains(sat, [3.2]) and not contains(sat, [3.7])
+    assert not contains(saturate(BoxUnion.build([]), Z1), [0.1])
     period = saturate(BoxUnion.build([((1.0,), (2.0,))]), Z1)
-    assert period.contains([0.5])  # 0.5 + 1 lands in [1, 2)
+    assert contains(period, [0.5])  # 0.5 + 1 lands in [1, 2)
 
 
 def test_selector_two_sided():
@@ -187,6 +188,13 @@ def test_dimension_function_matches_bruteforce(rng):
             assert dimension_function(w, xi).value == brute
 
 
+def _inside_piece_1d(k, i, gamma):
+    """``Y + gamma = [g, g + 1)`` lies inside piece i of a 1-D set."""
+    lo, hi = k.piece_boxes_1d(i)
+    g = gamma[0]
+    return (lo <= g and g + 1 <= hi) or (lo <= -(g + 1) and -g <= hi)
+
+
 def test_order_infinity_dyadic():
     k = build_order_infinity_set([[2.0]], Z1, pieces=6)
     for i in range(1, 6):
@@ -194,9 +202,50 @@ def test_order_infinity_dyadic():
         assert (lo, hi) == (2 ** (i + 2) - 4, 2 ** (i + 2) - 2)
     # certificates: Y + gamma_i inside piece i
     for i, power, gamma in k.certificates:
-        lo, hi = k.piece_boxes_1d(i)
-        g = gamma[0]
-        assert (lo <= g and g + 1 <= hi) or (lo <= -(g + 1) and -g <= hi)
+        assert _inside_piece_1d(k, i, gamma)
+
+
+def test_order_infinity_certificates_beyond_pieces():
+    # a slab past the first `pieces` gets its push and its certificate from one search
+    k = build_order_infinity_set([[2.0]], Z1, pieces=8)
+    for i in range(9, 17):
+        power, gamma = k.certificate(i)
+        assert power == k.shift(i) == i + 1 and gamma == (2.0 ** (i + 2) - 4,)
+        assert _inside_piece_1d(k, i, gamma)
+
+
+def test_contains_raises_on_a_refused_point():
+    # the order-infinity sets refuse their null set like any section
+    cone = build_order_infinity_set(SHEAR, Z2, pieces=4)
+    dyadic = build_order_infinity_set([[2.0]], Z1, pieces=4)
+    for region, point in ((cone, [0.0, 1.0]), (dyadic, [0.0])):
+        with pytest.raises(ExceptionalPoint):
+            contains(region, point)
+
+
+# spirals on Z^2, pieces=4: zero-ray points of every slab orbit; the two
+# unconjugated ones also put exactly one point of each orbit in the set
+ZERO_RAY_SPIRALS = [([[1.2, -0.5], [0.5, 1.2]], True), ([[0.0, 2.0], [-2.0, 0.0]], True),
+                    ([[0.7, -0.5], [1.0, 1.7]], False)]
+
+
+@pytest.mark.parametrize("a, one_per_orbit", ZERO_RAY_SPIRALS, ids=["spiral_1_3", "spiral_2", "conjugated"])
+def test_order_infinity_spiral_decides_zero_ray_points(a, one_per_orbit):
+    # the points (s_i, 0) J^k in Jordan coordinates, s_i the midpoint of
+    # slab i = 1..4 and k in [-20, 20]: the slab index reads the angle the
+    # tile index reads, so none of them is refused
+    k = build_order_infinity_set(a, Z2, pieces=4)
+    base = k.base
+    lam = math.exp(base.params["log_span"])
+    powers = np.arange(-20, 21)
+    for i in range(1, 5):
+        c = np.zeros((len(powers), 2))
+        c[:, base.block.offset] = lam - 1.5 * (lam - 1.0) * 2.0 ** -i
+        orbit = base.jordan.from_jordan(jordan_power_rows(base.jordan, c, powers, integer=True))
+        member, exc = k.membership(orbit)
+        assert not exc.any(), i
+        if one_per_orbit:
+            assert member.sum() == 1, i
 
 
 def test_order_infinity_counts(rng):
@@ -287,11 +336,11 @@ PINNED_SPIRAL_GAUSSIAN = [
 
 
 def test_order_infinity_spiral_membership_at_lattice_points():
-    # these representatives round onto an edge of the radial range [1, 16):
-    # exactly 16 at (1, 1), a wrapped phase below 1 at the others
+    # the representative of (1, 1) rounds onto the outer edge 16 of the
+    # radial range [1, 16); those of (0, 3) and (-5, 0) lie on the zero ray
     k = build_order_infinity_set([[0, 2], [-2, 0]], Lattice([[1, 0], [0, 1]]), pieces=4)
     member, exc = k.membership(np.array([[1.0, 1.0], [0.0, 3.0], [-5.0, 0.0]]))
-    assert exc.all() and not member.any()
+    assert exc.tolist() == [True, False, False] and member.tolist() == [False, True, False]
     grid = np.array([(a, b) for a in range(-30, 31) for b in range(-30, 31) if (a, b) != (0, 0)], dtype=float)
     member, exc = k.membership(grid)  # raises nowhere on the lattice
     assert not (member & exc).any()

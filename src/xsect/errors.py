@@ -46,7 +46,9 @@ class NoSection(XsectError):
 
 
 class ExceptionalPoint(XsectError):
-    """Point lies in the declared measure-zero set excluded from the tiling."""
+    """Point refused by a scalar call: it lies on the declared measure-zero
+    set excluded from the tiling, or its solve overflows or falls below
+    floating-point resolution; the message does not tell which."""
 
     code = "exceptional_point"
 

@@ -966,12 +966,17 @@ class PushedSection:
 # public scalar API
 
 
+# the refusal message of the scalar API: the vectorized calls flag the null
+# set, overflow and float-resolution limits alike, so it names no one cause
+_REFUSED = "point refused: on the declared measure-zero set or not resolvable in floating point"
+
+
 def contains(region, gamma) -> bool:
     """Exact membership test in any set with a vectorized ``membership``
     (sections, pushed sets, regions); raises ExceptionalPoint on a refused point."""
     member, exceptional = region.membership(np.atleast_2d(gamma))
     if exceptional[0]:
-        raise ExceptionalPoint("point lies in the declared measure-zero set")
+        raise ExceptionalPoint(_REFUSED)
     return bool(member[0])
 
 
@@ -983,7 +988,7 @@ def solve_orbit(section: CrossSection, gamma) -> OrbitSolution:
     """
     params, reps, exceptional = section.solve(np.atleast_2d(gamma))
     if exceptional[0]:
-        raise ExceptionalPoint("point lies in the declared measure-zero set")
+        raise ExceptionalPoint(_REFUSED)
     p = params[0]
     if section.mode == "discrete":
         p = int(p)

@@ -4,8 +4,10 @@ The discrete check counts, for Gaussian-sampled points, how many powers
 ``xi A^k`` land in the candidate set; a cross-section gives multiplicity
 exactly 1.  A cross-section under its own matrix, the order-infinity cone
 too, is probed only in each sample's gauge bracket of ``k``
-(``_Case.gauge``); pushed sets, other regions and ``exhaustive=True`` take
-the full scan.  The continuous check exploits that sweeping a continuous
+(``_Case.gauge``); a pushed set under its matrix (reshaped, or a dyadic or
+spiral order-infinity set) in its base's bracket shifted by the push of
+the sample's piece.  Other regions and ``exhaustive=True`` take the full
+scan.  The continuous check exploits that sweeping a continuous
 section over unit time yields a discrete cross-section: the time set
 ``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
 come from the closed-form solve and are cross-checked by bisection
@@ -127,10 +129,11 @@ def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None, exha
 
     Each ``A^k`` is a power of its own (:func:`_powers`): a product
     carried along with the points loses the contracting directions of a
-    non-normal ``A``.  A discrete cross-section under its own matrix is
-    probed only in each row's gauge bracket (:func:`_bracket`).  Otherwise,
-    or if ``exhaustive``, every ``k`` is probed: a membership call takes one
-    power of all rows, or, for centred windows, a stretch of (row, k) pairs.
+    non-normal ``A``.  A discrete cross-section, or a pushed set of one,
+    under its own matrix is probed only in each row's gauge bracket
+    (:func:`_bracket`).  Otherwise, or if ``exhaustive``, every ``k`` is
+    probed: a membership call takes one power of all rows, or, for centred
+    windows, a stretch of (row, k) pairs.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     bracket = None if exhaustive else _bracket(region, a, pts)
@@ -158,16 +161,23 @@ def _jordan_section(region, a):
 def _bracket(region, a, pts):
     """Per row, the ``k`` range ``[floor(min) - 1, ceil(max) + 1]`` of
     ``{k : g + k*rate in [lo, hi]}``, outside which ``xi A^k`` misses the
-    section, and an empty range where ``g`` is not finite.  None unless
-    the region is its own :func:`_jordan_section`: a pushed set's pieces
-    sit at other powers than its base's bracket."""
-    if _jordan_section(region, a) is not region:
+    :func:`_jordan_section`, and an empty range where ``g`` is not finite;
+    None if there is no such section.  A pushed set's row is shifted by
+    the shift ``n_s`` of the piece ``s`` holding its base representative,
+    as ``xi A^k`` lies in ``S_s A^(n_s)`` exactly when ``xi A^(k - n_s)``
+    lies in ``S_s``; a row whose base solve is refused keeps every ``k``."""
+    section = _jordan_section(region, a)
+    if section is None:
         return None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g, rate, lo, hi = region.kind.gauge(region, region.jordan.to_jordan(pts)[:, region.block.offset :])
+        g, rate, lo, hi = section.kind.gauge(section, section.jordan.to_jordan(pts)[:, section.block.offset :])
         ends = np.sort([(lo - g) / rate, (hi - g) / rate], axis=0)
         ends = np.where(np.isfinite(ends).all(axis=0), np.clip(ends, -1e15, 1e15), [[1e15], [-1e15]])
-    return (np.floor(ends[0]) - 1).astype(int), (np.ceil(ends[1]) + 1).astype(int)
+    first, last = np.floor(ends[0]) - 1, np.ceil(ends[1]) + 1
+    if section is not region:
+        _, _, _, shifts, refused = region._pushed(pts)
+        first, last = np.where(refused, -2e15, first + shifts), np.where(refused, 2e15, last + shifts)
+    return first.astype(int), last.astype(int)
 
 
 def _pair_counts(region, a, pts, lo, hi, skip):

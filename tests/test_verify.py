@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from xsect.errors import BudgetExceeded
+from xsect.errors import BudgetExceeded, DetOne, MixedModuli
 from xsect.sections import build_continuous_section, build_discrete_section, derive_discrete_section
-from xsect.shaping import to_finite_measure
+from xsect.shaping import to_bounded, to_finite_measure
 from xsect.verify import (check_continuous_tiling, check_discrete_tiling, dilation_counts, jacobian_check,
-                          orbit_integral)
+                          orbit_integral, scan_dilations)
 from xsect.wavelet import Lattice, build_order_infinity_set
 
 from conftest import DIAG21, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
@@ -417,30 +417,105 @@ def _gauged_section(name, conjugator_seed):
 _GAUGED = [(name, seed) for name in [*_GAUGED_DISCRETE, *_GAUGED_GENERATORS] for seed in (None, 1, 2, 3)]
 
 
+def _assert_bracketed_counts_equal_the_full_scan(region, pts):
+    a = region.matrix
+    base = dilation_counts(region, a, pts, -60, 60)
+    assert base.tolist() == dilation_counts(region, a, pts, -60, 60, exhaustive=True).tolist()
+    # centred windows around the predicted hit, and around random centres
+    hits = -region.solve(pts)[0].astype(int)
+    for centres in (hits, np.random.default_rng(42).integers(-200, 200, size=len(pts))):
+        kw = dict(centres=centres, skip=(-10, 10))
+        assert dilation_counts(region, a, pts, -60, 60, **kw).tolist() == \
+            dilation_counts(region, a, pts, -60, 60, exhaustive=True, **kw).tolist()
+
+
 @pytest.mark.parametrize("name, conjugator_seed", _GAUGED)
 def test_bracketed_counts_equal_the_full_scan(name, conjugator_seed):
     section = _gauged_section(name, conjugator_seed)
     assert section.kind.gauge(section, np.ones((1, section.n))) is not None
-    a = section.matrix
-    pts = np.random.default_rng(41).normal(size=(400, section.n))
-    base = dilation_counts(section, a, pts, -60, 60)
-    assert base.tolist() == dilation_counts(section, a, pts, -60, 60, exhaustive=True).tolist()
-    # centred windows around the predicted hit, and around random centres
-    hits = -section.solve(pts)[0].astype(int)
-    for centres in (hits, np.random.default_rng(42).integers(-200, 200, size=len(pts))):
-        kw = dict(centres=centres, skip=(-10, 10))
-        assert dilation_counts(section, a, pts, -60, 60, **kw).tolist() == \
-            dilation_counts(section, a, pts, -60, 60, exhaustive=True, **kw).tolist()
+    _assert_bracketed_counts_equal_the_full_scan(section, np.random.default_rng(41).normal(size=(400, section.n)))
+
+
+def _membership_rows_per_sample(monkeypatch, region, cls):
+    """The tiling report of 2000 samples, and the rows per sample passed to
+    ``cls.membership`` to count them."""
+    rows = []
+    membership = cls.membership
+    monkeypatch.setattr(cls, "membership", lambda s, pts: rows.append(len(pts)) or membership(s, pts))
+    return check_discrete_tiling(region, samples=2000, seed=5), sum(rows) / 2000
 
 
 @pytest.mark.parametrize("name, conjugator_seed", _GAUGED)
 def test_bracket_probes_at_most_twelve_powers_per_sample(monkeypatch, name, conjugator_seed):
     from xsect.sections import CrossSection
 
-    section = _gauged_section(name, conjugator_seed)
-    rows = []
-    membership = CrossSection.membership
-    monkeypatch.setattr(CrossSection, "membership", lambda s, pts: rows.append(len(pts)) or membership(s, pts))
-    report = check_discrete_tiling(section, samples=2000, seed=5)
+    report, rows = _membership_rows_per_sample(monkeypatch, _gauged_section(name, conjugator_seed), CrossSection)
     assert report.passed
-    assert sum(rows) <= 12 * 2000
+    assert rows <= 12
+
+
+# the targets reshaping accepts for each sliceable input of _GAUGED_DISCRETE:
+# the six free blocks have moduli on both sides of 1, so no bounded set
+_RESHAPED = {
+    "modulus_not_one": ("finite", "bounded"),
+    "contracting_modulus": ("finite", "bounded"),
+    "complex_modulus_not_one": ("finite", "bounded"),
+    "contracting_spiral": ("finite", "bounded"),
+    "six_free_blocks": ("finite",),
+}
+_RESHAPE = {"finite": to_finite_measure, "bounded": to_bounded}
+# order-infinity sets with a sliceable base: the dyadic set of [[2]], a slow
+# spiral (a quarter of a turn in four powers) and a fast one
+_ORDER_INFINITY = {"dyadic": [[2.0]], "slow_spiral": [[1.2, -0.5], [0.5, 1.2]], "spiral": SPIRAL}
+
+
+def test_reshaping_accepts_only_the_listed_targets():
+    for name in _GAUGED_DISCRETE:
+        section = _gauged_section(name, None)
+        for target, reshape in _RESHAPE.items():
+            if target in _RESHAPED.get(name, ()):
+                assert section.kind.sliceable
+                reshape(section)
+            else:
+                with pytest.raises((DetOne, MixedModuli, ValueError)):
+                    reshape(section)
+
+
+def _pushed_set(name, target, conjugator_seed):
+    if target == "order_infinity":
+        m = np.asarray(_ORDER_INFINITY[name], dtype=float)
+        return build_order_infinity_set(m, Lattice.integers(len(m)), pieces=4)
+    return _RESHAPE[target](_gauged_section(name, conjugator_seed))
+
+
+def _base_refused_rows(base):
+    """Two rows the base solve refuses: the witness coordinates 0 (the null
+    set) and 1e-17, every other Jordan coordinate 1."""
+    coords = np.ones((2, base.n))
+    witness = slice(base.block.offset, base.block.offset + base.kind.pinned)
+    coords[0, witness], coords[1, witness] = 0.0, 1e-17
+    return base.jordan.from_jordan(coords)
+
+
+_PUSHED = [(name, target, seed) for name, targets in _RESHAPED.items() for target in targets
+           for seed in (None, 1, 2, 3)] + [(name, "order_infinity", None) for name in _ORDER_INFINITY]
+
+
+@pytest.mark.parametrize("name, target, conjugator_seed", _PUSHED)
+def test_pushed_bracketed_counts_equal_the_full_scan(name, target, conjugator_seed):
+    region = _pushed_set(name, target, conjugator_seed)
+    pts = np.vstack([np.random.default_rng(41).normal(size=(200, region.n)), _base_refused_rows(region.base)])
+    _assert_bracketed_counts_equal_the_full_scan(region, pts)
+    # a refused row keeps every power: its orbit may still be solved, and hit, elsewhere
+    counts, windows, refused = scan_dilations(region, region.matrix, pts)
+    assert refused[-2:].all()
+    full = scan_dilations(region, region.matrix, pts, exhaustive=True)
+    assert (counts.tolist(), windows, refused.tolist()) == (full[0].tolist(), full[1], full[2].tolist())
+
+
+# the slow spiral is left out: its base bracket spans 2 pi / beta + 3, about
+# 19 powers, as the gauge ignores the angle
+@pytest.mark.parametrize("name, target, conjugator_seed", [p for p in _PUSHED if p[0] != "slow_spiral"])
+def test_pushed_bracket_probes_at_most_twelve_powers_per_sample(monkeypatch, name, target, conjugator_seed):
+    region = _pushed_set(name, target, conjugator_seed)
+    assert _membership_rows_per_sample(monkeypatch, region, type(region))[1] <= 12

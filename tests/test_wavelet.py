@@ -6,7 +6,7 @@ import pytest
 import xsect.classify
 from xsect.errors import ExceptionalPoint, NoWavelet, SelectorMiss
 from xsect.linalg import jordan_power_rows, real_jordan_form
-from xsect.sections import contains
+from xsect.sections import contains, solve_orbit
 from xsect.verify import check_discrete_tiling
 from xsect.wavelet import (
     BoxUnion,
@@ -221,6 +221,17 @@ def test_contains_raises_on_a_refused_point():
     for region, point in ((cone, [0.0, 1.0]), (dyadic, [0.0])):
         with pytest.raises(ExceptionalPoint):
             contains(region, point)
+
+
+def test_refused_point_message_names_no_cause():
+    # (1, 1) is off the null set: the base section solves it, but its base
+    # representative rounds onto the outer edge of the radial range (piece 0)
+    spiral = build_order_infinity_set(SPIRAL, Z2, pieces=4)
+    assert not spiral.base.solve(np.array([[1.0, 1.0]]))[2][0]
+    text = r"^point refused: on the declared measure-zero set or not resolvable in floating point$"
+    for call in (contains, solve_orbit):
+        with pytest.raises(ExceptionalPoint, match=text):
+            call(spiral, [1.0, 1.0])
 
 
 # spirals on Z^2, pieces=4: zero-ray points of every slab orbit; the two

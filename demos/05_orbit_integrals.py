@@ -7,7 +7,10 @@ one (delta = det exp(B)).  The shear and the rotating shear substitute
 u = t s and u = t p for the flow time, which leaves the weights
 delta^(u/s) and beta delta^(u/p), both constant on the pure block.  The
 weights are validated against central finite differences of the same
-chart, then used to reproduce Gaussian integrals.
+chart, then used to reproduce Gaussian integrals: the chart's ranges map
+the unit cube onto the decay ball's parameters, and
+scipy.integrate.cubature integrates over the cube, calling the Gaussian
+row by row.
 """
 
 import math

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -320,19 +320,24 @@ def _nonzero(rng, m):
 
 
 class _Chart:
-    """Flow coordinates of a continuous section: ``p`` names a section point
-    ``c`` and a flow time ``t`` (``origin``), and ``point`` is ``c @ exp(tJ)``
-    in Jordan coordinates; these cover R^n up to a null set.  ``p`` lists
-    the outermost integration variable first and the free coordinates
-    last.  ``weight`` is the signed Jacobian determinant of ``point``,
-    ``delta^t`` included; ``ranges`` cover the decay ball of ambient radius
-    ``radius``.  A ``mirrored`` chart covers half of R^n, ``x -> -x`` the rest.
+    """Flow coordinates of a continuous section, on arrays: each row of an
+    (m, d) parameter array ``p`` names a section point ``c`` and a flow time
+    ``t`` (``origin``), and ``point`` is ``c @ exp(tJ)`` in Jordan
+    coordinates; these cover R^n up to a null set.  A row lists the
+    outermost integration variable first and the free coordinates last.
+    ``weight`` is the signed Jacobian determinant of ``point``, ``delta^t``
+    included.  ``ranges`` maps the unit cube [0, 1]^d affinely onto
+    parameters covering the decay ball of ambient radius ``radius``, each
+    variable's interval given by the outer ones: a free coordinate spans
+    the ball's chord (``chord``).  A ``mirrored`` chart covers half of R^n,
+    ``x -> -x`` the rest.
 
     The substituted charts of the nilpotent witnesses take ``u = t x1`` in
     place of ``t`` and give ``point`` in closed form on the pure block,
     whose trace is 0: there ``delta = 1``."""
 
     mirrored = False
+    slabs = 1  # pieces of the outermost variable that are integrated apart
 
     def __init__(self, section, radius=None):
         vars(self).update(section.params)  # alpha, beta, log_span, ... as attributes
@@ -340,21 +345,19 @@ class _Chart:
         self.free = np.array([d for d in range(section.n) if not self.off <= d < self.off + self.span], dtype=np.intp)
         self.pure = not self.free.size
         self.trace = float(np.trace(section.matrix))
-        self.flow = lru_cache(maxsize=65536)(lambda t: jordan_flow_batch(self.form, [t])[0])  # exp(tJ)
 
     def origin(self, p):
         lead, t = self.lead(p)
-        c = np.zeros(self.form.n)
-        c[self.off : self.off + self.span] = lead
-        c[self.free] = p[len(p) - self.free.size :]
+        c = np.zeros((len(p), self.form.n))
+        c[:, self.off : self.off + self.span] = lead
+        c[:, self.free] = p[:, self.span :]
         return c, t
 
     def point(self, p):
-        c, t = self.origin(p)
-        return c @ self.flow(t)
+        return jordan_power_rows(self.form, *self.origin(p))
 
-    def draw(self, rng):
-        return rng.uniform(-2.0, 2.0, self.form.n)
+    def draw(self, rng, m):
+        return rng.uniform(-2.0, 2.0, (m, self.form.n))
 
     def reach(self, pure=False):
         """Radius of the decay ball in Jordan coordinates; ``pure`` refuses free coordinates."""
@@ -362,16 +365,45 @@ class _Chart:
             raise DimensionTooHigh(f"orbit_integral integrates this case on its pure {self.span}x{self.span} block only")
         return self.radius * float(np.linalg.norm(self.form.conjugator_inverse, 2))
 
-    def flow_ranges(self, *middle):
-        """The flow time's range, ``middle``, then the range of each free
-        coordinate at that time: ``|c_d| <= R ||column d of Q exp(-tJ)||``."""
+    def time_range(self):
+        return tuple(sorted((math.log(1e-5) / self.alpha, math.log(1.5 * self.reach()) / self.alpha)))
 
-        def free_range(d, *outer):
-            bound = self.radius * float(np.linalg.norm(self.form.conjugator_inverse @ self.flow(-outer[-1])[:, d]))
-            return -bound - 1.0, bound + 1.0
+    def ranges(self, y):
+        """``p`` for the rows ``y`` of the unit cube, and the map's Jacobian:
+        column k spans the k-th of ``intervals``, an interval or a function
+        of the outer columns ``p[:, :k]``, then the free coordinates their
+        chords."""
+        p, volume = np.empty_like(y), np.ones(len(y))
+        for k, bound in enumerate(self.intervals + [self.chord] * self.free.size):
+            lo, hi = bound(p[:, :k]) if callable(bound) else bound
+            p[:, k] = lo + (hi - lo) * y[:, k]
+            volume *= hi - lo
+        return p, volume
 
-        time = tuple(sorted((math.log(1e-5) / self.alpha, math.log(1.5 * self.reach()) / self.alpha)))
-        return [time, *middle] + [partial(free_range, d) for d in self.free]
+    def chord(self, p):
+        """The range of the next free coordinate at the outer columns ``p``:
+        the projection of the ball ``|c exp(tJ) P| <= R`` with the earlier
+        coordinates of ``c`` fixed, widened by 1 on each side, and empty
+        where it misses the ball.  ``x0`` is the fixed part of ``x`` and
+        ``v`` the rows of ``exp(tJ) P`` at the open coordinates, normalized;
+        the least-squares fit ``x0 + a v`` has residual ``|r|``, and the
+        first open coordinate reaches ``sqrt((R^2 - |r|^2) [(v v^T)^-1]_00)``
+        from its centre."""
+        i = p.shape[1] - self.span
+        lead, t = self.lead(p)
+        w = jordan_flow_batch(self.form, t) @ self.form.conjugator
+        x0 = np.einsum("mj,mjn->mn", np.hstack([lead, p[:, self.span :]]),
+                       w[:, np.r_[self.off : self.off + self.span, self.free[:i]]])
+        v = w[:, self.free[i:]]
+        norms = np.linalg.norm(v, axis=2)
+        v = v / norms[..., None]
+        inv = np.linalg.inv(v @ v.transpose(0, 2, 1))
+        proj = np.einsum("mkn,mn->mk", v, x0)
+        fit = np.einsum("mkl,ml->mk", inv, proj)
+        slack = self.radius**2 - np.einsum("mn,mn->m", x0, x0) + np.einsum("mk,mk->m", proj, fit)
+        centre = -fit[:, 0] / norms[:, 0]
+        half = np.where(slack >= 0.0, np.sqrt(np.maximum(slack, 0.0) * inv[:, 0, 0]) / norms[:, 0] + 1.0, 0.0)
+        return centre - half, centre + half
 
 
 class _ScalingChart(_Chart):
@@ -380,13 +412,14 @@ class _ScalingChart(_Chart):
     span, mirrored = 1, True
 
     def lead(self, p):
-        return (1.0,), p[0]
+        return np.ones((len(p), 1)), p[:, 0]
 
     def weight(self, p):
-        return self.alpha * math.exp(self.trace * p[0])
+        return self.alpha * np.exp(self.trace * p[:, 0])
 
-    def ranges(self):
-        return self.flow_ranges()
+    @cached_property
+    def intervals(self):
+        return [self.time_range()]
 
 
 class _RotatingChart(_Chart):
@@ -396,17 +429,30 @@ class _RotatingChart(_Chart):
     span = 2
 
     def lead(self, p):
-        return (p[1], 0.0), p[0]
+        return np.column_stack((p[:, 1], np.zeros(len(p)))), p[:, 0]
 
     def weight(self, p):
-        return -p[1] * self.beta * math.exp(self.trace * p[0])
+        return -p[:, 1] * self.beta * np.exp(self.trace * p[:, 0])
 
-    def ranges(self):
-        return self.flow_ranges((1.0, math.exp(self.log_span)))
+    @cached_property
+    def intervals(self):
+        return [self.time_range(), (1.0, math.exp(self.log_span))]
 
-    def draw(self, rng):
-        p = super().draw(rng)
-        p[1] = rng.uniform(1.0, math.exp(self.log_span))
+    @cached_property
+    def slabs(self):
+        """One piece, or a quarter turn of flow time per piece under a
+        conjugator that is not conformal: the decay ball is then an ellipse
+        in Jordan coordinates, so the integrand peaks twice a turn, more
+        sharply as ``t`` grows, and a rule spread over many turns misses
+        peaks and reports convergence."""
+        if np.linalg.cond(self.form.conjugator) < 1.0 + 1e-9:
+            return 1
+        lo, hi = self.intervals[0]
+        return math.ceil(4.0 * (hi - lo) * self.beta / TWO_PI)
+
+    def draw(self, rng, m):
+        p = super().draw(rng, m)
+        p[:, 1] = rng.uniform(1.0, math.exp(self.log_span), m)
         return p
 
 
@@ -417,21 +463,22 @@ class _ShearChart(_Chart):
     span = 2
 
     def lead(self, p):
-        return (p[0], 0.0), p[1] / p[0]
+        return np.column_stack((p[:, 0], np.zeros(len(p)))), p[:, 1] / p[:, 0]
 
     def point(self, p):
-        return np.array((p[0], p[1])) if self.pure else super().point(p)
+        return p.copy() if self.pure else super().point(p)
 
     def weight(self, p):
-        return 1.0 if self.pure else math.exp(self.trace * p[1] / p[0])
+        return np.ones(len(p)) if self.pure else np.exp(self.trace * p[:, 1] / p[:, 0])
 
-    def ranges(self):
+    @cached_property
+    def intervals(self):
         r = 1.5 * self.reach(pure=True)
         return [(-r, r), (-r - 1.0, r + 1.0)]
 
-    def draw(self, rng):
-        p = super().draw(rng)
-        p[0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    def draw(self, rng, m):
+        p = super().draw(rng, m)
+        p[:, 0] = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
         return p
 
 
@@ -442,37 +489,36 @@ class _RotatingShearChart(_Chart):
     span = 4
 
     def lead(self, p):
-        return (p[0], 0.0, p[2], p[1]), p[3] / p[0]
+        return np.column_stack((p[:, 0], np.zeros(len(p)), p[:, 2], p[:, 1])), p[:, 3] / p[:, 0]
 
     def point(self, p):
         if not self.pure:
             return super().point(p)
-        pv, s, q, u = p
+        pv, s, q, u = p.T
         theta = self.beta * u / pv
-        c, sn = math.cos(theta), math.sin(theta)
+        c, sn = np.cos(theta), np.sin(theta)
         w = u + q
-        return np.array((pv * c, pv * sn, w * c - s * sn, w * sn + s * c))
+        return np.column_stack((pv * c, pv * sn, w * c - s * sn, w * sn + s * c))
 
     def weight(self, p):
-        return -self.beta if self.pure else -self.beta * math.exp(self.trace * p[3] / p[0])
+        return np.full(len(p), -self.beta) if self.pure else -self.beta * np.exp(self.trace * p[:, 3] / p[:, 0])
 
-    def ranges(self):
+    @cached_property
+    def intervals(self):
         beta, reach = self.beta, self.reach(pure=True)
 
-        def u_range(q, s, p):
+        def u_range(p):
             # support of f: (u+q)^2 + s^2 + p^2 <= (Jordan radius)^2
-            slack = (1.2 * reach) ** 2 - s**2 - p**2
-            if slack <= 0.0:
-                return (0.0, 0.0)
-            w = math.sqrt(slack) + 0.5
-            return (-q - w, -q + w)
+            slack = (1.2 * reach) ** 2 - p[:, 1] ** 2 - p[:, 0] ** 2
+            w = np.where(slack > 0.0, np.sqrt(np.maximum(slack, 0.0)) + 0.5, 0.0)
+            return -p[:, 2] - w, -p[:, 2] + w
 
-        return [(1e-12, 1.5 * reach), (-1.5 * reach, 1.5 * reach), lambda s, p: (0.0, TWO_PI * p / beta), u_range]
+        return [(1e-12, 1.5 * reach), (-1.5 * reach, 1.5 * reach), lambda p: (0.0, TWO_PI * p[:, 0] / beta), u_range]
 
-    def draw(self, rng):
-        p = super().draw(rng)
-        p[0] = rng.uniform(0.5, 2.0)
-        p[2] = rng.uniform(0.0, TWO_PI * p[0] / self.beta)
+    def draw(self, rng, m):
+        p = super().draw(rng, m)
+        p[:, 0] = rng.uniform(0.5, 2.0, m)
+        p[:, 2] = rng.uniform(0.0, TWO_PI * p[:, 0] / self.beta)
         return p
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from xsect.errors import BudgetExceeded, DetOne, MixedModuli
-from xsect.sections import build_continuous_section, build_discrete_section, derive_discrete_section
+from xsect.sections import _Chart, build_continuous_section, build_discrete_section, derive_discrete_section
 from xsect.shaping import to_bounded, to_finite_measure
 from xsect.verify import (check_continuous_tiling, check_discrete_tiling, dilation_counts, jacobian_check,
                           orbit_integral, scan_dilations)
@@ -226,6 +226,131 @@ def test_orbit_integral_reaches_the_jordan_radius_of_the_decay_ball():
     section = build_continuous_section([[0.0, 0.1], [0.0, 0.0]])
     value = orbit_integral(gaussian_density, section, decay_radius=8.0)
     assert abs(value - 1.0) < 0.01
+
+
+# every integrable chart: the scaling and rotating charts, with and without
+# free coordinates, and the pure shear and rotating shear
+INTEGRABLE_GENERATORS = {
+    "scaling_chain": np.array([[_L2, 1.0], [0.0, _L2]]),
+    "rotating": np.array([[1.0, 2 * math.pi], [-2 * math.pi, 1.0]]),
+    "chain3_ln2": FREE_COORDINATE_GENERATORS["chain3_ln2"][1],
+    "rotating_plus_rotation": FREE_COORDINATE_GENERATORS["rotating_plus_rotation"][1],
+    "shear": np.array([[0.0, 1.0], [0.0, 0.0]]),
+    "rotating_shear": case4_generator(),
+}
+
+
+def _chart_parameters(section, pts):
+    """Each ambient row's chart parameters: the flow time ``-t`` of the
+    solve, as ``x = representative @ exp(-t B)``, and the representative's
+    Jordan coordinates as section point, with ``u = t s`` (shear) and
+    ``u = t p`` (rotating shear) in place of the time.  The scaling chart
+    covers the section points of leading coordinate +1, ``-x`` the rest."""
+    ts, reps, refused = section.solve(pts)
+    assert not refused.any()
+    w, t = section.jordan.to_jordan(reps), -ts
+    span = {"real_nonzero": 1, "complex_nonzero": 2, "zero_nilpotent": 2, "imaginary_nilpotent": 4}[section.case]
+    off = section.block.offset
+    lead, free = w[:, off : off + span], np.delete(w, np.s_[off : off + span], axis=1)
+    if section.case == "real_nonzero":
+        return np.column_stack([t, free * lead])
+    if section.case == "complex_nonzero":
+        return np.column_stack([t, lead[:, 0], free])
+    if section.case == "zero_nilpotent":
+        return np.column_stack([lead[:, 0], t * lead[:, 0], free])
+    return np.column_stack([lead[:, 0], lead[:, 3], lead[:, 2], t * lead[:, 0], free])
+
+
+def _cube_coordinates(chart, p):
+    """The point of the unit cube that ``chart.ranges`` maps to each row of
+    ``p``, one variable at a time: the interval of variable k is read off
+    the images of ``y_k = 0`` and ``y_k = 1``."""
+    y = np.full_like(p, 0.5)
+    for k in range(p.shape[1]):
+        ends = []
+        for end in (0.0, 1.0):
+            y[:, k] = end
+            ends.append(chart.ranges(y)[0][:, k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y[:, k] = (p[:, k] - ends[0]) / (ends[1] - ends[0])
+    return y
+
+
+def _rows_outside_the_cube(b, radius=40.0, samples=2000, seed=8):
+    """The number of rows, drawn uniformly in the decay ball, whose chart
+    parameters lie outside the image of the unit cube.  The ball is wide
+    against the margin of 1 that widens each chord."""
+    section = build_continuous_section(b)
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(samples, section.n))
+    pts = g / np.linalg.norm(g, axis=1)[:, None] * radius * rng.uniform(size=(samples, 1)) ** (1 / section.n)
+    y = _cube_coordinates(section.kind.chart(section, radius), _chart_parameters(section, pts))
+    return int(np.count_nonzero(~((y >= 0.0) & (y <= 1.0)).all(axis=1)))
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conjugated"])
+@pytest.mark.parametrize("name", list(INTEGRABLE_GENERATORS))
+def test_chart_ranges_cover_the_decay_ball(name, conjugate):
+    b = INTEGRABLE_GENERATORS[name]
+    assert _rows_outside_the_cube(_conjugated(b) if conjugate else b) == 0
+
+
+# the conjugated scaling chain is left out: its chord, a ratio of Jordan
+# coordinates, is a few units wide at any radius, and the margin of 1 covers
+# a tenth of it
+@pytest.mark.parametrize("name, conjugate", [("scaling_chain", False), ("chain3_ln2", False), ("chain3_ln2", True),
+                                             ("rotating_plus_rotation", False), ("rotating_plus_rotation", True)])
+def test_chart_coverage_sees_a_chord_narrowed_by_a_tenth(monkeypatch, name, conjugate):
+    chord = _Chart.chord
+
+    def narrowed(self, p):
+        lo, hi = chord(self, p)
+        return lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)
+
+    monkeypatch.setattr(_Chart, "chord", narrowed)
+    b = INTEGRABLE_GENERATORS[name]
+    assert _rows_outside_the_cube(_conjugated(b) if conjugate else b) > 0
+
+
+# Reference values of the Gaussian's orbit integral: (generator, decay
+# radius, epsabs = epsrel or None for the defaults, value).  Most are the
+# values of the earlier nested-quad orbit_integral (scipy.integrate.nquad).
+# That integrator read two conjugated charts off the converged value:
+# 0.99906393 for the scaling chain, whose integral is 1 less the Gaussian
+# mass 7.93e-6 of the slab |w_1| < 1e-5 that the time range leaves out, and
+# 0.99641341 for the rotating chart, whose nested-quad value at epsabs 1e-10,
+# epsrel 1e-8 is held instead.  On chain3_ln2 it spent its 10^7 evaluations
+# before converging; there too the value is 1 less the slab's mass.
+ORBIT_INTEGRAL_REFERENCES = {
+    "scaling_1d": (np.array([[_L2]]), 8.0, None, 0.9999920211544155),
+    "scaling_chain": (INTEGRABLE_GENERATORS["scaling_chain"], 8.0, None, 0.9999920211577861),
+    "rotating": (INTEGRABLE_GENERATORS["rotating"], 8.0, None, 0.9999999998402788),
+    "shear": (INTEGRABLE_GENERATORS["shear"], 8.0, None, 0.9999999999999996),
+    "rotating_shear": (INTEGRABLE_GENERATORS["rotating_shear"], 7.0, 1e-4, 1.0000000000006604),
+    "scaling_chain_conjugated": (_conjugated(INTEGRABLE_GENERATORS["scaling_chain"]), 8.0, None, 0.9999920732339977),
+    "rotating_conjugated": (_conjugated(INTEGRABLE_GENERATORS["rotating"]), 8.0, None, 0.9999999979289989),
+    "shear_conjugated": (_conjugated(INTEGRABLE_GENERATORS["shear"]), 8.0, None, 0.9999999998709047),
+    "chain3_ln2": (INTEGRABLE_GENERATORS["chain3_ln2"], 6.0, 1e-4, 0.999992021154392),
+    "chain3_ln2_conjugated": (_conjugated(INTEGRABLE_GENERATORS["chain3_ln2"]), 6.0, 1e-4, 0.9999937310235112),
+}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_INTEGRAL_REFERENCES))
+def test_orbit_integral_matches_its_reference_value(name):
+    b, radius, eps, expected = ORBIT_INTEGRAL_REFERENCES[name]
+    tolerances = {} if eps is None else {"epsabs": eps, "epsrel": eps}
+    value = orbit_integral(gaussian_density, build_continuous_section(b), decay_radius=radius, **tolerances)
+    assert abs(value - expected) < 1e-4
+
+
+def test_orbit_integral_that_cannot_converge_exceeds_its_budget():
+    # the unit disc's indicator jumps along a curve of the (t, s) chart: no
+    # subdivision within 20,000 evaluations reaches a relative error of 1e-14
+    section = build_continuous_section([[1.0, 2 * math.pi], [-2 * math.pi, 1.0]])
+    with pytest.raises(BudgetExceeded, match="did not converge") as caught:
+        orbit_integral(lambda x: 1.0 if x @ x < 1.0 else 0.0, section, decay_radius=4.0, epsabs=0.0,
+                       epsrel=1e-14, budget=20_000)
+    assert caught.value.evaluations <= 20_000
 
 
 def test_continuous_tiling_on_derived_discrete_sum(rng):

@@ -228,24 +228,18 @@ class _Case:
     for a complex pair.  The null-set mask, the null-set data and, in
     the sliceable cases, the free dimensions all follow from it.
 
-    ``eq_scale``, ``member`` and ``parameter`` read ``w``, the Jordan
-    coordinates from the witness block on (``w[:, 0]`` is ``x1``).
-    ``parameter`` is the flow time ``t`` with ``gamma @ A^t in S``
-    (continuous cases) or the tile index ``k`` with ``gamma in S @ A^k``
-    (discrete cases); ``exceptional`` is the null-set mask, so the
-    formulas never divide by a vanishing witness coordinate.  A discrete
-    section meets every orbit once, so it is the set of points of tile
-    index 0, which is the default ``member``; the two slab cases test
-    their slab without a log and a floor per point.
+    ``eq_scale``, ``member``, ``parameter`` and ``gauge`` read ``w``, the
+    Jordan coordinates from the witness block on (``w[:, 0]`` is ``x1``);
+    ``exceptional`` is the null-set mask, so the formulas never divide by a
+    vanishing witness coordinate.  A continuous case's ``parameter`` is the
+    flow time ``t`` with ``gamma @ A^t in S``.
 
-    ``gauge`` gives ``(g, rate, lo, hi)``: a witness coordinate ``g``
-    that the action at ``p`` moves to exactly ``g + p*rate``, with
-    ``lo <= g <= hi`` on the set; ``g`` is not finite on the null set.  The
-    leading cell moves as ``c1 lambda^p`` whatever the chain length, so
-    ``log|x1|`` and ``log r`` gain ``p log|lambda|`` (``p alpha``, flows); the
-    next cell gains ``p lambda^(p-1) c1`` (``p c1``), so ``x2/x1`` gains
-    ``p/lambda`` (``p``) and ``Re(z2/z1)`` gains ``p`` once a power's ``z2``
-    is rotated by ``beta``; a unit-time sweep widens its base's range by ``rate``.
+    A discrete section is a fundamental domain of ``gamma -> gamma A^k``, and
+    each discrete case states it once, as ``gauge``: ``(u, s)``, a phase
+    ``u`` that the action at ``p`` moves to exactly ``u + p*s``, ``s = +/-1``,
+    with ``S = {0 <= u < 1}``.  The tile index ``k`` with ``gamma in S @ A^k``
+    is then ``s * floor(u)`` (``parameter``), and ``S`` the points of tile
+    index 0 (``member``).
     """
 
     name: str
@@ -286,6 +280,10 @@ class _Case:
         with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it is masked out
             return self.parameter(section, w, exceptional) == 0
 
+    def parameter(self, section, w, exceptional):
+        u, s = self.gauge(section, w, exceptional)
+        return (s * np.floor(u)).astype(int)
+
     @property
     def flows(self) -> bool:
         """The form is that of a generator ``B``: the action at ``p`` is ``exp(pB)``."""
@@ -303,11 +301,6 @@ def _on_ray(section, w):
     """The leading pair on the zero-angle ray, and its radius."""
     r = np.hypot(w[:, 0], w[:, 1])
     return (np.abs(w[:, 1]) <= section.tol * np.maximum(r, 1.0)) & (w[:, 0] > 0), r
-
-
-def _re_ratio(w, z2):
-    """``Re(z2 / z1)`` for the leading pair ``z1`` of ``w`` and the pair ``z2``."""
-    return (z2[0] * w[:, 0] + z2[1] * w[:, 1]) / (w[:, 0] ** 2 + w[:, 1] ** 2)
 
 
 def _nonzero(rng, m):
@@ -366,7 +359,7 @@ class _Chart:
         return self.radius * float(np.linalg.norm(self.form.conjugator_inverse, 2))
 
     def time_range(self):
-        return tuple(sorted((math.log(1e-5) / self.alpha, math.log(1.5 * self.reach()) / self.alpha)))
+        return tuple(sorted((math.log(1e-8) / self.alpha, math.log(1.5 * self.reach()) / self.alpha)))
 
     def ranges(self, y):
         """``p`` for the rows ``y`` of the unit cube, and the map's Jacobian:
@@ -536,9 +529,6 @@ class _RealNonzero(_Case):
     def member(self, section, w, exceptional):
         return np.abs(np.abs(w[:, 0]) - 1.0) <= section.tol
 
-    def gauge(self, section, w):
-        return np.log(np.abs(w[:, 0])), section.params["alpha"], 0.0, 0.0
-
     def parameter(self, section, w, exceptional):
         safe = np.where(exceptional, 1.0, np.abs(w[:, 0]))
         return -np.log(safe) / section.params["alpha"]
@@ -569,9 +559,6 @@ class _ComplexNonzero(_Case):
         logr = np.log(np.where(r > 0, r, 1.0))
         return on_ray & (logr >= 0.0) & (logr < section.params["log_span"])
 
-    def gauge(self, section, w):
-        return np.log(np.hypot(w[:, 0], w[:, 1])), section.params["alpha"], 0.0, section.params["log_span"]
-
     def parameter(self, section, w, exceptional):
         alpha, beta, mu = section.params["alpha"], section.params["beta"], section.params["mu"]
         sigma = 1.0 if alpha > 0 else -1.0
@@ -601,9 +588,6 @@ class _ZeroNilpotent(_Case):
     def member(self, section, w, exceptional):
         return np.abs(w[:, 1]) <= section.tol * np.maximum(np.abs(w[:, 0]), 1.0)
 
-    def gauge(self, section, w):
-        return w[:, 1] / w[:, 0], 1.0, 0.0, 0.0
-
     def parameter(self, section, w, exceptional):
         return -w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
 
@@ -627,9 +611,6 @@ class _ImaginaryNilpotent(_Case):
     def member(self, section, w, exceptional):
         on_ray, _ = _on_ray(section, w)
         return on_ray & (w[:, 2] >= 0.0) & (w[:, 2] < (TWO_PI / section.params["beta"]) * w[:, 0])
-
-    def gauge(self, section, w):
-        return _re_ratio(w, (w[:, 2], w[:, 3])), 1.0, 0.0, TWO_PI / section.params["beta"]
 
     def parameter(self, section, w, exceptional):
         x1 = np.where(exceptional, 1.0, w[:, 0])
@@ -657,18 +638,10 @@ class _ModulusNotOne(_Case):
         big = max(abs(lam), 1.0 / abs(lam))
         return dict(lam=lam, log_span=math.log(big), expanding=abs(lam) > 1.0)
 
-    def member(self, section, w, exceptional):
-        a1 = np.abs(w[:, 0])
-        return (a1 >= 1.0) & (a1 < math.exp(section.params["log_span"]))
-
-    def gauge(self, section, w):
-        return np.log(np.abs(w[:, 0])), math.log(abs(section.params["lam"])), 0.0, section.params["log_span"]
-
-    def parameter(self, section, w, exceptional):
+    def gauge(self, section, w, exceptional=False):
+        """``log|x1| / log_span``, to which ``A`` adds ``log|lam| / log_span = +/-1``."""
         u = np.log(np.where(exceptional, 1.0, np.abs(w[:, 0]))) / section.params["log_span"]
-        # expanding: log|x1| - k*span in [0, span); contracting: + k*span
-        k = np.floor(u) if section.params["expanding"] else -np.floor(u)
-        return k.astype(int)
+        return u, 1 if section.params["expanding"] else -1
 
     def sample(self, section, coords, rng):
         m = coords.shape[0]
@@ -717,23 +690,13 @@ class _ComplexModulusNotOne(_Case):
         logr = np.log(np.where(r > 0, r, 1.0))
         return phi, logr - (phi / section.params["omega"]) * section.params["mu"]
 
-    def member(self, section, w, exceptional):
+    def gauge(self, section, w, exceptional=False):
+        """The flow phase ``(phi + 2 pi m) / omega``, ``m`` the slab of the
+        log-radial index: ``A`` turns ``phi`` by ``beta``, ``+omega`` (expanding)
+        or ``-omega`` modulo 2 pi, and moves the index a slab as ``phi`` wraps."""
         phi, logs = self.log_radial(section, w)
-        return (phi < section.params["omega"]) & (logs >= 0.0) & (logs < section.params["log_span"])
-
-    def gauge(self, section, w):
-        mu, span = section.params["mu"], section.params["log_span"]
-        return np.log(np.hypot(w[:, 0], w[:, 1])), mu if section.params["expanding"] else -mu, 0.0, span + mu
-
-    def parameter(self, section, w, exceptional):
-        mu, omega = section.params["mu"], section.params["omega"]
-        phi = _angle(w[:, 0], w[:, 1])
-        logr = np.log(np.where(exceptional, 1.0, np.hypot(w[:, 0], w[:, 1])))
-        m = np.floor((omega * logr / mu - phi) / TWO_PI)
-        tau = (phi + TWO_PI * m) / omega
-        j = np.floor(tau)
-        k = j if section.params["expanding"] else -j
-        return k.astype(int)
+        m = np.floor(logs / section.params["log_span"])
+        return (phi + TWO_PI * m) / section.params["omega"], 1 if section.params["expanding"] else -1
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -775,13 +738,9 @@ class _RealModulusOneNilpotent(_Case):
     def params(self, blk):
         return {"lam": 1.0 if blk.re > 0 else -1.0}
 
-    def parameter(self, section, w, exceptional):
-        ratio = w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
-        k = section.params["lam"] * np.floor(ratio)
-        return k.astype(int)
-
-    def gauge(self, section, w):
-        return w[:, 1] / w[:, 0], section.params["lam"], 0.0, 1.0
+    def gauge(self, section, w, exceptional=False):
+        """``x2/x1``, to which ``A`` adds ``1/lam = lam``."""
+        return w[:, 1] / np.where(exceptional, 1.0, w[:, 0]), section.params["lam"]
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -796,12 +755,8 @@ class _ComplexModulusOneNilpotent(_Case):
     def params(self, blk):
         return {"beta": blk.argument}
 
-    def parameter(self, section, w, exceptional):
-        return np.floor(_flow_time_mod1(section.params["beta"], w, exceptional)).astype(int)
-
-    def gauge(self, section, w):
-        beta = section.params["beta"]  # the second pair rotated by beta: the flow coordinates of _flow_time_mod1
-        return _re_ratio(w, _rotate_rows(w[:, 2], w[:, 3], beta)), 1.0, 0.0, TWO_PI / beta + 1.0
+    def gauge(self, section, w, exceptional=False):
+        return _flow_time_mod1(section.params["beta"], w, exceptional), 1
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -822,8 +777,8 @@ class _ComplexModulusOneNilpotent(_Case):
 
 class _DerivedFromContinuous(_Case):
     """The unit-time sweep ``{gamma A^t : gamma in S, 0 <= t < 1}`` of the
-    continuous section ``S = section.base``: its null set and flow time
-    are the base's, and the tile index is ``floor(-t)``."""
+    continuous section ``S = section.base``: its null set is the base's,
+    and its phase is minus the base's flow time ``t``."""
 
     json_tags = (("derived", True),)
     flows = True  # A = exp(B), and the Jordan form is that of B
@@ -837,12 +792,8 @@ class _DerivedFromContinuous(_Case):
     def null_mask(self, section, coords, norms):
         return section.base.kind.null_mask(section.base, coords, norms)
 
-    def parameter(self, section, w, exceptional):
-        return np.floor(-section.base.kind.parameter(section.base, w, exceptional)).astype(int)
-
-    def gauge(self, section, w):
-        g, rate, lo, hi = section.base.kind.gauge(section.base, w)
-        return g, rate, lo + min(rate, 0.0), hi + max(rate, 0.0)
+    def gauge(self, section, w, exceptional=False):
+        return -section.base.kind.parameter(section.base, w, exceptional), 1
 
     def sample(self, section, coords, rng):
         base = section.base

@@ -3,15 +3,15 @@
 The discrete check counts, for Gaussian-sampled points, how many powers
 ``xi A^k`` land in the candidate set; a cross-section gives multiplicity
 exactly 1.  A cross-section under its own matrix, the order-infinity cone
-too, is probed only in each sample's gauge bracket of ``k``
-(``_Case.gauge``); a pushed set under its matrix (reshaped, or a dyadic or
-spiral order-infinity set) in its base's bracket shifted by the push of
-the sample's piece.  Other regions and ``exhaustive=True`` take the full
-scan.  The continuous check exploits that sweeping a continuous
-section over unit time yields a discrete cross-section: the time set
-``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
-come from the closed-form solve and are cross-checked by bisection
-refinement of the membership indicator.
+too, is probed only at each sample's hit, which its phase ``(u, s)``
+(``_Case.gauge``) gives, and one power on each side; a pushed set under its
+matrix (reshaped, or a dyadic or spiral order-infinity set) at its base's
+three powers shifted by the push of the sample's piece.  Other regions and
+``exhaustive=True`` take the full scan.  The continuous check exploits
+that sweeping a continuous section over unit time yields a discrete
+cross-section: the time set ``{t : xi A^t in T}`` is an interval of
+length exactly 1, whose endpoints come from the closed-form solve and are
+cross-checked by bisection refinement of the membership indicator.
 
 Orbit integration evaluates ``integral of f over R^n`` on the section's
 flow chart, with its closed-form Jacobian weight: ``alpha delta^t``
@@ -135,10 +135,10 @@ def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None, exha
     Each ``A^k`` is a power of its own (:func:`_powers`): a product
     carried along with the points loses the contracting directions of a
     non-normal ``A``.  A discrete cross-section, or a pushed set of one,
-    under its own matrix is probed only in each row's gauge bracket
-    (:func:`_bracket`).  Otherwise, or if ``exhaustive``, every ``k`` is
-    probed: a membership call takes one power of all rows, or, for centred
-    windows, a stretch of (row, k) pairs.
+    under its own matrix is probed only at each row's hit and one power on
+    each side (:func:`_bracket`).  Otherwise, or if ``exhaustive``, every
+    ``k`` is probed: a membership call takes one power of all rows, or, for
+    centred windows, a stretch of (row, k) pairs.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     bracket = None if exhaustive else _bracket(region, a, pts)
@@ -164,10 +164,11 @@ def _jordan_section(region, a):
 
 
 def _bracket(region, a, pts):
-    """Per row, the ``k`` range ``[floor(min) - 1, ceil(max) + 1]`` of
-    ``{k : g + k*rate in [lo, hi]}``, outside which ``xi A^k`` misses the
-    :func:`_jordan_section`, and an empty range where ``g`` is not finite;
-    None if there is no such section.  A pushed set's row is shifted by
+    """Per row, the ``k`` range ``[h - 1, h + 1]`` around the hit ``h``, the
+    one ``k`` with ``u + k*s`` in ``[0, 1)`` for the row's phase ``(u, s)`` in
+    the :func:`_jordan_section`; one power on each side absorbs the rounding
+    of ``u`` at a tile edge.  The range is empty where ``u`` is not finite,
+    and None if there is no such section.  A pushed set's row is shifted by
     the shift ``n_s`` of the piece ``s`` holding its base representative,
     as ``xi A^k`` lies in ``S_s A^(n_s)`` exactly when ``xi A^(k - n_s)``
     lies in ``S_s``; a row whose base solve is refused keeps every ``k``."""
@@ -175,10 +176,9 @@ def _bracket(region, a, pts):
     if section is None:
         return None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g, rate, lo, hi = section.kind.gauge(section, section.jordan.to_jordan(pts)[:, section.block.offset :])
-        ends = np.sort([(lo - g) / rate, (hi - g) / rate], axis=0)
-        ends = np.where(np.isfinite(ends).all(axis=0), np.clip(ends, -1e15, 1e15), [[1e15], [-1e15]])
-    first, last = np.floor(ends[0]) - 1, np.ceil(ends[1]) + 1
+        u, s = section.kind.gauge(section, section.jordan.to_jordan(pts)[:, section.block.offset :])
+        hit, live = -s * np.floor(np.clip(u, -1e15, 1e15)), np.isfinite(u)
+    first, last = np.where(live, hit - 1, 1e15), np.where(live, hit + 1, -1e15)
     if section is not region:
         _, _, _, shifts, refused = region._pushed(pts)
         first, last = np.where(refused, -2e15, first + shifts), np.where(refused, 2e15, last + shifts)

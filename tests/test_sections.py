@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xsect.errors import ExceptionalPoint, NoSection
-from xsect.linalg import integer_power, one_parameter_power, real_jordan_form
+from xsect.linalg import integer_power, jordan_power_rows, one_parameter_power, real_jordan_form
 from xsect.sections import (
     PushedSection,
     build_continuous_section,
@@ -463,6 +463,55 @@ def test_pushed_membership_is_pushed_tile_index_zero(a):
     assert (exc == refused).all() and member.any() and refused.any()
     assert (member == ((tile == 0) & ~refused)).all() and (shifts[refused] == 0).all()
     assert (pieces[refused] == 0).all() and (pieces[~refused] >= 1).all()
+
+
+SLOW_SPIRAL = np.array([[1.2, -0.5], [0.5, 1.2]])
+EDGE_SLABS = {
+    **{k: DISCRETE_FIXTURES[k] for k in SLICEABLE},
+    # log(x) / log(Lambda) rounds to 1 at x = 5.568140107524721, one float below Lambda
+    "lambda_rounds_up": np.array([[5.568140107524722]]),
+    "slow_spiral": SLOW_SPIRAL,
+    "slow_spiral_contracting": np.linalg.inv(SLOW_SPIRAL),
+    **{f"{k}_conj{seed}": random_conjugate(m, seed)[0] for k, m in [("diag2", [[2.0]]), ("spiral", SPIRAL),
+                                                                    ("slow_spiral", SLOW_SPIRAL)]
+       for seed in (91, 47)},
+}
+
+
+def _slab_edge_points(section):
+    """Ambient points whose witness coordinates lie on an edge of the slab or
+    one float beside it, pushed by exact powers ``J^k``, ``|k| <= 2``; the
+    free coordinates are Gaussian.  The edges are ``|x1| in {1, Lambda}`` for
+    a real witness, and the log-radial index at 0 or ``log Lambda`` with the
+    angle at 0 or ``omega`` for a spiral."""
+    def beside(*edges):
+        return [np.nextafter(e, side) for e in edges for side in (-np.inf, e, np.inf)]
+
+    p = section.params
+    if section.kind.turns:
+        logs, phi = (g.ravel() for g in np.meshgrid(beside(0.0, p["log_span"]), beside(0.0, p["omega"])))
+        r = np.exp(logs + phi / p["omega"] * p["mu"])
+        lead = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+    else:
+        x1 = np.array(beside(1.0, math.exp(p["log_span"])))
+        lead = np.concatenate([x1, -x1])[:, None]
+    coords = np.random.default_rng(12).normal(size=(5 * len(lead), section.n))
+    coords[:, section.block.offset : section.block.offset + len(lead[0])] = np.tile(lead, (5, 1))
+    ks = np.repeat(np.arange(-2.0, 3.0), len(lead))
+    return section.jordan.from_jordan(jordan_power_rows(section.jordan, coords, ks, integer=True))
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SLABS))
+def test_slab_edge_membership_is_tile_index_zero(name):
+    # membership and the tile index read one phase, so they agree on the
+    # points that round onto a slab edge too
+    section = build_discrete_section(EDGE_SLABS[name])
+    pts = _slab_edge_points(section)
+    member, exc = section.membership(pts)
+    tile, _, solve_exc = section.solve(pts)
+    both = ~exc & ~solve_exc
+    assert both.sum() >= 0.9 * len(pts)
+    assert (member[both] == (tile[both] == 0)).all()
 
 
 @pytest.mark.parametrize("name", sorted(TILED_REGIONS))

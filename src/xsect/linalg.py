@@ -27,8 +27,12 @@ cell pair ``(x, y)`` is the number ``x + iy``, and ``(x, y) @ D`` is
   ``C(p, d) = p (p-1) ... (p-d+1) / d!``, so negative ``p`` needs no
   inverse.  For a pair, ``lambda^p`` is formed in extended precision,
   with the chain coefficients, once per distinct exponent of the batch
-  and gathered to the rows; a row gets the same bits as in a batch of
-  its own.
+  and gathered to the rows.  Integer exponents spanning fewer values
+  than the batch has rows (tile indices, as a rule) are found by a table
+  indexed by ``p - min p``; other batches are told apart by their bit
+  patterns (:func:`_distinct_exponents`).  Either way each distinct
+  exponent is formed from its own value, so a row gets the same bits as
+  in a batch of its own.
 
 Ambient powers are ``Q J^p P``.  Their error is about ``cond(Q) eps``,
 where repeated products of the rounded ambient matrix lose ``p^2 eps``
@@ -430,7 +434,8 @@ def _block_power_rows(b: JordanBlock, rows, ps, integer):
     ``lambda = re + i im`` acting on the cells (a pair ``(x, y)`` is the
     number ``x + iy``, and ``(x, y) @ D`` is ``(x + iy) lambda``).  A pair's
     integer power and chain coefficients are formed once per distinct
-    exponent, in extended precision, and gathered to the rows."""
+    exponent (:func:`_distinct_exponents`), in extended precision, and
+    gathered to the rows."""
     lam = complex(b.re, b.im) if b.is_complex else b.re
     row_of = slice(None)  # the exponent of each row: ps[row_of]
     if not integer:
@@ -438,11 +443,11 @@ def _block_power_rows(b: JordanBlock, rows, ps, integer):
     elif b.is_complex:
         # r^p e^{i p theta} in extended precision: a double angle p theta
         # is off by |p| eps, 1e-10 at |p| ~ 10^6.  A batch of tile indices
-        # holds few distinct ones; told apart by their bits, each row gets
-        # the bits it gets in a batch of its own
+        # holds few distinct ones, found by a table or by their bits; on
+        # either path each is formed once from its own value, so each row
+        # gets the bits it gets in a batch of its own
         if len(ps) > 1:  # a batch of one needs no table
-            bits, row_of = np.unique(ps.view(np.int64), return_inverse=True)
-            ps = bits.view(float)
+            ps, row_of = _distinct_exponents(ps)
         q, re, im = ps.astype(np.longdouble), np.longdouble(b.re), np.longdouble(b.im)
         r_p, angle = np.exp(q * np.log(np.hypot(re, im))), q * np.arctan2(im, re)
         power = (r_p * np.cos(angle)).astype(float) + 1j * (r_p * np.sin(angle)).astype(float)
@@ -457,6 +462,23 @@ def _block_power_rows(b: JordanBlock, rows, ps, integer):
         coeff = coeff * ((ps - (d - 1)) / (d * lam) if integer else ps / d)
         acc[..., d:] += coeff[row_of][:, None, None] * shifted[..., : b.chain - d]
     return acc.view(float) if b.is_complex else acc
+
+
+def _distinct_exponents(ps):
+    """The distinct exponents of a batch and each row's slot among them.
+
+    Integer exponents spanning fewer values than the batch has rows are
+    counted in a table indexed by ``p - min``, with no sort; any other
+    batch (a ``-0.0``, a fraction, a wide span, a non-finite value) is
+    told apart by its bit patterns, so ``-0.0`` keeps its own slot."""
+    lo, hi = ps.min(), ps.max()
+    if hi - lo < len(ps) and np.all(ps == np.floor(ps)) and not np.any(np.signbit(ps) & (ps == 0.0)):
+        offsets = (ps - lo).astype(np.intp)
+        present = np.bincount(offsets) > 0
+        slot = np.cumsum(present) - 1
+        return lo + np.flatnonzero(present), slot[offsets]
+    bits, row_of = np.unique(ps.view(np.int64), return_inverse=True)
+    return bits.view(float), row_of
 
 
 def jordan_flow_batch(bform: RealJordanForm, ts) -> np.ndarray:

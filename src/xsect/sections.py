@@ -331,6 +331,9 @@ class _Chart:
 
     mirrored = False
     slabs = 1  # pieces of the outermost variable that are integrated apart
+    # the flow time starts where the lead radius is ``core`` (``time_range``):
+    # on a rotating chart the disc it cuts holds about 4e-10 of a Gaussian
+    core = 1e-5
 
     def __init__(self, section, radius=None):
         vars(self).update(section.params)  # alpha, beta, log_span, ... as attributes
@@ -359,7 +362,7 @@ class _Chart:
         return self.radius * float(np.linalg.norm(self.form.conjugator_inverse, 2))
 
     def time_range(self):
-        return tuple(sorted((math.log(1e-8) / self.alpha, math.log(1.5 * self.reach()) / self.alpha)))
+        return tuple(sorted((math.log(self.core) / self.alpha, math.log(1.5 * self.reach()) / self.alpha)))
 
     def ranges(self, y):
         """``p`` for the rows ``y`` of the unit cube, and the map's Jacobian:
@@ -403,6 +406,7 @@ class _ScalingChart(_Chart):
     """``(t, free...) -> (1, free) @ exp(tJ)``, weight ``alpha delta^t``."""
 
     span, mirrored = 1, True
+    core = 1e-8  # the cut slab |w_1| < core holds about core * 0.8 of a Gaussian
 
     def lead(self, p):
         return np.ones((len(p), 1)), p[:, 0]
@@ -936,14 +940,18 @@ class PushedSection:
     def _pushed(self, points):
         """``(tile, reps, pieces, shifts, refused)``: the pushed tile index, the
         base representatives' Jordan coordinates, and each row's piece and
-        shift; a refused row has piece 0, shift 0 and no usable representative."""
+        shift; a refused row has piece 0, shift 0 and no usable representative.
+        Piece indices are small (a shell or slab index), so the pieces
+        present are counted in a table indexed by piece, with no sort, and
+        ``shift`` is asked once for each, in increasing order."""
         ks, reps, refused = _solve_core(self.base, self.base._coords(points))
         pieces = np.zeros(len(ks), dtype=int)
         pieces[~refused] = self.piece_of(reps[~refused])
         refused |= pieces == 0
-        distinct, inverse = np.unique(pieces[~refused], return_inverse=True)  # one shift per distinct piece
-        shifts = np.zeros(len(ks), dtype=np.int64)
-        shifts[~refused] = np.array([self.shift(i) for i in distinct], dtype=np.int64)[inverse]
+        shift_of = np.zeros(pieces.max(initial=0) + 1, dtype=np.int64)  # entry 0, a refused row's, stays 0
+        for i in np.flatnonzero(np.bincount(pieces[~refused])):
+            shift_of[i] = self.shift(i)
+        shifts = shift_of[pieces]
         return ks.astype(np.int64) - shifts, reps, pieces, shifts, refused
 
     def membership(self, points):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -118,11 +119,20 @@ class ShapedSection(PushedSection):
     def weight(self, k: int) -> float:
         return 2.0 ** (-k)
 
+    @cached_property
+    def _slab_measure(self) -> float:
+        """Ambient measure of the base slab per unit of shell volume."""
+        # gamma = c @ P: an ambient set is |det P| times its Jordan measure
+        return abs(np.linalg.det(self.base.jordan.conjugator)) * self.base.kind.slab_measure(self.base.params)
+
+    @cached_property
+    def _conjugator_norm(self) -> float:
+        """``||P||_2``: the ambient radius of a unit Jordan radius."""
+        return np.linalg.norm(self.base.jordan.conjugator, 2)
+
     def piece_measure_bound(self, k: int) -> float:
         """Upper bound for the ambient measure of S_k."""
-        # gamma = c @ P: an ambient set is |det P| times its Jordan measure
-        jac = abs(np.linalg.det(self.base.jordan.conjugator))
-        return jac * self.base.kind.slab_measure(self.base.params) * self.shell.volume(k)
+        return self._slab_measure * self.shell.volume(k)
 
     def shift(self, k: int) -> int:
         """The orbit shift n_k applied to piece k."""
@@ -146,9 +156,7 @@ class ShapedSection(PushedSection):
         # bounded: first shift (by increasing magnitude) pulling the piece
         # into the unit ball, iterating powers in the shrinking direction
         direction = -1 if all(b.modulus > 1.0 for b in self.base.jordan.blocks) else 1
-        radius = _euclid_radius(self.base, self.shell, k) * np.linalg.norm(
-            self.base.jordan.conjugator, 2
-        )
+        radius = _euclid_radius(self.base, self.shell, k) * self._conjugator_norm
         norms = self._power_norms
         for j in range(_MAX_SHIFT + 1):
             if j == len(norms):
@@ -203,20 +211,22 @@ class ShapedSection(PushedSection):
         counts only the points of piece k: the boxes of skewed pieces
         overlap, and other pieces may reach into them.  The strata
         estimates and their Bernoulli variances add, and pieces beyond
-        ``_ESTIMATE_SHELLS`` contribute the tail bound.  A budget below one
-        sample per shell raises :class:`UsageError`."""
+        ``_ESTIMATE_SHELLS`` contribute the tail bound.  The strata are
+        drawn in turn and solved in one batch.  A budget below one sample
+        per shell raises :class:`UsageError`."""
         if samples < _ESTIMATE_SHELLS:
             raise UsageError(f"the measure estimate needs at least {_ESTIMATE_SHELLS} samples, one per shell")
         per = samples // _ESTIMATE_SHELLS
+        rng = np.random.default_rng(seed)
+        boxes = [self.piece_box(k) for k in range(1, _ESTIMATE_SHELLS + 1)]
+        tile, _, piece, _, refused = self._pushed(np.vstack([rng.uniform(lo, hi, size=(per, self.n)) for lo, hi in boxes]))
+        stratum = np.repeat(np.arange(1, _ESTIMATE_SHELLS + 1), per)
+        hits = np.count_nonzero(((tile == 0) & (piece == stratum) & ~refused).reshape(_ESTIMATE_SHELLS, per), axis=1)
         total = 0.0
         var = 0.0
-        rng = np.random.default_rng(seed)
-        for k in range(1, _ESTIMATE_SHELLS + 1):
-            lo, hi = self.piece_box(k)
+        for (lo, hi), hit in zip(boxes, hits):
             vol = float(np.prod(hi - lo))
-            pts = rng.uniform(lo, hi, size=(per, self.n))
-            tile, _, piece, _, refused = self._pushed(pts)
-            p = float(np.count_nonzero((tile == 0) & (piece == k) & ~refused)) / per
+            p = float(hit) / per
             total += p * vol
             var += (p * (1.0 - p) / per) * vol * vol
         return MeasureEstimate(

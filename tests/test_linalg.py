@@ -301,6 +301,41 @@ def test_batched_block_powers_equal_one_row_calls_bitwise(name):
         assert jordan_power_rows(form, coords[:0], ps[:0], integer=integer).shape == (0, form.n)
 
 
+# a spiral, and a rotating shear (a unit-modulus pair with a chain of 2)
+COMPLEX_FORMS = {
+    "spiral": [(*_pair(1.0 + 1e-7, 0.9), 1)],
+    "rotating_shear": [(*_pair(1.0, 2.0), 2), (0.5, 0.0, 1)],
+}
+# name -> (exponents, whether a table indexed by exponent serves the batch)
+EXPONENT_BATCHES = {
+    "signed_zeros": ([0.0, -0.0, 1.0, -0.0, 0.0, -1.0], False),
+    "wide_span": ([1e6, -1e6, 3.0, 1e6, -(10**6) + 1.0, 3.0], False),
+    "fractions": ([0.5, 1.0, -2.5, 0.5, 3.0, 1.0], False),
+    "repeats": ([4.0, -3.0, 4.0, 4.0, -3.0, 0.0, 1.0, 4.0], True),
+    "consecutive": ([float(p) for p in range(-6, 7)], True),
+}
+
+
+@pytest.mark.parametrize("form_name", sorted(COMPLEX_FORMS))
+@pytest.mark.parametrize("batch", sorted(EXPONENT_BATCHES))
+def test_complex_integer_powers_equal_one_row_calls_bitwise(form_name, batch, monkeypatch):
+    # each row of a batch gets the bits of a batch of its own, whether its
+    # distinct exponents are found by a table or by their bit patterns
+    # (np.unique, which sorts); a -0.0 keeps its own bit-keyed slot
+    form = _jordan_form_of_blocks(*COMPLEX_FORMS[form_name])
+    rng = np.random.default_rng(13)
+    exponents, tabled = EXPONENT_BATCHES[batch]
+    ps = rng.permutation(np.array(exponents))
+    coords = rng.normal(size=(len(ps), form.n))
+    coords[rng.random(coords.shape) < 0.3] = -0.0  # signed zeros in the rows too
+    want = np.vstack([jordan_power_rows(form, c, [p], integer=True) for c, p in zip(coords, ps)])
+    sorts, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: sorts.append(1) or unique(*args, **kwargs))
+    got = jordan_power_rows(form, coords, ps, integer=True)
+    assert got.tobytes() == want.tobytes()
+    assert len(sorts) == (0 if tabled else 1)
+
+
 def test_block_power_group_laws(rng):
     # integer powers in Jordan coordinates: J^a J^b = J^(a + b), also
     # across the sign and far beyond the range of integer_power

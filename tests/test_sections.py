@@ -19,7 +19,7 @@ from xsect.sections import (
 from xsect.shaping import to_bounded, to_finite_measure
 from xsect.wavelet import Lattice, build_order_infinity_set
 
-from conftest import DIAG23, ROT90, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
+from conftest import DIAG21, DIAG23, ROT90, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
 
 
 def omega_block(beta):
@@ -463,6 +463,31 @@ def test_pushed_membership_is_pushed_tile_index_zero(a):
     assert (exc == refused).all() and member.any() and refused.any()
     assert (member == ((tile == 0) & ~refused)).all() and (shifts[refused] == 0).all()
     assert (pieces[refused] == 0).all() and (pieces[~refused] >= 1).all()
+
+
+PUSHED_SETS = {
+    "order_infinity_real": lambda: build_order_infinity_set(DIAG23, Lattice.integers(2), pieces=4),
+    "order_infinity_spiral": lambda: build_order_infinity_set(SPIRAL, Lattice.integers(2), pieces=4),
+    "finite_diag21_conj91": lambda: to_finite_measure(build_discrete_section(random_conjugate(DIAG21, 91)[0])),
+    "bounded_diag23": lambda: to_bounded(build_discrete_section(DIAG23)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUSHED_SETS))
+def test_pushed_rows_take_the_shift_of_their_piece(name, monkeypatch):
+    # each row's shift is shift(piece), asked once per distinct piece in
+    # increasing order; a refused row (the origin, a nan row, a lattice
+    # point rounded onto a slab edge) has piece 0 and shift 0
+    region = PUSHED_SETS[name]()
+    grid = np.stack(np.meshgrid(np.arange(-20.0, 21.0), np.arange(-20.0, 21.0)), axis=-1).reshape(-1, 2)
+    pts = np.vstack([np.random.default_rng(7).normal(size=(3000, 2)) * 30.0, grid, [[0.0, 0.0], [math.nan, 1.0]]])
+    asked, shift = [], type(region).shift
+    monkeypatch.setattr(type(region), "shift", lambda self, i: asked.append(int(i)) or shift(self, i))
+    _, _, pieces, shifts, refused = region._pushed(pts)
+    distinct = np.unique(pieces[~refused]).tolist()
+    assert asked == distinct and len(distinct) >= 3 and refused[-2:].all()
+    assert (pieces[refused] == 0).all() and (shifts[refused] == 0).all()
+    assert shifts[~refused].tolist() == [shift(region, i) for i in pieces[~refused]]
 
 
 SLOW_SPIRAL = np.array([[1.2, -0.5], [0.5, 1.2]])

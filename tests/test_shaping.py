@@ -157,6 +157,30 @@ def test_finite_measure_estimate_matches_closed_form(matrix):
     assert abs(est.estimate - closed) <= est.bound + 1e-3
 
 
+def _per_stratum_estimate(shaped, samples, seed):
+    """(estimate, bound) with one ``_pushed`` call per stratum, in turn."""
+    per, total, var = samples // 24, 0.0, 0.0
+    rng = np.random.default_rng(seed)
+    for k in range(1, 25):
+        lo, hi = shaped.piece_box(k)
+        vol = float(np.prod(hi - lo))
+        tile, _, piece, _, refused = shaped._pushed(rng.uniform(lo, hi, size=(per, shaped.n)))
+        p = float(np.count_nonzero((tile == 0) & (piece == k) & ~refused)) / per
+        total += p * vol
+        var += (p * (1.0 - p) / per) * vol * vol
+    return total, 3.0 * math.sqrt(var)
+
+
+@pytest.mark.parametrize("matrix", [SPIRAL, random_conjugate(DIAG21, 91)[0]], ids=["spiral", "conjugated_diag21"])
+def test_measure_estimate_equals_a_per_stratum_loop_bitwise(matrix):
+    # the strata are drawn in turn and solved in one batch: the same bits
+    # as solving each stratum on its own
+    shaped = to_finite_measure(build_discrete_section(matrix))
+    est = shaped.measure_estimate(samples=24_007, seed=4)
+    assert (est.estimate, est.bound) == _per_stratum_estimate(to_finite_measure(shaped.base), 24_007, 4)
+    assert est.estimate > 0.0 and est.samples == 24_000
+
+
 @pytest.mark.parametrize("reshape", [to_finite_measure, to_bounded])
 @pytest.mark.parametrize("source", [
     lambda: DIAG23,

@@ -45,7 +45,7 @@ for i, power, gamma in K.certificates[:4]:
     lo, hi = K.piece_boxes_1d(i)
     print(f"  piece {i}: +/-[{lo:.0f}, {hi:.0f}) via A^{power}, contains Y + {gamma[0]:.0f}")
 rng = np.random.default_rng(1)
-counts = [dilation_count(K, [[2.0]], xi, k_range=(-40, 40)) for xi in rng.normal(size=(200, 1))]
+counts = [dilation_count(K, [[2.0]], xi) for xi in rng.normal(size=(200, 1))]
 print("  dilation multiplicities:", sorted(set(counts)))
 print("  translation count at 0.3 (radius 100):", translation_count(K, z1, [0.3], radius=100.0).value)
 

@@ -239,7 +239,7 @@ class _Case:
     ``u`` that the action at ``p`` moves to exactly ``u + p*s``, ``s = +/-1``,
     with ``S = {0 <= u < 1}``.  The tile index ``k`` with ``gamma in S @ A^k``
     is then ``s * floor(u)`` (``parameter``), and ``S`` the points of tile
-    index 0 (``member``).
+    index 0 (``member``).  ``gauge`` is read through ``parameter`` only.
     """
 
     name: str
@@ -642,7 +642,7 @@ class _ModulusNotOne(_Case):
         big = max(abs(lam), 1.0 / abs(lam))
         return dict(lam=lam, log_span=math.log(big), expanding=abs(lam) > 1.0)
 
-    def gauge(self, section, w, exceptional=False):
+    def gauge(self, section, w, exceptional):
         """``log|x1| / log_span``, to which ``A`` adds ``log|lam| / log_span = +/-1``."""
         u = np.log(np.where(exceptional, 1.0, np.abs(w[:, 0]))) / section.params["log_span"]
         return u, 1 if section.params["expanding"] else -1
@@ -694,7 +694,7 @@ class _ComplexModulusNotOne(_Case):
         logr = np.log(np.where(r > 0, r, 1.0))
         return phi, logr - (phi / section.params["omega"]) * section.params["mu"]
 
-    def gauge(self, section, w, exceptional=False):
+    def gauge(self, section, w, exceptional):
         """The flow phase ``(phi + 2 pi m) / omega``, ``m`` the slab of the
         log-radial index: ``A`` turns ``phi`` by ``beta``, ``+omega`` (expanding)
         or ``-omega`` modulo 2 pi, and moves the index a slab as ``phi`` wraps."""
@@ -742,7 +742,7 @@ class _RealModulusOneNilpotent(_Case):
     def params(self, blk):
         return {"lam": 1.0 if blk.re > 0 else -1.0}
 
-    def gauge(self, section, w, exceptional=False):
+    def gauge(self, section, w, exceptional):
         """``x2/x1``, to which ``A`` adds ``1/lam = lam``."""
         return w[:, 1] / np.where(exceptional, 1.0, w[:, 0]), section.params["lam"]
 
@@ -759,7 +759,7 @@ class _ComplexModulusOneNilpotent(_Case):
     def params(self, blk):
         return {"beta": blk.argument}
 
-    def gauge(self, section, w, exceptional=False):
+    def gauge(self, section, w, exceptional):
         return _flow_time_mod1(section.params["beta"], w, exceptional), 1
 
     def sample(self, section, coords, rng):
@@ -796,7 +796,7 @@ class _DerivedFromContinuous(_Case):
     def null_mask(self, section, coords, norms):
         return section.base.kind.null_mask(section.base, coords, norms)
 
-    def gauge(self, section, w, exceptional=False):
+    def gauge(self, section, w, exceptional):
         return -section.base.kind.parameter(section.base, w, exceptional), 1
 
     def sample(self, section, coords, rng):

@@ -2,16 +2,17 @@
 
 The discrete check counts, for Gaussian-sampled points, how many powers
 ``xi A^k`` land in the candidate set; a cross-section gives multiplicity
-exactly 1.  A cross-section under its own matrix, the order-infinity cone
-too, is probed only at each sample's hit, which its phase ``(u, s)``
-(``_Case.gauge``) gives, and one power on each side; a pushed set under its
-matrix (reshaped, or a dyadic or spiral order-infinity set) at its base's
-three powers shifted by the push of the sample's piece.  Other regions and
-``exhaustive=True`` take the full scan.  The continuous check exploits
-that sweeping a continuous section over unit time yields a discrete
-cross-section: the time set ``{t : xi A^t in T}`` is an interval of
-length exactly 1, whose endpoints come from the closed-form solve and are
-cross-checked by bisection refinement of the membership indicator.
+exactly 1.  A discrete set that solves under its own matrix (a section,
+the order-infinity cone, a reshaped or an order-infinity pushed set) meets
+each orbit once, at minus the tile index its ``solve`` gives, so a sample
+is probed only at that hit and one power on each side.  Other regions,
+refused samples and ``exhaustive=True`` take the full scan.
+
+The continuous check exploits that sweeping a continuous section over
+unit time yields a discrete cross-section: the time set
+``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
+come from the closed-form solve and are cross-checked by bisection
+refinement of the membership indicator.
 
 Orbit integration evaluates ``integral of f over R^n`` on the section's
 flow chart, with its closed-form Jacobian weight: ``alpha delta^t``
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, Overflow, QuadratureDivergence
+from .errors import BudgetExceeded, Overflow, QuadratureDivergence, UsageError
 from .linalg import flow_rows, integer_power, jordan_power_batch, jordan_power_rows
 from .sections import CrossSection, PushedSection, derive_discrete_section
 
@@ -86,11 +87,19 @@ def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -
     """Count orbit hits ``#{k : xi A^k in region}`` over Gaussian samples,
     ``A`` being ``region.matrix``, with :func:`scan_dilations`.
 
-    ``region`` needs a vectorized ``membership``; the rows the scan refuses
-    to solve are dropped and counted as skipped.  ``exhaustive`` passes on
-    to :func:`dilation_counts`.  Failures (multiplicity != 1) are reported
+    ``region`` is a discrete set with a vectorized ``membership``; a
+    continuous section raises ``ValueError`` (:func:`derive_discrete_section`
+    sweeps it into a discrete one), and fewer than one sample
+    :class:`UsageError`.  The rows the scan refuses to solve are dropped and
+    counted as skipped.  ``outlier_windows`` counts the rows whose hit lies
+    within 2 of the base window's edge or past it.  ``exhaustive`` passes on
+    to :func:`scan_dilations`.  Failures (multiplicity != 1) are reported
     in-band, never raised.
     """
+    if getattr(region, "mode", "discrete") != "discrete":
+        raise ValueError("check_discrete_tiling expects a discrete set: derive_discrete_section sweeps a "
+                         "continuous section into one")
+    _require_samples(samples)
     a = np.asarray(region.matrix, dtype=float)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
@@ -109,80 +118,57 @@ def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -
     )
 
 
+def _require_samples(samples):
+    """A check of no sample has no verdict."""
+    if samples < 1:
+        raise UsageError(f"a tiling check needs at least 1 sample, got {samples}")
+
+
 def scan_dilations(region, a, pts, *, exhaustive=False):
-    """``#{k : xi A^k in region}`` per row of ``pts`` over the base window,
-    the number of outlier windows, and the rows refused.  A region with a
-    ``solve`` under ``a`` as its own matrix gives each row a tile index
-    ``kp`` (a refused row reads 0), a hit at ``k = -kp``: a row whose hit
-    is near or past the window's edge is also scanned around ``-kp``."""
+    """``#{k : xi A^k in region}`` per row of ``pts``, the number of outlier
+    windows, and the rows refused.  A region that solves under ``a`` as its
+    own matrix meets each orbit once, at ``h = -kp`` for the row's tile
+    index ``kp``: the row is probed at ``h`` and one power on each side,
+    which absorb the rounding at a tile edge.  A refused row, and every row
+    of another region, takes the base window ``K_RANGE``.  ``exhaustive``
+    gives every row the base window, and an outlier window centred on each
+    hit within 2 of its edge or past it; such hits are counted either way.
+    """
     k_lo, k_hi = K_RANGE
-    counts = dilation_counts(region, a, pts, k_lo, k_hi, exhaustive=exhaustive)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if not (hasattr(region, "solve") and np.array_equal(a, region.matrix)):
-        return counts, 0, np.zeros(len(counts), dtype=bool)
+        return dilation_counts(region, a, pts, k_lo, k_hi), 0, np.zeros(len(pts), dtype=bool)
     ks, _, refused = region.solve(pts)
-    tiles = np.where(refused, 0, ks).astype(int)
-    far = np.flatnonzero((-tiles < k_lo + 2) | (-tiles > k_hi - 2))
-    counts[far] += dilation_counts(region, a, pts[far], k_lo, k_hi, centres=-tiles[far], skip=K_RANGE,
-                                   exhaustive=exhaustive)
-    return counts, len(far), refused
+    hits = -np.where(refused, 0, ks).astype(int)
+    far = (hits < k_lo + 2) | (hits > k_hi - 2)
+    if exhaustive:
+        counts = dilation_counts(region, a, pts, k_lo, k_hi)
+        counts[far] += dilation_counts(region, a, pts[far], k_lo, k_hi, centres=hits[far], skip=K_RANGE)
+    else:
+        lo, hi = np.where(refused, k_lo, hits - 1), np.where(refused, k_hi, hits + 1)
+        counts = _pair_counts(region, a, pts, lo, hi, (1, 0))
+    return counts, int(np.count_nonzero(far)), refused
 
 
-def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None, exhaustive=False) -> np.ndarray:
+def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> np.ndarray:
     """``#{k_lo <= j <= k_hi : xi A^j in region}`` for each row ``xi`` of
-    ``pts``; with ``centres``, row ``i`` takes ``A^(c_i + j)`` instead,
-    leaving out the exponents in the closed range ``skip`` (if given).
+    ``pts``, probing every ``j``; with ``centres``, row ``i`` takes
+    ``A^(c_i + j)`` instead, leaving out the exponents in the closed range
+    ``skip`` (if given).
 
     Each ``A^k`` is a power of its own (:func:`_powers`): a product
     carried along with the points loses the contracting directions of a
-    non-normal ``A``.  A discrete cross-section, or a pushed set of one,
-    under its own matrix is probed only at each row's hit and one power on
-    each side (:func:`_bracket`).  Otherwise, or if ``exhaustive``, every
-    ``k`` is probed: a membership call takes one power of all rows, or, for
-    centred windows, a stretch of (row, k) pairs.
+    non-normal ``A``.  A membership call takes one power of all rows, or,
+    for centred windows, a stretch of (row, k) pairs (:func:`_pair_counts`).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    bracket = None if exhaustive else _bracket(region, a, pts)
-    if centres is None and bracket is None:
+    if centres is None:
         counts = np.zeros(len(pts), dtype=int)
         for power in _powers(region, a, np.arange(k_lo, k_hi + 1))[1]:
             member, exc = region.membership(pts @ power)
             counts += member & ~exc
         return counts
-    lo, hi = (k_lo, k_hi) if centres is None else (np.add(centres, k_lo), np.add(centres, k_hi))
-    if bracket is not None:
-        lo, hi = np.maximum(bracket[0], lo), np.minimum(bracket[1], hi)
-    return _pair_counts(region, a, pts, lo, hi, (1, 0) if skip is None else skip)
-
-
-def _jordan_section(region, a):
-    """The discrete cross-section whose Jordan form counts ``region`` under
-    ``a``: the region itself, or a pushed set's base, when ``a`` is the
-    region's matrix; else None."""
-    section = region.base if isinstance(region, PushedSection) else region
-    own = isinstance(section, CrossSection) and section.mode == "discrete" and np.array_equal(a, region.matrix)
-    return section if own else None
-
-
-def _bracket(region, a, pts):
-    """Per row, the ``k`` range ``[h - 1, h + 1]`` around the hit ``h``, the
-    one ``k`` with ``u + k*s`` in ``[0, 1)`` for the row's phase ``(u, s)`` in
-    the :func:`_jordan_section`; one power on each side absorbs the rounding
-    of ``u`` at a tile edge.  The range is empty where ``u`` is not finite,
-    and None if there is no such section.  A pushed set's row is shifted by
-    the shift ``n_s`` of the piece ``s`` holding its base representative,
-    as ``xi A^k`` lies in ``S_s A^(n_s)`` exactly when ``xi A^(k - n_s)``
-    lies in ``S_s``; a row whose base solve is refused keeps every ``k``."""
-    section = _jordan_section(region, a)
-    if section is None:
-        return None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, s = section.kind.gauge(section, section.jordan.to_jordan(pts)[:, section.block.offset :])
-        hit, live = -s * np.floor(np.clip(u, -1e15, 1e15)), np.isfinite(u)
-    first, last = np.where(live, hit - 1, 1e15), np.where(live, hit + 1, -1e15)
-    if section is not region:
-        _, _, _, shifts, refused = region._pushed(pts)
-        first, last = np.where(refused, -2e15, first + shifts), np.where(refused, 2e15, last + shifts)
-    return first.astype(int), last.astype(int)
+    return _pair_counts(region, a, pts, np.add(centres, k_lo), np.add(centres, k_hi), (1, 0) if skip is None else skip)
 
 
 def _pair_counts(region, a, pts, lo, hi, skip):
@@ -191,12 +177,13 @@ def _pair_counts(region, a, pts, lo, hi, skip):
     full scan, ``pts[rows] @ A^k``, and a membership call takes the shifted
     rows of consecutive ``k`` until they are as many as a full-scan call's,
     which keeps the working set near the full scan's."""
-    grid = lo[:, None] + np.arange(np.max(hi - lo, initial=-1) + 1)
-    mask = (grid <= hi[:, None]) & ((grid < skip[0]) | (grid > skip[1]))
-    order = np.argsort(grid[mask], kind="stable")
-    rows = np.nonzero(mask)[0][order]
-    k = grid[mask][order]
-    del grid, mask, order
+    widths = np.maximum(hi - lo + 1, 0)
+    rows = np.repeat(np.arange(len(pts)), widths)
+    k = np.repeat(lo - (np.cumsum(widths) - widths), widths) + np.arange(len(rows))
+    keep = (k < skip[0]) | (k > skip[1])
+    order = np.argsort(k[keep], kind="stable")
+    rows, k = rows[keep][order], k[keep][order]
+    del keep, order
     exps, powers = _powers(region, a, k)
     stops = np.searchsorted(k, exps, side="right")
     counts, first, batch = np.zeros(len(pts), dtype=int), 0, []
@@ -210,14 +197,15 @@ def _pair_counts(region, a, pts, lo, hi, skip):
 
 
 def _powers(region, a, exponents):
-    """The distinct ``exponents`` in increasing order, and ``A^k`` for each:
-    ``Q J^k P`` with exact block powers in the form of the region's
-    :func:`_jordan_section`, else :func:`_power_table`.  Float powers of
-    the rounded ``A`` are off by about ``k^2 eps``: at the far tile
-    indices of a shear (``|k|`` of 10^4 to 10^6) they miscount samples."""
-    section = _jordan_section(region, a)
+    """The distinct ``exponents`` in increasing order, and ``A^k`` for each.
+    When ``a`` is the matrix of a discrete cross-section, or of a pushed set
+    of one, they are ``Q J^k P`` with exact block powers in the section's
+    Jordan form, else :func:`_power_table`.  Float powers of the rounded
+    ``A`` are off by about ``k^2 eps``: at the far tile indices of a shear
+    (``|k|`` of 10^4 to 10^6) they miscount samples."""
+    section = region.base if isinstance(region, PushedSection) else region
     with np.errstate(over="ignore", invalid="ignore"):
-        if section is not None:
+        if isinstance(section, CrossSection) and section.mode == "discrete" and np.array_equal(a, region.matrix):
             exps, form = np.unique(exponents), section.jordan
             jk = jordan_power_batch(form, exps, integer=not section.kind.flows)
             powers = form.conjugator_inverse @ jk @ form.conjugator
@@ -289,10 +277,12 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     1 within ``_QUAD_TOL``, else :class:`QuadratureDivergence` is raised.
     Uniqueness of the section hit is checked on every sample through the
     case's branch candidates inside the window, and by a dense
-    membership grid on a subsample.
+    membership grid on a subsample.  Fewer than one sample raises
+    :class:`UsageError`.
     """
     if section.mode != "continuous":
         raise ValueError("check_continuous_tiling expects a continuous section")
+    _require_samples(samples)
     derived = derive_discrete_section(section)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, section.n))

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionTooHigh, NoSection, NoWavelet, SearchExhausted, SelectorMiss, UsageError
 from .linalg import DEFAULT_TOL, as_matrix, box_corners, matrix_from_json, matrix_to_json
 from .sections import TWO_PI, CrossSection, PushedSection, build_discrete_section
-from .verify import K_RANGE, TilingReport, dilation_counts, scan_dilations
+from .verify import K_RANGE, TilingReport, _require_samples, scan_dilations
 
 
 @dataclass(frozen=True)
@@ -344,9 +344,11 @@ def translation_counts(region: RegionSet, lattice: Lattice, xis, radius=100.0) -
     return out
 
 
-def dilation_count(region: RegionSet, a, xi, k_range=K_RANGE) -> int:
-    """``#{j in k_range : xi A^j in region}``."""
-    return int(dilation_counts(region, as_matrix(a), xi, *k_range)[0])
+def dilation_count(region: RegionSet, a, xi) -> int:
+    """``#{j : xi A^j in region}``, by :func:`xsect.verify.scan_dilations`
+    of the one row ``xi``: over the whole orbit for a region that solves
+    under ``a``, else over the base window ``K_RANGE``."""
+    return int(scan_dilations(region, as_matrix(a), xi)[0][0])
 
 
 def dimension_function(region: RegionSet, xi, radius=100.0) -> TranslationCount:
@@ -365,7 +367,9 @@ def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *, sample
     """Sampled test of the order-L characterization: translation counts
     all equal L (or >= ``_MIN_COUNT`` when L is infinite) and dilation
     counts all equal 1, counted by :func:`xsect.verify.scan_dilations`
-    (which also counts the rows it refuses to solve)."""
+    (which also counts the rows it refuses to solve).  Fewer than one
+    sample raises :class:`UsageError`."""
+    _require_samples(samples)
     a = as_matrix(a)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
@@ -818,7 +822,8 @@ def _box_min_radius(x, y):
 class ConeSection(CrossSection, RegionSet):
     """The nilpotent cone cross-section, certified to contain dual-domain
     translates (so its translation multiplicity is infinite); the checks
-    count it in its Jordan form and gauge bracket, like any section."""
+    count it in its Jordan form, probing each sample only around the hit
+    its ``solve`` gives, like any section."""
 
     certificates: tuple = ()
 

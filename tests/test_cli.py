@@ -473,7 +473,7 @@ def test_bounded_reshape_that_cannot_converge_is_refused(workdir, capsys):
 
 
 # the kinds of the verify requests of a CLI mix, with the sha256 of the output
-# of the full scan over k in [-60, 60]: the gauge bracket prints the same bytes
+# of the full scan over k in [-60, 60]: probing each solved hit prints the same bytes
 _R = [[0.6, 0.8], [-0.8, 0.6]]
 _GOLDEN_VERIFY = {
     "modulus_not_one": ("discrete", [[2.0, 1.0], [0.5, 2.5]], 5,

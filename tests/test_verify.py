@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from xsect.errors import BudgetExceeded, DetOne, MixedModuli
-from xsect.sections import _Chart, build_continuous_section, build_discrete_section, derive_discrete_section
+from xsect.errors import BudgetExceeded, DetOne, MixedModuli, UsageError
+from xsect.sections import PushedSection, _Chart, build_continuous_section, build_discrete_section, derive_discrete_section
 from xsect.shaping import to_bounded, to_finite_measure
 from xsect.verify import (check_continuous_tiling, check_discrete_tiling, dilation_counts, jacobian_check,
                           orbit_integral, scan_dilations)
@@ -419,6 +419,20 @@ def test_continuous_witness_and_tiling_survive_a_permuted_eigen_order():
     assert passed and skipped < 0.05 * 2000
 
 
+def test_tiling_checks_refuse_zero_samples():
+    section = build_continuous_section([[1.0, 0.0], [0.0, 2.0]])
+    for check, region in ((check_discrete_tiling, derive_discrete_section(section)),
+                          (check_continuous_tiling, section)):
+        with pytest.raises(UsageError):
+            check(region, samples=0)
+
+
+def test_discrete_check_of_a_continuous_section_names_the_sweep():
+    # the generator's powers are not the action exp(B): its tile indices would be miscounted
+    with pytest.raises(ValueError, match="derive_discrete_section"):
+        check_discrete_tiling(build_continuous_section([[1.0, 0.0], [0.0, 2.0]]), samples=1000)
+
+
 class _HalfRefused:
     """A region whose solver refuses every other sample."""
 
@@ -493,7 +507,7 @@ def test_conjugated_shear_far_tile_indices_count_once(conjugator_seed, seed):
     report = check_discrete_tiling(section, samples=10_000, seed=seed)
     assert report.histogram == {1: 10_000}
     assert report.passed
-    # the gauge bracket counts the far windows as the full scan does
+    # probing the solved hits counts the far windows as the full scan does
     assert report.scan["outlier_windows"] > 0
     assert report.to_json() == check_discrete_tiling(section, samples=10_000, seed=seed, exhaustive=True).to_json()
     # the order-infinity cone is that section: it counts the same way
@@ -505,11 +519,10 @@ def test_centred_windows_without_skip_count_every_offset():
     section = build_discrete_section(np.diag([2.0, 0.5]))
     pts = np.random.default_rng(9).normal(size=(30, 2))
     centres = np.random.default_rng(10).integers(-40, 40, size=30)
-    for exhaustive in (False, True):
-        got = dilation_counts(section, section.matrix, pts, -5, 5, centres=centres, exhaustive=exhaustive)
-        # the orbit of xi meets the shell at k = -solve: once within 5 of each centre
-        ks = section.solve(pts)[0].astype(int)
-        assert got.tolist() == (np.abs(-ks - centres) <= 5).astype(int).tolist()
+    got = dilation_counts(section, section.matrix, pts, -5, 5, centres=centres)
+    # the orbit of xi meets the shell at k = -solve: once within 5 of each centre
+    ks = section.solve(pts)[0].astype(int)
+    assert got.tolist() == (np.abs(-ks - centres) <= 5).astype(int).tolist()
 
 
 def _rot(theta):
@@ -550,21 +563,17 @@ _GAUGED = [(name, seed) for name in [*_GAUGED_DISCRETE, *_GAUGED_GENERATORS] for
 
 
 def _assert_bracketed_counts_equal_the_full_scan(region, pts):
-    a = region.matrix
-    base = dilation_counts(region, a, pts, -60, 60)
-    assert base.tolist() == dilation_counts(region, a, pts, -60, 60, exhaustive=True).tolist()
-    # centred windows around the predicted hit, and around random centres
-    hits = -region.solve(pts)[0].astype(int)
-    for centres in (hits, np.random.default_rng(42).integers(-200, 200, size=len(pts))):
-        kw = dict(centres=centres, skip=(-10, 10))
-        assert dilation_counts(region, a, pts, -60, 60, **kw).tolist() == \
-            dilation_counts(region, a, pts, -60, 60, exhaustive=True, **kw).tolist()
+    """The probes at each row's solved hit count what the base window and
+    the centred window of a far hit count: counts, windows and refused rows."""
+    counts, windows, refused = scan_dilations(region, region.matrix, pts)
+    full = scan_dilations(region, region.matrix, pts, exhaustive=True)
+    assert (counts.tolist(), windows, refused.tolist()) == (full[0].tolist(), full[1], full[2].tolist())
 
 
 @pytest.mark.parametrize("name, conjugator_seed", _GAUGED)
 def test_bracketed_counts_equal_the_full_scan(name, conjugator_seed):
     section = _gauged_section(name, conjugator_seed)
-    assert section.kind.gauge(section, np.ones((1, section.n))) is not None
+    assert section.kind.gauge(section, np.ones((1, section.n)), np.zeros(1, dtype=bool)) is not None
     _assert_bracketed_counts_equal_the_full_scan(section, np.random.default_rng(41).normal(size=(400, section.n)))
 
 
@@ -641,10 +650,18 @@ def test_pushed_bracketed_counts_equal_the_full_scan(name, target, conjugator_se
     pts = np.vstack([np.random.default_rng(41).normal(size=(200, region.n)), _base_refused_rows(region.base)])
     _assert_bracketed_counts_equal_the_full_scan(region, pts)
     # a refused row keeps every power: its orbit may still be solved, and hit, elsewhere
-    counts, windows, refused = scan_dilations(region, region.matrix, pts)
-    assert refused[-2:].all()
-    full = scan_dilations(region, region.matrix, pts, exhaustive=True)
-    assert (counts.tolist(), windows, refused.tolist()) == (full[0].tolist(), full[1], full[2].tolist())
+    assert scan_dilations(region, region.matrix, pts)[2][-2:].all()
+
+
+# the scan's one solve and three probes per sample each push the sample once
+@pytest.mark.parametrize("name, target, conjugator_seed", _PUSHED)
+def test_pushed_scan_pushes_each_sample_at_most_four_times(monkeypatch, name, target, conjugator_seed):
+    region = _pushed_set(name, target, conjugator_seed)
+    rows = []
+    pushed = PushedSection._pushed
+    monkeypatch.setattr(PushedSection, "_pushed", lambda s, pts: rows.append(len(pts)) or pushed(s, pts))
+    check_discrete_tiling(region, samples=2000, seed=5)
+    assert sum(rows) / 2000 <= 4
 
 
 @pytest.mark.parametrize("name, target, conjugator_seed", _PUSHED)

@@ -508,15 +508,6 @@ def one_parameter_power(bform: RealJordanForm, t: float) -> np.ndarray:
     return one_parameter_power_batch(bform, [float(t)])[0]
 
 
-def flow_rows(bform: RealJordanForm, points, ts) -> np.ndarray:
-    """Each row flowed by its own time: ``points[s] @ exp(ts[s] * B)``,
-    formed in Jordan coordinates."""
-    out = bform.from_jordan(jordan_power_rows(bform, bform.to_jordan(points), ts))
-    if not np.isfinite(out).all():
-        raise Overflow("matrix exponential overflowed")
-    return out
-
-
 def integer_power(a, k: int) -> np.ndarray:
     """``A^k`` by binary exponentiation (``A^0 = I``; negative ``k`` inverts ``A``)."""
     a = as_matrix(a)

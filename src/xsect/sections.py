@@ -15,11 +15,13 @@ Parameter conventions of :func:`solve_orbit`:
 * discrete mode returns the tile index ``k`` with ``gamma in S @ A^k``
   (representative ``gamma @ A^-k``).
 
-Both are the unique parameter of their kind.  Interval bounds are
-half-open exactly as constructed; the equality constraints that carve a
-continuous section out of a hypersurface are tested at a small relative
-tolerance (a float can sit on a measure-zero set only approximately),
-while interval bounds are compared exactly with no epsilon-fattening.
+Both are the unique parameter of their kind, and a section is the set of
+points whose parameter is 0.  A discrete section's interval bounds are
+half-open exactly as constructed.  A continuous section is a hypersurface,
+on which a float can sit only approximately: a point is in it when its
+flow time ``t`` moves it at most ``tol * max(rho, 1)``, that is when
+``|t| * rate * rho <= tol * max(rho, 1)``, with ``rho`` the witness radius
+and ``rate`` the case's speed along the orbit per unit of ``rho``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .linalg import (
     DEFAULT_TOL,
     RealJordanForm,
     finite_rows,
-    flow_rows,
     integer_power,  # noqa: F401  kept importable here: perfbench's tracer rebinds it in this module
     jordan_flow_batch,
     jordan_power_rows,
@@ -124,9 +125,15 @@ class CrossSection:
         the declared null set are flagged exceptional and reported as
         non-members; scalar wrappers turn that flag into an error.
         """
-        coords = self._coords(points)
-        exceptional = _refused(self, coords)
-        return self.kind.member(self, coords[:, self.block.offset :], exceptional) & ~exceptional, exceptional
+        return self.jordan_membership(self._coords(points))
+
+    def jordan_membership(self, coords):
+        """:meth:`membership` of an (m, n) stack of Jordan coordinates; a row
+        that is not finite, such as one flowed past the float range, is
+        refused (:func:`_finite_or_origin`)."""
+        coords = _finite_or_origin(coords)
+        _, exceptional, rho = _refused(self, coords)
+        return self.kind.member(self, coords[:, self.block.offset :], exceptional, rho) & ~exceptional, exceptional
 
     def solve(self, points):
         """Vectorized orbit solve: (parameter array, representatives, exceptional)."""
@@ -136,13 +143,9 @@ class CrossSection:
         return params, reps, exceptional
 
     def _coords(self, points):
-        """Jordan coordinates of an (m, n) stack of ambient rows.  A row with
-        a non-finite entry is read as the origin, which lies in every case's
-        null set: it is flagged exceptional like one, with no float warning."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if not np.isfinite(pts).all():  # one test of the whole array is 20x cheaper than per row
-            pts = np.where(finite_rows(pts)[:, None], pts, 0.0)
-        return self.jordan.to_jordan(pts)
+        """Jordan coordinates of an (m, n) stack of ambient rows
+        (:func:`_finite_or_origin`)."""
+        return self.jordan.to_jordan(_finite_or_origin(np.atleast_2d(np.asarray(points, dtype=float))))
 
     def sample(self, rng, count):
         """Draw points from the section (free coordinates standard normal)."""
@@ -225,14 +228,19 @@ class _Case:
 
     ``pinned`` counts the leading witness coordinates whose joint
     vanishing is the declared null set: 1 for a real witness block, 2
-    for a complex pair.  The null-set mask, the null-set data and, in
-    the sliceable cases, the free dimensions all follow from it.
+    for a complex pair.  The witness radius ``rho`` (``radius``: ``|x1|``,
+    or ``|z1|`` for a pair), the null-set data and, in the sliceable
+    cases, the free dimensions all follow from it.
 
-    ``eq_scale``, ``member``, ``parameter`` and ``gauge`` read ``w``, the
+    ``radius``, ``member``, ``parameter`` and ``gauge`` read ``w``, the
     Jordan coordinates from the witness block on (``w[:, 0]`` is ``x1``);
     ``exceptional`` is the null-set mask, so the formulas never divide by a
     vanishing witness coordinate.  A continuous case's ``parameter`` is the
-    flow time ``t`` with ``gamma @ A^t in S``.
+    flow time ``t`` with ``gamma @ A^t in S``, and ``S`` the points of flow
+    time 0 (``member``): ``|t| * rate * rho <= tol * max(rho, 1)``, where
+    ``rate * rho`` is the speed of the flow at ``gamma`` along the witness
+    block's orbit, so that the left side is the distance to ``S`` along the
+    orbit, to first order.
 
     A discrete section is a fundamental domain of ``gamma -> gamma A^k``, and
     each discrete case states it once, as ``gauge``: ``(u, s)``, a phase
@@ -261,24 +269,21 @@ class _Case:
         kind = "coordinate_zero" if self.pinned == 1 else "pair_zero"
         return {"kind": kind, "indices": list(range(off, off + self.pinned))}
 
-    def null_mask(self, section, coords, norms):
-        """``|x1| <= tol * max(||c||, 1)`` (``|z1|`` for a pair).  ``norms``
-        holds ``||c||`` of each row of ``coords``, from
-        :func:`~xsect.linalg.row_norms`: one call per batch serves this mask
-        and the equality-resolution mask."""
-        scale = np.maximum(norms, 1.0)
-        w = coords[:, section.block.offset :]
-        if self.pinned == 1:
-            return np.abs(w[:, 0]) <= section.tol * scale
-        return np.hypot(w[:, 0], w[:, 1]) <= section.tol * scale
+    def radius(self, section, w):
+        """The witness radius ``rho``: ``|x1|``, or ``|z1|`` for a pair."""
+        return np.abs(w[:, 0]) if self.pinned == 1 else np.hypot(w[:, 0], w[:, 1])
 
-    def eq_scale(self, section, w):
-        """Scale of the equality constraints, or None when there are none."""
-        return None
+    def rate(self, params) -> float:
+        """Flow speed along the witness orbit per unit of ``rho``."""
+        return 1.0
 
-    def member(self, section, w, exceptional):
+    def member(self, section, w, exceptional, rho):
+        """Orbit parameter 0: tile index 0, or flow time 0 at the tolerance."""
         with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it is masked out
-            return self.parameter(section, w, exceptional) == 0
+            t = self.parameter(section, w, exceptional)
+        if self.mode == "discrete":
+            return t == 0
+        return np.abs(t) * (self.rate(section.params) * rho) <= section.tol * np.maximum(rho, 1.0)
 
     def parameter(self, section, w, exceptional):
         u, s = self.gauge(section, w, exceptional)
@@ -295,12 +300,6 @@ class _Case:
     def branch_period(self, params):
         """Flow-time period of the section-hit candidates, None if unique."""
         return None
-
-
-def _on_ray(section, w):
-    """The leading pair on the zero-angle ray, and its radius."""
-    r = np.hypot(w[:, 0], w[:, 1])
-    return (np.abs(w[:, 1]) <= section.tol * np.maximum(r, 1.0)) & (w[:, 0] > 0), r
 
 
 def _nonzero(rng, m):
@@ -527,11 +526,8 @@ class _RealNonzero(_Case):
     def params(self, blk):
         return {"alpha": blk.alpha}
 
-    def eq_scale(self, section, w):
-        return 1.0
-
-    def member(self, section, w, exceptional):
-        return np.abs(np.abs(w[:, 0]) - 1.0) <= section.tol
+    def rate(self, params):
+        return abs(params["alpha"])
 
     def parameter(self, section, w, exceptional):
         safe = np.where(exceptional, 1.0, np.abs(w[:, 0]))
@@ -555,13 +551,8 @@ class _ComplexNonzero(_Case):
             log_span=TWO_PI * mu / blk.beta,  # ln of the radial ratio Lambda
         )
 
-    def eq_scale(self, section, w):
-        return np.maximum(np.hypot(w[:, 0], w[:, 1]), 1.0)
-
-    def member(self, section, w, exceptional):
-        on_ray, r = _on_ray(section, w)
-        logr = np.log(np.where(r > 0, r, 1.0))
-        return on_ray & (logr >= 0.0) & (logr < section.params["log_span"])
+    def rate(self, params):
+        return params["beta"]
 
     def parameter(self, section, w, exceptional):
         alpha, beta, mu = section.params["alpha"], section.params["beta"], section.params["mu"]
@@ -586,12 +577,6 @@ class _ZeroNilpotent(_Case):
 
     chart = _ShearChart
 
-    def eq_scale(self, section, w):
-        return np.maximum(np.abs(w[:, 0]), 1.0)
-
-    def member(self, section, w, exceptional):
-        return np.abs(w[:, 1]) <= section.tol * np.maximum(np.abs(w[:, 0]), 1.0)
-
     def parameter(self, section, w, exceptional):
         return -w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
 
@@ -610,15 +595,11 @@ class _ImaginaryNilpotent(_Case):
     def params(self, blk):
         return {"beta": blk.beta}
 
-    eq_scale = _ComplexNonzero.eq_scale
-
-    def member(self, section, w, exceptional):
-        on_ray, _ = _on_ray(section, w)
-        return on_ray & (w[:, 2] >= 0.0) & (w[:, 2] < (TWO_PI / section.params["beta"]) * w[:, 0])
+    rate = _ComplexNonzero.rate
 
     def parameter(self, section, w, exceptional):
         x1 = np.where(exceptional, 1.0, w[:, 0])
-        return _case4_flow_time(section.params["beta"], x1, w[:, 1], w[:, 2], w[:, 3])
+        return _rotating_shear_flow_time(section.params["beta"], x1, w[:, 1], w[:, 2], w[:, 3])
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -760,7 +741,12 @@ class _ComplexModulusOneNilpotent(_Case):
         return {"beta": blk.argument}
 
     def gauge(self, section, w, exceptional):
-        return _flow_time_mod1(section.params["beta"], w, exceptional), 1
+        """Minus the flow time of :func:`_rotating_shear_flow_time`, read in the
+        flow coordinates: those differ from the Jordan coordinates by one
+        rotation of the second pair."""
+        beta = section.params["beta"]
+        d3, d4 = _rotate_rows(w[:, 2], w[:, 3], beta)
+        return -_rotating_shear_flow_time(beta, np.where(exceptional, 1.0, w[:, 0]), w[:, 1], d3, d4), 1
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -793,8 +779,8 @@ class _DerivedFromContinuous(_Case):
     def null_set(self, section):
         return section.base.null_set()
 
-    def null_mask(self, section, coords, norms):
-        return section.base.kind.null_mask(section.base, coords, norms)
+    def radius(self, section, w):
+        return section.base.kind.radius(section.base, w)
 
     def gauge(self, section, w, exceptional):
         return -section.base.kind.parameter(section.base, w, exceptional), 1
@@ -802,9 +788,7 @@ class _DerivedFromContinuous(_Case):
     def sample(self, section, coords, rng):
         base = section.base
         base.kind.sample(base, coords, rng)
-        ts = rng.uniform(0.0, 1.0, coords.shape[0])
-        pushed = flow_rows(base.jordan, base.jordan.from_jordan(coords), ts)
-        coords[:] = base.jordan.to_jordan(pushed)
+        coords[:] = power_rows(base, coords, rng.uniform(0.0, 1.0, coords.shape[0]))
 
 
 _CASES = {
@@ -823,9 +807,9 @@ _CASES = {
 }
 
 
-def _case4_flow_time(beta, x1, x2, x3, x4):
-    """Unique flow time ``t`` with ``point @ M(t)`` inside the case-4 set,
-    where ``M`` is the 4x4 rotation-with-shear flow of rate ``beta``."""
+def _rotating_shear_flow_time(beta, x1, x2, x3, x4):
+    """Unique flow time ``t`` with ``point @ M(t)`` in the imaginary nilpotent
+    section, where ``M`` is the 4x4 rotation-with-shear flow of rate ``beta``."""
     p = np.hypot(x1, x2)
     phi = np.arctan2(x2, x1)
     t1 = -phi / beta
@@ -836,52 +820,38 @@ def _case4_flow_time(beta, x1, x2, x3, x4):
     return t1 + kk * (TWO_PI / beta)
 
 
-def _flow_time_mod1(beta, w, exceptional):
-    """For the discrete modulus-one complex nilpotent case: ``-t_c`` where
-    ``t_c`` is the flow time in the shear-corrected coordinates.  The
-    point belongs to the section iff the result lies in [0, 1)."""
-    # canonical Jordan coordinates differ from the flow coordinates by one
-    # rotation of the second pair
-    d3, d4 = _rotate_rows(w[:, 2], w[:, 3], beta)
-    t_c = _case4_flow_time(beta, np.where(exceptional, 1.0, w[:, 0]), w[:, 1], d3, d4)
-    return -t_c
-
-
 # ---------------------------------------------------------------------------
 # membership and orbit solving
 
 
-def _norms(coords):
-    """Euclidean norm of each row of Jordan coordinates, by
-    :func:`~xsect.linalg.row_norms`; an overflowing norm yields inf, and the
-    point is flagged exceptional."""
-    with np.errstate(over="ignore"):
-        return row_norms(coords)
-
-
-def _eq_resolution_mask(section, norms, eq_scale):
-    """True where the point's float representation is too coarse to decide
-    the case's equality constraints at the working tolerance.
-
-    An ambient vector resolves each Jordan coordinate only to about
-    ``eps * cond(Q) * ||c||``; once that noise exceeds the equality
-    tolerance the membership question is undecidable and is refused like
-    a null-set point."""
-    with np.errstate(over="ignore"):
-        noise = 8.0 * section._conj_cond * np.finfo(float).eps * norms
-    return section.tol * eq_scale < noise
+def _finite_or_origin(rows):
+    """``rows`` with each row that has a non-finite entry read as the origin,
+    which lies in every case's null set: it is refused like one, with no
+    float warning."""
+    if np.isfinite(rows).all():  # one test of the whole array is 20x cheaper than per row
+        return rows
+    return np.where(finite_rows(rows)[:, None], rows, 0.0)
 
 
 def _refused(section, coords):
-    """Rows refused as exceptional: the declared null set, and the rows too
-    coarse to resolve the case's equality constraints."""
-    kind = section.kind
-    norms = _norms(coords)
-    refused = kind.null_mask(section, coords, norms)
-    eq_scale = kind.eq_scale(section, coords[:, section.block.offset :])
-    if eq_scale is not None:
-        refused |= _eq_resolution_mask(section, norms, eq_scale)
-    return refused
+    """``(null, refused, rho)`` for rows of Jordan coordinates ``c``, from one
+    reading of their norms and their witness radius ``rho``: the null band
+    ``rho <= tol * max(||c||, 1)``; it and, in a continuous section, the
+    resolution band; and ``rho``.
+
+    An ambient vector resolves each Jordan coordinate only to about
+    ``eps * cond(Q) * ||c||``.  Where that noise exceeds the tolerance
+    ``tol * max(rho, 1)`` of a continuous section, membership is undecidable
+    and the row is refused like a null-set point.  An overflowing norm is
+    inf: the row is refused."""
+    with np.errstate(over="ignore"):
+        norms = row_norms(coords)
+    rho = section.kind.radius(section, coords[:, section.block.offset :])
+    null = rho <= section.tol * np.maximum(norms, 1.0)
+    if section.mode != "continuous":
+        return null, null, rho
+    noise = 8.0 * section._conj_cond * np.finfo(float).eps * norms
+    return null, null | (section.tol * np.maximum(rho, 1.0) < noise), rho
 
 
 def power_rows(section, coords, ps):
@@ -893,7 +863,7 @@ def power_rows(section, coords, ps):
 def _solve_core(section, coords):
     """Flow times (continuous) or tile indices (discrete), the
     representatives in Jordan coordinates, and the refusal mask."""
-    exceptional = section.kind.null_mask(section, coords, _norms(coords))
+    exceptional = _refused(section, coords)[0]
     with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it reads 0
         params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional)
     continuous = section.mode == "continuous"
@@ -911,7 +881,7 @@ def _solve_core(section, coords):
     # (constrained block dwarfed by free blocks beyond float resolution), is
     # flagged just like a null-set point: refuse rather than return an
     # unusable answer
-    exceptional |= _refused(section, rep_coords) | ~finite_rows(rep_coords)
+    exceptional |= _refused(section, rep_coords)[1] | ~finite_rows(rep_coords)
     if continuous:
         return np.where(exceptional, np.nan, params), rep_coords, exceptional
     return np.where(exceptional, 0, params).astype(float), rep_coords, exceptional

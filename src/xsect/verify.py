@@ -12,7 +12,8 @@ The continuous check exploits that sweeping a continuous section over
 unit time yields a discrete cross-section: the time set
 ``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
 come from the closed-form solve and are cross-checked by bisection
-refinement of the membership indicator.
+refinement of the membership indicator, on rows flowed in Jordan
+coordinates.
 
 Orbit integration evaluates ``integral of f over R^n`` on the section's
 flow chart, with its closed-form Jacobian weight: ``alpha delta^t``
@@ -35,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, Overflow, QuadratureDivergence, UsageError
-from .linalg import flow_rows, integer_power, jordan_power_batch, jordan_power_rows
-from .sections import CrossSection, PushedSection, derive_discrete_section
+from .linalg import integer_power, jordan_power_batch, jordan_power_rows
+from .sections import CrossSection, PushedSection, derive_discrete_section, power_rows
 
 
 @dataclass(frozen=True)
@@ -254,13 +255,19 @@ _GRID_STEP = 1e-3
 _QUAD_TOL = 1e-6
 
 
-def _bisect(derived, points, t_false, t_true):
+def _flowed_membership(section, coords, ts):
+    """Membership of the Jordan rows ``coords`` flowed by the times ``ts``;
+    a row flowed past the float range is a refused non-member."""
+    return section.jordan_membership(power_rows(section, coords, ts))[0]
+
+
+def _bisect(derived, coords, t_false, t_true):
     """Bisect between a non-member time and a member time, per sample."""
     a = t_false.copy()
     b = t_true.copy()
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (a + b)
-        member, _ = derived.membership(flow_rows(derived.jordan, points, mid))
+        member = _flowed_membership(derived, coords, mid)
         a = np.where(member, a, mid)
         b = np.where(member, mid, b)
     return 0.5 * (a + b)
@@ -277,8 +284,9 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     1 within ``_QUAD_TOL``, else :class:`QuadratureDivergence` is raised.
     Uniqueness of the section hit is checked on every sample through the
     case's branch candidates inside the window, and by a dense
-    membership grid on a subsample.  Fewer than one sample raises
-    :class:`UsageError`.
+    membership grid on a subsample.  The samples are flowed in Jordan
+    coordinates; a flow past the float range is a refused non-member.
+    Fewer than one sample raises :class:`UsageError`.
     """
     if section.mode != "continuous":
         raise ValueError("check_continuous_tiling expects a continuous section")
@@ -289,6 +297,7 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     ts, _, exc = section.solve(pts)
     skipped = int(exc.sum())
     pts, ts = pts[~exc], ts[~exc]
+    coords = section.jordan.to_jordan(pts)
 
     # flowing by t leaves remaining flow time t_c - t, so the swept-set hit
     # interval is [t_c, t_c + 1): closed left edge, open right edge
@@ -296,8 +305,8 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     right = ts + 1.0
     eps = 1e-3
     # bisection brackets around each edge
-    left_found = _bisect(derived, pts, left - eps, left + eps)
-    right_found = _bisect(derived, pts, right + eps, right - eps)
+    left_found = _bisect(derived, coords, left - eps, left + eps)
+    right_found = _bisect(derived, coords, right + eps, right - eps)
     lengths = right_found - left_found
     length_dev = float(np.max(np.abs(lengths - 1.0))) if len(lengths) else 0.0
     edge_dev = float(max(np.max(np.abs(left_found - left)), np.max(np.abs(right_found - right)))) if len(pts) else 0.0
@@ -307,18 +316,17 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
         )
 
     # uniqueness: branch candidates within the window
-    counts = _branch_candidate_counts(section, pts, ts, _WINDOW)
+    counts = _branch_candidate_counts(section, coords, ts, _WINDOW)
     histogram, failures = _tally(pts, counts)
 
     # dense grid on a subsample: the swept membership must form one run
     runs_bad = 0
-    sub = pts[: min(grid_subsample, len(pts))]
+    sub = coords[: min(grid_subsample, len(pts))]
     sub_t = ts[: len(sub)]
     grid = np.arange(-_WINDOW, _WINDOW + _GRID_STEP / 2, _GRID_STEP)
     for i in range(len(sub)):
         times = sub_t[i] + grid
-        rows = np.repeat(sub[i : i + 1], len(times), axis=0)
-        member, _ = derived.membership(flow_rows(derived.jordan, rows, times))
+        member = _flowed_membership(derived, np.repeat(sub[i : i + 1], len(times), axis=0), times)
         transitions = int(np.count_nonzero(np.diff(member.astype(int)) != 0))
         if transitions > 2 or not member.any():
             runs_bad += 1
@@ -340,8 +348,9 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     )
 
 
-def _branch_candidate_counts(section, pts, ts, window):
-    """Count window times carrying each sample into the section.
+def _branch_candidate_counts(section, coords, ts, window):
+    """Count window times carrying each sample, in Jordan coordinates, into
+    the section.
 
     Rotation-free cases have a single candidate (the hit function is
     strictly monotone in t); rotating cases admit one candidate per
@@ -352,10 +361,9 @@ def _branch_candidate_counts(section, pts, ts, window):
     else:
         m_max = int(math.floor(window / period))
         offsets = np.arange(-m_max, m_max + 1) * period
-    counts = np.zeros(len(pts), dtype=int)
+    counts = np.zeros(len(coords), dtype=int)
     for off in offsets:
-        member, _ = section.membership(flow_rows(section.jordan, pts, ts + off))
-        counts += member.astype(int)
+        counts += _flowed_membership(section, coords, ts + off)
     return counts
 
 

@@ -12,6 +12,7 @@ from xsect.sections import (
     build_discrete_section,
     contains,
     derive_discrete_section,
+    power_rows,
     section_from_json,
     section_to_json,
     solve_orbit,
@@ -386,6 +387,76 @@ def test_acting_matrix_is_cached_and_never_serialized():
     assert derive_discrete_section(derived.base).to_json() == before
 
 
+def _geometric_member(section, w):
+    """The continuous sections as geometric predicates on the witness block's
+    Jordan coordinates ``w``: ``|x1| = 1``; the zero-angle ray with the
+    radial range [1, Lambda); ``x2 = 0``; the ray with the ``x3`` box
+    [0, 2 pi p / beta).  Equalities hold to ``tol`` times the witness scale."""
+    tol = section.tol
+    if section.case == "real_nonzero":
+        return np.abs(np.abs(w[:, 0]) - 1.0) <= tol
+    if section.case == "zero_nilpotent":
+        return np.abs(w[:, 1]) <= tol * np.maximum(np.abs(w[:, 0]), 1.0)
+    r = np.hypot(w[:, 0], w[:, 1])
+    on_ray = (np.abs(w[:, 1]) <= tol * np.maximum(r, 1.0)) & (w[:, 0] > 0)
+    if section.case == "complex_nonzero":
+        logr = np.log(np.where(r > 0, r, 1.0))
+        return on_ray & (logr >= 0.0) & (logr < section.params["log_span"])
+    return on_ray & (w[:, 2] >= 0.0) & (w[:, 2] < (2 * math.pi / section.params["beta"]) * w[:, 0])
+
+
+def _witness_radius(section, c):
+    w = c[:, section.block.offset :]
+    return np.abs(w[:, 0]) if section.kind.pinned == 1 else np.hypot(w[:, 0], w[:, 1])
+
+
+def _oracle_corpus(section, rng):
+    """10^5 Gaussian rows, 10^4 section samples, and 10^4 samples whose
+    constrained witness coordinate is nudged by 0.3 to 3 tol, both ways."""
+    nudged = section.jordan.to_jordan(section.sample(rng, 10_000))
+    at = section.block.offset + (0 if section.case == "real_nonzero" else 1)
+    scale = np.maximum(_witness_radius(section, nudged), 1.0)
+    nudged[:, at] += rng.choice([-1.0, 1.0], 10_000) * rng.uniform(0.3, 3.0, 10_000) * section.tol * scale
+    return np.vstack([rng.normal(size=(100_000, section.n)), section.sample(rng, 10_000),
+                      section.jordan.from_jordan(nudged)])
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["canonical", "conjugated"])
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+def test_continuous_membership_is_the_geometric_section(name, conjugated):
+    # membership reads the flow time; on the same Jordan coordinates it
+    # equals the geometric predicates, and it refuses the rows the predicates
+    # refused (null band, or float noise above tol times the witness scale),
+    # except heavy real_nonzero rows, whose scale is now max(|x1|, 1), not 1
+    b = CONTINUOUS_FIXTURES[name]
+    section = build_continuous_section(random_conjugate(b, 11)[0] if conjugated else b)
+    pts = _oracle_corpus(section, np.random.default_rng(17))
+    member, refused = section.membership(pts)
+    c = section.jordan.to_jordan(pts)
+    w = c[:, section.block.offset :]
+    assert np.array_equal(member, _geometric_member(section, w) & ~refused)
+    assert member[-20_000:-10_000].all() and 2_000 < member[-10_000:].sum() < 8_000
+    norms, rho = np.linalg.norm(c, axis=1), _witness_radius(section, c)
+    scale = 1.0 if section.case == "real_nonzero" else np.maximum(rho, 1.0)
+    old_refused = (rho <= section.tol * np.maximum(norms, 1.0)) | (
+        section.tol * scale < 8.0 * section._conj_cond * np.finfo(float).eps * norms)
+    assert not (refused & ~old_refused).any()
+    if section.case != "real_nonzero":
+        assert np.array_equal(refused, old_refused)
+
+
+def test_heavy_real_nonzero_row_is_decided_like_its_solve():
+    # Jordan coordinates (1e3, 1e8): float noise of about 2e-7 at norm 1e8 is
+    # below the tolerance tol * |x1| = 1e-6, so membership decides the row,
+    # a non-member, as solve solves it
+    section = build_continuous_section(CONTINUOUS_FIXTURES["real_nonzero"])
+    pt = section.jordan.from_jordan([[1e3, 1e8]])
+    member, refused = section.membership(pt)
+    ts, _, solve_refused = section.solve(pt)
+    assert not refused[0] and not member[0]
+    assert not solve_refused[0] and ts[0] == pytest.approx(-math.log(1e3) / math.log(2.0))
+
+
 NONFINITE_REGIONS = {
     **{f"continuous_{k}": partial(build_continuous_section, m) for k, m in CONTINUOUS_FIXTURES.items()},
     **{f"discrete_{k}": partial(build_discrete_section, m) for k, m in DISCRETE_FIXTURES.items()},
@@ -413,6 +484,23 @@ def test_non_finite_rows_are_exceptional_without_a_warning(name):
     alone = (*region.membership(pts[:1]), *region.solve(pts[:1]))
     for got, want in zip((member, exc, params, reps, solve_exc), alone):
         assert got[:1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["section", "swept"])
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+def test_jordan_rows_past_the_float_range_are_refused_without_a_warning(name, swept):
+    # rows that a flow carried past the float range (inf, or nan from inf * 0)
+    # are refused in Jordan coordinates, as non-finite ambient rows are
+    section = build_continuous_section(CONTINUOUS_FIXTURES[name])
+    region = derive_discrete_section(section) if swept else section
+    n = region.n
+    rows = [np.full(n, 0.7)] + [np.where(np.arange(n) == j, bad, 0.7)
+                                for bad in (math.nan, math.inf, -math.inf) for j in range(n)]
+    flowed = power_rows(region, np.ones((2, n)), [1e308, -1e308])
+    member, exc = region.jordan_membership(np.vstack(rows + [flowed]))
+    assert exc[1:].all() and not member[1:].any()
+    alone = region.jordan_membership(np.array(rows[:1]))
+    assert (member[0], exc[0]) == (alone[0][0], alone[1][0])
 
 
 SLICEABLE = [k for k in sorted(DISCRETE_FIXTURES) if k.startswith(("modulus_not_one", "complex_modulus_not_one"))]

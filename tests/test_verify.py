@@ -94,6 +94,14 @@ def test_continuous_tiling(generator):
     assert set(report.histogram) == {1}
 
 
+def test_continuous_check_refuses_rows_flowed_past_the_float_range():
+    # the +/-5 window flows x1 by e^(+/-1500): such a row is a refused
+    # non-member of the swept set, as a non-finite ambient row is
+    section = build_continuous_section([[300.0]])
+    report = check_continuous_tiling(section, samples=200, seed=0, grid_subsample=20)
+    assert report.passed and report.histogram == {1: 200} and report.extras["grid_runs_bad"] == 0
+
+
 def test_report_json_is_deterministic():
     s = build_discrete_section(SPIRAL)
     a = check_discrete_tiling(s, samples=2000, seed=5).to_json()

@@ -137,7 +137,7 @@ class CrossSection:
 
     def solve(self, points):
         """Vectorized orbit solve: (parameter array, representatives, exceptional)."""
-        params, rep_coords, exceptional = _solve_core(self, self._coords(points))
+        params, rep_coords, exceptional, _ = _solve_core(self, self._coords(points))
         reps = self.jordan.from_jordan(rep_coords)
         reps[exceptional] = np.nan
         return params, reps, exceptional
@@ -235,8 +235,10 @@ class _Case:
     ``radius``, ``member``, ``parameter`` and ``gauge`` read ``w``, the
     Jordan coordinates from the witness block on (``w[:, 0]`` is ``x1``);
     ``exceptional`` is the null-set mask, so the formulas never divide by a
-    vanishing witness coordinate.  A continuous case's ``parameter`` is the
-    flow time ``t`` with ``gamma @ A^t in S``, and ``S`` the points of flow
+    vanishing witness coordinate; ``rho`` is the witness radius that
+    :func:`_refused` read with that mask, so ``parameter`` and ``gauge``
+    never compute it again.  A continuous case's ``parameter`` is the flow
+    time ``t`` with ``gamma @ A^t in S``, and ``S`` the points of flow
     time 0 (``member``): ``|t| * rate * rho <= tol * max(rho, 1)``, where
     ``rate * rho`` is the speed of the flow at ``gamma`` along the witness
     block's orbit, so that the left side is the distance to ``S`` along the
@@ -280,13 +282,13 @@ class _Case:
     def member(self, section, w, exceptional, rho):
         """Orbit parameter 0: tile index 0, or flow time 0 at the tolerance."""
         with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it is masked out
-            t = self.parameter(section, w, exceptional)
+            t = self.parameter(section, w, exceptional, rho)
         if self.mode == "discrete":
             return t == 0
         return np.abs(t) * (self.rate(section.params) * rho) <= section.tol * np.maximum(rho, 1.0)
 
-    def parameter(self, section, w, exceptional):
-        u, s = self.gauge(section, w, exceptional)
+    def parameter(self, section, w, exceptional, rho):
+        u, s = self.gauge(section, w, exceptional, rho)
         return (s * np.floor(u)).astype(int)
 
     @property
@@ -529,9 +531,8 @@ class _RealNonzero(_Case):
     def rate(self, params):
         return abs(params["alpha"])
 
-    def parameter(self, section, w, exceptional):
-        safe = np.where(exceptional, 1.0, np.abs(w[:, 0]))
-        return -np.log(safe) / section.params["alpha"]
+    def parameter(self, section, w, exceptional, rho):
+        return -np.log(np.where(exceptional, 1.0, rho)) / section.params["alpha"]
 
     def sample(self, section, coords, rng):
         coords[:, section.block.offset] = rng.choice([-1.0, 1.0], size=coords.shape[0])
@@ -554,11 +555,11 @@ class _ComplexNonzero(_Case):
     def rate(self, params):
         return params["beta"]
 
-    def parameter(self, section, w, exceptional):
+    def parameter(self, section, w, exceptional, rho):
         alpha, beta, mu = section.params["alpha"], section.params["beta"], section.params["mu"]
         sigma = 1.0 if alpha > 0 else -1.0
         phi = _angle(w[:, 0], w[:, 1])
-        logr = np.log(np.where(exceptional, 1.0, np.hypot(w[:, 0], w[:, 1])))
+        logr = np.log(np.where(exceptional, 1.0, rho))
         c0 = beta * logr / (TWO_PI * mu) - sigma * phi / TWO_PI
         m = -sigma * np.floor(c0)
         return (-phi + TWO_PI * m) / beta
@@ -577,7 +578,7 @@ class _ZeroNilpotent(_Case):
 
     chart = _ShearChart
 
-    def parameter(self, section, w, exceptional):
+    def parameter(self, section, w, exceptional, rho):
         return -w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
 
     def sample(self, section, coords, rng):
@@ -597,9 +598,8 @@ class _ImaginaryNilpotent(_Case):
 
     rate = _ComplexNonzero.rate
 
-    def parameter(self, section, w, exceptional):
-        x1 = np.where(exceptional, 1.0, w[:, 0])
-        return _rotating_shear_flow_time(section.params["beta"], x1, w[:, 1], w[:, 2], w[:, 3])
+    def parameter(self, section, w, exceptional, rho):
+        return _rotating_shear_flow_time(section.params["beta"], w, exceptional, rho, w[:, 2], w[:, 3])
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -623,9 +623,9 @@ class _ModulusNotOne(_Case):
         big = max(abs(lam), 1.0 / abs(lam))
         return dict(lam=lam, log_span=math.log(big), expanding=abs(lam) > 1.0)
 
-    def gauge(self, section, w, exceptional):
+    def gauge(self, section, w, exceptional, rho):
         """``log|x1| / log_span``, to which ``A`` adds ``log|lam| / log_span = +/-1``."""
-        u = np.log(np.where(exceptional, 1.0, np.abs(w[:, 0]))) / section.params["log_span"]
+        u = np.log(np.where(exceptional, 1.0, rho)) / section.params["log_span"]
         return u, 1 if section.params["expanding"] else -1
 
     def sample(self, section, coords, rng):
@@ -644,9 +644,10 @@ class _ModulusNotOne(_Case):
         """Sup-norm radius of the constrained coordinates."""
         return math.exp(params["log_span"])
 
-    def radial_coordinate(self, section, coords):
-        """The expanding radial coordinate of a representative."""
-        return np.abs(coords[:, section.block.offset])
+    def radial_coordinate(self, section, coords, rho):
+        """The expanding radial coordinate of a representative, whose
+        witness radius is ``rho``."""
+        return rho
 
     def slab_growth(self, params):
         """Scaling of the radial coordinate per step of the expanding action."""
@@ -668,18 +669,18 @@ class _ComplexModulusNotOne(_Case):
         omega = beta if expanding else TWO_PI - beta
         return dict(beta=beta, mu=mu, omega=omega, log_span=TWO_PI * mu / omega, expanding=expanding)
 
-    def log_radial(self, section, w):
-        """The pair's angle by :func:`_angle`, and its log-radial index ``log r - (phi/omega) mu``."""
-        r = np.hypot(w[:, 0], w[:, 1])
+    def log_radial(self, section, w, rho):
+        """The pair's angle by :func:`_angle`, and its log-radial index
+        ``log r - (phi/omega) mu``, ``r`` being the witness radius ``rho``."""
         phi = _angle(w[:, 0], w[:, 1])
-        logr = np.log(np.where(r > 0, r, 1.0))
+        logr = np.log(np.where(rho > 0, rho, 1.0))
         return phi, logr - (phi / section.params["omega"]) * section.params["mu"]
 
-    def gauge(self, section, w, exceptional):
+    def gauge(self, section, w, exceptional, rho):
         """The flow phase ``(phi + 2 pi m) / omega``, ``m`` the slab of the
         log-radial index: ``A`` turns ``phi`` by ``beta``, ``+omega`` (expanding)
         or ``-omega`` modulo 2 pi, and moves the index a slab as ``phi`` wraps."""
-        phi, logs = self.log_radial(section, w)
+        phi, logs = self.log_radial(section, w, rho)
         m = np.floor(logs / section.params["log_span"])
         return (phi + TWO_PI * m) / section.params["omega"], 1 if section.params["expanding"] else -1
 
@@ -707,9 +708,9 @@ class _ComplexModulusNotOne(_Case):
     def core_radius(self, params):
         return math.exp(params["log_span"] + params["mu"])
 
-    def radial_coordinate(self, section, coords):
+    def radial_coordinate(self, section, coords, rho):
         # the spiral radial index, at the angle member reads
-        return np.exp(self.log_radial(section, coords[:, section.block.offset :])[1])
+        return np.exp(self.log_radial(section, coords[:, section.block.offset :], rho)[1])
 
     def slab_growth(self, params):
         return math.exp(params["mu"])
@@ -723,7 +724,7 @@ class _RealModulusOneNilpotent(_Case):
     def params(self, blk):
         return {"lam": 1.0 if blk.re > 0 else -1.0}
 
-    def gauge(self, section, w, exceptional):
+    def gauge(self, section, w, exceptional, rho):
         """``x2/x1``, to which ``A`` adds ``1/lam = lam``."""
         return w[:, 1] / np.where(exceptional, 1.0, w[:, 0]), section.params["lam"]
 
@@ -740,13 +741,13 @@ class _ComplexModulusOneNilpotent(_Case):
     def params(self, blk):
         return {"beta": blk.argument}
 
-    def gauge(self, section, w, exceptional):
+    def gauge(self, section, w, exceptional, rho):
         """Minus the flow time of :func:`_rotating_shear_flow_time`, read in the
         flow coordinates: those differ from the Jordan coordinates by one
         rotation of the second pair."""
         beta = section.params["beta"]
         d3, d4 = _rotate_rows(w[:, 2], w[:, 3], beta)
-        return -_rotating_shear_flow_time(beta, np.where(exceptional, 1.0, w[:, 0]), w[:, 1], d3, d4), 1
+        return -_rotating_shear_flow_time(beta, w, exceptional, rho, d3, d4), 1
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -782,8 +783,8 @@ class _DerivedFromContinuous(_Case):
     def radius(self, section, w):
         return section.base.kind.radius(section.base, w)
 
-    def gauge(self, section, w, exceptional):
-        return -section.base.kind.parameter(section.base, w, exceptional), 1
+    def gauge(self, section, w, exceptional, rho):
+        return -section.base.kind.parameter(section.base, w, exceptional, rho), 1
 
     def sample(self, section, coords, rng):
         base = section.base
@@ -807,11 +808,14 @@ _CASES = {
 }
 
 
-def _rotating_shear_flow_time(beta, x1, x2, x3, x4):
+def _rotating_shear_flow_time(beta, w, exceptional, rho, x3, x4):
     """Unique flow time ``t`` with ``point @ M(t)`` in the imaginary nilpotent
-    section, where ``M`` is the 4x4 rotation-with-shear flow of rate ``beta``."""
-    p = np.hypot(x1, x2)
-    phi = np.arctan2(x2, x1)
+    section, where ``M`` is the 4x4 rotation-with-shear flow of rate ``beta``,
+    for the leading pair ``w[:, :2]`` of witness radius ``rho`` and the second
+    pair ``(x3, x4)``; a refused row reads the pair ``(1, x2)``'s angle and
+    radius 1."""
+    p = np.where(exceptional, 1.0, rho)
+    phi = np.arctan2(w[:, 1], np.where(exceptional, 1.0, w[:, 0]))
     t1 = -phi / beta
     y3, _ = _rotate_rows(x3, x4, beta * t1)
     span = TWO_PI * p / beta
@@ -862,10 +866,12 @@ def power_rows(section, coords, ps):
 
 def _solve_core(section, coords):
     """Flow times (continuous) or tile indices (discrete), the
-    representatives in Jordan coordinates, and the refusal mask."""
-    exceptional = _refused(section, coords)[0]
+    representatives in Jordan coordinates, the refusal mask, and the
+    representatives' witness radii."""
+    exceptional, _, rho = _refused(section, coords)
     with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it reads 0
-        params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional)
+        params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional, rho)
+    del rho  # freed before the flow, whose arrays then reuse its memory: 10% of a 1-D solve
     continuous = section.mode == "continuous"
     if continuous:
         # flow times whose exponentials leave the float range cannot yield a
@@ -881,10 +887,11 @@ def _solve_core(section, coords):
     # (constrained block dwarfed by free blocks beyond float resolution), is
     # flagged just like a null-set point: refuse rather than return an
     # unusable answer
-    exceptional |= _refused(section, rep_coords)[1] | ~finite_rows(rep_coords)
+    _, rep_refused, rep_rho = _refused(section, rep_coords)
+    exceptional |= rep_refused | ~finite_rows(rep_coords)
     if continuous:
-        return np.where(exceptional, np.nan, params), rep_coords, exceptional
-    return np.where(exceptional, 0, params).astype(float), rep_coords, exceptional
+        return np.where(exceptional, np.nan, params), rep_coords, exceptional, rep_rho
+    return np.where(exceptional, 0, params).astype(float), rep_coords, exceptional, rep_rho
 
 
 class PushedSection:
@@ -893,9 +900,10 @@ class PushedSection:
     discrete set it is its points of tile index 0, where a point's tile
     index is its tile index in ``base`` minus the shift of the piece that
     holds its base representative.  A subclass supplies ``base``,
-    ``shift(i)`` and ``piece_of(coords)``, the piece of each representative
-    in Jordan coordinates; piece 0 (no piece: the representative rounded
-    onto an edge of the section) is refused."""
+    ``shift(i)`` and ``piece_of(coords, rho)``, the piece of each
+    representative given in Jordan coordinates with its witness radius;
+    piece 0 (no piece: the representative rounded onto an edge of the
+    section) is refused."""
 
     mode = "discrete"
 
@@ -914,9 +922,9 @@ class PushedSection:
         Piece indices are small (a shell or slab index), so the pieces
         present are counted in a table indexed by piece, with no sort, and
         ``shift`` is asked once for each, in increasing order."""
-        ks, reps, refused = _solve_core(self.base, self.base._coords(points))
+        ks, reps, refused, rho = _solve_core(self.base, self.base._coords(points))
         pieces = np.zeros(len(ks), dtype=int)
-        pieces[~refused] = self.piece_of(reps[~refused])
+        pieces[~refused] = self.piece_of(reps[~refused], rho[~refused])
         refused |= pieces == 0
         shift_of = np.zeros(pieces.max(initial=0) + 1, dtype=np.int64)  # entry 0, a refused row's, stays 0
         for i in np.flatnonzero(np.bincount(pieces[~refused])):

@@ -168,8 +168,9 @@ class ShapedSection(PushedSection):
 
     # -- evaluation -------------------------------------------------------
 
-    def piece_of(self, coords):
-        """Shell of each base representative (Jordan coordinates)."""
+    def piece_of(self, coords, rho):
+        """Shell of each base representative (Jordan coordinates); the shells
+        lie in the free coordinates, so the witness radius ``rho`` is unread."""
         return self.shell.index_of(coords[:, list(self.free_dims)])
 
     def sample_pieces(self, rng, count: int) -> np.ndarray:

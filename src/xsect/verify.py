@@ -13,7 +13,11 @@ unit time yields a discrete cross-section: the time set
 ``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
 come from the closed-form solve and are cross-checked by bisection
 refinement of the membership indicator, on rows flowed in Jordan
-coordinates.
+coordinates.  The bisection reads membership at the closed-form edge,
+lets the edge decide the next halvings, and confirms the bracket they
+leave by reads at both its ends before the last halvings read again; a
+row whose bracket does not confirm is bisected in full.  Refined lengths
+and edges that stray from 1 and from the closed form are refused.
 
 Orbit integration evaluates ``integral of f over R^n`` on the section's
 flow chart, with its closed-form Jacobian weight: ``alpha delta^t``
@@ -248,6 +252,9 @@ def _power_table(a, exponents):
 # halvings of each edge bracket (2e-3 wide) in the continuous check: past
 # float resolution for flow times of order one
 _BISECT_ITERS = 46
+# of those, the halvings after the first that the closed-form edge decides
+# without a membership read: they leave a bracket 2e-3 * 2^-29 = 3.7e-12 wide
+_REPLAYED = 28
 # the continuous check: half-width of the time window searched for further
 # section hits, its dense grid step, and the tolerance on the refined length
 _WINDOW = 5.0
@@ -261,16 +268,43 @@ def _flowed_membership(section, coords, ts):
     return section.jordan_membership(power_rows(section, coords, ts))[0]
 
 
-def _bisect(derived, coords, t_false, t_true):
-    """Bisect between a non-member time and a member time, per sample."""
-    a = t_false.copy()
-    b = t_true.copy()
-    for _ in range(_BISECT_ITERS):
+def _halve(a, b, member, mid):
+    """The half of each bracket ``[a, b]`` that keeps a non-member at ``a``
+    and a member at ``b``, ``member`` being read at ``mid``."""
+    return np.where(member, a, mid), np.where(member, mid, b)
+
+
+def _halvings(derived, coords, a, b, iters):
+    """``iters`` halvings of the brackets ``[a, b]``, each reading membership at the midpoints."""
+    for _ in range(iters):
         mid = 0.5 * (a + b)
-        member = _flowed_membership(derived, coords, mid)
-        a = np.where(member, a, mid)
-        b = np.where(member, mid, b)
-    return 0.5 * (a + b)
+        a, b = _halve(a, b, _flowed_membership(derived, coords, mid), mid)
+    return a, b
+
+
+def _bisect(derived, coords, t_false, t_true, edge):
+    """Bisect between a non-member time and a member time, per sample, the
+    bracket being centred on the closed-form ``edge``: ``(time, unconfirmed)``.
+
+    The first halving reads membership at its midpoint, ``edge`` up to
+    rounding.  The next ``_REPLAYED`` are decided by the side of ``edge``
+    their midpoints lie on, and reads at both ends of the bracket they leave
+    confirm it; confirmed rows take the remaining halvings with reads.  An
+    unconfirmed row (its closed form off by more than that bracket, or its
+    membership not monotone) is bisected in full from ``[t_false, t_true]``.
+    Where membership is monotone, each row's time is bit for bit that of
+    the full bisection."""
+    a, b = _halvings(derived, coords, t_false, t_true, 1)
+    rising = t_true > t_false
+    for _ in range(_REPLAYED):
+        mid = 0.5 * (a + b)
+        a, b = _halve(a, b, (mid >= edge) == rising, mid)
+    unconfirmed = _flowed_membership(derived, coords, a) | ~_flowed_membership(derived, coords, b)
+    a, b = _halvings(derived, coords, a, b, _BISECT_ITERS - 1 - _REPLAYED)
+    if unconfirmed.any():
+        a[unconfirmed], b[unconfirmed] = _halvings(derived, coords[unconfirmed], t_false[unconfirmed],
+                                                   t_true[unconfirmed], _BISECT_ITERS)
+    return 0.5 * (a + b), unconfirmed
 
 
 def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
@@ -280,8 +314,14 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     For each Gaussian sample the set ``{t : xi A^t in T}`` (``T`` the
     swept discrete section) is the interval ``[t_c, t_c + 1)`` with
     ``t_c`` the closed-form flow time.  Both endpoints are re-found by
-    bisection of the membership indicator and the refined length must be
-    1 within ``_QUAD_TOL``, else :class:`QuadratureDivergence` is raised.
+    bisection of the membership indicator (:func:`_bisect`) in a bracket
+    of +/-1e-3 around the closed form: the first halving reads membership
+    at the closed-form edge, the next ``_REPLAYED`` are decided by the edge
+    itself, reads at both ends of the bracket left confirm it, and the
+    last halvings read membership again; a row that does not confirm takes
+    all ``_BISECT_ITERS`` halvings with reads.  The refined length must be
+    1, and each refined edge its closed form, within ``_QUAD_TOL``, else
+    :class:`QuadratureDivergence` is raised.
     Uniqueness of the section hit is checked on every sample through the
     case's branch candidates inside the window, and by a dense
     membership grid on a subsample.  The samples are flowed in Jordan
@@ -305,14 +345,18 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     right = ts + 1.0
     eps = 1e-3
     # bisection brackets around each edge
-    left_found = _bisect(derived, coords, left - eps, left + eps)
-    right_found = _bisect(derived, coords, right + eps, right - eps)
+    left_found = _bisect(derived, coords, left - eps, left + eps, left)[0]
+    right_found = _bisect(derived, coords, right + eps, right - eps, right)[0]
     lengths = right_found - left_found
     length_dev = float(np.max(np.abs(lengths - 1.0))) if len(lengths) else 0.0
     edge_dev = float(max(np.max(np.abs(left_found - left)), np.max(np.abs(right_found - right)))) if len(pts) else 0.0
     if length_dev > _QUAD_TOL:
         raise QuadratureDivergence(
             f"refined sweep length deviates from 1 by {length_dev:.3e} (> {_QUAD_TOL})"
+        )
+    if edge_dev > _QUAD_TOL:
+        raise QuadratureDivergence(
+            f"refined sweep edge deviates from the closed-form flow time by {edge_dev:.3e} (> {_QUAD_TOL})"
         )
 
     # uniqueness: branch candidates within the window

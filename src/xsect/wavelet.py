@@ -637,9 +637,9 @@ class DilationShiftedSection(PushedSection, RegionSet):
     def certificates(self):
         return tuple((i,) + tuple(self.certificate(i)) for i in range(1, self.pieces + 1))
 
-    def piece_of(self, coords):
-        """Dyadic slab of each base representative (Jordan coordinates)."""
-        return _dyadic_slab_index(self.base, self.base.kind.radial_coordinate(self.base, coords))
+    def piece_of(self, coords, rho):
+        """Dyadic slab of each base representative (Jordan coordinates, witness radius ``rho``)."""
+        return _dyadic_slab_index(self.base, self.base.kind.radial_coordinate(self.base, coords, rho))
 
     def piece_boxes_1d(self, i: int):
         """For the scalar case: the pushed slab ±[lo, hi) * growth^k."""

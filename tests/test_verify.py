@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from xsect.errors import BudgetExceeded, DetOne, MixedModuli, UsageError
-from xsect.sections import PushedSection, _Chart, build_continuous_section, build_discrete_section, derive_discrete_section
+from xsect.errors import BudgetExceeded, DetOne, MixedModuli, QuadratureDivergence, UsageError
+from xsect.sections import (PushedSection, _Chart, _DerivedFromContinuous, build_continuous_section,
+                            build_discrete_section, derive_discrete_section)
 from xsect.shaping import to_bounded, to_finite_measure
-from xsect.verify import (check_continuous_tiling, check_discrete_tiling, dilation_counts, jacobian_check,
-                          orbit_integral, scan_dilations)
+from xsect.verify import (_BISECT_ITERS, _bisect, _flowed_membership, check_continuous_tiling, check_discrete_tiling,
+                          dilation_counts, jacobian_check, orbit_integral, scan_dilations)
 from xsect.wavelet import Lattice, build_order_infinity_set
 
 from conftest import DIAG21, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
@@ -581,7 +582,8 @@ def _assert_bracketed_counts_equal_the_full_scan(region, pts):
 @pytest.mark.parametrize("name, conjugator_seed", _GAUGED)
 def test_bracketed_counts_equal_the_full_scan(name, conjugator_seed):
     section = _gauged_section(name, conjugator_seed)
-    assert section.kind.gauge(section, np.ones((1, section.n)), np.zeros(1, dtype=bool)) is not None
+    w = np.ones((1, section.n))
+    assert section.kind.gauge(section, w, np.zeros(1, dtype=bool), section.kind.radius(section, w)) is not None
     _assert_bracketed_counts_equal_the_full_scan(section, np.random.default_rng(41).normal(size=(400, section.n)))
 
 
@@ -676,3 +678,102 @@ def test_pushed_scan_pushes_each_sample_at_most_four_times(monkeypatch, name, ta
 def test_pushed_bracket_probes_at_most_three_powers_per_sample(monkeypatch, name, target, conjugator_seed):
     region = _pushed_set(name, target, conjugator_seed)
     assert _membership_rows_per_sample(monkeypatch, region, type(region))[1] <= 3
+
+
+# the continuous check's edges: the closed-form edge decides the far halvings,
+# reads at both ends of the bracket they leave confirm it
+
+# the continuous generators of the tiling benchmark: the four cases conjugated,
+# and the generator whose eigenvalues list the slow block first
+_TILING_GENERATORS = {
+    "real_nonzero": random_conjugate([[_L2, 1.0], [0.0, _L2]], 1)[0],
+    "complex_nonzero": random_conjugate([[1.0, 2 * math.pi], [-2 * math.pi, 1.0]], 1)[0],
+    "zero_nilpotent": random_conjugate([[0.0, 1.0], [0.0, 0.0]], 1)[0],
+    "imaginary_nilpotent": random_conjugate(case4_generator(), 1)[0],
+    "eig_order": np.array([[0.064, -0.502], [0.282, -1.366]]),
+}
+_BISECTED = {**_TILING_GENERATORS,
+             **{name: b for name, (_, b) in FREE_COORDINATE_GENERATORS.items()},
+             **{f"{name}_conjugated": _conjugated(b) for name, (_, b) in FREE_COORDINATE_GENERATORS.items()}}
+
+
+def _full_bisection(derived, coords, t_false, t_true):
+    """The edge with a membership read at every halving of ``[t_false, t_true]``."""
+    a, b = t_false, t_true
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        member = _flowed_membership(derived, coords, mid)
+        a, b = np.where(member, a, mid), np.where(member, mid, b)
+    return 0.5 * (a + b)
+
+
+def _edge_brackets(section, samples, seed):
+    """The swept set, the samples' Jordan coordinates and, for the closed left
+    and the open right edge, ``(t_false, t_true, edge)`` as the check brackets them."""
+    pts = np.random.default_rng(seed).normal(size=(samples, section.n))
+    ts, _, exc = section.solve(pts)
+    ts = ts[~exc]
+    brackets = [(ts - 1e-3, ts + 1e-3, ts), (ts + 1.0 + 1e-3, ts + 1.0 - 1e-3, ts + 1.0)]
+    return derive_discrete_section(section), section.jordan.to_jordan(pts[~exc]), brackets
+
+
+@pytest.mark.parametrize("name", list(_BISECTED))
+def test_replayed_bisection_is_the_full_bisection(name):
+    derived, coords, brackets = _edge_brackets(build_continuous_section(_BISECTED[name]), 2000, 3)
+    unconfirmed = 0
+    for t_false, t_true, edge in brackets:
+        found, fallback = _bisect(derived, coords, t_false, t_true, edge)
+        assert found.tobytes() == _full_bisection(derived, coords, t_false, t_true).tobytes()
+        unconfirmed += int(fallback.sum())
+    assert unconfirmed <= 0.001 * 2 * len(coords)
+
+
+def _patch_swept_phase(monkeypatch, shift=0.0, scale=1.0):
+    """Make the swept set's phase ``u * scale + shift``: its edges move from
+    the closed-form flow times, which still come from the unpatched section."""
+    gauge = _DerivedFromContinuous.gauge
+
+    def patched(self, section, w, exceptional, rho):
+        u, s = gauge(self, section, w, exceptional, rho)
+        return u * scale + shift, s
+
+    monkeypatch.setattr(_DerivedFromContinuous, "gauge", patched)
+
+
+def _record_fallbacks(monkeypatch):
+    """The unconfirmed masks of each ``_bisect`` call of the continuous check."""
+    masks = []
+
+    def recording(*args):
+        found, unconfirmed = _bisect(*args)
+        masks.append(unconfirmed)
+        return found, unconfirmed
+
+    monkeypatch.setattr("xsect.verify._bisect", recording)
+    return masks
+
+
+_SPIRAL_GENERATOR = [[1.0, 2 * math.pi], [-2 * math.pi, 1.0]]
+
+
+def test_an_edge_off_by_more_than_the_replayed_bracket_is_bisected_in_full(monkeypatch):
+    # 1e-9 is wider than the replayed bracket (3.7e-12) and within the tolerance
+    _patch_swept_phase(monkeypatch, shift=1e-9)
+    masks = _record_fallbacks(monkeypatch)
+    report = check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)
+    assert len(masks) == 2 and all(m.all() for m in masks)
+    assert report.passed and report.histogram == {1: 2000}
+    assert report.extras["max_edge_deviation"] == pytest.approx(1e-9, rel=1e-3)
+    assert report.extras["max_length_deviation"] < 1e-12
+
+
+def test_continuous_check_refuses_a_swept_set_whose_edges_are_off(monkeypatch):
+    _patch_swept_phase(monkeypatch, shift=1e-4)
+    with pytest.raises(QuadratureDivergence, match="edge"):
+        check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)
+
+
+def test_continuous_check_refuses_a_sweep_whose_length_is_off(monkeypatch):
+    _patch_swept_phase(monkeypatch, scale=1.0 + 1e-4)
+    with pytest.raises(QuadratureDivergence, match="length"):
+        check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)

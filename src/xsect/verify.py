@@ -6,7 +6,10 @@ exactly 1.  A discrete set that solves under its own matrix (a section,
 the order-infinity cone, a reshaped or an order-infinity pushed set) meets
 each orbit once, at minus the tile index its ``solve`` gives, so a sample
 is probed only at that hit and one power on each side.  Other regions,
-refused samples and ``exhaustive=True`` take the full scan.
+refused samples and ``exhaustive=True`` take the full scan.  Membership is
+row-wise, so the counters stack the rows of consecutive powers into one
+membership call until it holds at least ``_SCAN_ROWS`` rows: a small
+sample is counted in a few large calls rather than one call per power.
 
 The continuous check exploits that sweeping a continuous section over
 unit time yields a discrete cross-section: the time set
@@ -86,6 +89,9 @@ def _few_refused(skipped, samples) -> bool:
 
 # powers k_lo..k_hi of the base and outlier windows of every dilation count
 K_RANGE = (-60, 60)
+# row floor of a membership call of the dilation and translation counters:
+# a box union's call has a fixed cost as large as that of its first 500 rows
+_SCAN_ROWS = 8192
 
 
 def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -> TilingReport:
@@ -163,15 +169,20 @@ def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> n
 
     Each ``A^k`` is a power of its own (:func:`_powers`): a product
     carried along with the points loses the contracting directions of a
-    non-normal ``A``.  A membership call takes one power of all rows, or,
-    for centred windows, a stretch of (row, k) pairs (:func:`_pair_counts`).
+    non-normal ``A``.  A membership call takes all rows under consecutive
+    powers until it holds at least ``_SCAN_ROWS`` rows (one power each when
+    the rows alone are that many), or, for centred windows, a stretch of
+    (row, k) pairs (:func:`_pair_counts`).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if centres is None:
         counts = np.zeros(len(pts), dtype=int)
-        for power in _powers(region, a, np.arange(k_lo, k_hi + 1))[1]:
-            member, exc = region.membership(pts @ power)
-            counts += member & ~exc
+        powers = _powers(region, a, np.arange(k_lo, k_hi + 1))[1]
+        step = -(-_SCAN_ROWS // max(len(pts), 1))  # powers per call
+        for start in range(0, len(powers), step):
+            window = powers[start : start + step]
+            member, exc = region.membership(np.concatenate([pts @ power for power in window]))
+            counts += (member & ~exc).reshape(len(window), len(pts)).sum(axis=0)
         return counts
     return _pair_counts(region, a, pts, np.add(centres, k_lo), np.add(centres, k_hi), (1, 0) if skip is None else skip)
 
@@ -180,8 +191,9 @@ def _pair_counts(region, a, pts, lo, hi, skip):
     """``#{lo_i <= k <= hi_i, k outside skip : xi_i A^k in region}``.  The
     pairs are sorted by ``k``; the rows of one ``k`` are shifted as in the
     full scan, ``pts[rows] @ A^k``, and a membership call takes the shifted
-    rows of consecutive ``k`` until they are as many as a full-scan call's,
-    which keeps the working set near the full scan's."""
+    rows of consecutive ``k`` until they are at least as many as ``pts``
+    and as ``_SCAN_ROWS``, which keeps the working set near the full
+    scan's."""
     widths = np.maximum(hi - lo + 1, 0)
     rows = np.repeat(np.arange(len(pts)), widths)
     k = np.repeat(lo - (np.cumsum(widths) - widths), widths) + np.arange(len(rows))
@@ -194,7 +206,7 @@ def _pair_counts(region, a, pts, lo, hi, skip):
     counts, first, batch = np.zeros(len(pts), dtype=int), 0, []
     for start, stop, power in zip(np.r_[0, stops[:-1]], stops, powers):
         batch.append(pts[rows[start:stop]] @ power)
-        if stop - first >= len(pts) or stop == len(k):
+        if stop - first >= max(len(pts), _SCAN_ROWS) or stop == len(k):
             member, exc = region.membership(np.concatenate(batch))
             counts += np.bincount(rows[first:stop], weights=member & ~exc, minlength=len(pts)).astype(int)
             first, batch = stop, []

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionTooHigh, NoSection, NoWavelet, SearchExhausted, SelectorMiss, UsageError
 from .linalg import DEFAULT_TOL, as_matrix, box_corners, matrix_from_json, matrix_to_json
 from .sections import TWO_PI, CrossSection, PushedSection, build_discrete_section
-from .verify import K_RANGE, TilingReport, _require_samples, scan_dilations
+from .verify import _SCAN_ROWS, K_RANGE, TilingReport, _require_samples, scan_dilations
 
 
 @dataclass(frozen=True)
@@ -201,12 +201,17 @@ class BoxUnion(RegionSet):
         minus every row of ``xis``."""
         if not self.boxes:
             return np.zeros((0, lattice.n))
-        dinv = np.linalg.inv(lattice.dual_basis)
-        corners = np.vstack([box_corners(lo, hi) for lo, hi in self.boxes]) @ dinv
+        key = ("box_frame", self.boxes)
+        if key not in lattice._cache:  # once per (boxes, lattice), not per chunk of rows
+            dual = lattice.dual_basis
+            dinv = np.linalg.inv(dual)
+            corners = np.vstack([box_corners(lo, hi) for lo, hi in self.boxes]) @ dinv
+            lattice._cache[key] = (dual, dinv, corners.min(axis=0), corners.max(axis=0))
+        dual, dinv, cmin, cmax = lattice._cache[key]
         rows = np.atleast_2d(xis) @ dinv
-        zlo = np.floor(corners.min(axis=0) - rows.max(axis=0)).astype(int)
-        zhi = np.ceil(corners.max(axis=0) - rows.min(axis=0)).astype(int)
-        return _integer_grid(zlo, zhi).astype(float) @ lattice.dual_basis
+        zlo = np.floor(cmin - rows.max(axis=0)).astype(int)
+        zhi = np.ceil(cmax - rows.min(axis=0)).astype(int)
+        return _integer_grid(zlo, zhi).astype(float) @ dual
 
     def translate(self, offset) -> "BoxUnion":
         off = np.asarray(offset, dtype=float)
@@ -323,24 +328,34 @@ def translation_count(region: RegionSet, lattice: Lattice, xi, radius=100.0) -> 
     return TranslationCount(int(translation_counts(region, lattice, xi, radius)[0]), not region.exact_reach)
 
 
-# rows per membership call of translation_counts: bounds the probe array
-# and with it the coset search a selector or partition piece runs over it
+# rows per candidate set of translation_counts: a box union's grid covers
+# the boxes minus the whole chunk, so a wide chunk probes a wide grid
 _CHUNK = 64
 
 
 def translation_counts(region: RegionSet, lattice: Lattice, xis, radius=100.0) -> np.ndarray:
-    """:func:`translation_count` of every row of ``xis``: one membership
-    call per chunk of rows, over the candidates of the whole chunk."""
+    """:func:`translation_count` of every row of ``xis``.  Each chunk of
+    ``_CHUNK`` rows is probed over the candidates of the whole chunk, and
+    a membership call takes the probes of consecutive chunks until they are
+    at least ``_SCAN_ROWS``."""
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     if not np.isfinite(xis).all():
         raise ValueError("points must be finite")
     out = np.empty(len(xis), dtype=int)
+    first, probes, held = 0, [], 0
     for start in range(0, len(xis), _CHUNK):
         part = xis[start : start + _CHUNK]
         cands = region.candidate_dual_points(lattice, part, radius)
-        probe = (part[:, None, :] + cands[None, :, :]).reshape(-1, xis.shape[1])
-        member, exc = region.membership(probe)
-        out[start : start + _CHUNK] = (member & ~exc).reshape(len(part), len(cands)).sum(axis=1)
+        probes.append((part[:, None, :] + cands[None, :, :]).reshape(-1, xis.shape[1]))
+        held += len(probes[-1])
+        if held >= _SCAN_ROWS or start + _CHUNK >= len(xis):
+            member, exc = region.membership(np.concatenate(probes))
+            hit, at = member & ~exc, 0
+            for probe in probes:  # chunk by chunk, as rows x candidates
+                rows = min(_CHUNK, len(xis) - first)
+                out[first : first + rows] = hit[at : at + len(probe)].reshape(rows, -1).sum(axis=1)
+                first, at = first + rows, at + len(probe)
+            probes, held = [], 0
     return out
 
 

@@ -915,14 +915,14 @@ class PushedSection:
     def n(self) -> int:
         return self.base.n
 
-    def _pushed(self, points):
-        """``(tile, reps, pieces, shifts, refused)``: the pushed tile index, the
-        base representatives' Jordan coordinates, and each row's piece and
-        shift; a refused row has piece 0, shift 0 and no usable representative.
-        Piece indices are small (a shell or slab index), so the pieces
-        present are counted in a table indexed by piece, with no sort, and
-        ``shift`` is asked once for each, in increasing order."""
-        ks, reps, refused, rho = _solve_core(self.base, self.base._coords(points))
+    def _pushed(self, coords):
+        """``(tile, reps, pieces, shifts, refused)`` of rows of the base's Jordan
+        coordinates: the pushed tile index, the base representatives, and each
+        row's piece and shift; a refused row has piece 0, shift 0 and no usable
+        representative.  Piece indices are small (a shell or slab index), so the
+        pieces present are counted in a table indexed by piece, with no sort,
+        and ``shift`` is asked once for each, in increasing order."""
+        ks, reps, refused, rho = _solve_core(self.base, coords)
         pieces = np.zeros(len(ks), dtype=int)
         pieces[~refused] = self.piece_of(reps[~refused], rho[~refused])
         refused |= pieces == 0
@@ -934,12 +934,17 @@ class PushedSection:
 
     def membership(self, points):
         """The points of pushed tile index 0, with the refusal mask."""
-        tile, _, _, _, refused = self._pushed(points)
+        return self.jordan_membership(self.base._coords(points))
+
+    def jordan_membership(self, coords):
+        """:meth:`membership` of an (m, n) stack of the base's Jordan
+        coordinates; a row that is not finite is refused."""
+        tile, _, _, _, refused = self._pushed(_finite_or_origin(coords))
         return (tile == 0) & ~refused, refused
 
     def solve(self, points):
         """Tile index j with ``gamma in S~ A^j`` and the representative."""
-        tile, reps, _, shifts, refused = self._pushed(points)
+        tile, reps, _, shifts, refused = self._pushed(self.base._coords(points))
         out_reps, ok = np.full_like(reps, np.nan), ~refused
         out_reps[ok] = self.base.jordan.from_jordan(power_rows(self.base, reps[ok], shifts[ok]))
         return tile.astype(float), out_reps, refused

@@ -220,7 +220,8 @@ class ShapedSection(PushedSection):
         per = samples // _ESTIMATE_SHELLS
         rng = np.random.default_rng(seed)
         boxes = [self.piece_box(k) for k in range(1, _ESTIMATE_SHELLS + 1)]
-        tile, _, piece, _, refused = self._pushed(np.vstack([rng.uniform(lo, hi, size=(per, self.n)) for lo, hi in boxes]))
+        drawn = np.vstack([rng.uniform(lo, hi, size=(per, self.n)) for lo, hi in boxes])
+        tile, _, piece, _, refused = self._pushed(self.base._coords(drawn))
         stratum = np.repeat(np.arange(1, _ESTIMATE_SHELLS + 1), per)
         hits = np.count_nonzero(((tile == 0) & (piece == stratum) & ~refused).reshape(_ESTIMATE_SHELLS, per), axis=1)
         total = 0.0

@@ -5,11 +5,13 @@ The discrete check counts, for Gaussian-sampled points, how many powers
 exactly 1.  A discrete set that solves under its own matrix (a section,
 the order-infinity cone, a reshaped or an order-infinity pushed set) meets
 each orbit once, at minus the tile index its ``solve`` gives, so a sample
-is probed only at that hit and one power on each side.  Other regions,
-refused samples and ``exhaustive=True`` take the full scan.  Membership is
-row-wise, so the counters stack the rows of consecutive powers into one
-membership call until it holds at least ``_SCAN_ROWS`` rows: a small
-sample is counted in a few large calls rather than one call per power.
+is probed only at that hit and one power on each side, and a refused
+sample over the base window.  Both checks move a sample along its orbit
+one way: its Jordan coordinates times an exact block power (a tile count)
+or flow (a flow time), read by ``jordan_membership``.  Other regions take
+the base window in ambient powers, stacked into membership calls of at
+least ``_SCAN_ROWS`` rows: a small sample is counted in a few large calls
+rather than one call per power.
 
 The continuous check exploits that sweeping a continuous section over
 unit time yields a discrete cross-section: the time set
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, Overflow, QuadratureDivergence, UsageError
-from .linalg import integer_power, jordan_power_batch, jordan_power_rows
+from .linalg import integer_power, jordan_power_rows
 from .sections import CrossSection, PushedSection, derive_discrete_section, power_rows
 
 
@@ -94,7 +96,7 @@ K_RANGE = (-60, 60)
 _SCAN_ROWS = 8192
 
 
-def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -> TilingReport:
+def check_discrete_tiling(region, *, samples=10_000, seed=0) -> TilingReport:
     """Count orbit hits ``#{k : xi A^k in region}`` over Gaussian samples,
     ``A`` being ``region.matrix``, with :func:`scan_dilations`.
 
@@ -103,9 +105,8 @@ def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -
     sweeps it into a discrete one), and fewer than one sample
     :class:`UsageError`.  The rows the scan refuses to solve are dropped and
     counted as skipped.  ``outlier_windows`` counts the rows whose hit lies
-    within 2 of the base window's edge or past it.  ``exhaustive`` passes on
-    to :func:`scan_dilations`.  Failures (multiplicity != 1) are reported
-    in-band, never raised.
+    within 2 of the base window's edge or past it.  Failures (multiplicity
+    != 1) are reported in-band, never raised.
     """
     if getattr(region, "mode", "discrete") != "discrete":
         raise ValueError("check_discrete_tiling expects a discrete set: derive_discrete_section sweeps a "
@@ -114,7 +115,7 @@ def check_discrete_tiling(region, *, samples=10_000, seed=0, exhaustive=False) -
     a = np.asarray(region.matrix, dtype=float)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, a.shape[0]))
-    counts, windows, refused = scan_dilations(region, a, pts, exhaustive=exhaustive)
+    counts, windows, refused = scan_dilations(region, a, pts)
     skipped = int(refused.sum())
     histogram, failures = _tally(pts[~refused], counts[~refused])
     return TilingReport(
@@ -135,107 +136,81 @@ def _require_samples(samples):
         raise UsageError(f"a tiling check needs at least 1 sample, got {samples}")
 
 
-def scan_dilations(region, a, pts, *, exhaustive=False):
+def _frame(region):
+    """The section in whose Jordan coordinates ``region`` solves: a pushed
+    set's base, else the section itself."""
+    return region.base if isinstance(region, PushedSection) else region
+
+
+def _moved_membership(region, coords, ps):
+    """Membership in ``region`` of the Jordan rows ``coords`` of its
+    :func:`_frame` moved by the action at ``ps``: ``c @ J^k`` for tile
+    counts, the flow ``c @ exp(tJ)`` for flow times.  A row moved past the
+    float range is a refused non-member."""
+    return region.jordan_membership(power_rows(_frame(region), coords, ps))[0]
+
+
+def scan_dilations(region, a, pts):
     """``#{k : xi A^k in region}`` per row of ``pts``, the number of outlier
-    windows, and the rows refused.  A region that solves under ``a`` as its
-    own matrix meets each orbit once, at ``h = -kp`` for the row's tile
-    index ``kp``: the row is probed at ``h`` and one power on each side,
-    which absorb the rounding at a tile edge.  A refused row, and every row
-    of another region, takes the base window ``K_RANGE``.  ``exhaustive``
-    gives every row the base window, and an outlier window centred on each
-    hit within 2 of its edge or past it; such hits are counted either way.
-    """
+    windows (hits within 2 of the base window's edge or past it), and the
+    rows refused.  A discrete set that solves under ``a`` as its own matrix
+    meets each orbit once, at ``h = -kp`` for the row's tile index ``kp``:
+    the row is probed at ``h`` and one power on each side, which absorb the
+    rounding at a tile edge, and a refused row over the base window
+    ``K_RANGE``, in Jordan coordinates (:func:`_window_counts`).  Every row
+    of another region takes the ambient base window (:func:`dilation_counts`)."""
     k_lo, k_hi = K_RANGE
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not (hasattr(region, "solve") and np.array_equal(a, region.matrix)):
+    section = _frame(region)
+    if not (isinstance(section, CrossSection) and region.mode == "discrete" and np.array_equal(a, region.matrix)):
         return dilation_counts(region, a, pts, k_lo, k_hi), 0, np.zeros(len(pts), dtype=bool)
     ks, _, refused = region.solve(pts)
     hits = -np.where(refused, 0, ks).astype(int)
     far = (hits < k_lo + 2) | (hits > k_hi - 2)
-    if exhaustive:
-        counts = dilation_counts(region, a, pts, k_lo, k_hi)
-        counts[far] += dilation_counts(region, a, pts[far], k_lo, k_hi, centres=hits[far], skip=K_RANGE)
-    else:
-        lo, hi = np.where(refused, k_lo, hits - 1), np.where(refused, k_hi, hits + 1)
-        counts = _pair_counts(region, a, pts, lo, hi, (1, 0))
-    return counts, int(np.count_nonzero(far)), refused
+    lo, hi = np.where(refused, k_lo, hits - 1), np.where(refused, k_hi, hits + 1)
+    return _window_counts(region, section._coords(pts), lo, hi), int(np.count_nonzero(far)), refused
 
 
-def dilation_counts(region, a, pts, k_lo, k_hi, *, centres=None, skip=None) -> np.ndarray:
-    """``#{k_lo <= j <= k_hi : xi A^j in region}`` for each row ``xi`` of
-    ``pts``, probing every ``j``; with ``centres``, row ``i`` takes
-    ``A^(c_i + j)`` instead, leaving out the exponents in the closed range
-    ``skip`` (if given).
+def _window_counts(region, coords, lo, hi) -> np.ndarray:
+    """``#{lo_i <= k <= hi_i : xi_i A^k in region}`` for the rows ``xi_i`` of
+    ``coords``, Jordan coordinates of :func:`_frame`; a window is empty where
+    ``hi_i < lo_i``.  A membership call takes ``_SCAN_ROWS`` probes, each a
+    row moved by its own exact block power (:func:`_moved_membership`)."""
+    widths = np.maximum(hi - lo + 1, 0)
+    rows = np.repeat(np.arange(len(coords)), widths)
+    ks = np.repeat(lo - (np.cumsum(widths) - widths), widths) + np.arange(len(rows))
+    counts = np.zeros(len(coords))
+    for start in range(0, len(rows), _SCAN_ROWS):
+        at = rows[start : start + _SCAN_ROWS]
+        member = _moved_membership(region, coords[at], ks[start : start + _SCAN_ROWS])
+        counts += np.bincount(at, weights=member, minlength=len(coords))
+    return counts.astype(int)
 
-    Each ``A^k`` is a power of its own (:func:`_powers`): a product
+
+def dilation_counts(region, a, pts, k_lo, k_hi) -> np.ndarray:
+    """``#{k_lo <= k <= k_hi : xi A^k in region}`` for each row ``xi`` of
+    ``pts``, probing every ``k`` with ambient powers of ``a``.
+
+    Each ``A^k`` is a power of its own (:func:`_power_table`): a product
     carried along with the points loses the contracting directions of a
     non-normal ``A``.  A membership call takes all rows under consecutive
     powers until it holds at least ``_SCAN_ROWS`` rows (one power each when
-    the rows alone are that many), or, for centred windows, a stretch of
-    (row, k) pairs (:func:`_pair_counts`).
+    the rows alone are that many).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if centres is None:
-        counts = np.zeros(len(pts), dtype=int)
-        powers = _powers(region, a, np.arange(k_lo, k_hi + 1))[1]
-        step = -(-_SCAN_ROWS // max(len(pts), 1))  # powers per call
-        for start in range(0, len(powers), step):
-            window = powers[start : start + step]
-            member, exc = region.membership(np.concatenate([pts @ power for power in window]))
-            counts += (member & ~exc).reshape(len(window), len(pts)).sum(axis=0)
-        return counts
-    return _pair_counts(region, a, pts, np.add(centres, k_lo), np.add(centres, k_hi), (1, 0) if skip is None else skip)
-
-
-def _pair_counts(region, a, pts, lo, hi, skip):
-    """``#{lo_i <= k <= hi_i, k outside skip : xi_i A^k in region}``.  The
-    pairs are sorted by ``k``; the rows of one ``k`` are shifted as in the
-    full scan, ``pts[rows] @ A^k``, and a membership call takes the shifted
-    rows of consecutive ``k`` until they are at least as many as ``pts``
-    and as ``_SCAN_ROWS``, which keeps the working set near the full
-    scan's."""
-    widths = np.maximum(hi - lo + 1, 0)
-    rows = np.repeat(np.arange(len(pts)), widths)
-    k = np.repeat(lo - (np.cumsum(widths) - widths), widths) + np.arange(len(rows))
-    keep = (k < skip[0]) | (k > skip[1])
-    order = np.argsort(k[keep], kind="stable")
-    rows, k = rows[keep][order], k[keep][order]
-    del keep, order
-    exps, powers = _powers(region, a, k)
-    stops = np.searchsorted(k, exps, side="right")
-    counts, first, batch = np.zeros(len(pts), dtype=int), 0, []
-    for start, stop, power in zip(np.r_[0, stops[:-1]], stops, powers):
-        batch.append(pts[rows[start:stop]] @ power)
-        if stop - first >= max(len(pts), _SCAN_ROWS) or stop == len(k):
-            member, exc = region.membership(np.concatenate(batch))
-            counts += np.bincount(rows[first:stop], weights=member & ~exc, minlength=len(pts)).astype(int)
-            first, batch = stop, []
+    counts = np.zeros(len(pts), dtype=int)
+    powers = _power_table(a, np.arange(k_lo, k_hi + 1))[1]
+    step = -(-_SCAN_ROWS // max(len(pts), 1))  # powers per call
+    for start in range(0, len(powers), step):
+        window = powers[start : start + step]
+        member, exc = region.membership(np.concatenate([pts @ power for power in window]))
+        counts += (member & ~exc).reshape(len(window), len(pts)).sum(axis=0)
     return counts
 
 
-def _powers(region, a, exponents):
-    """The distinct ``exponents`` in increasing order, and ``A^k`` for each.
-    When ``a`` is the matrix of a discrete cross-section, or of a pushed set
-    of one, they are ``Q J^k P`` with exact block powers in the section's
-    Jordan form, else :func:`_power_table`.  Float powers of the rounded
-    ``A`` are off by about ``k^2 eps``: at the far tile indices of a shear
-    (``|k|`` of 10^4 to 10^6) they miscount samples."""
-    section = region.base if isinstance(region, PushedSection) else region
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(section, CrossSection) and section.mode == "discrete" and np.array_equal(a, region.matrix):
-            exps, form = np.unique(exponents), section.jordan
-            jk = jordan_power_batch(form, exps, integer=not section.kind.flows)
-            powers = form.conjugator_inverse @ jk @ form.conjugator
-        else:
-            exps, powers = _power_table(a, exponents)
-    bad = ~np.isfinite(powers).all(axis=(1, 2))
-    if bad.any():
-        raise Overflow(f"A^{exps[bad][np.argmin(np.abs(exps[bad]))]} overflows the floating-point range")
-    return exps, powers
-
-
 def _power_table(a, exponents):
-    """The distinct ``exponents`` in increasing order, and ``A^k`` for each.
+    """The distinct ``exponents`` in increasing order, and ``A^k`` for each;
+    a power past the float range raises :class:`Overflow`.
 
     Each run of consecutive exponents on one side of zero starts at its end
     nearest zero and walks outward by doubling, ``A^(s+i+m) = A^(s+i) A^m``:
@@ -245,19 +220,23 @@ def _power_table(a, exponents):
     exps = np.unique(exponents)
     powers = np.empty((len(exps), len(a), len(a)))
     breaks = np.flatnonzero((np.diff(exps) != 1) | (exps[1:] == 0)) + 1
-    for run in np.split(np.arange(len(exps)), breaks) if len(exps) else ():
-        if exps[run[0]] < 0:
-            run = run[::-1]  # walk outward from the end nearest zero
-        start = int(exps[run[0]])
-        walk = np.empty((len(run), len(a), len(a)))
-        jump = a if start >= 0 else integer_power(a, -1)
-        walk[0] = jump if start == -1 else integer_power(a, start)
-        have = 1
-        while have < len(run):
-            take = min(have, len(run) - have)
-            walk[have : have + take] = walk[:take] @ jump
-            have, jump = have + take, jump @ jump
-        powers[run] = walk
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in np.split(np.arange(len(exps)), breaks) if len(exps) else ():
+            if exps[run[0]] < 0:
+                run = run[::-1]  # walk outward from the end nearest zero
+            start = int(exps[run[0]])
+            walk = np.empty((len(run), len(a), len(a)))
+            jump = a if start >= 0 else integer_power(a, -1)
+            walk[0] = jump if start == -1 else integer_power(a, start)
+            have = 1
+            while have < len(run):
+                take = min(have, len(run) - have)
+                walk[have : have + take] = walk[:take] @ jump
+                have, jump = have + take, jump @ jump
+            powers[run] = walk
+    bad = ~np.isfinite(powers).all(axis=(1, 2))
+    if bad.any():
+        raise Overflow(f"A^{exps[bad][np.argmin(np.abs(exps[bad]))]} overflows the floating-point range")
     return exps, powers
 
 
@@ -274,12 +253,6 @@ _GRID_STEP = 1e-3
 _QUAD_TOL = 1e-6
 
 
-def _flowed_membership(section, coords, ts):
-    """Membership of the Jordan rows ``coords`` flowed by the times ``ts``;
-    a row flowed past the float range is a refused non-member."""
-    return section.jordan_membership(power_rows(section, coords, ts))[0]
-
-
 def _halve(a, b, member, mid):
     """The half of each bracket ``[a, b]`` that keeps a non-member at ``a``
     and a member at ``b``, ``member`` being read at ``mid``."""
@@ -290,7 +263,7 @@ def _halvings(derived, coords, a, b, iters):
     """``iters`` halvings of the brackets ``[a, b]``, each reading membership at the midpoints."""
     for _ in range(iters):
         mid = 0.5 * (a + b)
-        a, b = _halve(a, b, _flowed_membership(derived, coords, mid), mid)
+        a, b = _halve(a, b, _moved_membership(derived, coords, mid), mid)
     return a, b
 
 
@@ -311,7 +284,7 @@ def _bisect(derived, coords, t_false, t_true, edge):
     for _ in range(_REPLAYED):
         mid = 0.5 * (a + b)
         a, b = _halve(a, b, (mid >= edge) == rising, mid)
-    unconfirmed = _flowed_membership(derived, coords, a) | ~_flowed_membership(derived, coords, b)
+    unconfirmed = _moved_membership(derived, coords, a) | ~_moved_membership(derived, coords, b)
     a, b = _halvings(derived, coords, a, b, _BISECT_ITERS - 1 - _REPLAYED)
     if unconfirmed.any():
         a[unconfirmed], b[unconfirmed] = _halvings(derived, coords[unconfirmed], t_false[unconfirmed],
@@ -382,7 +355,7 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     grid = np.arange(-_WINDOW, _WINDOW + _GRID_STEP / 2, _GRID_STEP)
     for i in range(len(sub)):
         times = sub_t[i] + grid
-        member = _flowed_membership(derived, np.repeat(sub[i : i + 1], len(times), axis=0), times)
+        member = _moved_membership(derived, np.repeat(sub[i : i + 1], len(times), axis=0), times)
         transitions = int(np.count_nonzero(np.diff(member.astype(int)) != 0))
         if transitions > 2 or not member.any():
             runs_bad += 1
@@ -419,7 +392,7 @@ def _branch_candidate_counts(section, coords, ts, window):
         offsets = np.arange(-m_max, m_max + 1) * period
     counts = np.zeros(len(coords), dtype=int)
     for off in offsets:
-        counts += _flowed_membership(section, coords, ts + off)
+        counts += _moved_membership(section, coords, ts + off)
     return counts
 
 

@@ -1,8 +1,8 @@
 """The dilation and translation counters stack the rows of consecutive
-powers and chunks into membership calls of at least ``_SCAN_ROWS`` rows.
-Membership is row-wise, so they count what one call per power or per
-chunk counted; the per-power and per-chunk loops are kept here as
-references."""
+powers and chunks, or the probes of per-row windows, into membership calls
+of ``_SCAN_ROWS`` rows or more.  Membership is row-wise, so they count what
+one call per power or per chunk counted; the per-power and per-chunk loops
+are kept here as references."""
 
 import math
 
@@ -11,9 +11,9 @@ import pytest
 
 import xsect.wavelet as wavelet
 from xsect.linalg import box_corners
-from xsect.sections import build_continuous_section, build_discrete_section, derive_discrete_section
+from xsect.sections import build_continuous_section, build_discrete_section, derive_discrete_section, power_rows
 from xsect.shaping import to_bounded, to_finite_measure
-from xsect.verify import _SCAN_ROWS, K_RANGE, _pair_counts, _powers, dilation_counts
+from xsect.verify import _SCAN_ROWS, K_RANGE, _frame, _power_table, _window_counts, dilation_counts
 from xsect.wavelet import (BoxUnion, Lattice, build_order_infinity_set, dilation_count,
                            _integer_grid, partition_multiwavelet_set, saturate, translation_counts)
 
@@ -49,29 +49,21 @@ def _points(region, rows, seed=3):
 def _per_power_counts(region, a, pts, k_lo, k_hi):
     """The base window with one membership call per power."""
     counts = np.zeros(len(pts), dtype=int)
-    for power in _powers(region, a, np.arange(k_lo, k_hi + 1))[1]:
+    for power in _power_table(a, np.arange(k_lo, k_hi + 1))[1]:
         member, exc = region.membership(pts @ power)
         counts += member & ~exc
     return counts
 
 
-def _pair_counts_per_rows(region, a, pts, lo, hi, skip):
-    """:func:`_pair_counts` with a membership call per ``len(pts)`` shifted rows."""
-    widths = np.maximum(hi - lo + 1, 0)
-    rows = np.repeat(np.arange(len(pts)), widths)
-    k = np.repeat(lo - (np.cumsum(widths) - widths), widths) + np.arange(len(rows))
-    keep = (k < skip[0]) | (k > skip[1])
-    order = np.argsort(k[keep], kind="stable")
-    rows, k = rows[keep][order], k[keep][order]
-    exps, powers = _powers(region, a, k)
-    stops = np.searchsorted(k, exps, side="right")
-    counts, first, batch = np.zeros(len(pts), dtype=int), 0, []
-    for start, stop, power in zip(np.r_[0, stops[:-1]], stops, powers):
-        batch.append(pts[rows[start:stop]] @ power)
-        if stop - first >= len(pts) or stop == len(k):
-            member, exc = region.membership(np.concatenate(batch))
-            counts += np.bincount(rows[first:stop], weights=member & ~exc, minlength=len(pts)).astype(int)
-            first, batch = stop, []
+def _per_power_window_counts(region, coords, lo, hi):
+    """:func:`_window_counts` with one membership call per power, over the
+    rows whose window holds it."""
+    counts = np.zeros(len(coords), dtype=int)
+    for k in range(int(lo.min()), int(hi.max()) + 1):
+        rows = np.flatnonzero((lo <= k) & (k <= hi))
+        if len(rows):
+            member, exc = region.jordan_membership(power_rows(_frame(region), coords[rows], np.full(len(rows), k)))
+            counts[rows] += member & ~exc
     return counts
 
 
@@ -96,19 +88,31 @@ def test_base_window_equals_the_per_power_scan(name, rows):
     assert got.tolist() == _per_power_counts(region, a, pts, *K_RANGE).tolist()
 
 
+# the sets the tiling scan probes in Jordan coordinates, one per kind of frame and action
+JORDAN_REGIONS = {
+    "dyadic": REGIONS["dyadic"][0],
+    "dilation_shifted_spiral": build_order_infinity_set(SPIRAL, Z2, pieces=4),
+    "shaped_finite": to_finite_measure(build_discrete_section(np.array([[1.2, -0.5], [0.5, 1.2]]))),
+    "shaped_bounded": to_bounded(build_discrete_section(np.array([[1.2, -0.5], [0.5, 1.2]]))),
+    "cone": build_order_infinity_set(SHEAR, Z2, pieces=4),
+    "discrete_section": build_discrete_section(np.array([[2.0, 1.0], [0.0, 2.0]])),
+    "derived_spiral": derive_discrete_section(build_continuous_section([[1.0, 2 * math.pi], [-2 * math.pi, 1.0]])),
+}
+
+
 @pytest.mark.parametrize("rows", ROWS)
-@pytest.mark.parametrize("name", list(REGIONS))
-def test_centred_windows_and_pair_counts_equal_a_call_per_rows(name, rows):
-    region, a, _ = REGIONS[name]
+@pytest.mark.parametrize("name", list(JORDAN_REGIONS))
+def test_per_row_windows_equal_a_call_per_power(name, rows):
+    region = JORDAN_REGIONS[name]
     pts = _points(region, rows)
+    coords = _frame(region)._coords(pts)
     centres = np.random.default_rng(4).integers(-90, 90, size=rows)
-    got = dilation_counts(region, a, pts, -8, 8, centres=centres, skip=(-3, 3))
-    want = _pair_counts_per_rows(region, a, pts, centres - 8, centres + 8, (-3, 3))
-    assert got.tolist() == want.tolist()
-    # the bracket of the tiling scan: one power on each side of a hit, no skip
+    got = _window_counts(region, coords, centres - 8, centres + 8)
+    assert got.tolist() == _per_power_window_counts(region, coords, centres - 8, centres + 8).tolist()
+    # the bracket of the tiling scan: one power on each side of a hit
     lo = np.random.default_rng(5).integers(-20, 20, size=rows)
-    got = _pair_counts(region, a, pts, lo, lo + 2, (1, 0))
-    assert got.tolist() == _pair_counts_per_rows(region, a, pts, lo, lo + 2, (1, 0)).tolist()
+    got = _window_counts(region, coords, lo, lo + 2)
+    assert got.tolist() == _per_power_window_counts(region, coords, lo, lo + 2).tolist()
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -120,10 +124,10 @@ def test_translation_counts_equal_a_call_per_chunk(name, rows):
     assert got.tolist() == _per_chunk_translation_counts(region, lattice, xis, 8.0).tolist()
 
 
-def _membership_calls(monkeypatch, cls):
+def _membership_calls(monkeypatch, cls, name="membership"):
     calls = []
-    membership = cls.membership
-    monkeypatch.setattr(cls, "membership", lambda s, pts: calls.append(len(pts)) or membership(s, pts))
+    membership = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda s, pts: calls.append(len(pts)) or membership(s, pts))
     return calls
 
 
@@ -140,7 +144,7 @@ def test_base_window_of_a_box_union_takes_few_large_calls(monkeypatch):
 
 def test_a_solved_row_is_bracketed_in_one_call(monkeypatch):
     region = REGIONS["dyadic"][0]
-    calls = _membership_calls(monkeypatch, type(region))
+    calls = _membership_calls(monkeypatch, type(region), "jordan_membership")
     assert dilation_count(region, TWO, [5.0]) == 1
     assert calls == [3]
 

@@ -547,7 +547,7 @@ def test_pushed_membership_is_pushed_tile_index_zero(a):
     grid = np.stack(np.meshgrid(np.arange(-20.0, 21.0), np.arange(-20.0, 21.0)), axis=-1).reshape(-1, 2)
     pts = np.vstack([np.random.default_rng(6).normal(size=(4000, 2)) * 30.0, grid])
     member, exc = k.membership(pts)
-    tile, _, pieces, shifts, refused = k._pushed(pts)
+    tile, _, pieces, shifts, refused = k._pushed(k.base._coords(pts))
     assert (exc == refused).all() and member.any() and refused.any()
     assert (member == ((tile == 0) & ~refused)).all() and (shifts[refused] == 0).all()
     assert (pieces[refused] == 0).all() and (pieces[~refused] >= 1).all()
@@ -571,7 +571,7 @@ def test_pushed_rows_take_the_shift_of_their_piece(name, monkeypatch):
     pts = np.vstack([np.random.default_rng(7).normal(size=(3000, 2)) * 30.0, grid, [[0.0, 0.0], [math.nan, 1.0]]])
     asked, shift = [], type(region).shift
     monkeypatch.setattr(type(region), "shift", lambda self, i: asked.append(int(i)) or shift(self, i))
-    _, _, pieces, shifts, refused = region._pushed(pts)
+    _, _, pieces, shifts, refused = region._pushed(region.base._coords(pts))
     distinct = np.unique(pieces[~refused]).tolist()
     assert asked == distinct and len(distinct) >= 3 and refused[-2:].all()
     assert (pieces[refused] == 0).all() and (shifts[refused] == 0).all()

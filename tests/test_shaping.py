@@ -164,7 +164,7 @@ def _per_stratum_estimate(shaped, samples, seed):
     for k in range(1, 25):
         lo, hi = shaped.piece_box(k)
         vol = float(np.prod(hi - lo))
-        tile, _, piece, _, refused = shaped._pushed(rng.uniform(lo, hi, size=(per, shaped.n)))
+        tile, _, piece, _, refused = shaped._pushed(shaped.base._coords(rng.uniform(lo, hi, size=(per, shaped.n))))
         p = float(np.count_nonzero((tile == 0) & (piece == k) & ~refused)) / per
         total += p * vol
         var += (p * (1.0 - p) / per) * vol * vol

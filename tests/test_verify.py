@@ -1,16 +1,18 @@
 import json
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from xsect.errors import BudgetExceeded, DetOne, MixedModuli, QuadratureDivergence, UsageError
-from xsect.sections import (PushedSection, _Chart, _DerivedFromContinuous, build_continuous_section,
+from xsect.sections import (CrossSection, PushedSection, _Chart, _DerivedFromContinuous, build_continuous_section,
                             build_discrete_section, derive_discrete_section)
 from xsect.shaping import to_bounded, to_finite_measure
-from xsect.verify import (_BISECT_ITERS, _bisect, _flowed_membership, check_continuous_tiling, check_discrete_tiling,
-                          dilation_counts, jacobian_check, orbit_integral, scan_dilations)
+from xsect.verify import (_BISECT_ITERS, K_RANGE, _bisect, _frame, _moved_membership, _window_counts,
+                          check_continuous_tiling, check_discrete_tiling, jacobian_check, orbit_integral,
+                          scan_dilations)
 from xsect.wavelet import Lattice, build_order_infinity_set
 
 from conftest import DIAG21, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
@@ -442,25 +444,20 @@ def test_discrete_check_of_a_continuous_section_names_the_sweep():
         check_discrete_tiling(build_continuous_section([[1.0, 0.0], [0.0, 2.0]]), samples=1000)
 
 
-class _HalfRefused:
-    """A region whose solver refuses every other sample."""
-
-    def __init__(self, section):
-        self.section = section
-        self.matrix = section.matrix
-
-    def membership(self, points):
-        return self.section.membership(points)
+@dataclass(frozen=True)
+class _HalfRefused(CrossSection):
+    """A section whose solver refuses every other sample."""
 
     def solve(self, points):
-        ks, reps, exc = self.section.solve(points)
+        ks, reps, exc = super().solve(points)
         exc = exc.copy()
         exc[::2] = True
         return ks, reps, exc
 
 
 def test_discrete_tiling_fails_when_half_the_samples_are_refused():
-    region = _HalfRefused(build_discrete_section([[2.0]]))
+    section = build_discrete_section([[2.0]])
+    region = _HalfRefused(**{f.name: getattr(section, f.name) for f in fields(CrossSection)})
     report = check_discrete_tiling(region, samples=1000, seed=0)
     assert report.skipped_null == 500
     assert report.histogram == {1: 500}  # every sample that was kept tiles once
@@ -486,17 +483,16 @@ def test_discrete_tiling_counts_fresh_powers_of_a_non_normal_matrix():
     assert report.passed
 
 
-def test_dilation_counts_match_one_power_per_point():
+def test_window_counts_match_one_power_per_point():
     from xsect.linalg import integer_power
 
     a = np.linalg.inv(_P) @ np.diag([2.0, 0.5]) @ _P
     section = build_discrete_section(a)
     pts = np.random.default_rng(7).normal(size=(40, 2))
     centres = np.random.default_rng(8).integers(-90, 90, size=40)
-    got = dilation_counts(section, a, pts, -30, 30, centres=centres, skip=(-10, 10))
+    got = _window_counts(section, section._coords(pts), centres - 30, centres + 30)
     want = [
-        sum(bool(section.membership(pts[i : i + 1] @ integer_power(a, k))[0][0])
-            for k in range(c - 30, c + 31) if not -10 <= k <= 10)
+        sum(bool(section.membership(pts[i : i + 1] @ integer_power(a, k))[0][0]) for k in range(c - 30, c + 31))
         for i, c in enumerate(centres)
     ]
     assert got.tolist() == want
@@ -506,7 +502,8 @@ def test_dilation_counts_match_one_power_per_point():
 def test_conjugated_shear_far_tile_indices_count_once(conjugator_seed, seed):
     # the heavy-tailed windows reach |k| of 10^5 to 10^6, where float powers
     # of the rounded conjugated shear miss the section (or exceed the range
-    # of integer_power); Jordan powers Q J^k P count every sample once
+    # of integer_power); exact block powers of the Jordan coordinates count
+    # every sample once
     g = np.random.default_rng(conjugator_seed)
     while True:
         p = g.normal(size=(2, 2))
@@ -518,20 +515,23 @@ def test_conjugated_shear_far_tile_indices_count_once(conjugator_seed, seed):
     assert report.passed
     # probing the solved hits counts the far windows as the full scan does
     assert report.scan["outlier_windows"] > 0
-    assert report.to_json() == check_discrete_tiling(section, samples=10_000, seed=seed, exhaustive=True).to_json()
+    counts, windows, refused = _full_scan(section, np.random.default_rng(seed).normal(size=(10_000, 2)))
+    assert (counts == 1).all() and windows == report.scan["outlier_windows"] and not refused.any()
     # the order-infinity cone is that section: it counts the same way
     cone = build_order_infinity_set(np.linalg.inv(p) @ SHEAR @ p, Lattice.integers(2), pieces=4)
     assert check_discrete_tiling(cone, samples=10_000, seed=seed).to_json() == report.to_json()
 
 
-def test_centred_windows_without_skip_count_every_offset():
+def test_window_counts_count_every_offset():
     section = build_discrete_section(np.diag([2.0, 0.5]))
     pts = np.random.default_rng(9).normal(size=(30, 2))
     centres = np.random.default_rng(10).integers(-40, 40, size=30)
-    got = dilation_counts(section, section.matrix, pts, -5, 5, centres=centres)
+    got = _window_counts(section, section._coords(pts), centres - 5, centres + 5)
     # the orbit of xi meets the shell at k = -solve: once within 5 of each centre
     ks = section.solve(pts)[0].astype(int)
     assert got.tolist() == (np.abs(-ks - centres) <= 5).astype(int).tolist()
+    # an empty window counts 0
+    assert _window_counts(section, section._coords(pts), centres, centres - 1).tolist() == [0] * 30
 
 
 def _rot(theta):
@@ -571,11 +571,28 @@ def _gauged_section(name, conjugator_seed):
 _GAUGED = [(name, seed) for name in [*_GAUGED_DISCRETE, *_GAUGED_GENERATORS] for seed in (None, 1, 2, 3)]
 
 
+def _full_scan(region, pts):
+    """The reference of the bracketed scan, in per-row windows: every row
+    takes the base window ``K_RANGE``, and a row whose hit ``h`` lies within
+    2 of its edge or past it also takes ``h + K_RANGE``, less the base window.  Counts, outlier windows, refused rows."""
+    k_lo, k_hi = K_RANGE
+    ks, _, refused = region.solve(pts)
+    hits = -np.where(refused, 0, ks).astype(int)
+    far = (hits < k_lo + 2) | (hits > k_hi - 2)
+    coords = _frame(region)._coords(pts)
+    counts = _window_counts(region, coords, np.full(len(pts), k_lo), np.full(len(pts), k_hi))
+    lo, hi = hits[far] + k_lo, hits[far] + k_hi
+    below = _window_counts(region, coords[far], lo, np.minimum(hi, k_lo - 1))
+    above = _window_counts(region, coords[far], np.maximum(lo, k_hi + 1), hi)
+    counts[far] += below + above
+    return counts, int(np.count_nonzero(far)), refused
+
+
 def _assert_bracketed_counts_equal_the_full_scan(region, pts):
     """The probes at each row's solved hit count what the base window and
     the centred window of a far hit count: counts, windows and refused rows."""
     counts, windows, refused = scan_dilations(region, region.matrix, pts)
-    full = scan_dilations(region, region.matrix, pts, exhaustive=True)
+    full = _full_scan(region, pts)
     assert (counts.tolist(), windows, refused.tolist()) == (full[0].tolist(), full[1], full[2].tolist())
 
 
@@ -587,12 +604,20 @@ def test_bracketed_counts_equal_the_full_scan(name, conjugator_seed):
     _assert_bracketed_counts_equal_the_full_scan(section, np.random.default_rng(41).normal(size=(400, section.n)))
 
 
+def test_a_probe_past_the_float_range_is_a_refused_non_member():
+    # the null-set row's base window reaches 1e6^60: its probes leave the
+    # float range and count as refused non-members, and the other row still counts
+    section = build_discrete_section(np.diag([1e6, 2.0]))
+    counts, windows, refused = scan_dilations(section, section.matrix, np.array([[0.0, 1.0], [0.3, 0.7]]))
+    assert (counts.tolist(), windows, refused.tolist()) == ([0, 1], 0, [True, False])
+
+
 def _membership_rows_per_sample(monkeypatch, region, cls):
     """The tiling report of 2000 samples, and the rows per sample passed to
-    ``cls.membership`` to count them."""
+    ``cls.jordan_membership`` to count them."""
     rows = []
-    membership = cls.membership
-    monkeypatch.setattr(cls, "membership", lambda s, pts: rows.append(len(pts)) or membership(s, pts))
+    membership = cls.jordan_membership
+    monkeypatch.setattr(cls, "jordan_membership", lambda s, coords: rows.append(len(coords)) or membership(s, coords))
     return check_discrete_tiling(region, samples=2000, seed=5), sum(rows) / 2000
 
 
@@ -600,11 +625,9 @@ def _membership_rows_per_sample(monkeypatch, region, cls):
 # lies in the base window or in an outlier window
 @pytest.mark.parametrize("name, conjugator_seed", _GAUGED)
 def test_bracket_probes_at_most_three_powers_per_sample(monkeypatch, name, conjugator_seed):
-    from xsect.sections import CrossSection
-
     report, rows = _membership_rows_per_sample(monkeypatch, _gauged_section(name, conjugator_seed), CrossSection)
     assert report.passed
-    assert rows <= 3
+    assert 0 < rows <= 3  # 0 would mean the probes bypassed jordan_membership
 
 
 # the targets reshaping accepts for each sliceable input of _GAUGED_DISCRETE:
@@ -669,7 +692,7 @@ def test_pushed_scan_pushes_each_sample_at_most_four_times(monkeypatch, name, ta
     region = _pushed_set(name, target, conjugator_seed)
     rows = []
     pushed = PushedSection._pushed
-    monkeypatch.setattr(PushedSection, "_pushed", lambda s, pts: rows.append(len(pts)) or pushed(s, pts))
+    monkeypatch.setattr(PushedSection, "_pushed", lambda s, coords: rows.append(len(coords)) or pushed(s, coords))
     check_discrete_tiling(region, samples=2000, seed=5)
     assert sum(rows) / 2000 <= 4
 
@@ -677,7 +700,7 @@ def test_pushed_scan_pushes_each_sample_at_most_four_times(monkeypatch, name, ta
 @pytest.mark.parametrize("name, target, conjugator_seed", _PUSHED)
 def test_pushed_bracket_probes_at_most_three_powers_per_sample(monkeypatch, name, target, conjugator_seed):
     region = _pushed_set(name, target, conjugator_seed)
-    assert _membership_rows_per_sample(monkeypatch, region, type(region))[1] <= 3
+    assert 0 < _membership_rows_per_sample(monkeypatch, region, type(region))[1] <= 3
 
 
 # the continuous check's edges: the closed-form edge decides the far halvings,
@@ -702,7 +725,7 @@ def _full_bisection(derived, coords, t_false, t_true):
     a, b = t_false, t_true
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (a + b)
-        member = _flowed_membership(derived, coords, mid)
+        member = _moved_membership(derived, coords, mid)
         a, b = np.where(member, a, mid), np.where(member, mid, b)
     return 0.5 * (a + b)
 

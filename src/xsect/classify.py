@@ -116,20 +116,17 @@ def classify_continuous(b, tol=DEFAULT_TOL) -> ContinuousVerdict:
     eigenvalue of ``B`` is purely imaginary or zero and no block carries
     a nilpotent part.  In the two nonzero cases the witness is the
     qualifying block with the largest ``|alpha|`` (ties within
-    ``tol * scale`` go to the earlier block), so every free coordinate
+    ``tol * max(||B||_2, 1)`` go to the earlier block), so every free coordinate
     scales like the witness coordinate to a power of magnitude at most
     1; in the nilpotent cases it is the first qualifying block.
     """
-    b = as_matrix(b)
     form = real_jordan_form(b, tol=tol, require_invertible=False)
-    scale = max(float(np.linalg.norm(b, 2)), 1.0)
-
     case, witness = _first_case(
         form.blocks,
         ("real_nonzero", "complex_nonzero", "zero_nilpotent", "imaginary_nilpotent"),
-        grows=lambda blk: abs(blk.alpha) > tol * scale,
+        grows=lambda blk: abs(blk.alpha) > tol * form.scale,
         rate=lambda blk: abs(blk.alpha),
-        slack=tol * scale,
+        slack=tol * form.scale,
     )
     return ContinuousVerdict(case is not None, case, witness, form)
 

@@ -54,8 +54,10 @@ a real matrix as exact conjugates, so the clusters are mirror images and
 a pair is read from its cluster above the real axis.  For each cluster
 eigenvalue ``lambda`` every power of ``A - lambda I`` is formed and
 factored once: one SVD gives its rank, its null basis and the ambiguity
-check, and the nullity increments give the chain lengths.  Ambiguity is
-an error, never a guess.
+check, and the nullity increments give the chain lengths; the first
+power's largest singular value is ``||A - lambda I||_2``, the scale of the
+rank thresholds.  Ambiguity is an error, never a guess.  A form keeps the
+residual, scale and ``cond(Q)`` it was accepted on, for callers to read.
 """
 
 from __future__ import annotations
@@ -171,7 +173,9 @@ class RealJordanForm:
 
     ``conjugator`` is ``P``; ``conjugator_inverse`` is ``Q = P^{-1}``
     whose columns are the Jordan basis.  Jordan coordinates of a row
-    vector ``gamma`` are ``gamma @ Q``.
+    vector ``gamma`` are ``gamma @ Q``.  The form was accepted on
+    ``residual = ||P A Q - J||_2 <= tol * scale``, ``scale = max(||A||_2, 1)``,
+    and ``cond = cond(Q) <= 0.01 / tol``.
     """
 
     matrix: np.ndarray
@@ -180,6 +184,8 @@ class RealJordanForm:
     conjugator_inverse: np.ndarray
     tol: float
     residual: float
+    scale: float
+    cond: float
 
     @property
     def n(self) -> int:
@@ -244,12 +250,13 @@ def _jordan_chains(a, lam, m_alg, tol):
     complex_mode = abs(lam.imag) > 0
     dtype = complex if complex_mode else float
     shifted = (a.astype(dtype) - (lam if complex_mode else lam.real) * np.eye(n, dtype=dtype))
-    base = max(float(np.linalg.norm(shifted, 2)), 1.0)
     null_bases = [np.zeros((n, 0), dtype=dtype)]
     power = np.eye(n, dtype=dtype)
     for j in range(1, m_alg + 1):
         power = power @ shifted
         _, s, vh = np.linalg.svd(power)
+        if j == 1:
+            base = max(float(s[0]), 1.0)  # ||A - lam I||_2
         threshold = tol * base**j
         if np.any((s > threshold / 10.0) & (s < threshold * 10.0)):
             raise _Inconsistent("singular value inside the ambiguity window")
@@ -383,7 +390,8 @@ def _attempt(a, eigs, radius, tol, scale):
         raise _Inconsistent("Jordan basis is numerically singular")
     # A nearly parallel basis signals a defective eigenvalue read as split:
     # refuse and let the clustering ladder merge it instead.
-    if np.linalg.cond(q) > 0.01 / tol:
+    cond = float(np.linalg.cond(q))
+    if cond > 0.01 / tol:
         raise _Inconsistent("Jordan basis is too ill-conditioned")
     p = np.linalg.inv(q)
     j = assemble_jordan_matrix(blocks, n)
@@ -397,6 +405,8 @@ def _attempt(a, eigs, radius, tol, scale):
         conjugator_inverse=q,
         tol=tol,
         residual=residual,
+        scale=scale,
+        cond=cond,
     )
 
 
@@ -410,12 +420,6 @@ def jordan_power_rows(bform: RealJordanForm, coords, ps, *, integer=False) -> np
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     return _power_stack(bform, coords[:, None, :], np.asarray(ps, dtype=float).reshape(len(coords)), integer)[:, 0]
-
-
-def jordan_power_batch(bform: RealJordanForm, ps, *, integer=False) -> np.ndarray:
-    """``exp(p * J)`` (or ``J^p`` when ``integer``) for each exponent, in
-    Jordan coordinates: the kernel on identity rows; (len(ps), n, n)."""
-    return _power_stack(bform, np.eye(bform.n)[None], np.asarray(ps, dtype=float).reshape(-1), integer)
 
 
 def _power_stack(bform, rows, ps, integer):
@@ -482,8 +486,9 @@ def _distinct_exponents(ps):
 
 
 def jordan_flow_batch(bform: RealJordanForm, ts) -> np.ndarray:
-    """Vectorized ``exp(t*J)`` (Jordan coordinates); returns (len(ts), n, n)."""
-    jt = jordan_power_batch(bform, ts)
+    """Vectorized ``exp(t*J)`` (Jordan coordinates): the kernel on identity
+    rows; returns (len(ts), n, n)."""
+    jt = _power_stack(bform, np.eye(bform.n)[None], np.asarray(ts, dtype=float).reshape(-1), False)
     if not np.isfinite(jt).all():
         raise Overflow("matrix exponential overflowed")
     return jt

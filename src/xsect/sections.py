@@ -107,11 +107,6 @@ class CrossSection:
     def block(self):
         return self.jordan.blocks[self.block_index]
 
-    @cached_property
-    def _conj_cond(self) -> float:
-        """``cond(Q)`` of the Jordan basis; cached, never serialized."""
-        return float(np.linalg.cond(self.jordan.conjugator_inverse))
-
     def null_set(self) -> dict:
         """The declared measure-zero exceptional set, as coordinate data."""
         return self.kind.null_set(self)
@@ -854,7 +849,7 @@ def _refused(section, coords):
     null = rho <= section.tol * np.maximum(norms, 1.0)
     if section.mode != "continuous":
         return null, null, rho
-    noise = 8.0 * section._conj_cond * np.finfo(float).eps * norms
+    noise = 8.0 * section.jordan.cond * np.finfo(float).eps * norms
     return null, null | (section.tol * np.maximum(rho, 1.0) < noise), rho
 
 

@@ -159,11 +159,11 @@ def scan_dilations(region, a, pts):
     rounding at a tile edge, and a refused row over the base window
     ``K_RANGE``, in Jordan coordinates (:func:`_window_counts`).  Every row
     of another region takes the ambient base window (:func:`dilation_counts`)."""
-    k_lo, k_hi = K_RANGE
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     section = _frame(region)
     if not (isinstance(section, CrossSection) and region.mode == "discrete" and np.array_equal(a, region.matrix)):
-        return dilation_counts(region, a, pts, k_lo, k_hi), 0, np.zeros(len(pts), dtype=bool)
+        return dilation_counts(region, a, pts), 0, np.zeros(len(pts), dtype=bool)
+    k_lo, k_hi = K_RANGE
     ks, _, refused = region.solve(pts)
     hits = -np.where(refused, 0, ks).astype(int)
     far = (hits < k_lo + 2) | (hits > k_hi - 2)
@@ -187,11 +187,11 @@ def _window_counts(region, coords, lo, hi) -> np.ndarray:
     return counts.astype(int)
 
 
-def dilation_counts(region, a, pts, k_lo, k_hi) -> np.ndarray:
-    """``#{k_lo <= k <= k_hi : xi A^k in region}`` for each row ``xi`` of
-    ``pts``, probing every ``k`` with ambient powers of ``a``.
+def dilation_counts(region, a, pts) -> np.ndarray:
+    """``#{k : xi A^k in region}`` over the base window ``K_RANGE`` for each
+    row ``xi`` of ``pts``, probing every ``k`` with ambient powers of ``a``.
 
-    Each ``A^k`` is a power of its own (:func:`_power_table`): a product
+    Each ``A^k`` is a power of its own (:func:`_window_powers`): a product
     carried along with the points loses the contracting directions of a
     non-normal ``A``.  A membership call takes all rows under consecutive
     powers until it holds at least ``_SCAN_ROWS`` rows (one power each when
@@ -199,7 +199,7 @@ def dilation_counts(region, a, pts, k_lo, k_hi) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     counts = np.zeros(len(pts), dtype=int)
-    powers = _power_table(a, np.arange(k_lo, k_hi + 1))[1]
+    powers = _window_powers(a)
     step = -(-_SCAN_ROWS // max(len(pts), 1))  # powers per call
     for start in range(0, len(powers), step):
         window = powers[start : start + step]
@@ -208,36 +208,36 @@ def dilation_counts(region, a, pts, k_lo, k_hi) -> np.ndarray:
     return counts
 
 
-def _power_table(a, exponents):
-    """The distinct ``exponents`` in increasing order, and ``A^k`` for each;
-    a power past the float range raises :class:`Overflow`.
+def _window_powers(a):
+    """``A^k`` for each ``k`` of ``K_RANGE``, in increasing order; a power
+    past the float range raises :class:`Overflow`, naming the smallest
+    ``|k|`` that overflows.
 
-    Each run of consecutive exponents on one side of zero starts at its end
-    nearest zero and walks outward by doubling, ``A^(s+i+m) = A^(s+i) A^m``:
-    like :func:`integer_power`, it multiplies powers of one sign only, so
-    the two agree to rounding.
+    Each side of zero walks outward by doubling, from ``A^0`` by ``A`` and
+    from ``A^-1`` by ``A^-1``: like :func:`integer_power`, it multiplies
+    powers of one sign only, so the two agree to rounding.
     """
-    exps = np.unique(exponents)
-    powers = np.empty((len(exps), len(a), len(a)))
-    breaks = np.flatnonzero((np.diff(exps) != 1) | (exps[1:] == 0)) + 1
+    k_lo, k_hi = K_RANGE
     with np.errstate(over="ignore", invalid="ignore"):
-        for run in np.split(np.arange(len(exps)), breaks) if len(exps) else ():
-            if exps[run[0]] < 0:
-                run = run[::-1]  # walk outward from the end nearest zero
-            start = int(exps[run[0]])
-            walk = np.empty((len(run), len(a), len(a)))
-            jump = a if start >= 0 else integer_power(a, -1)
-            walk[0] = jump if start == -1 else integer_power(a, start)
-            have = 1
-            while have < len(run):
-                take = min(have, len(run) - have)
-                walk[have : have + take] = walk[:take] @ jump
-                have, jump = have + take, jump @ jump
-            powers[run] = walk
-    bad = ~np.isfinite(powers).all(axis=(1, 2))
-    if bad.any():
-        raise Overflow(f"A^{exps[bad][np.argmin(np.abs(exps[bad]))]} overflows the floating-point range")
-    return exps, powers
+        inverse = integer_power(a, -1)
+        powers = np.concatenate([_doubling_walk(inverse, inverse, -k_lo)[::-1],
+                                 _doubling_walk(np.eye(len(a)), a, k_hi + 1)])
+    ks = np.arange(k_lo, k_hi + 1)[~np.isfinite(powers).all(axis=(1, 2))]
+    if len(ks):
+        raise Overflow(f"A^{ks[np.argmin(np.abs(ks))]} overflows the floating-point range")
+    return powers
+
+
+def _doubling_walk(first, step, count):
+    """``first @ step^i`` for ``i < count``: the walk so far times the
+    next doubling of ``step``, ``A^(s+i+m) = A^(s+i) A^m``."""
+    walk = np.empty((count,) + first.shape)
+    walk[0], have = first, 1
+    while have < count:
+        take = min(have, count - have)
+        walk[have : have + take] = walk[:take] @ step
+        have, step = have + take, step @ step
+    return walk
 
 
 # halvings of each edge bracket (2e-3 wide) in the continuous check: past

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 import xsect.wavelet as wavelet
-from xsect.linalg import box_corners
+from xsect.errors import Overflow
+from xsect.linalg import box_corners, integer_power
 from xsect.sections import build_continuous_section, build_discrete_section, derive_discrete_section, power_rows
 from xsect.shaping import to_bounded, to_finite_measure
-from xsect.verify import _SCAN_ROWS, K_RANGE, _frame, _power_table, _window_counts, dilation_counts
+from xsect.verify import _SCAN_ROWS, K_RANGE, _frame, _window_counts, _window_powers, dilation_counts
 from xsect.wavelet import (BoxUnion, Lattice, build_order_infinity_set, dilation_count,
                            _integer_grid, partition_multiwavelet_set, saturate, translation_counts)
 
-from conftest import SHEAR, SPIRAL
+from conftest import SHEAR, SPIRAL, random_conjugate
 
 Z1, Z2 = Lattice.integers(1), Lattice.integers(2)
 TWO = np.array([[2.0]])
@@ -46,10 +47,10 @@ def _points(region, rows, seed=3):
     return np.random.default_rng(seed).normal(size=(rows, region.n))
 
 
-def _per_power_counts(region, a, pts, k_lo, k_hi):
+def _per_power_counts(region, a, pts):
     """The base window with one membership call per power."""
     counts = np.zeros(len(pts), dtype=int)
-    for power in _power_table(a, np.arange(k_lo, k_hi + 1))[1]:
+    for power in _window_powers(a):
         member, exc = region.membership(pts @ power)
         counts += member & ~exc
     return counts
@@ -84,8 +85,8 @@ def _per_chunk_translation_counts(region, lattice, xis, radius):
 def test_base_window_equals_the_per_power_scan(name, rows):
     region, a, _ = REGIONS[name]
     pts = _points(region, rows)
-    got = dilation_counts(region, a, pts, *K_RANGE)
-    assert got.tolist() == _per_power_counts(region, a, pts, *K_RANGE).tolist()
+    got = dilation_counts(region, a, pts)
+    assert got.tolist() == _per_power_counts(region, a, pts).tolist()
 
 
 # the sets the tiling scan probes in Jordan coordinates, one per kind of frame and action
@@ -133,13 +134,37 @@ def _membership_calls(monkeypatch, cls, name="membership"):
 
 def test_base_window_of_a_box_union_takes_few_large_calls(monkeypatch):
     calls = _membership_calls(monkeypatch, BoxUnion)
-    dilation_counts(SHANNON, TWO, _points(SHANNON, 500), *K_RANGE)
+    dilation_counts(SHANNON, TWO, _points(SHANNON, 500))
     powers = K_RANGE[1] - K_RANGE[0] + 1
     assert len(calls) == math.ceil(powers * 500 / _SCAN_ROWS) == 8
     assert sum(calls) == powers * 500 and min(calls[:-1]) >= _SCAN_ROWS
     calls.clear()
     assert dilation_count(SHANNON, TWO, [0.7]) == 1
     assert calls == [powers]
+
+
+# the ambient base window: each side of zero walks outward by doubling
+@pytest.mark.parametrize("name", ["two", "2I", "spiral", "conjugated_shear"])
+def test_window_powers_agree_with_integer_power(name):
+    a = {"two": TWO, "2I": 2.0 * np.eye(2), "spiral": SPIRAL, "conjugated_shear": random_conjugate(SHEAR, 3)[0]}[name]
+    powers = _window_powers(a)
+    assert len(powers) == K_RANGE[1] - K_RANGE[0] + 1
+    for k, power in zip(range(K_RANGE[0], K_RANGE[1] + 1), powers):
+        want = integer_power(a, k)
+        assert np.abs(power - want).max() <= 4e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("a, k", [([[1e6]], 52), ([[1e-6]], -52), (np.diag([1e6, 2.0]), 52),
+                                  (np.diag([1e6, 1e-7]), -45)])
+def test_window_overflow_names_the_smallest_power(a, k):
+    # 1e6^51 and 1e7^44 are finite, 1e6^52 and 1e7^45 are not; when both
+    # sides overflow, the smaller |k| is named
+    a = np.asarray(a, dtype=float)
+    region = SHANNON if len(a) == 1 else ANNULUS
+    with pytest.raises(Overflow, match=rf"^A\^{k} overflows"):
+        dilation_count(region, a, np.full(len(a), 0.7))
+    with pytest.raises(Overflow, match=rf"^A\^{k} overflows"):
+        wavelet.is_multiwavelet_set(region, a, Lattice.integers(len(a)), 1, samples=10)
 
 
 def test_a_solved_row_is_bracketed_in_one_call(monkeypatch):

@@ -14,7 +14,6 @@ from xsect.linalg import (
     assemble_jordan_matrix,
     finite_rows,
     integer_power,
-    jordan_power_batch,
     jordan_power_rows,
     matrix_from_json,
     matrix_to_json,
@@ -148,6 +147,16 @@ def test_attempt_refuses_a_pair_whose_upper_half_is_off_the_spectrum():
         _attempt(a, eigs[eigs.imag < 0].repeat(2), radius, 1e-9, scale)
 
 
+@pytest.mark.parametrize("a", [SHEAR, SPIRAL, [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]],
+                               [[0.0, 1.0], [0.0, 0.0]]])
+def test_form_keeps_the_scale_and_cond_it_was_accepted_on(a):
+    for seed in range(5):
+        form = real_jordan_form(random_conjugate(a, seed)[0], require_invertible=False)
+        assert form.scale == _spectral_scale(form.matrix)
+        assert form.cond == np.linalg.cond(form.conjugator_inverse) and form.cond <= 0.01 / form.tol
+        assert form.residual <= form.tol * form.scale
+
+
 def test_one_parameter_scalar():
     f = real_jordan_form([[math.log(2.0)]], require_invertible=False)
     np.testing.assert_allclose(one_parameter_power(f, 3.0), [[8.0]], rtol=1e-12)
@@ -200,9 +209,9 @@ def _jordan_form_of_blocks(*specs):
     for re, im, chain in specs:
         blocks.append(JordanBlock(re=re, im=im, chain=chain, offset=offset))
         offset += blocks[-1].size
-    eye = np.eye(offset)
-    return RealJordanForm(matrix=assemble_jordan_matrix(blocks, offset), blocks=tuple(blocks),
-                          conjugator=eye, conjugator_inverse=eye, tol=1e-9, residual=0.0)
+    eye, j = np.eye(offset), assemble_jordan_matrix(blocks, offset)
+    return RealJordanForm(matrix=j, blocks=tuple(blocks), conjugator=eye, conjugator_inverse=eye, tol=1e-9,
+                          residual=0.0, scale=_spectral_scale(j), cond=1.0)
 
 
 def _unimodular(n, seed):
@@ -340,9 +349,13 @@ def test_block_power_group_laws(rng):
     # integer powers in Jordan coordinates: J^a J^b = J^(a + b), also
     # across the sign and far beyond the range of integer_power
     form = _jordan_form_of_blocks(*ORACLE_FORMS["complex_chain3_negative_chain2"])
+
+    def power(p):  # J^p: the kernel on identity rows
+        return jordan_power_rows(form, np.eye(form.n), np.full(form.n, p), integer=True)
+
     for a, b in [(3, -5), (-400, 250), (2 * 10**6, -10**6)]:
-        lhs = jordan_power_batch(form, [a], integer=True)[0] @ jordan_power_batch(form, [b], integer=True)[0]
-        rhs = jordan_power_batch(form, [a + b], integer=True)[0]
+        lhs = power(a) @ power(b)
+        rhs = power(a + b)
         assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
     # and the flow of a conjugated generator with a rotating chain
     om = np.array([[0.2, 1.3], [-1.3, 0.2]])

@@ -439,7 +439,7 @@ def test_continuous_membership_is_the_geometric_section(name, conjugated):
     norms, rho = np.linalg.norm(c, axis=1), _witness_radius(section, c)
     scale = 1.0 if section.case == "real_nonzero" else np.maximum(rho, 1.0)
     old_refused = (rho <= section.tol * np.maximum(norms, 1.0)) | (
-        section.tol * scale < 8.0 * section._conj_cond * np.finfo(float).eps * norms)
+        section.tol * scale < 8.0 * section.jordan.cond * np.finfo(float).eps * norms)
     assert not (refused & ~old_refused).any()
     if section.case != "real_nonzero":
         assert np.array_equal(refused, old_refused)

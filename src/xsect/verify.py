@@ -20,9 +20,14 @@ come from the closed-form solve and are cross-checked by bisection
 refinement of the membership indicator, on rows flowed in Jordan
 coordinates.  The bisection reads membership at the closed-form edge,
 lets the edge decide the next halvings, and confirms the bracket they
-leave by reads at both its ends before the last halvings read again; a
-row whose bracket does not confirm is bisected in full.  Refined lengths
-and edges that stray from 1 and from the closed form are refused.
+leave by a read at its far end (the near end keeps the first read)
+before the last halvings read again; a row whose bracket does not
+confirm is bisected in full.  Refined lengths and edges that stray from
+1 and from the closed form are refused.  That interval is the orbit's
+only hit when the flow time obeys the cocycle ``t(xi A^s) = t(xi) - s``:
+every sample is flowed to a few random times in a window around its
+hit, where the solve must read the remaining flow time and the swept
+membership must hold exactly inside the interval.
 
 Orbit integration evaluates ``integral of f over R^n`` on the section's
 flow chart, with its closed-form Jacobian weight: ``alpha delta^t``
@@ -46,7 +51,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, Overflow, QuadratureDivergence, UsageError
 from .linalg import integer_power, jordan_power_rows
-from .sections import CrossSection, PushedSection, derive_discrete_section, power_rows
+from .sections import (CrossSection, PushedSection, _finite_or_origin, _solve_core, derive_discrete_section,
+                       power_rows)
 
 
 @dataclass(frozen=True)
@@ -246,10 +252,11 @@ _BISECT_ITERS = 46
 # of those, the halvings after the first that the closed-form edge decides
 # without a membership read: they leave a bracket 2e-3 * 2^-29 = 3.7e-12 wide
 _REPLAYED = 28
-# the continuous check: half-width of the time window searched for further
-# section hits, its dense grid step, and the tolerance on the refined length
+# the continuous check: half-width of the flow-time window of its uniqueness
+# checks, the offsets drawn per sample inside it, and the tolerance on the
+# refined length, the refined edges and the flow-time cocycle
 _WINDOW = 5.0
-_GRID_STEP = 1e-3
+_OFFSETS = 6
 _QUAD_TOL = 1e-6
 
 
@@ -273,18 +280,22 @@ def _bisect(derived, coords, t_false, t_true, edge):
 
     The first halving reads membership at its midpoint, ``edge`` up to
     rounding.  The next ``_REPLAYED`` are decided by the side of ``edge``
-    their midpoints lie on, and reads at both ends of the bracket they leave
-    confirm it; confirmed rows take the remaining halvings with reads.  An
-    unconfirmed row (its closed form off by more than that bracket, or its
-    membership not monotone) is bisected in full from ``[t_false, t_true]``.
-    Where membership is monotone, each row's time is bit for bit that of
-    the full bisection."""
-    a, b = _halvings(derived, coords, t_false, t_true, 1)
+    their midpoints lie on.  The end of the bracket they leave that is still
+    the first midpoint keeps its read, and a read at the other end confirms
+    the bracket; confirmed rows take the remaining halvings with reads.  An
+    unconfirmed row (that end moved, its closed form is off by more than
+    the bracket, or its membership is not monotone) is bisected in full
+    from ``[t_false, t_true]``.  Where membership is monotone, each row's
+    time is bit for bit that of the full bisection."""
+    first = 0.5 * (t_false + t_true)
+    member = _moved_membership(derived, coords, first)
+    a, b = _halve(t_false, t_true, member, first)
     rising = t_true > t_false
     for _ in range(_REPLAYED):
         mid = 0.5 * (a + b)
         a, b = _halve(a, b, (mid >= edge) == rising, mid)
-    unconfirmed = _moved_membership(derived, coords, a) | ~_moved_membership(derived, coords, b)
+    kept, other = np.where(member, b, a), np.where(member, a, b)
+    unconfirmed = (kept != first) | (_moved_membership(derived, coords, other) == member)
     a, b = _halvings(derived, coords, a, b, _BISECT_ITERS - 1 - _REPLAYED)
     if unconfirmed.any():
         a[unconfirmed], b[unconfirmed] = _halvings(derived, coords[unconfirmed], t_false[unconfirmed],
@@ -293,25 +304,27 @@ def _bisect(derived, coords, t_false, t_true, edge):
 
 
 def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
-                            grid_subsample=200) -> TilingReport:
+                            grid_subsample=None) -> TilingReport:
     """Verify the unit-time sweep identity and uniqueness of flow times.
 
     For each Gaussian sample the set ``{t : xi A^t in T}`` (``T`` the
     swept discrete section) is the interval ``[t_c, t_c + 1)`` with
     ``t_c`` the closed-form flow time.  Both endpoints are re-found by
     bisection of the membership indicator (:func:`_bisect`) in a bracket
-    of +/-1e-3 around the closed form: the first halving reads membership
-    at the closed-form edge, the next ``_REPLAYED`` are decided by the edge
-    itself, reads at both ends of the bracket left confirm it, and the
-    last halvings read membership again; a row that does not confirm takes
-    all ``_BISECT_ITERS`` halvings with reads.  The refined length must be
-    1, and each refined edge its closed form, within ``_QUAD_TOL``, else
+    of +/-1e-3 around the closed form.  The refined length must be 1, and
+    each refined edge its closed form, within ``_QUAD_TOL``, else
     :class:`QuadratureDivergence` is raised.
-    Uniqueness of the section hit is checked on every sample through the
-    case's branch candidates inside the window, and by a dense
-    membership grid on a subsample.  The samples are flowed in Jordan
-    coordinates; a flow past the float range is a refused non-member.
-    Fewer than one sample raises :class:`UsageError`.
+
+    Uniqueness of the section hit is checked on every sample: through the
+    case's branch candidates inside the window (the histogram), and by the
+    flow-time cocycle at ``_OFFSETS`` offsets drawn in ``+/-_WINDOW``
+    (:func:`_cocycle_failures`).  A sample whose cocycle fails counts in
+    ``extras["cocycle_failures"]`` and fails the check; a refused flowed
+    row counts in ``extras["refused_offsets"]`` and fails nothing.  The
+    samples are flowed in Jordan coordinates; a flow past the float range
+    is a refused non-member.  ``grid_subsample`` is accepted and ignored:
+    it sized the dense membership grid that the cocycle replaced.  Fewer
+    than one sample raises :class:`UsageError`.
     """
     if section.mode != "continuous":
         raise ValueError("check_continuous_tiling expects a continuous section")
@@ -323,6 +336,7 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     skipped = int(exc.sum())
     pts, ts = pts[~exc], ts[~exc]
     coords = section.jordan.to_jordan(pts)
+    offsets = rng.uniform(-_WINDOW, _WINDOW, size=(len(pts), _OFFSETS))
 
     # flowing by t leaves remaining flow time t_c - t, so the swept-set hit
     # interval is [t_c, t_c + 1): closed left edge, open right edge
@@ -344,22 +358,11 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
             f"refined sweep edge deviates from the closed-form flow time by {edge_dev:.3e} (> {_QUAD_TOL})"
         )
 
-    # uniqueness: branch candidates within the window
+    # uniqueness: branch candidates within the window, and the cocycle
     counts = _branch_candidate_counts(section, coords, ts, _WINDOW)
     histogram, failures = _tally(pts, counts)
-
-    # dense grid on a subsample: the swept membership must form one run
-    runs_bad = 0
-    sub = coords[: min(grid_subsample, len(pts))]
-    sub_t = ts[: len(sub)]
-    grid = np.arange(-_WINDOW, _WINDOW + _GRID_STEP / 2, _GRID_STEP)
-    for i in range(len(sub)):
-        times = sub_t[i] + grid
-        member = _moved_membership(derived, np.repeat(sub[i : i + 1], len(times), axis=0), times)
-        transitions = int(np.count_nonzero(np.diff(member.astype(int)) != 0))
-        if transitions > 2 or not member.any():
-            runs_bad += 1
-    passed = not failures and runs_bad == 0 and _few_refused(skipped, samples)
+    cocycle_failures, cocycle_dev, refused = _cocycle_failures(section, derived, coords, ts, offsets)
+    passed = not failures and cocycle_failures == 0 and _few_refused(skipped, samples)
     return TilingReport(
         kind="continuous_tiling",
         samples=samples,
@@ -367,14 +370,42 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
         passed=passed,
         histogram=histogram,
         failures=failures,
-        scan={"window": _WINDOW, "grid_step": _GRID_STEP, "grid_subsample": len(sub)},
+        scan={"window": _WINDOW, "offsets": _OFFSETS},
         skipped_null=skipped,
         extras={
             "max_length_deviation": length_dev,
             "max_edge_deviation": edge_dev,
-            "grid_runs_bad": runs_bad,
+            "cocycle_failures": cocycle_failures,
+            "max_cocycle_deviation": cocycle_dev,
+            "refused_offsets": refused,
         },
     )
+
+
+def _cocycle_failures(section, derived, coords, ts, offsets):
+    """The number of samples, in Jordan coordinates with flow times ``ts``,
+    that fail the cocycle at their row of ``offsets``; the largest cocycle
+    deviation; and the number of flowed rows refused.
+
+    Each sample is flowed to ``t_c + s`` for each offset ``s``.  Since a
+    continuous section is its points of flow time 0, the swept membership
+    along an orbit is the one run ``[t_c, t_c + 1)`` exactly when the flowed
+    row's flow time is ``-s``: its solve must be ``-s`` within ``_QUAD_TOL``,
+    and its membership in the swept set ``derived`` must be ``0 <= s < 1``
+    where ``s`` lies more than ``_QUAD_TOL`` from both edges.  A row that
+    either refuses is left out of both."""
+    width = offsets.shape[1]
+    s = offsets.ravel()
+    rows = _finite_or_origin(power_rows(section, np.repeat(coords, width, axis=0), np.repeat(ts, width) + s))
+    flow_times, _, refused, _ = _solve_core(section, rows)
+    member, exceptional = derived.jordan_membership(rows)
+    refused |= exceptional
+    deviation = np.where(refused, 0.0, np.abs(flow_times + s))
+    inside = (s >= 0.0) & (s < 1.0)
+    off_edge = np.minimum(np.abs(s), np.abs(s - 1.0)) > _QUAD_TOL
+    wrong = (deviation > _QUAD_TOL) | (~refused & off_edge & (member != inside))
+    failures = int(np.count_nonzero(wrong.reshape(offsets.shape).any(axis=1)))
+    return failures, float(deviation.max(initial=0.0)), int(np.count_nonzero(refused))
 
 
 def _branch_candidate_counts(section, coords, ts, window):

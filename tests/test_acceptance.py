@@ -135,7 +135,7 @@ def test_criterion_02_cross_section_tiling():
         assert not exc.any()
         member, _ = section.membership(reps)
         assert member.all(), f"{case}: representative outside section"
-        report = check_continuous_tiling(section, samples=10_000, seed=SEED, grid_subsample=100)
+        report = check_continuous_tiling(section, samples=10_000, seed=SEED)
         assert report.passed, case
         inside = section.sample(rng, 1000)
         offsets = rng.uniform(1e-3, 10.0, size=1000) * rng.choice([-1.0, 1.0], size=1000)
@@ -234,7 +234,7 @@ def test_criterion_06_jacobians_and_orbit_integrals():
 def test_criterion_07_calderon_identities():
     for case, b in CONTINUOUS_REPS.items():
         section = build_continuous_section(b)
-        report = check_continuous_tiling(section, samples=10_000, seed=SEED, grid_subsample=50)
+        report = check_continuous_tiling(section, samples=10_000, seed=SEED)
         assert report.passed, case
         assert report.extras["max_length_deviation"] <= 1e-6, case
         derived = derive_discrete_section(section)

@@ -10,9 +10,9 @@ from xsect.errors import BudgetExceeded, DetOne, MixedModuli, QuadratureDivergen
 from xsect.sections import (CrossSection, PushedSection, _Chart, _DerivedFromContinuous, build_continuous_section,
                             build_discrete_section, derive_discrete_section)
 from xsect.shaping import to_bounded, to_finite_measure
-from xsect.verify import (_BISECT_ITERS, K_RANGE, _bisect, _frame, _moved_membership, _window_counts,
-                          check_continuous_tiling, check_discrete_tiling, jacobian_check, orbit_integral,
-                          scan_dilations)
+from xsect.verify import (_BISECT_ITERS, _OFFSETS, _WINDOW, K_RANGE, _bisect, _few_refused, _frame,
+                          _moved_membership, _window_counts, check_continuous_tiling, check_discrete_tiling,
+                          jacobian_check, orbit_integral, scan_dilations)
 from xsect.wavelet import Lattice, build_order_infinity_set
 
 from conftest import DIAG21, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
@@ -91,18 +91,26 @@ def test_discrete_tiling_heavy_tail_widening():
 )
 def test_continuous_tiling(generator):
     section = build_continuous_section(generator)
-    report = check_continuous_tiling(section, samples=2000, seed=23, grid_subsample=40)
+    report = check_continuous_tiling(section, samples=2000, seed=23)
     assert report.passed
     assert report.extras["max_length_deviation"] <= 1e-6
     assert set(report.histogram) == {1}
 
 
 def test_continuous_check_refuses_rows_flowed_past_the_float_range():
-    # the +/-5 window flows x1 by e^(+/-1500): such a row is a refused
-    # non-member of the swept set, as a non-finite ambient row is
+    # the +/-5 window flows x1 by e^(+/-1500): a row flowed into the null band
+    # |x1| <= tol, past the float range of its squared norm, or by more than
+    # 700 / 300 in flow time is refused, and fails nothing
     section = build_continuous_section([[300.0]])
-    report = check_continuous_tiling(section, samples=200, seed=0, grid_subsample=20)
-    assert report.passed and report.histogram == {1: 200} and report.extras["grid_runs_bad"] == 0
+    report = check_continuous_tiling(section, samples=200, seed=0)
+    assert report.passed and report.histogram == {1: 200} and report.skipped_null == 0
+    assert report.extras["cocycle_failures"] == 0
+    rng = np.random.default_rng(0)
+    rng.normal(size=(200, 1))
+    s = rng.uniform(-_WINDOW, _WINDOW, size=(200, _OFFSETS))  # the offsets drawn after the samples
+    x1 = 300.0 * s  # log |x1| of the flowed row, whose representative has |x1| = 1
+    refused = (x1 <= math.log(section.tol)) | (x1 > 0.5 * math.log(np.finfo(float).max)) | (np.abs(x1) > 700.0)
+    assert report.extras["refused_offsets"] == np.count_nonzero(refused) > 600
 
 
 def test_report_json_is_deterministic():
@@ -421,7 +429,7 @@ def test_continuous_witness_and_tiling_survive_a_permuted_eigen_order():
         section = build_continuous_section(gen)
         alpha = section.jordan.blocks[section.block_index].alpha
         _, _, exc = section.solve(pts)
-        report = check_continuous_tiling(section, samples=2000, seed=23, grid_subsample=40)
+        report = check_continuous_tiling(section, samples=2000, seed=23)
         seen.append((round(alpha, 6), int(exc.sum()), report.passed, report.skipped_null))
     assert seen[0] == seen[1]
     alpha, refused, passed, skipped = seen[0]
@@ -825,3 +833,105 @@ def test_continuous_check_refuses_a_sweep_whose_length_is_off(monkeypatch):
     _patch_swept_phase(monkeypatch, scale=1.0 + 1e-4)
     with pytest.raises(QuadratureDivergence, match="length"):
         check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)
+
+
+# the reference of the cocycle check: a subsample flowed to every time of a
+# dense grid over the window, where each row's swept membership must be one run
+_GRID_STEP = 1e-3
+
+
+def _grid_runs_bad(section, samples, seed, subsample):
+    """The number of the check's first ``subsample`` kept samples whose swept
+    membership on the dense grid around their flow time is not one run."""
+    derived = derive_discrete_section(section)
+    pts = np.random.default_rng(seed).normal(size=(samples, section.n))
+    ts, _, exc = section.solve(pts)
+    coords = section.jordan.to_jordan(pts[~exc])[:subsample]
+    grid = np.arange(-_WINDOW, _WINDOW + _GRID_STEP / 2, _GRID_STEP)
+    runs_bad = 0
+    for row, t in zip(coords, ts[~exc]):
+        member = _moved_membership(derived, np.repeat(row[None], len(grid), axis=0), t + grid)
+        runs_bad += int(np.count_nonzero(np.diff(member.astype(int))) > 2 or not member.any())
+    return runs_bad
+
+
+def _grid_verdict(section, report, subsample=50):
+    """The check's verdict with the dense grid, on ``subsample`` samples as the
+    tiling benchmark runs it, in place of the cocycle."""
+    return (not report.failures and _few_refused(report.skipped_null, report.samples)
+            and _grid_runs_bad(section, report.samples, report.seed, subsample) == 0)
+
+
+_CONTINUOUS_TILING = {"scaling": [[_L2]], "rotating": _SPIRAL_GENERATOR, "shear": [[0.0, 1.0], [0.0, 0.0]],
+                      "rotating_shear": case4_generator(), **_TILING_GENERATORS}
+
+
+@pytest.mark.parametrize("name", list(_CONTINUOUS_TILING))
+def test_cocycle_verdict_is_the_dense_grid_verdict(name):
+    section = build_continuous_section(_CONTINUOUS_TILING[name])
+    report = check_continuous_tiling(section, samples=2000, seed=23)
+    assert report.passed == _grid_verdict(section, report)
+    assert report.extras["cocycle_failures"] == 0 and report.extras["max_cocycle_deviation"] < 1e-9
+
+
+def _add_swept_run(monkeypatch, radii):
+    """Make the spiral's swept set also hold the phases ``[2.5, 3)``, flow times
+    ``t_c + 2.5`` to ``t_c + 3`` from the section, on the orbits whose
+    representative has one of the witness ``radii`` (a flow invariant), as
+    :func:`_patch_swept_phase` patches the phase."""
+    gauge = _DerivedFromContinuous.gauge
+
+    def patched(self, section, w, exceptional, rho):
+        u, s = gauge(self, section, w, exceptional, rho)
+        rep = rho * np.exp(-section.params["alpha"] * u)  # the radius at flow time -u from the row
+        keyed = np.isclose(rep[:, None], radii[None, :], rtol=1e-9, atol=0.0).any(axis=1)
+        return np.where(keyed & (u >= 2.5) & (u < 3.0), 0.5, u), s
+
+    monkeypatch.setattr(_DerivedFromContinuous, "gauge", patched)
+
+
+def test_continuous_check_sees_an_extra_swept_run_past_the_grid_subsample(monkeypatch):
+    # one orbit in 50 past the first 200 samples, which the grid reference
+    # reads, gets an extra member run away from both edges: the bisection,
+    # the branch candidates and the grid all miss it
+    section = build_continuous_section(_SPIRAL_GENERATOR)
+    pts = np.random.default_rng(1).normal(size=(2000, 2))
+    _, reps, exc = section.solve(pts)
+    assert not exc.any()
+    radii = np.hypot(*section.jordan.to_jordan(reps).T)
+    keyed = radii[200::50]
+    assert not np.isclose(radii[:200, None], keyed[None, :], rtol=1e-6, atol=0.0).any()
+    _add_swept_run(monkeypatch, keyed)
+    report = check_continuous_tiling(section, samples=2000, seed=1)
+    assert report.histogram == {1: 2000} and _grid_verdict(section, report, subsample=200)
+    assert 0 < report.extras["cocycle_failures"] <= len(keyed)
+    assert report.extras["max_cocycle_deviation"] < 1e-9
+    assert not report.passed
+
+
+def test_bisection_reads_each_edge_19_times(monkeypatch):
+    # one read at the closed-form edge, one at the far end of the replayed
+    # bracket (the near end keeps the first read), and 17 more halvings
+    derived, coords, brackets = _edge_brackets(build_continuous_section(_SPIRAL_GENERATOR), 2000, 3)
+    reads = []
+
+    def counting(region, rows, ps):
+        reads.append(len(rows))
+        return _moved_membership(region, rows, ps)
+
+    monkeypatch.setattr("xsect.verify._moved_membership", counting)
+    for t_false, t_true, edge in brackets:
+        reads.clear()
+        _, fallback = _bisect(derived, coords, t_false, t_true, edge)
+        assert not fallback.any() and reads == [len(coords)] * 19
+
+
+def test_a_bracket_whose_first_read_end_moved_is_bisected_in_full():
+    # off-centre brackets: the first midpoint lies 1e-3 from the closed-form
+    # edge, so the replayed halvings move the end it set, whose read is then stale
+    derived, coords, brackets = _edge_brackets(build_continuous_section(_SPIRAL_GENERATOR), 500, 3)
+    for t_false, t_true, edge in brackets:
+        t_false = t_false - (t_true - t_false)  # 3e-3 from the edge on the non-member side
+        found, fallback = _bisect(derived, coords, t_false, t_true, edge)
+        assert fallback.all()
+        assert found.tobytes() == _full_bisection(derived, coords, t_false, t_true).tobytes()

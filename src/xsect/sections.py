@@ -841,10 +841,18 @@ def _refused(section, coords):
     An ambient vector resolves each Jordan coordinate only to about
     ``eps * cond(Q) * ||c||``.  Where that noise exceeds the tolerance
     ``tol * max(rho, 1)`` of a continuous section, membership is undecidable
-    and the row is refused like a null-set point.  An overflowing norm is
-    inf: the row is refused."""
-    with np.errstate(over="ignore"):
-        norms = row_norms(coords)
+    and the row is refused like a null-set point.  A finite row whose
+    squares overflow is read scaled by its largest entry; a norm past the
+    float range is inf: the row is refused."""
+    try:
+        with np.errstate(over="raise"):  # free where nothing overflows, unlike a test of every norm
+            norms = row_norms(coords)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            norms = row_norms(coords)
+            huge = np.flatnonzero(np.isinf(norms) & finite_rows(coords))
+            scale = np.max(np.abs(coords[huge]), axis=1, keepdims=True)
+            norms[huge] = scale[:, 0] * row_norms(coords[huge] / scale)
     rho = section.kind.radius(section, coords[:, section.block.offset :])
     null = rho <= section.tol * np.maximum(norms, 1.0)
     if section.mode != "continuous":

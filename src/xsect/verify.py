@@ -18,16 +18,17 @@ unit time yields a discrete cross-section: the time set
 ``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
 come from the closed-form solve and are cross-checked by bisection
 refinement of the membership indicator, on rows flowed in Jordan
-coordinates.  The bisection reads membership at the closed-form edge,
-lets the edge decide the next halvings, and confirms the bracket they
-leave by a read at its far end (the near end keeps the first read)
-before the last halvings read again; a row whose bracket does not
-confirm is bisected in full.  Refined lengths and edges that stray from
-1 and from the closed form are refused.  That interval is the orbit's
-only hit when the flow time obeys the cocycle ``t(xi A^s) = t(xi) - s``:
-every sample is flowed to a few random times in a window around its
-hit, where the solve must read the remaining flow time and the swept
-membership must hold exactly inside the interval.
+coordinates.  The bisection reads membership at the closed-form edge and
+lets the edge decide every later halving; reads at both ends of the
+bracket left after all of them, or after fewer, confirm it before any
+halvings left read again, and a row whose bracket does not confirm is
+bisected in full.  Both edges of every sample are bisected in one batch.
+Refined lengths and edges that stray from 1 and from the closed form are
+refused.  That interval is the orbit's only hit when the flow time obeys
+the cocycle ``t(xi A^s) = t(xi) - s``: every sample is flowed to a few
+random times in a window around its hit, where the solve must read the
+remaining flow time and the swept membership must hold exactly inside
+the interval.
 
 Orbit integration evaluates ``integral of f over R^n`` on the section's
 flow chart, with its closed-form Jacobian weight: ``alpha delta^t``
@@ -249,8 +250,11 @@ def _doubling_walk(first, step, count):
 # halvings of each edge bracket (2e-3 wide) in the continuous check: past
 # float resolution for flow times of order one
 _BISECT_ITERS = 46
-# of those, the halvings after the first that the closed-form edge decides
-# without a membership read: they leave a bracket 2e-3 * 2^-29 = 3.7e-12 wide
+# the closed-form edge decides every halving after the first; reads at both
+# ends confirm the bracket left after all of them (no halving left to read),
+# else after 39 (6 left to read), else after _REPLAYED (17 left), a bracket
+# 2e-3 * 2^-29 = 3.7e-12 wide
+_CONFIRMED = (_BISECT_ITERS - 1, 39)
 _REPLAYED = 28
 # the continuous check: half-width of the flow-time window of its uniqueness
 # checks, the offsets drawn per sample inside it, and the tolerance on the
@@ -260,18 +264,25 @@ _OFFSETS = 6
 _QUAD_TOL = 1e-6
 
 
-def _halve(a, b, member, mid):
-    """The half of each bracket ``[a, b]`` that keeps a non-member at ``a``
-    and a member at ``b``, ``member`` being read at ``mid``."""
-    return np.where(member, a, mid), np.where(member, mid, b)
-
-
-def _halvings(derived, coords, a, b, iters):
-    """``iters`` halvings of the brackets ``[a, b]``, each reading membership at the midpoints."""
+def _halvings(bracket, member, iters):
+    """Each bracket of ``bracket``, a (2, m) stack of non-member ends over
+    member ends, after ``iters`` halvings: each midpoint replaces the end on
+    its side, members where ``member(mid)``."""
+    bracket = np.array(bracket, order="C")
+    m = bracket.shape[1]
+    ends, column = bracket.reshape(-1), np.arange(m)
     for _ in range(iters):
-        mid = 0.5 * (a + b)
-        a, b = _halve(a, b, _moved_membership(derived, coords, mid), mid)
-    return a, b
+        mid = 0.5 * (bracket[0] + bracket[1])
+        ends[column + m * member(mid)] = mid  # one scatter: np.where mispredicts on a random side
+    return bracket
+
+
+def _read_midpoints(derived, coords, rows, bracket, iters):
+    """The midpoints of the brackets of ``rows`` (indices) after ``iters``
+    more halvings, each reading membership at the midpoints."""
+    coords = coords[rows]
+    bracket = _halvings(bracket[:, rows], lambda mid: _moved_membership(derived, coords, mid), iters)
+    return 0.5 * (bracket[0] + bracket[1])
 
 
 def _bisect(derived, coords, t_false, t_true, edge):
@@ -279,28 +290,38 @@ def _bisect(derived, coords, t_false, t_true, edge):
     bracket being centred on the closed-form ``edge``: ``(time, unconfirmed)``.
 
     The first halving reads membership at its midpoint, ``edge`` up to
-    rounding.  The next ``_REPLAYED`` are decided by the side of ``edge``
-    their midpoints lie on.  The end of the bracket they leave that is still
-    the first midpoint keeps its read, and a read at the other end confirms
-    the bracket; confirmed rows take the remaining halvings with reads.  An
-    unconfirmed row (that end moved, its closed form is off by more than
-    the bracket, or its membership is not monotone) is bisected in full
-    from ``[t_false, t_true]``.  Where membership is monotone, each row's
-    time is bit for bit that of the full bisection."""
+    rounding; every later one is decided by the side of ``edge`` its
+    midpoint lies on.  A row is confirmed at the deepest depth of
+    ``_CONFIRMED`` and ``_REPLAYED`` where the two ends of its bracket read
+    non-member and member: the ends are read depth by depth, on the rows
+    not yet confirmed.  A confirmed row takes the halvings left after its
+    depth with reads.  An unconfirmed row (its closed form is off by more
+    than the bracket, or its membership is not monotone) is bisected in
+    full from ``[t_false, t_true]``.  Every replayed midpoint lies at or
+    beyond an end that confirmed, so where membership is monotone, each
+    row's time is bit for bit that of the full bisection."""
     first = 0.5 * (t_false + t_true)
     member = _moved_membership(derived, coords, first)
-    a, b = _halve(t_false, t_true, member, first)
+    bracket = np.where(member, np.stack([t_false, first]), np.stack([first, t_true]))
     rising = t_true > t_false
-    for _ in range(_REPLAYED):
-        mid = 0.5 * (a + b)
-        a, b = _halve(a, b, (mid >= edge) == rising, mid)
-    kept, other = np.where(member, b, a), np.where(member, a, b)
-    unconfirmed = (kept != first) | (_moved_membership(derived, coords, other) == member)
-    a, b = _halvings(derived, coords, a, b, _BISECT_ITERS - 1 - _REPLAYED)
-    if unconfirmed.any():
-        a[unconfirmed], b[unconfirmed] = _halvings(derived, coords[unconfirmed], t_false[unconfirmed],
-                                                   t_true[unconfirmed], _BISECT_ITERS)
-    return 0.5 * (a + b), unconfirmed
+    kept, done = {}, 0
+    for depth in sorted({_REPLAYED, *_CONFIRMED}):
+        bracket = kept[depth] = _halvings(bracket, lambda mid: (mid >= edge) == rising, depth - done)
+        done = depth
+    found, rows = np.empty_like(first), np.arange(len(first))
+    for depth in (*_CONFIRMED, _REPLAYED):
+        if len(rows):
+            outside, inside = _moved_membership(derived, np.tile(coords[rows], (2, 1)),
+                                                kept[depth][:, rows].reshape(-1)).reshape(2, -1)
+            confirmed = ~outside & inside
+            found[rows[confirmed]] = _read_midpoints(derived, coords, rows[confirmed], kept[depth],
+                                                     _BISECT_ITERS - 1 - depth)
+            rows = rows[~confirmed]
+    unconfirmed = np.zeros(len(first), dtype=bool)
+    if len(rows):
+        unconfirmed[rows] = True
+        found[rows] = _read_midpoints(derived, coords, rows, np.stack([t_false, t_true]), _BISECT_ITERS)
+    return found, unconfirmed
 
 
 def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
@@ -311,7 +332,9 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     swept discrete section) is the interval ``[t_c, t_c + 1)`` with
     ``t_c`` the closed-form flow time.  Both endpoints are re-found by
     bisection of the membership indicator (:func:`_bisect`) in a bracket
-    of +/-1e-3 around the closed form.  The refined length must be 1, and
+    of +/-1e-3 around the closed form, the closed form deciding each
+    halving that reads at the bracket's ends confirm; the left and right
+    edges of all samples are one batch.  The refined length must be 1, and
     each refined edge its closed form, within ``_QUAD_TOL``, else
     :class:`QuadratureDivergence` is raised.
 
@@ -343,9 +366,10 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     left = ts
     right = ts + 1.0
     eps = 1e-3
-    # bisection brackets around each edge
-    left_found = _bisect(derived, coords, left - eps, left + eps, left)[0]
-    right_found = _bisect(derived, coords, right + eps, right - eps, right)[0]
+    # bisection brackets around each edge, both edges in one batch
+    found = _bisect(derived, np.concatenate([coords, coords]), np.concatenate([left - eps, right + eps]),
+                    np.concatenate([left + eps, right - eps]), np.concatenate([left, right]))[0]
+    left_found, right_found = found[: len(pts)], found[len(pts) :]
     lengths = right_found - left_found
     length_dev = float(np.max(np.abs(lengths - 1.0))) if len(lengths) else 0.0
     edge_dev = float(max(np.max(np.abs(left_found - left)), np.max(np.abs(right_found - right)))) if len(pts) else 0.0

@@ -628,13 +628,25 @@ def test_slab_edge_membership_is_tile_index_zero(name):
 
 
 @pytest.mark.parametrize("name", sorted(TILED_REGIONS))
-def test_rows_beyond_the_float_range_are_refused_without_a_warning(name):
-    # rows near 1e300 overflow the norm and are refused; the cone and shear
-    # cases read their tile indices beyond int64 there, which must not warn
-    # (the suite's RuntimeWarning filter fails any warning)
+def test_rows_near_the_float_range_solve_without_a_warning(name):
+    # rows near 1e300 square past the float range, but their norms do not:
+    # a section refuses none of them, and a pushed set just the rows its base
+    # refuses (order_infinity_real's base, diag(2, 3), has every representative
+    # in its null band, dwarfed by the free coordinate); membership is tile
+    # index 0 on them and the representatives are members, with no float
+    # warning (the suite's RuntimeWarning filter fails any warning)
     region = TILED_REGIONS[name]()
     pts = np.random.default_rng(7).normal(size=(200, region.matrix.shape[0])) * 1e300
     member, exc = region.membership(pts)
     tile, reps, solve_exc = region.solve(pts)
-    assert exc.all() and solve_exc.all() and not member.any()
-    assert (tile == 0).all() and np.isnan(reps).all()
+    refused = region.base.solve(pts)[2] if isinstance(region, PushedSection) else np.zeros(len(pts), dtype=bool)
+    assert (exc == refused).all() and (solve_exc == refused).all()
+    assert (member[~refused] == (tile[~refused] == 0)).all()
+    assert region.membership(reps[~refused])[0].all()
+
+
+def test_a_row_whose_squares_overflow_solves():
+    # the squared norm of 1e160 overflows, its norm does not
+    ts, reps, exc = build_continuous_section([[1.0]]).solve([[1e160], [1e150]])
+    assert not exc.any() and reps[:, 0] == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert ts == pytest.approx([-160 * math.log(10), -150 * math.log(10)], rel=1e-15)

@@ -10,9 +10,9 @@ from xsect.errors import BudgetExceeded, DetOne, MixedModuli, QuadratureDivergen
 from xsect.sections import (CrossSection, PushedSection, _Chart, _DerivedFromContinuous, build_continuous_section,
                             build_discrete_section, derive_discrete_section)
 from xsect.shaping import to_bounded, to_finite_measure
-from xsect.verify import (_BISECT_ITERS, _OFFSETS, _WINDOW, K_RANGE, _bisect, _few_refused, _frame,
-                          _moved_membership, _window_counts, check_continuous_tiling, check_discrete_tiling,
-                          jacobian_check, orbit_integral, scan_dilations)
+from xsect.verify import (_BISECT_ITERS, _OFFSETS, _REPLAYED, _WINDOW, K_RANGE, _bisect, _few_refused, _frame,
+                          _moved_membership, _read_midpoints, _window_counts, check_continuous_tiling,
+                          check_discrete_tiling, jacobian_check, orbit_integral, scan_dilations)
 from xsect.wavelet import Lattice, build_order_infinity_set
 
 from conftest import DIAG21, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
@@ -99,8 +99,7 @@ def test_continuous_tiling(generator):
 
 def test_continuous_check_refuses_rows_flowed_past_the_float_range():
     # the +/-5 window flows x1 by e^(+/-1500): a row flowed into the null band
-    # |x1| <= tol, past the float range of its squared norm, or by more than
-    # 700 / 300 in flow time is refused, and fails nothing
+    # |x1| <= tol or by more than 700 / 300 in flow time is refused, and fails nothing
     section = build_continuous_section([[300.0]])
     report = check_continuous_tiling(section, samples=200, seed=0)
     assert report.passed and report.histogram == {1: 200} and report.skipped_null == 0
@@ -109,7 +108,7 @@ def test_continuous_check_refuses_rows_flowed_past_the_float_range():
     rng.normal(size=(200, 1))
     s = rng.uniform(-_WINDOW, _WINDOW, size=(200, _OFFSETS))  # the offsets drawn after the samples
     x1 = 300.0 * s  # log |x1| of the flowed row, whose representative has |x1| = 1
-    refused = (x1 <= math.log(section.tol)) | (x1 > 0.5 * math.log(np.finfo(float).max)) | (np.abs(x1) > 700.0)
+    refused = (x1 <= math.log(section.tol)) | (np.abs(x1) > 700.0)
     assert report.extras["refused_offsets"] == np.count_nonzero(refused) > 600
 
 
@@ -817,7 +816,7 @@ def test_an_edge_off_by_more_than_the_replayed_bracket_is_bisected_in_full(monke
     _patch_swept_phase(monkeypatch, shift=1e-9)
     masks = _record_fallbacks(monkeypatch)
     report = check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)
-    assert len(masks) == 2 and all(m.all() for m in masks)
+    assert len(masks) == 1 and masks[0].all()  # both edges are bisected in one batch
     assert report.passed and report.histogram == {1: 2000}
     assert report.extras["max_edge_deviation"] == pytest.approx(1e-9, rel=1e-3)
     assert report.extras["max_length_deviation"] < 1e-12
@@ -909,9 +908,23 @@ def test_continuous_check_sees_an_extra_swept_run_past_the_grid_subsample(monkey
     assert not report.passed
 
 
-def test_bisection_reads_each_edge_19_times(monkeypatch):
-    # one read at the closed-form edge, one at the far end of the replayed
-    # bracket (the near end keeps the first read), and 17 more halvings
+def _record_depths(monkeypatch):
+    """The number of rows each ``_bisect`` confirms at each depth, the depth
+    being the replayed halvings before the reads that finish them."""
+    depths = {}
+
+    def recording(derived, coords, rows, bracket, iters):
+        depth = _BISECT_ITERS - 1 - iters
+        depths[depth] = depths.get(depth, 0) + len(rows)
+        return _read_midpoints(derived, coords, rows, bracket, iters)
+
+    monkeypatch.setattr("xsect.verify._read_midpoints", recording)
+    return depths
+
+
+def test_bisection_confirms_every_row_within_9_reads_per_edge(monkeypatch):
+    # one read at the closed-form edge and two at the ends of each bracket
+    # tried, deepest first; a row confirmed after 39 replayed halvings reads 6 more
     derived, coords, brackets = _edge_brackets(build_continuous_section(_SPIRAL_GENERATOR), 2000, 3)
     reads = []
 
@@ -923,15 +936,33 @@ def test_bisection_reads_each_edge_19_times(monkeypatch):
     for t_false, t_true, edge in brackets:
         reads.clear()
         _, fallback = _bisect(derived, coords, t_false, t_true, edge)
-        assert not fallback.any() and reads == [len(coords)] * 19
+        assert not fallback.any()
+        assert 3 * len(coords) < sum(reads) <= 9 * len(coords)
 
 
-def test_a_bracket_whose_first_read_end_moved_is_bisected_in_full():
-    # off-centre brackets: the first midpoint lies 1e-3 from the closed-form
-    # edge, so the replayed halvings move the end it set, whose read is then stale
+@pytest.mark.parametrize("shift, depth", [(1e-15, 39), (1e-13, _REPLAYED)])
+def test_an_edge_off_by_more_than_the_deep_brackets_confirms_at_a_shallower_depth(monkeypatch, shift, depth):
+    # edges moved past the bracket left after all replayed halvings (2.8e-17
+    # wide), then past that left after 39 (1.8e-15): the rows confirm at the
+    # next depth, in the full bisection's bits, and none is bisected in full
+    _patch_swept_phase(monkeypatch, shift=shift)
+    derived, coords, brackets = _edge_brackets(build_continuous_section(_SPIRAL_GENERATOR), 2000, 3)
+    confirmed = _record_depths(monkeypatch)
+    for t_false, t_true, edge in brackets:
+        found, fallback = _bisect(derived, coords, t_false, t_true, edge)
+        assert not fallback.any()
+        assert found.tobytes() == _full_bisection(derived, coords, t_false, t_true).tobytes()
+    assert confirmed[depth] > 0.99 * 2 * len(coords)
+
+
+def test_an_off_centre_bracket_is_the_full_bisection():
+    # the first midpoint lies 1e-3 from the closed-form edge and the second on
+    # it, so the replayed halvings move the end the first read set, and every
+    # bracket keeps the edge as an end: a row whose edge reads the other way
+    # confirms nowhere and is bisected in full, the others confirm
     derived, coords, brackets = _edge_brackets(build_continuous_section(_SPIRAL_GENERATOR), 500, 3)
     for t_false, t_true, edge in brackets:
         t_false = t_false - (t_true - t_false)  # 3e-3 from the edge on the non-member side
         found, fallback = _bisect(derived, coords, t_false, t_true, edge)
-        assert fallback.all()
+        assert 0 < fallback.sum() < 0.5 * len(fallback)
         assert found.tobytes() == _full_bisection(derived, coords, t_false, t_true).tobytes()

@@ -125,22 +125,24 @@ class CrossSection:
     def jordan_membership(self, coords):
         """:meth:`membership` of an (m, n) stack of Jordan coordinates; a row
         that is not finite, such as one flowed past the float range, is
-        refused (:func:`_finite_or_origin`)."""
-        coords = _finite_or_origin(coords)
-        _, exceptional, rho = _refused(self, coords)
+        refused (:func:`_refused`)."""
+        coords, _, exceptional, rho = _refused(self, coords)
         return self.kind.member(self, coords[:, self.block.offset :], exceptional, rho) & ~exceptional, exceptional
 
     def solve(self, points):
         """Vectorized orbit solve: (parameter array, representatives, exceptional)."""
         params, rep_coords, exceptional, _ = _solve_core(self, self._coords(points))
-        reps = self.jordan.from_jordan(rep_coords)
+        with np.errstate(over="ignore", invalid="ignore"):  # a representative past the float range reads inf or nan
+            reps = self.jordan.from_jordan(rep_coords)
         reps[exceptional] = np.nan
         return params, reps, exceptional
 
     def _coords(self, points):
-        """Jordan coordinates of an (m, n) stack of ambient rows
-        (:func:`_finite_or_origin`)."""
-        return self.jordan.to_jordan(_finite_or_origin(np.atleast_2d(np.asarray(points, dtype=float))))
+        """Jordan coordinates of an (m, n) stack of ambient rows; a row that
+        is not finite, or maps past the float range, is refused later
+        (:func:`_refused`)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.jordan.to_jordan(np.atleast_2d(np.asarray(points, dtype=float)))
 
     def sample(self, rng, count):
         """Draw points from the section (free coordinates standard normal)."""
@@ -823,42 +825,39 @@ def _rotating_shear_flow_time(beta, w, exceptional, rho, x3, x4):
 # membership and orbit solving
 
 
-def _finite_or_origin(rows):
-    """``rows`` with each row that has a non-finite entry read as the origin,
-    which lies in every case's null set: it is refused like one, with no
-    float warning."""
-    if np.isfinite(rows).all():  # one test of the whole array is 20x cheaper than per row
-        return rows
-    return np.where(finite_rows(rows)[:, None], rows, 0.0)
-
-
 def _refused(section, coords):
-    """``(null, refused, rho)`` for rows of Jordan coordinates ``c``, from one
-    reading of their norms and their witness radius ``rho``: the null band
-    ``rho <= tol * max(||c||, 1)``; it and, in a continuous section, the
-    resolution band; and ``rho``.
+    """``(c, null, refused, rho)`` for rows of Jordan coordinates ``coords``,
+    from one reading of their norms and their witness radius ``rho``: the
+    rows ``c`` read; the null band ``rho <= tol * max(||c||, 1)``; it and, in
+    a continuous section, the resolution band; and ``rho``.  This is the only
+    reading of a row's float range: a row with a non-finite entry is read as
+    the origin, which lies in every case's null set, so it is refused like
+    one, with no float warning.
 
     An ambient vector resolves each Jordan coordinate only to about
     ``eps * cond(Q) * ||c||``.  Where that noise exceeds the tolerance
     ``tol * max(rho, 1)`` of a continuous section, membership is undecidable
     and the row is refused like a null-set point.  A finite row whose
-    squares overflow is read scaled by its largest entry; a norm past the
-    float range is inf: the row is refused."""
+    squares overflow is read scaled by its largest entry; a norm or a witness
+    radius past the float range is inf: the row is refused."""
+    if not np.isfinite(coords).all():  # one test of the whole array is 20x cheaper than per row
+        coords = np.where(finite_rows(coords)[:, None], coords, 0.0)
     try:
         with np.errstate(over="raise"):  # free where nothing overflows, unlike a test of every norm
             norms = row_norms(coords)
     except FloatingPointError:
         with np.errstate(over="ignore"):
             norms = row_norms(coords)
-            huge = np.flatnonzero(np.isinf(norms) & finite_rows(coords))
+            huge = np.flatnonzero(np.isinf(norms))
             scale = np.max(np.abs(coords[huge]), axis=1, keepdims=True)
             norms[huge] = scale[:, 0] * row_norms(coords[huge] / scale)
-    rho = section.kind.radius(section, coords[:, section.block.offset :])
+    with np.errstate(over="ignore"):
+        rho = section.kind.radius(section, coords[:, section.block.offset :])
     null = rho <= section.tol * np.maximum(norms, 1.0)
     if section.mode != "continuous":
-        return null, null, rho
+        return coords, null, null, rho
     noise = 8.0 * section.jordan.cond * np.finfo(float).eps * norms
-    return null, null | (section.tol * np.maximum(rho, 1.0) < noise), rho
+    return coords, null, null | (section.tol * np.maximum(rho, 1.0) < noise), rho
 
 
 def power_rows(section, coords, ps):
@@ -871,7 +870,7 @@ def _solve_core(section, coords):
     """Flow times (continuous) or tile indices (discrete), the
     representatives in Jordan coordinates, the refusal mask, and the
     representatives' witness radii."""
-    exceptional, _, rho = _refused(section, coords)
+    coords, exceptional, _, rho = _refused(section, coords)
     with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it reads 0
         params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional, rho)
     del rho  # freed before the flow, whose arrays then reuse its memory: 10% of a 1-D solve
@@ -890,8 +889,8 @@ def _solve_core(section, coords):
     # (constrained block dwarfed by free blocks beyond float resolution), is
     # flagged just like a null-set point: refuse rather than return an
     # unusable answer
-    _, rep_refused, rep_rho = _refused(section, rep_coords)
-    exceptional |= rep_refused | ~finite_rows(rep_coords)
+    _, _, rep_refused, rep_rho = _refused(section, rep_coords)
+    exceptional |= rep_refused
     if continuous:
         return np.where(exceptional, np.nan, params), rep_coords, exceptional, rep_rho
     return np.where(exceptional, 0, params).astype(float), rep_coords, exceptional, rep_rho
@@ -942,14 +941,15 @@ class PushedSection:
     def jordan_membership(self, coords):
         """:meth:`membership` of an (m, n) stack of the base's Jordan
         coordinates; a row that is not finite is refused."""
-        tile, _, _, _, refused = self._pushed(_finite_or_origin(coords))
+        tile, _, _, _, refused = self._pushed(coords)
         return (tile == 0) & ~refused, refused
 
     def solve(self, points):
         """Tile index j with ``gamma in S~ A^j`` and the representative."""
         tile, reps, _, shifts, refused = self._pushed(self.base._coords(points))
         out_reps, ok = np.full_like(reps, np.nan), ~refused
-        out_reps[ok] = self.base.jordan.from_jordan(power_rows(self.base, reps[ok], shifts[ok]))
+        with np.errstate(over="ignore", invalid="ignore"):  # a representative past the float range reads inf or nan
+            out_reps[ok] = self.base.jordan.from_jordan(power_rows(self.base, reps[ok], shifts[ok]))
         return tile.astype(float), out_reps, refused
 
 

@@ -43,11 +43,9 @@ class ShellPartition:
     def index_of(self, values) -> np.ndarray:
         """Shell index of each row of an (m, dim) array."""
         values = np.asarray(values)
-        if self.dim == 0:
-            return np.ones(values.shape[0], dtype=int)
         # the sup-norm of each row, column by column (see xsect.linalg)
-        r = np.abs(values[:, 0])
-        for j in range(1, self.dim):
+        r = np.zeros(values.shape[0])
+        for j in range(self.dim):
             np.maximum(r, np.abs(values[:, j]), out=r)
         with np.errstate(divide="ignore"):
             k = np.where(r < 1.0, 1, np.floor(np.log2(np.maximum(r, 1.0))).astype(int) + 2)
@@ -55,8 +53,6 @@ class ShellPartition:
 
     def sup_radius(self, k: int) -> float:
         """Outer sup-norm radius of shell k."""
-        if self.dim == 0:
-            return 0.0
         return 1.0 if k == 1 else float(2 ** (k - 1))
 
     def volume(self, k: int) -> float:
@@ -69,15 +65,13 @@ class ShellPartition:
 
     def sample(self, rng, k: int, count: int) -> np.ndarray:
         """Uniform sample from shell k (rejection from the bounding box)."""
-        if self.dim == 0:
-            return np.zeros((count, 0))
         hi = self.sup_radius(k)
-        lo = 0.0 if k == 1 else hi / 2.0
+        lo = hi / 2.0 if k > 1 and self.dim else 0.0  # at d = 0 every shell is the one point
         out = np.empty((count, self.dim))
         filled = 0
         while filled < count:
             cand = rng.uniform(-hi, hi, size=(count, self.dim))
-            keep = np.max(np.abs(cand), axis=1) >= lo
+            keep = np.max(np.abs(cand), axis=1, initial=0.0) >= lo
             take = min(count - filled, int(keep.sum()))
             out[filled : filled + take] = cand[keep][:take]
             filled += take

@@ -52,8 +52,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, Overflow, QuadratureDivergence, UsageError
 from .linalg import integer_power, jordan_power_rows
-from .sections import (CrossSection, PushedSection, _finite_or_origin, _solve_core, derive_discrete_section,
-                       power_rows)
+from .sections import CrossSection, PushedSection, _solve_core, derive_discrete_section, power_rows
 
 
 @dataclass(frozen=True)
@@ -420,7 +419,7 @@ def _cocycle_failures(section, derived, coords, ts, offsets):
     either refuses is left out of both."""
     width = offsets.shape[1]
     s = offsets.ravel()
-    rows = _finite_or_origin(power_rows(section, np.repeat(coords, width, axis=0), np.repeat(ts, width) + s))
+    rows = power_rows(section, np.repeat(coords, width, axis=0), np.repeat(ts, width) + s)
     flow_times, _, refused, _ = _solve_core(section, rows)
     member, exceptional = derived.jordan_membership(rows)
     refused |= exceptional

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -643,6 +644,21 @@ def test_rows_near_the_float_range_solve_without_a_warning(name):
     assert (exc == refused).all() and (solve_exc == refused).all()
     assert (member[~refused] == (tile[~refused] == 0)).all()
     assert region.membership(reps[~refused])[0].all()
+
+
+@pytest.mark.parametrize("name", sorted(TILED_REGIONS))
+def test_rows_at_the_float_range_read_without_a_warning(name):
+    # entries of +/-1.5e308 can take a row's Jordan coordinates, norm or
+    # witness radius past the float range, where the row is refused like the
+    # origin; both calls read every row with no float warning (the suite's
+    # RuntimeWarning filter fails any warning), solve accepts no row that
+    # membership refuses, and membership is tile index 0 wherever solve accepts
+    region = TILED_REGIONS[name]()
+    pts = np.array(list(itertools.product([-1.5e308, 1.5e308], repeat=region.matrix.shape[0])))
+    member, exc = region.membership(pts)
+    tile, _, solve_exc = region.solve(pts)
+    assert not (exc & ~solve_exc).any()
+    assert (member[~solve_exc] == (tile[~solve_exc] == 0)).all()
 
 
 def test_a_row_whose_squares_overflow_solves():

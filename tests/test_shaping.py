@@ -55,6 +55,19 @@ def test_shell_sampler_stays_in_shell(rng):
             assert (r >= shell.sup_radius(k) / 2).all()
 
 
+def test_a_shell_partition_of_no_dimensions_is_one_point():
+    # with no free coordinates every row lies in shell 1, and a shell sample
+    # is the empty row: drawn without advancing the generator
+    shell = ShellPartition(dim=0)
+    np.testing.assert_array_equal(shell.index_of(np.zeros((3, 0))), [1, 1, 1])
+    assert shell.volume(1) == shell.volume(5) == 1.0
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for k in (1, 2):
+        assert shell.sample(rng, k, 4).shape == (4, 0)
+    assert rng.bit_generator.state == state
+
+
 def test_finite_measure_diag21_worked_example():
     # A = diag(2, 1): slab ([1,2) u (-2,-1]) x R, delta = 2,
     # T_1 the unit interval, m(S_1) = 4, d_1 = 1/2 -> n_1 = -3

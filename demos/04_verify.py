@@ -53,4 +53,4 @@ print("annulus under rotation:", "PASS" if report.passed else "FAIL",
 section = build_continuous_section([[1.0, 2 * math.pi], [-2 * math.pi, 1.0]])
 report = check_continuous_tiling(section, samples=3000, seed=42)
 print("spiral flow sweep:", "PASS" if report.passed else "FAIL",
-      f"max |length - 1| = {report.extras['max_length_deviation']:.2e}")
+      f"|length - 1| <= {report.extras['max_length_deviation']:.2e}")

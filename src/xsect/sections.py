@@ -276,13 +276,18 @@ class _Case:
         """Flow speed along the witness orbit per unit of ``rho``."""
         return 1.0
 
+    def norm_limit(self, section) -> float:
+        """The largest row norm whose orbit parameter stays in the float range."""
+        return math.inf
+
     def member(self, section, w, exceptional, rho):
         """Orbit parameter 0: tile index 0, or flow time 0 at the tolerance."""
         with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it is masked out
             t = self.parameter(section, w, exceptional, rho)
         if self.mode == "discrete":
             return t == 0
-        return np.abs(t) * (self.rate(section.params) * rho) <= section.tol * np.maximum(rho, 1.0)
+        with np.errstate(over="ignore"):  # a distance past the float range reads inf: a non-member
+            return np.abs(t) * (self.rate(section.params) * rho) <= section.tol * np.maximum(rho, 1.0)
 
     def parameter(self, section, w, exceptional, rho):
         u, s = self.gauge(section, w, exceptional, rho)
@@ -598,6 +603,13 @@ class _ImaginaryNilpotent(_Case):
     def parameter(self, section, w, exceptional, rho):
         return _rotating_shear_flow_time(section.params["beta"], w, exceptional, rho, w[:, 2], w[:, 3])
 
+    def norm_limit(self, section):
+        """:func:`_rotating_shear_flow_time` reads the row on a scale of up to
+        ``2 pi / min(beta, 1)`` times its norm: the span ``2 pi p / beta``,
+        and the phase, half a span plus a coordinate.  Half the float range
+        over that scale keeps both finite."""
+        return np.finfo(float).max * min(section.params["beta"], 1.0) / (2.0 * TWO_PI)
+
     def sample(self, section, coords, rng):
         off = section.block.offset
         m = coords.shape[0]
@@ -738,6 +750,8 @@ class _ComplexModulusOneNilpotent(_Case):
     def params(self, blk):
         return {"beta": blk.argument}
 
+    norm_limit = _ImaginaryNilpotent.norm_limit
+
     def gauge(self, section, w, exceptional, rho):
         """Minus the flow time of :func:`_rotating_shear_flow_time`, read in the
         flow coordinates: those differ from the Jordan coordinates by one
@@ -779,6 +793,9 @@ class _DerivedFromContinuous(_Case):
 
     def radius(self, section, w):
         return section.base.kind.radius(section.base, w)
+
+    def norm_limit(self, section):
+        return section.base.kind.norm_limit(section.base)
 
     def gauge(self, section, w, exceptional, rho):
         return -section.base.kind.parameter(section.base, w, exceptional, rho), 1
@@ -839,7 +856,9 @@ def _refused(section, coords):
     ``tol * max(rho, 1)`` of a continuous section, membership is undecidable
     and the row is refused like a null-set point.  A finite row whose
     squares overflow is read scaled by its largest entry; a norm or a witness
-    radius past the float range is inf: the row is refused."""
+    radius past the float range is inf: the row is refused, and so is a row
+    whose norm is past the case's ``norm_limit``, where its orbit parameter
+    would leave the float range."""
     if not np.isfinite(coords).all():  # one test of the whole array is 20x cheaper than per row
         coords = np.where(finite_rows(coords)[:, None], coords, 0.0)
     try:
@@ -854,6 +873,9 @@ def _refused(section, coords):
     with np.errstate(over="ignore"):
         rho = section.kind.radius(section, coords[:, section.block.offset :])
     null = rho <= section.tol * np.maximum(norms, 1.0)
+    limit = section.kind.norm_limit(section)
+    if limit < math.inf:
+        null |= norms > limit
     if section.mode != "continuous":
         return coords, null, null, rho
     noise = 8.0 * section.jordan.cond * np.finfo(float).eps * norms

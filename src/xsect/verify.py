@@ -16,15 +16,15 @@ rather than one call per power.
 The continuous check exploits that sweeping a continuous section over
 unit time yields a discrete cross-section: the time set
 ``{t : xi A^t in T}`` is an interval of length exactly 1, whose endpoints
-come from the closed-form solve and are cross-checked by bisection
-refinement of the membership indicator, on rows flowed in Jordan
-coordinates.  The bisection reads membership at the closed-form edge and
-lets the edge decide every later halving; reads at both ends of the
-bracket left after all of them, or after fewer, confirm it before any
-halvings left read again, and a row whose bracket does not confirm is
-bisected in full.  Both edges of every sample are bisected in one batch.
-Refined lengths and edges that stray from 1 and from the closed form are
-refused.  That interval is the orbit's only hit when the flow time obeys
+come from the closed-form solve.  Each endpoint is confirmed by reads of
+the membership indicator, on rows flowed in Jordan coordinates, at both
+ends of brackets around it of a widening ladder of half-widths: the
+adjacent floats, then each decade from 1e-13 up to the tolerance 1e-6.
+An edge is confirmed by the first bracket whose outer end reads
+non-member and inner end member; each rung reads both edges of every
+sample not yet confirmed in one batch.  An edge that no rung confirms, or
+a length that the two half-widths do not hold within the tolerance of 1,
+is refused.  That interval is the orbit's only hit when the flow time obeys
 the cocycle ``t(xi A^s) = t(xi) - s``: every sample is flowed to a few
 random times in a window around its hit, where the solve must read the
 remaining flow time and the swept membership must hold exactly inside
@@ -246,81 +246,40 @@ def _doubling_walk(first, step, count):
     return walk
 
 
-# halvings of each edge bracket (2e-3 wide) in the continuous check: past
-# float resolution for flow times of order one
-_BISECT_ITERS = 46
-# the closed-form edge decides every halving after the first; reads at both
-# ends confirm the bracket left after all of them (no halving left to read),
-# else after 39 (6 left to read), else after _REPLAYED (17 left), a bracket
-# 2e-3 * 2^-29 = 3.7e-12 wide
-_CONFIRMED = (_BISECT_ITERS - 1, 39)
-_REPLAYED = 28
 # the continuous check: half-width of the flow-time window of its uniqueness
 # checks, the offsets drawn per sample inside it, and the tolerance on the
-# refined length, the refined edges and the flow-time cocycle
+# sweep's length and edges and on the flow-time cocycle
 _WINDOW = 5.0
 _OFFSETS = 6
 _QUAD_TOL = 1e-6
+# half-widths of the brackets that confirm an edge of the sweep, narrowest
+# first; 0 stands for the two floats adjacent to the edge.  The length bound
+# is the sum of both edges' half-widths, so each decade up to the tolerance is
+# a rung: an edge off by less than 1e-7 still passes
+_RUNGS = (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, _QUAD_TOL)
 
 
-def _halvings(bracket, member, iters):
-    """Each bracket of ``bracket``, a (2, m) stack of non-member ends over
-    member ends, after ``iters`` halvings: each midpoint replaces the end on
-    its side, members where ``member(mid)``."""
-    bracket = np.array(bracket, order="C")
-    m = bracket.shape[1]
-    ends, column = bracket.reshape(-1), np.arange(m)
-    for _ in range(iters):
-        mid = 0.5 * (bracket[0] + bracket[1])
-        ends[column + m * member(mid)] = mid  # one scatter: np.where mispredicts on a random side
-    return bracket
-
-
-def _read_midpoints(derived, coords, rows, bracket, iters):
-    """The midpoints of the brackets of ``rows`` (indices) after ``iters``
-    more halvings, each reading membership at the midpoints."""
-    coords = coords[rows]
-    bracket = _halvings(bracket[:, rows], lambda mid: _moved_membership(derived, coords, mid), iters)
-    return 0.5 * (bracket[0] + bracket[1])
-
-
-def _bisect(derived, coords, t_false, t_true, edge):
-    """Bisect between a non-member time and a member time, per sample, the
-    bracket being centred on the closed-form ``edge``: ``(time, unconfirmed)``.
-
-    The first halving reads membership at its midpoint, ``edge`` up to
-    rounding; every later one is decided by the side of ``edge`` its
-    midpoint lies on.  A row is confirmed at the deepest depth of
-    ``_CONFIRMED`` and ``_REPLAYED`` where the two ends of its bracket read
-    non-member and member: the ends are read depth by depth, on the rows
-    not yet confirmed.  A confirmed row takes the halvings left after its
-    depth with reads.  An unconfirmed row (its closed form is off by more
-    than the bracket, or its membership is not monotone) is bisected in
-    full from ``[t_false, t_true]``.  Every replayed midpoint lies at or
-    beyond an end that confirmed, so where membership is monotone, each
-    row's time is bit for bit that of the full bisection."""
-    first = 0.5 * (t_false + t_true)
-    member = _moved_membership(derived, coords, first)
-    bracket = np.where(member, np.stack([t_false, first]), np.stack([first, t_true]))
-    rising = t_true > t_false
-    kept, done = {}, 0
-    for depth in sorted({_REPLAYED, *_CONFIRMED}):
-        bracket = kept[depth] = _halvings(bracket, lambda mid: (mid >= edge) == rising, depth - done)
-        done = depth
-    found, rows = np.empty_like(first), np.arange(len(first))
-    for depth in (*_CONFIRMED, _REPLAYED):
-        if len(rows):
-            outside, inside = _moved_membership(derived, np.tile(coords[rows], (2, 1)),
-                                                kept[depth][:, rows].reshape(-1)).reshape(2, -1)
-            confirmed = ~outside & inside
-            found[rows[confirmed]] = _read_midpoints(derived, coords, rows[confirmed], kept[depth],
-                                                     _BISECT_ITERS - 1 - depth)
-            rows = rows[~confirmed]
-    unconfirmed = np.zeros(len(first), dtype=bool)
-    if len(rows):
-        unconfirmed[rows] = True
-        found[rows] = _read_midpoints(derived, coords, rows, np.stack([t_false, t_true]), _BISECT_ITERS)
-    return found, unconfirmed
+def _confirmed_half_widths(derived, coords, edges, outward):
+    """The half-width of the narrowest bracket of ``_RUNGS`` around each of
+    ``edges`` across which membership in ``derived`` flips, for the Jordan rows
+    ``coords``: its end on the ``outward`` side (+/-1) reads non-member and its
+    other end member.  It is inf where no rung confirms the edge.  Each rung
+    reads both ends of the rows it has not yet confirmed in one call."""
+    half, rows = np.full(len(edges), np.inf), np.arange(len(edges))
+    for r in _RUNGS:
+        if not len(rows):
+            break
+        edge, out = edges[rows], outward[rows]
+        if r:
+            ends = edge + out * r, edge - out * r
+        else:
+            ends = np.nextafter(edge, out * np.inf), np.nextafter(edge, -out * np.inf)
+        outside, inside = _moved_membership(derived, np.tile(coords[rows], (2, 1)),
+                                            np.concatenate(ends)).reshape(2, -1)
+        confirmed = ~outside & inside
+        half[rows[confirmed]] = np.maximum(np.abs(ends[0] - edge), np.abs(ends[1] - edge))[confirmed]
+        rows = rows[~confirmed]
+    return half
 
 
 def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
@@ -329,13 +288,15 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
 
     For each Gaussian sample the set ``{t : xi A^t in T}`` (``T`` the
     swept discrete section) is the interval ``[t_c, t_c + 1)`` with
-    ``t_c`` the closed-form flow time.  Both endpoints are re-found by
-    bisection of the membership indicator (:func:`_bisect`) in a bracket
-    of +/-1e-3 around the closed form, the closed form deciding each
-    halving that reads at the bracket's ends confirm; the left and right
-    edges of all samples are one batch.  The refined length must be 1, and
-    each refined edge its closed form, within ``_QUAD_TOL``, else
-    :class:`QuadratureDivergence` is raised.
+    ``t_c`` the closed-form flow time.  Each endpoint is confirmed where
+    membership flips across the narrowest bracket of ``_RUNGS`` around it
+    (:func:`_confirmed_half_widths`), the left and right edges of all samples
+    in one batch per rung.  ``extras["max_edge_deviation"]`` is the widest
+    confirmed half-width, a bound on the distance from a closed-form edge to
+    its flip; ``extras["max_length_deviation"]`` bounds the swept length's
+    distance from 1 by both edges' half-widths.  An edge that no rung
+    confirms, or a length bound past ``_QUAD_TOL``, raises
+    :class:`QuadratureDivergence`.
 
     Uniqueness of the section hit is checked on every sample: through the
     case's branch candidates inside the window (the histogram), and by the
@@ -362,24 +323,20 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
 
     # flowing by t leaves remaining flow time t_c - t, so the swept-set hit
     # interval is [t_c, t_c + 1): closed left edge, open right edge
-    left = ts
-    right = ts + 1.0
-    eps = 1e-3
-    # bisection brackets around each edge, both edges in one batch
-    found = _bisect(derived, np.concatenate([coords, coords]), np.concatenate([left - eps, right + eps]),
-                    np.concatenate([left + eps, right - eps]), np.concatenate([left, right]))[0]
-    left_found, right_found = found[: len(pts)], found[len(pts) :]
-    lengths = right_found - left_found
-    length_dev = float(np.max(np.abs(lengths - 1.0))) if len(lengths) else 0.0
-    edge_dev = float(max(np.max(np.abs(left_found - left)), np.max(np.abs(right_found - right)))) if len(pts) else 0.0
+    left, right = ts, ts + 1.0
+    n = len(pts)
+    half = _confirmed_half_widths(derived, np.concatenate([coords, coords]), np.concatenate([left, right]),
+                                  np.repeat([-1.0, 1.0], n))
+    unconfirmed = int(np.count_nonzero(np.isinf(half)))
+    if unconfirmed:
+        raise QuadratureDivergence(f"{unconfirmed} sweep edges confirm at no half-width up to {_QUAD_TOL} "
+                                   f"around the closed-form flow time")
+    # each flip lies within its half-width of its edge, so the swept length
+    # lies within the sum of both of the closed-form length right - left
+    length_dev = float(np.max(np.abs(right - left - 1.0) + half[:n] + half[n:], initial=0.0))
     if length_dev > _QUAD_TOL:
-        raise QuadratureDivergence(
-            f"refined sweep length deviates from 1 by {length_dev:.3e} (> {_QUAD_TOL})"
-        )
-    if edge_dev > _QUAD_TOL:
-        raise QuadratureDivergence(
-            f"refined sweep edge deviates from the closed-form flow time by {edge_dev:.3e} (> {_QUAD_TOL})"
-        )
+        raise QuadratureDivergence(f"sweep length is confirmed only within {length_dev:.3e} of 1 (> {_QUAD_TOL})")
+    edge_dev = float(np.max(half, initial=0.0))
 
     # uniqueness: branch candidates within the window, and the cocycle
     counts = _branch_candidate_counts(section, coords, ts, _WINDOW)

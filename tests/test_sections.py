@@ -646,19 +646,41 @@ def test_rows_near_the_float_range_solve_without_a_warning(name):
     assert region.membership(reps[~refused])[0].all()
 
 
+def _float_range_rows(n):
+    """Rows of every pattern of entries +/-1.5e308 and Gaussian ones (three
+    draws of each pattern), the all-Gaussian pattern left out."""
+    patterns = [p for p in itertools.product([-1.5e308, 1.5e308, None], repeat=n) if any(p)]
+    gauss = np.random.default_rng(11).normal(size=(3 * len(patterns), n))
+    huge = np.array([[math.nan if x is None else x for x in p] for p in patterns for _ in range(3)])
+    return np.where(np.isnan(huge), gauss, huge)
+
+
 @pytest.mark.parametrize("name", sorted(TILED_REGIONS))
 def test_rows_at_the_float_range_read_without_a_warning(name):
     # entries of +/-1.5e308 can take a row's Jordan coordinates, norm or
     # witness radius past the float range, where the row is refused like the
-    # origin; both calls read every row with no float warning (the suite's
-    # RuntimeWarning filter fails any warning), solve accepts no row that
-    # membership refuses, and membership is tile index 0 wherever solve accepts
+    # origin, and a rotating shear's tile index past it, where the row is
+    # refused too; both calls read every row with no float warning (the
+    # suite's RuntimeWarning filter fails any warning), solve accepts no row
+    # that membership refuses, and membership is tile index 0 wherever solve
+    # accepts
     region = TILED_REGIONS[name]()
-    pts = np.array(list(itertools.product([-1.5e308, 1.5e308], repeat=region.matrix.shape[0])))
+    pts = _float_range_rows(region.matrix.shape[0])
     member, exc = region.membership(pts)
     tile, _, solve_exc = region.solve(pts)
     assert not (exc & ~solve_exc).any()
     assert (member[~solve_exc] == (tile[~solve_exc] == 0)).all()
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_FIXTURES))
+def test_continuous_rows_at_the_float_range_read_without_a_warning(name):
+    # a flow time times a witness radius past the float range reads inf: the
+    # row is a non-member, with no float warning
+    section = build_continuous_section(CONTINUOUS_FIXTURES[name])
+    pts = _float_range_rows(section.n)
+    member, exc = section.membership(pts)
+    _, _, solve_exc = section.solve(pts)
+    assert not (exc & ~solve_exc).any() and not (member & exc).any()
 
 
 def test_a_row_whose_squares_overflow_solves():

@@ -10,9 +10,9 @@ from xsect.errors import BudgetExceeded, DetOne, MixedModuli, QuadratureDivergen
 from xsect.sections import (CrossSection, PushedSection, _Chart, _DerivedFromContinuous, build_continuous_section,
                             build_discrete_section, derive_discrete_section)
 from xsect.shaping import to_bounded, to_finite_measure
-from xsect.verify import (_BISECT_ITERS, _OFFSETS, _REPLAYED, _WINDOW, K_RANGE, _bisect, _few_refused, _frame,
-                          _moved_membership, _read_midpoints, _window_counts, check_continuous_tiling,
-                          check_discrete_tiling, jacobian_check, orbit_integral, scan_dilations)
+from xsect.verify import (_OFFSETS, _QUAD_TOL, _RUNGS, _WINDOW, K_RANGE, _confirmed_half_widths, _few_refused,
+                          _frame, _moved_membership, _window_counts, check_continuous_tiling, check_discrete_tiling,
+                          jacobian_check, orbit_integral, scan_dilations)
 from xsect.wavelet import Lattice, build_order_infinity_set
 
 from conftest import DIAG21, SHEAR, SPIRAL, imaginary_nilpotent_4d, random_conjugate
@@ -752,35 +752,40 @@ _BISECTED = {**_TILING_GENERATORS,
              **{f"{name}_conjugated": _conjugated(b) for name, (_, b) in FREE_COORDINATE_GENERATORS.items()}}
 
 
+# the full bisection halves a bracket of 2e-3 around an edge this many times,
+# and its result lies within its resolution of a membership flip
+_FULL_HALVINGS = 46
+_FULL_RESOLUTION = 2e-3 * 2.0**-_FULL_HALVINGS
+
+
 def _full_bisection(derived, coords, t_false, t_true):
     """The edge with a membership read at every halving of ``[t_false, t_true]``."""
     a, b = t_false, t_true
-    for _ in range(_BISECT_ITERS):
+    for _ in range(_FULL_HALVINGS):
         mid = 0.5 * (a + b)
         member = _moved_membership(derived, coords, mid)
         a, b = np.where(member, a, mid), np.where(member, mid, b)
     return 0.5 * (a + b)
 
 
-def _edge_brackets(section, samples, seed):
-    """The swept set, the samples' Jordan coordinates and, for the closed left
-    and the open right edge, ``(t_false, t_true, edge)`` as the check brackets them."""
+def _edge_rows(section, samples, seed):
+    """The swept set, the samples' Jordan coordinates twice, their closed left
+    then open right edges, and each edge's outward side, as the check
+    confirms them."""
     pts = np.random.default_rng(seed).normal(size=(samples, section.n))
     ts, _, exc = section.solve(pts)
-    ts = ts[~exc]
-    brackets = [(ts - 1e-3, ts + 1e-3, ts), (ts + 1.0 + 1e-3, ts + 1.0 - 1e-3, ts + 1.0)]
-    return derive_discrete_section(section), section.jordan.to_jordan(pts[~exc]), brackets
+    ts, coords = ts[~exc], section.jordan.to_jordan(pts[~exc])
+    return (derive_discrete_section(section), np.concatenate([coords, coords]), np.concatenate([ts, ts + 1.0]),
+            np.repeat([-1.0, 1.0], len(ts)))
 
 
 @pytest.mark.parametrize("name", list(_BISECTED))
-def test_replayed_bisection_is_the_full_bisection(name):
-    derived, coords, brackets = _edge_brackets(build_continuous_section(_BISECTED[name]), 2000, 3)
-    unconfirmed = 0
-    for t_false, t_true, edge in brackets:
-        found, fallback = _bisect(derived, coords, t_false, t_true, edge)
-        assert found.tobytes() == _full_bisection(derived, coords, t_false, t_true).tobytes()
-        unconfirmed += int(fallback.sum())
-    assert unconfirmed <= 0.001 * 2 * len(coords)
+def test_every_edge_confirms_around_the_full_bisection(name):
+    derived, coords, edges, outward = _edge_rows(build_continuous_section(_BISECTED[name]), 2000, 3)
+    half = _confirmed_half_widths(derived, coords, edges, outward)
+    assert np.isfinite(half).all()
+    full = _full_bisection(derived, coords, edges + 1e-3 * outward, edges - 1e-3 * outward)
+    assert (np.abs(full - edges) <= half + _FULL_RESOLUTION).all()
 
 
 def _patch_swept_phase(monkeypatch, shift=0.0, scale=1.0):
@@ -795,43 +800,68 @@ def _patch_swept_phase(monkeypatch, shift=0.0, scale=1.0):
     monkeypatch.setattr(_DerivedFromContinuous, "gauge", patched)
 
 
-def _record_fallbacks(monkeypatch):
-    """The unconfirmed masks of each ``_bisect`` call of the continuous check."""
-    masks = []
-
-    def recording(*args):
-        found, unconfirmed = _bisect(*args)
-        masks.append(unconfirmed)
-        return found, unconfirmed
-
-    monkeypatch.setattr("xsect.verify._bisect", recording)
-    return masks
-
-
 _SPIRAL_GENERATOR = [[1.0, 2 * math.pi], [-2 * math.pi, 1.0]]
 
 
-def test_an_edge_off_by_more_than_the_replayed_bracket_is_bisected_in_full(monkeypatch):
-    # 1e-9 is wider than the replayed bracket (3.7e-12) and within the tolerance
+@pytest.mark.parametrize("shift, rung", [(1e-15, 1e-13), (1e-13, 1e-12), (1e-9, 1e-8)])
+def test_a_shifted_edge_confirms_at_the_rung_its_shift_needs(monkeypatch, shift, rung):
+    # every flip moves by the shift, up to the phase's rounding: no edge
+    # confirms at a half-width below that, nor past the first rung wider than
+    # the shift (a rung equal to it reads on the flip)
+    _patch_swept_phase(monkeypatch, shift=shift)
+    derived, coords, edges, outward = _edge_rows(build_continuous_section(_SPIRAL_GENERATOR), 2000, 3)
+    half = _confirmed_half_widths(derived, coords, edges, outward)
+    assert (half > shift - 1e-15).all() and (half <= rung + np.spacing(np.abs(edges))).all()
+
+
+def test_confirmation_reads_at_most_4_times_per_edge(monkeypatch):
+    # two reads at each rung tried, the rows left unconfirmed only
+    derived, coords, edges, outward = _edge_rows(build_continuous_section(_SPIRAL_GENERATOR), 2000, 3)
+    reads = []
+
+    def counting(region, rows, ps):
+        reads.append(len(rows))
+        return _moved_membership(region, rows, ps)
+
+    monkeypatch.setattr("xsect.verify._moved_membership", counting)
+    half = _confirmed_half_widths(derived, coords, edges, outward)
+    assert np.isfinite(half).all()
+    assert len(reads) <= len(_RUNGS) and reads[0] == 2 * len(edges)
+    assert sum(reads) <= 4 * len(edges)
+
+
+def test_an_edge_off_by_1e_9_confirms_and_the_check_passes(monkeypatch):
+    # both edges move 1e-9 and confirm at 1e-9 or 1e-8, which bounds the
+    # length within 2e-8
     _patch_swept_phase(monkeypatch, shift=1e-9)
-    masks = _record_fallbacks(monkeypatch)
     report = check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)
-    assert len(masks) == 1 and masks[0].all()  # both edges are bisected in one batch
     assert report.passed and report.histogram == {1: 2000}
-    assert report.extras["max_edge_deviation"] == pytest.approx(1e-9, rel=1e-3)
-    assert report.extras["max_length_deviation"] < 1e-12
+    assert report.extras["max_edge_deviation"] == pytest.approx(1e-8, rel=1e-3)
+    assert 1e-9 < report.extras["max_length_deviation"] <= 2e-8 * (1 + 1e-3)
 
 
 def test_continuous_check_refuses_a_swept_set_whose_edges_are_off(monkeypatch):
-    _patch_swept_phase(monkeypatch, shift=1e-4)
-    with pytest.raises(QuadratureDivergence, match="edge"):
-        check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)
+    # no rung up to the tolerance confirms an edge moved past it
+    for shift in (2 * _QUAD_TOL, 1e-4):
+        _patch_swept_phase(monkeypatch, shift=shift)
+        with pytest.raises(QuadratureDivergence, match="edge"):
+            check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)
+        monkeypatch.undo()
 
 
 def test_continuous_check_refuses_a_sweep_whose_length_is_off(monkeypatch):
-    _patch_swept_phase(monkeypatch, scale=1.0 + 1e-4)
+    # the two edges of each sample move about 5e-7 apart: each confirms at
+    # the 1e-6 rung, within the tolerance, and the length they bound does not
+    _patch_swept_phase(monkeypatch, shift=-5e-7, scale=1.0 + 1e-6)
     with pytest.raises(QuadratureDivergence, match="length"):
         check_continuous_tiling(build_continuous_section(_SPIRAL_GENERATOR), samples=2000, seed=1)
+
+
+def test_grid_subsample_changes_no_byte_of_the_report():
+    # the tiling benchmark still passes the ignored keyword
+    section = build_continuous_section(_SPIRAL_GENERATOR)
+    report = check_continuous_tiling(section, samples=500, seed=1, grid_subsample=50)
+    assert json.dumps(report.to_json()) == json.dumps(check_continuous_tiling(section, samples=500, seed=1).to_json())
 
 
 # the reference of the cocycle check: a subsample flowed to every time of a
@@ -906,63 +936,3 @@ def test_continuous_check_sees_an_extra_swept_run_past_the_grid_subsample(monkey
     assert 0 < report.extras["cocycle_failures"] <= len(keyed)
     assert report.extras["max_cocycle_deviation"] < 1e-9
     assert not report.passed
-
-
-def _record_depths(monkeypatch):
-    """The number of rows each ``_bisect`` confirms at each depth, the depth
-    being the replayed halvings before the reads that finish them."""
-    depths = {}
-
-    def recording(derived, coords, rows, bracket, iters):
-        depth = _BISECT_ITERS - 1 - iters
-        depths[depth] = depths.get(depth, 0) + len(rows)
-        return _read_midpoints(derived, coords, rows, bracket, iters)
-
-    monkeypatch.setattr("xsect.verify._read_midpoints", recording)
-    return depths
-
-
-def test_bisection_confirms_every_row_within_9_reads_per_edge(monkeypatch):
-    # one read at the closed-form edge and two at the ends of each bracket
-    # tried, deepest first; a row confirmed after 39 replayed halvings reads 6 more
-    derived, coords, brackets = _edge_brackets(build_continuous_section(_SPIRAL_GENERATOR), 2000, 3)
-    reads = []
-
-    def counting(region, rows, ps):
-        reads.append(len(rows))
-        return _moved_membership(region, rows, ps)
-
-    monkeypatch.setattr("xsect.verify._moved_membership", counting)
-    for t_false, t_true, edge in brackets:
-        reads.clear()
-        _, fallback = _bisect(derived, coords, t_false, t_true, edge)
-        assert not fallback.any()
-        assert 3 * len(coords) < sum(reads) <= 9 * len(coords)
-
-
-@pytest.mark.parametrize("shift, depth", [(1e-15, 39), (1e-13, _REPLAYED)])
-def test_an_edge_off_by_more_than_the_deep_brackets_confirms_at_a_shallower_depth(monkeypatch, shift, depth):
-    # edges moved past the bracket left after all replayed halvings (2.8e-17
-    # wide), then past that left after 39 (1.8e-15): the rows confirm at the
-    # next depth, in the full bisection's bits, and none is bisected in full
-    _patch_swept_phase(monkeypatch, shift=shift)
-    derived, coords, brackets = _edge_brackets(build_continuous_section(_SPIRAL_GENERATOR), 2000, 3)
-    confirmed = _record_depths(monkeypatch)
-    for t_false, t_true, edge in brackets:
-        found, fallback = _bisect(derived, coords, t_false, t_true, edge)
-        assert not fallback.any()
-        assert found.tobytes() == _full_bisection(derived, coords, t_false, t_true).tobytes()
-    assert confirmed[depth] > 0.99 * 2 * len(coords)
-
-
-def test_an_off_centre_bracket_is_the_full_bisection():
-    # the first midpoint lies 1e-3 from the closed-form edge and the second on
-    # it, so the replayed halvings move the end the first read set, and every
-    # bracket keeps the edge as an end: a row whose edge reads the other way
-    # confirms nowhere and is bisected in full, the others confirm
-    derived, coords, brackets = _edge_brackets(build_continuous_section(_SPIRAL_GENERATOR), 500, 3)
-    for t_false, t_true, edge in brackets:
-        t_false = t_false - (t_true - t_false)  # 3e-3 from the edge on the non-member side
-        found, fallback = _bisect(derived, coords, t_false, t_true, edge)
-        assert 0 < fallback.sum() < 0.5 * len(fallback)
-        assert found.tobytes() == _full_bisection(derived, coords, t_false, t_true).tobytes()

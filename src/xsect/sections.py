@@ -246,7 +246,9 @@ class _Case:
     ``u`` that the action at ``p`` moves to exactly ``u + p*s``, ``s = +/-1``,
     with ``S = {0 <= u < 1}``.  The tile index ``k`` with ``gamma in S @ A^k``
     is then ``s * floor(u)`` (``parameter``), and ``S`` the points of tile
-    index 0 (``member``).  ``gauge`` is read through ``parameter`` only.
+    index 0 (``member``).  ``gauge`` is read through ``parameter`` only.  The
+    two sliceable cases build it on ``phases``, which also gives the radial
+    phase of the representative ``gamma A^-k``, with no power formed.
     """
 
     name: str
@@ -632,10 +634,17 @@ class _ModulusNotOne(_Case):
         big = max(abs(lam), 1.0 / abs(lam))
         return dict(lam=lam, log_span=math.log(big), expanding=abs(lam) > 1.0)
 
-    def gauge(self, section, w, exceptional, rho):
-        """``log|x1| / log_span``, to which ``A`` adds ``log|lam| / log_span = +/-1``."""
+    def phases(self, section, w, exceptional, rho):
+        """``(u, s, wrap)``: the gauge ``log|x1| / log_span``, to which ``A``
+        adds ``log|lam| / log_span = s = +/-1``, and the radial phase ``wrap``,
+        here ``u`` itself: the representative ``w A^-k`` has ``log|x1| /
+        log_span = wrap - floor(wrap)``."""
         u = np.log(np.where(exceptional, 1.0, rho)) / section.params["log_span"]
-        return u, 1 if section.params["expanding"] else -1
+        return u, 1 if section.params["expanding"] else -1, u
+
+    def gauge(self, section, w, exceptional, rho):
+        """``(u, s)`` of :meth:`phases`."""
+        return self.phases(section, w, exceptional, rho)[:2]
 
     def sample(self, section, coords, rng):
         m = coords.shape[0]
@@ -680,18 +689,23 @@ class _ComplexModulusNotOne(_Case):
 
     def log_radial(self, section, w, rho):
         """The pair's angle by :func:`_angle`, and its log-radial index
-        ``log r - (phi/omega) mu``, ``r`` being the witness radius ``rho``."""
+        ``log r - (phi/omega) mu``, ``r`` being the witness radius ``rho > 0``."""
         phi = _angle(w[:, 0], w[:, 1])
-        logr = np.log(np.where(rho > 0, rho, 1.0))
-        return phi, logr - (phi / section.params["omega"]) * section.params["mu"]
+        return phi, np.log(rho) - (phi / section.params["omega"]) * section.params["mu"]
 
-    def gauge(self, section, w, exceptional, rho):
-        """The flow phase ``(phi + 2 pi m) / omega``, ``m`` the slab of the
-        log-radial index: ``A`` turns ``phi`` by ``beta``, ``+omega`` (expanding)
-        or ``-omega`` modulo 2 pi, and moves the index a slab as ``phi`` wraps."""
-        phi, logs = self.log_radial(section, w, rho)
-        m = np.floor(logs / section.params["log_span"])
-        return (phi + TWO_PI * m) / section.params["omega"], 1 if section.params["expanding"] else -1
+    def phases(self, section, w, exceptional, rho):
+        """``(u, s, wrap)``: the gauge, the flow phase ``(phi + 2 pi m) / omega``
+        with ``m = floor(wrap)`` the slab of the log-radial index (``A`` turns
+        ``phi`` by ``beta``, ``s * omega`` modulo 2 pi, and moves the index a
+        slab as ``phi`` wraps), and the radial phase ``wrap``, the index over
+        ``log_span``: the representative ``w A^-k`` has the index
+        ``(wrap - floor(wrap)) * log_span``."""
+        phi, logs = self.log_radial(section, w, np.where(exceptional, 1.0, rho))
+        wrap = logs / section.params["log_span"]
+        u = (phi + TWO_PI * np.floor(wrap)) / section.params["omega"]
+        return u, 1 if section.params["expanding"] else -1, wrap
+
+    gauge = _ModulusNotOne.gauge
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -943,18 +957,23 @@ class PushedSection:
         """``(tile, reps, pieces, shifts, refused)`` of rows of the base's Jordan
         coordinates: the pushed tile index, the base representatives, and each
         row's piece and shift; a refused row has piece 0, shift 0 and no usable
-        representative.  Piece indices are small (a shell or slab index), so the
-        pieces present are counted in a table indexed by piece, with no sort,
-        and ``shift`` is asked once for each, in increasing order."""
+        representative."""
         ks, reps, refused, rho = _solve_core(self.base, coords)
         pieces = np.zeros(len(ks), dtype=int)
         pieces[~refused] = self.piece_of(reps[~refused], rho[~refused])
         refused |= pieces == 0
-        shift_of = np.zeros(pieces.max(initial=0) + 1, dtype=np.int64)  # entry 0, a refused row's, stays 0
-        for i in np.flatnonzero(np.bincount(pieces[~refused])):
-            shift_of[i] = self.shift(i)
-        shifts = shift_of[pieces]
+        shifts = self._row_shifts(pieces)
         return ks.astype(np.int64) - shifts, reps, pieces, shifts, refused
+
+    def _row_shifts(self, pieces):
+        """Each row's shift, 0 for piece 0 (no piece).  Piece indices are small
+        (a shell or slab index), so the pieces present are counted in a table
+        indexed by piece, with no sort, and ``shift`` is asked once for each,
+        in increasing order."""
+        shift_of = np.zeros(pieces.max(initial=0) + 1, dtype=np.int64)
+        for i in np.flatnonzero(np.bincount(pieces)[1:]) + 1:
+            shift_of[i] = self.shift(i)
+        return shift_of[pieces]
 
     def membership(self, points):
         """The points of pushed tile index 0, with the refusal mask."""

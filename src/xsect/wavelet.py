@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionTooHigh, NoSection, NoWavelet, SearchExhausted, SelectorMiss, UsageError
 from .linalg import DEFAULT_TOL, as_matrix, box_corners, matrix_from_json, matrix_to_json
-from .sections import TWO_PI, CrossSection, PushedSection, build_discrete_section
+from .sections import TWO_PI, CrossSection, PushedSection, _refused, build_discrete_section
 from .verify import _SCAN_ROWS, K_RANGE, TilingReport, _require_samples, scan_dilations
 
 
@@ -396,17 +397,25 @@ def is_multiwavelet_set(region: RegionSet, a, lattice: Lattice, order, *, sample
         {"point": [float(v) for v in pts[i]], "translation": int(tcs[i]), "dilation": int(dcs[i])}
         for i in bad[:20]
     ]
-    pairs, freq = np.unique(np.stack([tcs, dcs], axis=1), axis=0, return_counts=True)
     return TilingReport(
         kind="multiwavelet",
         samples=samples,
         seed=seed,
         passed=not failures,
-        histogram={f"t{t}_d{d}": int(c) for (t, d), c in zip(pairs, freq)},
+        histogram=_pair_histogram(tcs, dcs),
         failures=failures,
         scan={"k_lo": K_RANGE[0], "k_hi": K_RANGE[1], "radius": _SEARCH_RADIUS,
               "order": "inf" if order == math.inf else int(order)},
     )
+
+
+def _pair_histogram(tcs, dcs):
+    """``{"t{t}_d{d}": count}`` of the pairs of translation and dilation counts,
+    in increasing ``(t, d)`` order: one integer key ``t * (max d + 1) + d`` per
+    sample, counted by a 1-D :func:`numpy.unique`."""
+    width = int(dcs.max()) + 1
+    keys, freq = np.unique(tcs * width + dcs, return_counts=True)
+    return {f"t{k // width}_d{k % width}": int(c) for k, c in zip(keys, freq)}
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +664,52 @@ class DilationShiftedSection(PushedSection, RegionSet):
     def piece_of(self, coords, rho):
         """Dyadic slab of each base representative (Jordan coordinates, witness radius ``rho``)."""
         return _dyadic_slab_index(self.base, self.base.kind.radial_coordinate(self.base, coords, rho))
+
+    def jordan_membership(self, coords):
+        """:meth:`PushedSection.jordan_membership` from one reading of the base's
+        gauge (``phases``), with no representative formed: the tile index is the
+        base's, and the slab is that of the representative's radial phase in
+        :attr:`_phase_edges`.  A row near an edge, where the representative's
+        own rounding decides, is read by the parent's path, which forms it:
+        its tile phase within ``tol`` of 0 or 1, or its radial phase within
+        ``8 tol`` of a slab edge or past the last slab.  So is every row of a
+        base with free coordinates, which the representative's null band reads."""
+        edges = self._phase_edges
+        if edges is None:
+            return PushedSection.jordan_membership(self, coords)
+        base = self.base
+        coords, refused, _, rho = _refused(base, coords)
+        u, s, wrap = base.kind.phases(base, coords, refused, rho)
+        whole, v = np.floor(u), wrap - np.floor(wrap)
+        slab = np.searchsorted(edges, v, side="right")  # 1 from edges[0] = 0; len(edges) - 1 past the cut
+        band = 8.0 * base.tol
+        edge = (v - edges[slab - 1] < band) | (edges[slab] - v < band) | (slab == len(edges) - 1)
+        edge |= np.abs(u - whole - 0.5) > 0.5 - base.tol
+        edge &= ~refused
+        pieces = np.where(refused | edge, 0, slab)
+        member = ((s * whole).astype(int) - self._row_shifts(pieces) == 0) & (pieces > 0)
+        rows = np.flatnonzero(edge)
+        if rows.size:
+            member[rows], refused[rows] = PushedSection.jordan_membership(self, coords[rows])
+        return member, refused
+
+    @cached_property
+    def _phase_edges(self):
+        """The slab edges of :func:`_dyadic_slab_index` in radial phase,
+        ``log(radial coordinate) / log_span`` of a representative: slab ``i`` is
+        ``[edges[i - 1], edges[i])``, up to the cut at ``tol * Lam / (Lam - 1)``,
+        and then ``inf``.  None for a base with free coordinates (its witness
+        block is not the whole row)."""
+        base = self.base
+        if base.n != base.kind.pinned:
+            return None
+        span = base.params["log_span"]
+        cut = math.exp(span) * (1.0 - base.tol)
+        lows, i = [], 1
+        while (lo := _slab_bounds(base, i)[0]) < cut:
+            lows.append(lo)
+            i += 1
+        return np.append(np.log(lows + [cut]) / span, np.inf)
 
     def piece_boxes_1d(self, i: int):
         """For the scalar case: the pushed slab ±[lo, hi) * growth^k."""

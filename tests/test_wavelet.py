@@ -6,7 +6,7 @@ import pytest
 import xsect.classify
 from xsect.errors import ExceptionalPoint, NoWavelet, SelectorMiss, UsageError
 from xsect.linalg import jordan_power_rows, real_jordan_form
-from xsect.sections import contains, solve_orbit
+from xsect.sections import PushedSection, contains, power_rows, solve_orbit
 from xsect.verify import check_discrete_tiling
 from xsect.wavelet import (
     BoxUnion,
@@ -22,6 +22,7 @@ from xsect.wavelet import (
     translation_count,
     translation_counts,
 )
+from xsect.wavelet import _dyadic_slab_index, _pair_histogram
 
 from conftest import DIAG23, ROT90, SHEAR, SPIRAL, random_conjugate
 
@@ -134,6 +135,19 @@ def test_multiwavelet_checks():
     assert not is_multiwavelet_set(TWO_SIDED, [[2.0]], Z1, 1, samples=400, seed=2).passed
     with pytest.raises(UsageError):
         is_multiwavelet_set(SHANNON, [[2.0]], Z1, 1, samples=0)
+
+
+def test_multiwavelet_histogram_keys_match_the_pairs():
+    # one integer key per sample gives the keys, order and counts of the
+    # 2-column unique of (translation, dilation) pairs
+    g = np.random.default_rng(5)
+    tcs = np.concatenate([[0, 0, 3, 12, 1], g.integers(0, 15, 300)])
+    dcs = np.concatenate([[0, 2, 0, 1, 2], g.integers(0, 3, 300)])
+    pairs, freq = np.unique(np.stack([tcs, dcs], axis=1), axis=0, return_counts=True)
+    want = {f"t{t}_d{d}": int(c) for (t, d), c in zip(pairs, freq)}
+    got = _pair_histogram(tcs, dcs)
+    assert list(got.items()) == list(want.items())
+    assert {"t0_d0", "t0_d2", "t3_d0"} <= set(got)
 
 
 def test_partition_order_two():
@@ -360,6 +374,64 @@ def test_order_infinity_spiral_membership_at_lattice_points():
     member, exc = k.membership(np.random.default_rng(3).normal(size=(10_000, 2)))
     assert not exc.any()
     assert np.flatnonzero(member).tolist() == PINNED_SPIRAL_GAUSSIAN
+
+
+def _one_reading_sets():
+    """Order-infinity sets over pure bases (witness block the whole row):
+    real, negative real and contracting in 1-D, and three spirals, canonical
+    and under two conjugators."""
+    out = [pytest.param(np.array([[v]]), id=name) for name, v in (("real", 2.0), ("negative", -3.0), ("contracting", 0.5))]
+    for name, m in (("spiral", [[1.2, -0.5], [0.5, 1.2]]), ("rot2", SPIRAL), ("contracting_spiral", [[0.6, 0.3], [-0.3, 0.6]])):
+        out.append(pytest.param(np.array(m), id=name))
+        out += [pytest.param(random_conjugate(m, seed)[0], id=f"{name}-{seed}") for seed in (0, 1)]
+    return out
+
+
+@pytest.mark.parametrize("a", _one_reading_sets())
+def test_order_infinity_membership_equals_the_representatives(a):
+    # one reading of the base gauge gives the bits of the parent path, which
+    # forms each representative, on lattice points, quarter-lattice points and
+    # their exact dilates, and on rows at the float range
+    n = len(a)
+    k = build_order_infinity_set(a, Lattice.integers(n), pieces=4)
+    assert k._phase_edges is not None
+    q = np.arange(-24, 25) / 4.0
+    grid = np.stack(np.meshgrid(*[q] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    far = np.random.default_rng(2).normal(size=(300, n)) * 1e298
+    edge = np.array([[1.5e308] * n, [-1.5e308] * n, [0.0] * n, [np.nan] * n, [1e300] * n])
+    pts = np.concatenate([grid, far, edge])
+    member, exc = k.membership(pts)
+    want = PushedSection.jordan_membership(k, k.base._coords(pts))
+    assert np.array_equal(member, want[0]) and np.array_equal(exc, want[1])
+    coords = k.base._coords(grid)
+    dilates = np.concatenate([power_rows(k.base, coords, np.full(len(coords), j)) for j in (-3, -1, 1, 2, 5)])
+    got, want = k.jordan_membership(dilates), PushedSection.jordan_membership(k, dilates)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # each interval of the phase table is the slab that _dyadic_slab_index
+    # gives its midpoint, and a phase past the cut reads slab 0
+    edges = np.append(k._phase_edges[:-1], 1.0)
+    mids = (edges[:-1] + edges[1:]) / 2
+    slabs = _dyadic_slab_index(k.base, np.exp(mids * k.base.params["log_span"]))
+    assert slabs.tolist() == list(range(1, len(edges) - 1)) + [0]
+
+
+def test_order_infinity_membership_reads_only_edge_rows_by_representative(monkeypatch):
+    # a band that swallowed the bulk would undo the one reading: a Gaussian
+    # sweep sends no row to the representatives.  The lattice points (1, 1),
+    # whose representative rounds onto the outer edge, and (0, 3), on the zero
+    # ray, are sent, and read as before: refused, and a member
+    rows, parent = [], PushedSection.jordan_membership
+    monkeypatch.setattr(PushedSection, "jordan_membership", lambda s, coords: rows.append(len(coords)) or parent(s, coords))
+    k = build_order_infinity_set(SPIRAL, Z2, pieces=4)
+    pts = np.random.default_rng(7).normal(size=(10_000, 2)) @ np.linalg.matrix_power(np.linalg.inv(SPIRAL), 30)
+    counts = np.zeros(len(pts), dtype=int)
+    for _ in range(61):
+        member, exc = k.membership(pts)
+        counts += member & ~exc
+        pts = pts @ SPIRAL
+    assert (counts == 1).all() and rows == []
+    member, exc = k.membership(np.array([[1.0, 1.0], [0.0, 3.0]]))
+    assert rows == [2] and exc.tolist() == [True, False] and member.tolist() == [False, True]
 
 
 # Memberships of the order-infinity pieces, pinned from the nested

@@ -473,10 +473,12 @@ def _distinct_exponents(ps):
 
     Integer exponents spanning fewer values than the batch has rows are
     counted in a table indexed by ``p - min``, with no sort; any other
-    batch (a ``-0.0``, a fraction, a wide span, a non-finite value) is
-    told apart by its bit patterns, so ``-0.0`` keeps its own slot."""
+    batch (a fraction, a wide span, a non-finite value) is told apart by
+    its bit patterns.  The table reads ``-0.0`` as ``0.0``: integer
+    exponents come from int arrays (tile indices, shifts, window
+    offsets), which hold no ``-0.0``."""
     lo, hi = ps.min(), ps.max()
-    if hi - lo < len(ps) and np.all(ps == np.floor(ps)) and not np.any(np.signbit(ps) & (ps == 0.0)):
+    if hi - lo < len(ps) and np.all(ps == np.floor(ps)):
         offsets = (ps - lo).astype(np.intp)
         present = np.bincount(offsets) > 0
         slot = np.cumsum(present) - 1

@@ -911,11 +911,6 @@ def _solve_core(section, coords):
         params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional, rho)
     del rho  # freed before the flow, whose arrays then reuse its memory: 10% of a 1-D solve
     continuous = section.mode == "continuous"
-    if continuous:
-        # flow times whose exponentials leave the float range cannot yield a
-        # representable representative: flag instead of overflowing the batch
-        alpha_max = max(abs(b.alpha) for b in section.jordan.blocks)
-        exceptional = exceptional | (np.abs(params) * alpha_max > 700.0)
     # the representative is gamma A^t (flow time t) or gamma A^-k (tile index
     # k), taken in Jordan coordinates: block powers never mix scales across
     # blocks, so the constrained coordinates stay accurate even when free

@@ -315,10 +315,10 @@ def check_continuous_tiling(section: CrossSection, *, samples=10_000, seed=0,
     derived = derive_discrete_section(section)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(samples, section.n))
-    ts, _, exc = section.solve(pts)
+    coords = section._coords(pts)
+    ts, _, exc, _ = _solve_core(section, coords)
     skipped = int(exc.sum())
-    pts, ts = pts[~exc], ts[~exc]
-    coords = section.jordan.to_jordan(pts)
+    pts, ts, coords = pts[~exc], ts[~exc], coords[~exc]
     offsets = rng.uniform(-_WINDOW, _WINDOW, size=(len(pts), _OFFSETS))
 
     # flowing by t leaves remaining flow time t_c - t, so the swept-set hit
@@ -437,8 +437,6 @@ def orbit_integral(f, section: CrossSection, *, decay_radius, budget=10**7,
     chart = section.kind.chart(section, float(decay_radius))
     conj = section.jordan.conjugator
     scale = abs(float(np.linalg.det(conj)))
-    if np.allclose(conj, np.eye(section.n), rtol=0.0, atol=1e-12):
-        conj = None  # a canonical generator: the point is already ambient
     evals, seen = 0, {}
 
     def pulled(y):
@@ -446,9 +444,7 @@ def orbit_integral(f, section: CrossSection, *, decay_radius, budget=10**7,
         p, volume = chart.ranges(y)
         live = np.flatnonzero(volume)
         p = p[live]
-        x = chart.point(p)
-        if conj is not None:
-            x = x @ conj
+        x = chart.point(p) @ conj
         values = np.fromiter(map(f, x), float, len(x))
         if chart.mirrored:
             values += np.fromiter(map(f, -x), float, len(x))

@@ -1,0 +1,205 @@
+"""Capture the outputs of the seeded benchmark inputs and the demos, and
+compare two captures record by record.
+
+    PYTHONPATH=src python tests/output_replay.py capture OUT.jsonl
+    python tests/output_replay.py compare OLD.jsonl NEW.jsonl
+
+A change that must leave these outputs as they are captures them on the
+tree before it and on the tree after it, and compares the two files.
+``capture`` writes only to ``OUT.jsonl`` and to temporary directories that
+it removes; ``compare`` reads only.  Each record has a ``section``, a
+``key`` and the output, by section:
+
+* ``cli``: the 1,000 requests of ``perfbench.inputs.cli_inputs`` at seeds
+  1-3, run in-process through ``xsect.cli.main``: exit code and stdout,
+  with the temporary input directory written as ``$TMP``;
+* ``demos``: the stdout of each ``demos/*.py``, run as a script;
+* ``tiling``: at seeds 1-3, the ``to_json`` of the tiling workload's
+  eleven checked reports and of its eigen-order probe, and the
+  ``float.hex`` of its two orbit integrals;
+* ``solve``: at seeds 1-3, the SHA-256 of the bytes of the parameters,
+  representatives and refusal mask that ``solve`` returns on the tiling
+  workload's 100,000 points of each of its sets;
+* ``wavelet``: at seeds 1-3, the ``to_json`` of the wavelet workload's
+  three ``is_multiwavelet_set`` reports.
+
+A check or solve that the library refuses as a whole is recorded as its
+refusal.  ``compare`` prints per section the number of identical and differing
+records, and the first differing bytes of the first differing records;
+it exits 1 on any difference.  A capture takes about 11 s on one core
+of an Intel Xeon.  The inputs come from ``perfbench/``, imported from the
+checkout that holds this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
+SHOWN = 3  # differing records printed per section
+
+
+def cli_records(seed):
+    import xsect.cli
+    from perfbench import inputs
+
+    with tempfile.TemporaryDirectory() as directory:
+        for i, req in enumerate(inputs.cli_inputs(seed, directory)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = xsect.cli.main(req["argv"])
+            yield f"{seed}/{i}/{req['name']}", {"code": code, "stdout": buf.getvalue().replace(directory, "$TMP")}
+
+
+def demo_records():
+    import xsect
+
+    path = [str(Path(xsect.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT)
+        yield demo.name, {"code": done.returncode, "stdout": done.stdout}
+
+
+# the tiling workload's checked reports, and the set of its known-defect probe
+DISCRETE_CHECKS = ("modulus_not_one", "complex_modulus_not_one", "real_modulus_one_nilpotent",
+                   "complex_modulus_one_nilpotent", "shaped_finite", "shaped_bounded")
+CONTINUOUS_CHECKS = ("real_nonzero", "complex_nonzero", "zero_nilpotent", "imaginary_nilpotent", "eig_order_generator")
+PROBE = "eig_order_discrete"
+
+
+def _outcome(fn, *args, **kwargs):
+    """``fn``'s output, or the refusal that it raised."""
+    from perfbench import workloads
+
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        if not workloads.is_refusal(exc):
+            raise
+        return {"refusal": [type(exc).__name__, str(exc)]}
+
+
+def tiling_records(seed):
+    import xsect.verify as verify
+    from perfbench import inputs, workloads
+
+    inp = inputs.tiling_inputs(seed)
+    objs, orbit = workloads.tiling_setup(inp)
+    checks = [(label, verify.check_discrete_tiling, inp["check_seed"]) for label in DISCRETE_CHECKS]
+    checks.append((PROBE, verify.check_discrete_tiling, inp["probe_seed"]))
+    checks += [(label, verify.check_continuous_tiling, inp["check_seed"]) for label in CONTINUOUS_CHECKS]
+    for label, check, check_seed in checks:
+        report = _outcome(check, objs[label], samples=10_000, seed=check_seed)
+        yield f"{seed}/check/{label}", report if isinstance(report, dict) else report.to_json()
+    for label, section in orbit.items():
+        value = verify.orbit_integral(workloads._gaussian, section, decay_radius=8.0)
+        yield f"{seed}/orbit_integral/{label}", float(value).hex()
+
+
+def solve_records(seed):
+    from perfbench import inputs, workloads
+
+    inp = inputs.tiling_inputs(seed)
+    objs, _ = workloads.tiling_setup(inp)
+    for label, region in objs.items():
+        out = _outcome(region.solve, inp["points"][label])
+        if not isinstance(out, dict):
+            out = [hashlib.sha256(a.tobytes()).hexdigest() for a in out]
+        yield f"{seed}/{label}", out
+
+
+def wavelet_records(seed):
+    import numpy as np
+    import xsect.wavelet as wavelet
+    from perfbench import inputs, workloads
+
+    inp = inputs.wavelet_inputs(seed)
+    regions = workloads.wavelet_setup(inp)
+    z1, z2 = wavelet.Lattice(inp["lattices"]["z1"]), wavelet.Lattice(inp["lattices"]["z2"])
+    two = inp["matrices"]["two"]
+    s1, s2, s3 = inp["check_seeds"]
+    for label, args, samples, check_seed in (
+        ("shannon", (regions["shannon"], two, z1, 1), 500, s1),
+        ("doubled", (regions["doubled"], two, z1, 2), 500, s2),
+        ("annulus", (regions["annulus"], 2.0 * np.eye(2), z2, 3), 200, s3),
+    ):
+        yield f"{seed}/{label}", wavelet.is_multiwavelet_set(*args, samples=samples, seed=check_seed).to_json()
+
+
+def records():
+    """(section, key, output) of every record, in a fixed order."""
+    for seed in SEEDS:
+        for key, out in cli_records(seed):
+            yield "cli", key, out
+    for key, out in demo_records():
+        yield "demos", key, out
+    for section, source in (("tiling", tiling_records), ("solve", solve_records), ("wavelet", wavelet_records)):
+        for seed in SEEDS:
+            for key, out in source(seed):
+                yield section, key, out
+
+
+def capture(path):
+    sys.path.insert(0, str(ROOT))  # for perfbench
+    count = 0
+    with open(path, "w") as out:
+        for section, key, output in records():
+            out.write(json.dumps({"section": section, "key": key, "output": output}, sort_keys=True) + "\n")
+            count += 1
+    print(f"{count} records written to {path}")
+    return 0
+
+
+def _first_difference(old, new):
+    """The bytes of two differing records around their first difference."""
+    i = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    lo = max(i - 40, 0)
+    return f"at byte {i}:\n    old ...{old[lo : i + 80]}...\n    new ...{new[lo : i + 80]}..."
+
+
+def compare(old_path, new_path):
+    def load(path):
+        with open(path) as f:
+            return {(r["section"], r["key"]): json.dumps(r["output"], sort_keys=True) for r in map(json.loads, f)}
+
+    old, new = load(old_path), load(new_path)
+    sections = list(dict.fromkeys(section for section, _ in [*old, *new]))
+    differ = 0
+    for section in sections:
+        keys = list(dict.fromkeys(k for s, k in [*old, *new] if s == section))
+        bad = [k for k in keys if old.get((section, k)) != new.get((section, k))]
+        differ += len(bad)
+        print(f"{section}: {len(keys) - len(bad)} identical, {len(bad)} differing")
+        for key in bad[:SHOWN]:
+            a, b = old.get((section, key)), new.get((section, key))
+            if a is None or b is None:
+                print(f"  {key}: only in {'new' if a is None else 'old'}")
+            else:
+                print(f"  {key} {_first_difference(a, b)}")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    sub.add_parser("capture").add_argument("out")
+    cmp = sub.add_parser("compare")
+    cmp.add_argument("old")
+    cmp.add_argument("new")
+    args = p.parse_args(argv)
+    return capture(args.out) if args.command == "capture" else compare(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -688,3 +688,12 @@ def test_a_row_whose_squares_overflow_solves():
     ts, reps, exc = build_continuous_section([[1.0]]).solve([[1e160], [1e150]])
     assert not exc.any() and reps[:, 0] == pytest.approx([1.0, 1.0], rel=1e-12)
     assert ts == pytest.approx([-160 * math.log(10), -150 * math.log(10)], rel=1e-15)
+
+
+def test_a_flow_whose_exponent_nears_the_float_range_solves():
+    # the flow carries 1e305 by e^(300 t) = e^-702.2, within the float range's
+    # e^+/-709.78, to a finite representative: it is solved, not refused
+    s = build_continuous_section([[300.0]])
+    sol = solve_orbit(s, [1e305])
+    assert abs(sol.parameter - (-math.log(1e305) / 300.0)) <= 1e-12
+    assert contains(s, sol.representative)

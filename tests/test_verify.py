@@ -99,7 +99,7 @@ def test_continuous_tiling(generator):
 
 def test_continuous_check_refuses_rows_flowed_past_the_float_range():
     # the +/-5 window flows x1 by e^(+/-1500): a row flowed into the null band
-    # |x1| <= tol or by more than 700 / 300 in flow time is refused, and fails nothing
+    # |x1| <= tol or past the float range is refused, and fails nothing
     section = build_continuous_section([[300.0]])
     report = check_continuous_tiling(section, samples=200, seed=0)
     assert report.passed and report.histogram == {1: 200} and report.skipped_null == 0
@@ -108,7 +108,7 @@ def test_continuous_check_refuses_rows_flowed_past_the_float_range():
     rng.normal(size=(200, 1))
     s = rng.uniform(-_WINDOW, _WINDOW, size=(200, _OFFSETS))  # the offsets drawn after the samples
     x1 = 300.0 * s  # log |x1| of the flowed row, whose representative has |x1| = 1
-    refused = (x1 <= math.log(section.tol)) | (np.abs(x1) > 700.0)
+    refused = (x1 <= math.log(section.tol)) | (x1 > math.log(np.finfo(float).max))
     assert report.extras["refused_offsets"] == np.count_nonzero(refused) > 600
 
 

@@ -662,11 +662,6 @@ class _ModulusNotOne(_Case):
         """Sup-norm radius of the constrained coordinates."""
         return math.exp(params["log_span"])
 
-    def radial_coordinate(self, section, coords, rho):
-        """The expanding radial coordinate of a representative, whose
-        witness radius is ``rho``."""
-        return rho
-
     def slab_growth(self, params):
         """Scaling of the radial coordinate per step of the expanding action."""
         return math.exp(params["log_span"])
@@ -687,20 +682,16 @@ class _ComplexModulusNotOne(_Case):
         omega = beta if expanding else TWO_PI - beta
         return dict(beta=beta, mu=mu, omega=omega, log_span=TWO_PI * mu / omega, expanding=expanding)
 
-    def log_radial(self, section, w, rho):
-        """The pair's angle by :func:`_angle`, and its log-radial index
-        ``log r - (phi/omega) mu``, ``r`` being the witness radius ``rho > 0``."""
-        phi = _angle(w[:, 0], w[:, 1])
-        return phi, np.log(rho) - (phi / section.params["omega"]) * section.params["mu"]
-
     def phases(self, section, w, exceptional, rho):
         """``(u, s, wrap)``: the gauge, the flow phase ``(phi + 2 pi m) / omega``
-        with ``m = floor(wrap)`` the slab of the log-radial index (``A`` turns
-        ``phi`` by ``beta``, ``s * omega`` modulo 2 pi, and moves the index a
-        slab as ``phi`` wraps), and the radial phase ``wrap``, the index over
-        ``log_span``: the representative ``w A^-k`` has the index
+        with ``phi`` the pair's angle by :func:`_angle` and ``m = floor(wrap)``
+        the slab of the log-radial index ``log rho - (phi/omega) mu`` (``A``
+        turns ``phi`` by ``beta``, ``s * omega`` modulo 2 pi, and moves the
+        index a slab as ``phi`` wraps), and the radial phase ``wrap``, the
+        index over ``log_span``: the representative ``w A^-k`` has the index
         ``(wrap - floor(wrap)) * log_span``."""
-        phi, logs = self.log_radial(section, w, np.where(exceptional, 1.0, rho))
+        phi = _angle(w[:, 0], w[:, 1])
+        logs = np.log(np.where(exceptional, 1.0, rho)) - (phi / section.params["omega"]) * section.params["mu"]
         wrap = logs / section.params["log_span"]
         u = (phi + TWO_PI * np.floor(wrap)) / section.params["omega"]
         return u, 1 if section.params["expanding"] else -1, wrap
@@ -730,10 +721,6 @@ class _ComplexModulusNotOne(_Case):
 
     def core_radius(self, params):
         return math.exp(params["log_span"] + params["mu"])
-
-    def radial_coordinate(self, section, coords, rho):
-        # the spiral radial index, at the angle member reads
-        return np.exp(self.log_radial(section, coords[:, section.block.offset :], rho)[1])
 
     def slab_growth(self, params):
         return math.exp(params["mu"])
@@ -935,8 +922,9 @@ class PushedSection:
     holds its base representative.  A subclass supplies ``base``,
     ``shift(i)`` and ``piece_of(coords, rho)``, the piece of each
     representative given in Jordan coordinates with its witness radius;
-    piece 0 (no piece: the representative rounded onto an edge of the
-    section) is refused."""
+    piece 0 (no piece: the representative rounded onto or past an edge of
+    the section, such as a slab set's representative whose radial phase
+    reads below the first slab or past the cut) is refused."""
 
     mode = "discrete"
 

@@ -662,8 +662,10 @@ class DilationShiftedSection(PushedSection, RegionSet):
         return tuple((i,) + tuple(self.certificate(i)) for i in range(1, self.pieces + 1))
 
     def piece_of(self, coords, rho):
-        """Dyadic slab of each base representative (Jordan coordinates, witness radius ``rho``)."""
-        return _dyadic_slab_index(self.base, self.base.kind.radial_coordinate(self.base, coords, rho))
+        """Dyadic slab of each base representative (Jordan coordinates, witness
+        radius ``rho``): that of its radial phase (:meth:`_slab_of`)."""
+        base = self.base
+        return self._slab_of(base.kind.phases(base, coords[:, base.block.offset :], False, rho)[2])
 
     def jordan_membership(self, coords):
         """:meth:`PushedSection.jordan_membership` from one reading of the base's
@@ -674,16 +676,14 @@ class DilationShiftedSection(PushedSection, RegionSet):
         its tile phase within ``tol`` of 0 or 1, or its radial phase within
         ``8 tol`` of a slab edge or past the last slab.  So is every row of a
         base with free coordinates, which the representative's null band reads."""
-        edges = self._phase_edges
-        if edges is None:
-            return PushedSection.jordan_membership(self, coords)
         base = self.base
+        if base.n != base.kind.pinned:
+            return PushedSection.jordan_membership(self, coords)
         coords, refused, _, rho = _refused(base, coords)
         u, s, wrap = base.kind.phases(base, coords, refused, rho)
         whole, v = np.floor(u), wrap - np.floor(wrap)
-        slab = np.searchsorted(edges, v, side="right")  # 1 from edges[0] = 0; len(edges) - 1 past the cut
-        band = 8.0 * base.tol
-        edge = (v - edges[slab - 1] < band) | (edges[slab] - v < band) | (slab == len(edges) - 1)
+        slab, edges, band = self._slab_of(v), self._phase_edges, 8.0 * base.tol
+        edge = (slab == 0) | (v - edges[slab - 1] < band) | (edges[slab] - v < band)
         edge |= np.abs(u - whole - 0.5) > 0.5 - base.tol
         edge &= ~refused
         pieces = np.where(refused | edge, 0, slab)
@@ -695,14 +695,12 @@ class DilationShiftedSection(PushedSection, RegionSet):
 
     @cached_property
     def _phase_edges(self):
-        """The slab edges of :func:`_dyadic_slab_index` in radial phase,
-        ``log(radial coordinate) / log_span`` of a representative: slab ``i`` is
-        ``[edges[i - 1], edges[i])``, up to the cut at ``tol * Lam / (Lam - 1)``,
-        and then ``inf``.  None for a base with free coordinates (its witness
-        block is not the whole row)."""
+        """The slab edges in radial phase (``wrap`` of the base's ``phases``),
+        ``log(lo) / log_span`` of each slab's lower radial edge ``lo``
+        (:func:`_slab_bounds`): slab ``i`` is ``[edges[i - 1], edges[i])``, up
+        to the cut ``log(Lam (1 - tol)) / log_span``, where the slabs grow too
+        thin to place a point at the working tolerance, and then ``inf``."""
         base = self.base
-        if base.n != base.kind.pinned:
-            return None
         span = base.params["log_span"]
         cut = math.exp(span) * (1.0 - base.tol)
         lows, i = [], 1
@@ -710,6 +708,12 @@ class DilationShiftedSection(PushedSection, RegionSet):
             lows.append(lo)
             i += 1
         return np.append(np.log(lows + [cut]) / span, np.inf)
+
+    def _slab_of(self, wrap):
+        """The slab of each radial phase in :attr:`_phase_edges`, 0 (no slab)
+        below the first edge or past the cut."""
+        slab = np.searchsorted(self._phase_edges, wrap, side="right")
+        return np.where(slab < len(self._phase_edges) - 1, slab, 0)
 
     def piece_boxes_1d(self, i: int):
         """For the scalar case: the pushed slab ±[lo, hi) * growth^k."""
@@ -724,18 +728,6 @@ class DilationShiftedSection(PushedSection, RegionSet):
                 for i, k, g in self.certificates
             ],
         }
-
-
-def _dyadic_slab_index(section, sval):
-    """Index of the dyadic slab [Lam - (Lam-1) 2^{1-i}, Lam - (Lam-1) 2^{-i}),
-    or 0 where rounding put ``sval`` on an edge of the radial range
-    [1, Lam): below 1, or within ``tol * Lam`` of Lam, where the slabs are
-    too thin to place a point at the working tolerance."""
-    lam_big = math.exp(section.params["log_span"])
-    frac = (lam_big - sval) / (lam_big - 1.0)
-    # a value at the outer edge goes below the range, to slab 0, like one under 1
-    frac = np.where(frac < section.tol * lam_big / (lam_big - 1.0), 2.0, frac)
-    return np.clip(np.floor(-np.log2(frac)).astype(int) + 1, 0, None)
 
 
 def _slab_bounds(section, i, k=0):

@@ -1,22 +1,15 @@
-"""Replay a fixed corpus of matrices through ``real_jordan_form`` and compare
-two captures record by record.
+"""The Jordan-form corpus of ``tests/output_replay.py``'s ``jordan`` section:
+a fixed set of seeded matrices replayed through ``real_jordan_form``.
 
-    PYTHONPATH=src python tests/jordan_replay.py capture OUT.jsonl
-    python tests/jordan_replay.py compare OLD.jsonl NEW.jsonl
-
-A change that must leave every Jordan form as it is captures the corpus on
-the tree before it and on the tree after it, and compares the two files.
-``capture`` writes only to ``OUT.jsonl``; ``compare`` reads only.  Each
-record is one (matrix, tol, require_invertible) input and holds, for an
+Each record is one (matrix, tol, require_invertible) input and holds, for an
 accepted form, each block's ``re``/``im`` hex, ``chain`` and ``offset``,
 the bytes of ``conjugator`` and ``conjugator_inverse`` and the ``residual``
-hex; for a refusal, its class and message.  On each accepted form,
-``capture`` also checks that ``form.cond`` is ``np.linalg.cond`` of the
-conjugator's inverse and ``form.scale`` is ``max(||A||_2, 1)``, exactly
-(a tree whose forms lack the two fields is captured without the check).
+hex; for a refusal, its class and message.  :func:`record` also reports
+whether ``form.cond`` is ``np.linalg.cond`` of the conjugator's inverse and
+``form.scale`` is ``max(||A||_2, 1)``, exactly (None on a tree whose forms
+lack the two fields), which the capture checks on each accepted form.
 
-The corpus, all of it seeded (20,136 records; a capture takes about 12 s on
-one core of an Intel Xeon):
+The corpus, all of it seeded (20,136 records):
 
 * 14 canonical matrices, each as it is and under 150 Gaussian conjugators
   of condition number below 50;
@@ -36,10 +29,7 @@ reads them.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import sys
 
 import numpy as np
 
@@ -110,13 +100,13 @@ def mixed_matrices():
     for i, gap in enumerate(np.logspace(-10, -2, 40)):
         out.append((f"near_chain3_{i}", np.array([[1.0, 1.0, 0.0], [0.0, 1 + gap, 1.0], [0.0, 0.0, 1 + 2 * gap]])))
     for i in range(80):
-        out.append((f"rotating_shear~{i}", _conjugate(_rotating_shear(g.uniform(0.5, 3.0)), g, 50.0)))
+        out.append((f"random_rotating_shear~{i}", _conjugate(_rotating_shear(g.uniform(0.5, 3.0)), g, 50.0)))
     base = _block_diag(_chain(2.0, 2), 2.0, 0.5)
     for i in range(60):
         out.append((f"perturbed_j2{i}", base + g.normal(size=base.shape) * 10.0 ** -g.uniform(6, 12)))
     for i in range(60):
         pairs = [_rot(g.uniform(-2, 2), g.uniform(0.1, 3)) for _ in range(3)]
-        out.append((f"three_pairs~{i}", _conjugate(_block_diag(*pairs), g, 50.0)))
+        out.append((f"random_three_pairs~{i}", _conjugate(_block_diag(*pairs), g, 50.0)))
     return out
 
 
@@ -165,48 +155,3 @@ def record(a, tol, require_invertible):
     if not hasattr(form, "cond"):
         return rec, None
     return rec, bool(form.cond == np.linalg.cond(form.conjugator_inverse) and form.scale == _spectral_scale(form.matrix))
-
-
-def capture(path):
-    records = refused = checked = broken = 0
-    with open(path, "w") as out:
-        for key, a, tol, invertible in inputs():
-            rec, cached_ok = record(a, tol, invertible)
-            out.write(json.dumps({"key": key, **rec}) + "\n")
-            records += 1
-            refused += "refusal" in rec
-            checked += cached_ok is not None
-            if cached_ok is False:
-                broken += 1
-                print(f"{key}: cached cond or scale differs from its recomputation", file=sys.stderr)
-    print(f"{records} records ({refused} refusals) written to {path}; "
-          f"cond and scale checked on {checked} forms, {broken} wrong")
-    return 1 if broken else 0
-
-
-def compare(old_path, new_path):
-    with open(old_path) as f_old, open(new_path) as f_new:
-        old, new = [json.loads(line) for line in f_old], [json.loads(line) for line in f_new]
-    if [r["key"] for r in old] != [r["key"] for r in new]:
-        print("the two captures hold different inputs")
-        return 1
-    differ = [o["key"] for o, n in zip(old, new) if o != n]
-    for key in differ[:20]:
-        print(f"differs: {key}")
-    print(f"{len(old) - len(differ)} of {len(old)} records identical")
-    return 1 if differ else 0
-
-
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("capture").add_argument("out")
-    cmp = sub.add_parser("compare")
-    cmp.add_argument("old")
-    cmp.add_argument("new")
-    args = p.parse_args(argv)
-    return capture(args.out) if args.command == "capture" else compare(args.old, args.new)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,7 +21,16 @@ it removes; ``compare`` reads only.  Each record has a ``section``, a
   representatives and refusal mask that ``solve`` returns on the tiling
   workload's 100,000 points of each of its sets;
 * ``wavelet``: at seeds 1-3, the ``to_json`` of the wavelet workload's
-  three ``is_multiwavelet_set`` reports.
+  three ``is_multiwavelet_set`` reports;
+* ``order_inf``: at seeds 1-3, the ``to_json`` of the wavelet workload's
+  three order-infinity sets (``build_inf``), the SHA-256 of the bytes of
+  the membership and refusal masks of its ``sweep:two`` and
+  ``sweep:spiral`` points at each power of the matrix, and of the counts of
+  its ``translation_counts:inf0-2``;
+* ``jordan``: the Jordan form or refusal of each input of the corpus in
+  ``tests/jordan_replay.py``.  On each accepted form the capture also
+  checks that the cached ``cond`` and ``scale`` equal their recomputation,
+  and exits 1 where one does not.
 
 A check or solve that the library refuses as a whole is recorded as its
 refusal.  ``compare`` prints per section the number of identical and differing
@@ -38,6 +47,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,6 +117,10 @@ def tiling_records(seed):
         yield f"{seed}/orbit_integral/{label}", float(value).hex()
 
 
+def _digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
 def solve_records(seed):
     from perfbench import inputs, workloads
 
@@ -115,7 +129,7 @@ def solve_records(seed):
     for label, region in objs.items():
         out = _outcome(region.solve, inp["points"][label])
         if not isinstance(out, dict):
-            out = [hashlib.sha256(a.tobytes()).hexdigest() for a in out]
+            out = [_digest(a) for a in out]
         yield f"{seed}/{label}", out
 
 
@@ -137,28 +151,69 @@ def wavelet_records(seed):
         yield f"{seed}/{label}", wavelet.is_multiwavelet_set(*args, samples=samples, seed=check_seed).to_json()
 
 
-def records():
+def order_inf_records(seed):
+    import numpy as np
+    import xsect.wavelet as wavelet
+    from perfbench import inputs
+
+    inp = inputs.wavelet_inputs(seed)
+    z1, z2 = wavelet.Lattice(inp["lattices"]["z1"]), wavelet.Lattice(inp["lattices"]["z2"])
+    m = inp["matrices"]
+    built = {}
+    for label, lattice, pieces in (("two", z1, 8), ("spiral", z2, 4), ("shear", z2, 10)):
+        built[label] = wavelet.build_order_infinity_set(m[label], lattice, pieces=pieces)
+        yield f"{seed}/build_inf:{label}", built[label].to_json()
+    # the dilation sweeps as the workload runs them: from A^-half_width on, one power at a time
+    for label, pts, half_width in (("two", inp["sweep_1d"], 40), ("spiral", inp["sweep_spiral"], 30)):
+        a = m[label]
+        shifted = pts @ np.linalg.matrix_power(np.linalg.inv(a), half_width)
+        for power in range(-half_width, half_width + 1):
+            yield f"{seed}/sweep:{label}/{power}", [_digest(mask) for mask in built[label].membership(shifted)]
+            shifted = shifted @ a
+    pieces = wavelet.partition_multiwavelet_set(built["two"], z1, math.inf, pieces=3)
+    for i, (piece, rows) in enumerate(zip(pieces, inp["inf_rows"])):
+        yield f"{seed}/translation_counts:inf{i}", _digest(wavelet.translation_counts(piece, z1, rows, radius=80.0))
+
+
+def jordan_records(broken):
+    """The Jordan corpus' records; the key of each form whose cached ``cond``
+    or ``scale`` differs from its recomputation is appended to ``broken``."""
+    import jordan_replay
+
+    for key, a, tol, invertible in jordan_replay.inputs():
+        rec, cached_ok = jordan_replay.record(a, tol, invertible)
+        if cached_ok is False:
+            broken.append(key)
+        yield key, rec
+
+
+def records(broken):
     """(section, key, output) of every record, in a fixed order."""
     for seed in SEEDS:
         for key, out in cli_records(seed):
             yield "cli", key, out
     for key, out in demo_records():
         yield "demos", key, out
-    for section, source in (("tiling", tiling_records), ("solve", solve_records), ("wavelet", wavelet_records)):
+    for section, source in (("tiling", tiling_records), ("solve", solve_records), ("wavelet", wavelet_records),
+                            ("order_inf", order_inf_records)):
         for seed in SEEDS:
             for key, out in source(seed):
                 yield section, key, out
+    for key, out in jordan_records(broken):
+        yield "jordan", key, out
 
 
 def capture(path):
     sys.path.insert(0, str(ROOT))  # for perfbench
-    count = 0
+    count, broken = 0, []
     with open(path, "w") as out:
-        for section, key, output in records():
+        for section, key, output in records(broken):
             out.write(json.dumps({"section": section, "key": key, "output": output}, sort_keys=True) + "\n")
             count += 1
     print(f"{count} records written to {path}")
-    return 0
+    for key in broken:
+        print(f"jordan {key}: cached cond or scale differs from its recomputation", file=sys.stderr)
+    return 1 if broken else 0
 
 
 def _first_difference(old, new):
@@ -170,8 +225,13 @@ def _first_difference(old, new):
 
 def compare(old_path, new_path):
     def load(path):
+        out = {}
         with open(path) as f:
-            return {(r["section"], r["key"]): json.dumps(r["output"], sort_keys=True) for r in map(json.loads, f)}
+            for r in map(json.loads, f):
+                if (r["section"], r["key"]) in out:
+                    raise SystemExit(f"{path}: {r['section']} record {r['key']} appears twice")
+                out[r["section"], r["key"]] = json.dumps(r["output"], sort_keys=True)
+        return out
 
     old, new = load(old_path), load(new_path)
     sections = list(dict.fromkeys(section for section, _ in [*old, *new]))

@@ -22,7 +22,7 @@ from xsect.wavelet import (
     translation_count,
     translation_counts,
 )
-from xsect.wavelet import _dyadic_slab_index, _pair_histogram
+from xsect.wavelet import _pair_histogram, _slab_bounds
 
 from conftest import DIAG23, ROT90, SHEAR, SPIRAL, random_conjugate
 
@@ -387,6 +387,16 @@ def _one_reading_sets():
     return out
 
 
+def _dyadic_slab_index(section, sval):
+    """The closed-form slab of the radial coordinate ``sval``: slab i is
+    [Lam - (Lam-1) 2^{1-i}, Lam - (Lam-1) 2^{-i}), and a value below 1 or
+    within ``tol * Lam`` of Lam reads 0."""
+    lam_big = math.exp(section.params["log_span"])
+    frac = (lam_big - sval) / (lam_big - 1.0)
+    frac = np.where(frac < section.tol * lam_big / (lam_big - 1.0), 2.0, frac)
+    return np.clip(np.floor(-np.log2(frac)).astype(int) + 1, 0, None)
+
+
 @pytest.mark.parametrize("a", _one_reading_sets())
 def test_order_infinity_membership_equals_the_representatives(a):
     # one reading of the base gauge gives the bits of the parent path, which
@@ -394,7 +404,6 @@ def test_order_infinity_membership_equals_the_representatives(a):
     # their exact dilates, and on rows at the float range
     n = len(a)
     k = build_order_infinity_set(a, Lattice.integers(n), pieces=4)
-    assert k._phase_edges is not None
     q = np.arange(-24, 25) / 4.0
     grid = np.stack(np.meshgrid(*[q] * n, indexing="ij"), axis=-1).reshape(-1, n)
     far = np.random.default_rng(2).normal(size=(300, n)) * 1e298
@@ -413,6 +422,33 @@ def test_order_infinity_membership_equals_the_representatives(a):
     mids = (edges[:-1] + edges[1:]) / 2
     slabs = _dyadic_slab_index(k.base, np.exp(mids * k.base.params["log_span"]))
     assert slabs.tolist() == list(range(1, len(edges) - 1)) + [0]
+
+
+@pytest.mark.parametrize("a", [
+    [[2.0]], [[-3.0]], [[-1.7]], [[0.5]], [[1.2, -0.5], [0.5, 1.2]], SPIRAL, [[0.6, 0.3], [-0.3, 0.6]],
+    np.diag([2.0, 1.0]), [[2.0, 1.0], [0.0, 2.0]], np.diag([2.0, 3.0, 1.5]),
+    [[1.2, -0.5, 0.0], [0.5, 1.2, 0.0], [0.0, 0.0, 0.7]], np.diag([2.0, 0.7]),
+], ids=["two", "minus_three", "minus_1.7", "half", "spiral", "rot2", "contracting_spiral", "diag21", "chain2",
+        "diag231.5", "spiral_free", "diag2_0.7"])
+def test_order_infinity_slab_edges_read_as_their_slab(a):
+    # the lower edge lo of each slab below the cut, on the witness coordinate
+    # (a spiral's zero ray) with the other coordinates 0, is a representative
+    # in that slab: the same table that membership searches places it there,
+    # and membership agrees with the solve's tile
+    k = build_order_infinity_set(a, Lattice.integers(len(a)), pieces=1)
+    base = k.base
+    slabs = np.arange(1, len(k._phase_edges) - 1)
+    lo = np.array([_slab_bounds(base, i)[0] for i in slabs])
+    signs = (1.0, -1.0) if base.kind.pinned == 1 else (1.0,)
+    rows = np.zeros((len(signs) * len(lo), base.n))
+    rows[:, base.block.offset] = np.concatenate([sign * lo for sign in signs])
+    want = np.tile(slabs, len(signs))
+    assert k.piece_of(rows, np.abs(rows[:, base.block.offset])).tolist() == want.tolist()
+    tile, _, pieces, _, refused = k._pushed(rows)
+    assert not refused.any() and pieces.tolist() == want.tolist()
+    assert tile.tolist() == [-k.shift(i) for i in want]
+    member, exc = k.jordan_membership(rows)
+    assert np.array_equal(member, tile == 0) and not exc.any()
 
 
 def test_order_infinity_membership_reads_only_edge_rows_by_representative(monkeypatch):

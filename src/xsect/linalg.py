@@ -34,10 +34,11 @@ cell pair ``(x, y)`` is the number ``x + iy``, and ``(x, y) @ D`` is
   exponent is formed from its own value, so a row gets the same bits as
   in a batch of its own.
 
-Ambient powers are ``Q J^p P``.  Their error is about ``cond(Q) eps``,
-where repeated products of the rounded ambient matrix lose ``p^2 eps``
-(Moler and Van Loan, "Nineteen dubious ways to compute the exponential
-of a matrix, twenty-five years later", SIAM Review 45, 2003).
+Ambient flows are ``Q exp(tJ) P`` (:func:`one_parameter_power`), with an
+error of about ``cond(Q) eps``.  Ambient integer powers multiply the rounded
+matrix and lose ``p^2 eps`` (Moler and Van Loan, SIAM Review 45, 2003):
+:func:`integer_power` is ``np.linalg.matrix_power``, and the tiling check's
+``verify._window_powers`` is a doubling walk.
 
 Row reductions over the n <= 8 coordinates of a point run column by
 column: a NumPy reduce along so short a last axis costs more than the

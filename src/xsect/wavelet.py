@@ -674,13 +674,11 @@ class DilationShiftedSection(PushedSection, RegionSet):
         :attr:`_phase_edges`.  A row near an edge, where the representative's
         own rounding decides, is read by the parent's path, which forms it:
         its tile phase within ``tol`` of 0 or 1, or its radial phase within
-        ``8 tol`` of a slab edge or past the last slab.  So is every row of a
-        base with free coordinates, which the representative's null band reads."""
+        ``8 tol`` of a slab edge or past the last slab.  Any other row is
+        refused only where the base's own membership refuses it."""
         base = self.base
-        if base.n != base.kind.pinned:
-            return PushedSection.jordan_membership(self, coords)
         coords, refused, _, rho = _refused(base, coords)
-        u, s, wrap = base.kind.phases(base, coords, refused, rho)
+        u, s, wrap = base.kind.phases(base, coords[:, base.block.offset :], refused, rho)
         whole, v = np.floor(u), wrap - np.floor(wrap)
         slab, edges, band = self._slab_of(v), self._phase_edges, 8.0 * base.tol
         edge = (slab == 0) | (v - edges[slab - 1] < band) | (edges[slab] - v < band)

@@ -27,6 +27,11 @@ it removes; ``compare`` reads only.  Each record has a ``section``, a
   the membership and refusal masks of its ``sweep:two`` and
   ``sweep:spiral`` points at each power of the matrix, and of the counts of
   its ``translation_counts:inf0-2``;
+* ``tiled``: for each set of ``TILED_REGIONS`` in ``tests/test_sections.py``,
+  the SHA-256 of the bytes of the arrays that ``membership`` and ``solve``
+  return on five row families: 200 Gaussian rows times 1e300, the rows of
+  ``_float_range_rows``, the row of -1, the NaN row, and the nonzero
+  integer rows of [-6, 6]^n (of [-2, 2]^4 for n = 4);
 * ``jordan``: the Jordan form or refusal of each input of the corpus in
   ``tests/jordan_replay.py``.  On each accepted form the capture also
   checks that the cached ``cond`` and ``scale`` equal their recomputation,
@@ -35,7 +40,7 @@ it removes; ``compare`` reads only.  Each record has a ``section``, a
 A check or solve that the library refuses as a whole is recorded as its
 refusal.  ``compare`` prints per section the number of identical and differing
 records, and the first differing bytes of the first differing records;
-it exits 1 on any difference.  A capture takes about 11 s on one core
+it exits 1 on any difference.  A capture takes 20-30 s on one core
 of an Intel Xeon.  The inputs come from ``perfbench/``, imported from the
 checkout that holds this file.
 """
@@ -46,6 +51,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -175,6 +181,36 @@ def order_inf_records(seed):
         yield f"{seed}/translation_counts:inf{i}", _digest(wavelet.translation_counts(piece, z1, rows, radius=80.0))
 
 
+def _integer_rows(n):
+    """The nonzero integer rows of [-6, 6]^n, or of [-2, 2]^n past n = 3."""
+    import numpy as np
+
+    reach = 6 if n <= 3 else 2
+    rows = np.array(list(itertools.product(range(-reach, reach + 1), repeat=n)), dtype=float)
+    return rows[rows.any(axis=1)]
+
+
+def tiled_records():
+    import numpy as np
+    from test_sections import TILED_REGIONS, _float_range_rows
+
+    for name in sorted(TILED_REGIONS):
+        region = TILED_REGIONS[name]()
+        n = region.matrix.shape[0]
+        for family, pts in (
+            ("gauss_1e300", np.random.default_rng(7).normal(size=(200, n)) * 1e300),
+            ("float_range", _float_range_rows(n)),
+            ("minus_one", np.full((1, n), -1.0)),
+            ("nan", np.full((1, n), math.nan)),
+            ("integers", _integer_rows(n)),
+        ):
+            out = {}
+            for call in ("membership", "solve"):
+                got = _outcome(getattr(region, call), pts)
+                out[call] = got if isinstance(got, dict) else [_digest(a) for a in got]
+            yield f"{name}/{family}", out
+
+
 def jordan_records(broken):
     """The Jordan corpus' records; the key of each form whose cached ``cond``
     or ``scale`` differs from its recomputation is appended to ``broken``."""
@@ -187,20 +223,29 @@ def jordan_records(broken):
         yield key, rec
 
 
+def _seeded(source):
+    """A section of ``source``'s records at each of ``SEEDS``."""
+    return lambda broken: ((key, out) for seed in SEEDS for key, out in source(seed))
+
+
+# each section's (key, output) records, from the list that collects broken Jordan forms
+SECTIONS = {
+    "cli": _seeded(cli_records),
+    "demos": lambda broken: demo_records(),
+    "tiling": _seeded(tiling_records),
+    "solve": _seeded(solve_records),
+    "wavelet": _seeded(wavelet_records),
+    "order_inf": _seeded(order_inf_records),
+    "tiled": lambda broken: tiled_records(),
+    "jordan": jordan_records,
+}
+
+
 def records(broken):
     """(section, key, output) of every record, in a fixed order."""
-    for seed in SEEDS:
-        for key, out in cli_records(seed):
-            yield "cli", key, out
-    for key, out in demo_records():
-        yield "demos", key, out
-    for section, source in (("tiling", tiling_records), ("solve", solve_records), ("wavelet", wavelet_records),
-                            ("order_inf", order_inf_records)):
-        for seed in SEEDS:
-            for key, out in source(seed):
-                yield section, key, out
-    for key, out in jordan_records(broken):
-        yield "jordan", key, out
+    for section, source in SECTIONS.items():
+        for key, out in source(broken):
+            yield section, key, out
 
 
 def capture(path):

@@ -22,7 +22,7 @@ from xsect.wavelet import (
     translation_count,
     translation_counts,
 )
-from xsect.wavelet import _pair_histogram, _slab_bounds
+from xsect.wavelet import _box_inside_spiral, _dual_point_in_slab, _pair_histogram, _slab_bounds
 
 from conftest import DIAG23, ROT90, SHEAR, SPIRAL, random_conjugate
 
@@ -351,6 +351,26 @@ def test_order_infinity_spiral(rng):
     assert bad == 0
 
 
+def test_spiral_slab_translate_search_rejects_what_it_cannot_bound():
+    # the certified translate of slab 4 of the spiral set fits at its push;
+    # the slab's push k_min is 2, and at push 0 no translate near it fits
+    k = build_order_infinity_set(SPIRAL, Z2, pieces=1)
+    section, off = k.base, k.base.block.offset
+    power, gamma = k.certificate(4)
+    lo, hi = _slab_bounds(section, 4)
+    assert _dual_point_in_slab(section, Z2, 4, power).tolist() == list(gamma)
+    assert _dual_point_in_slab(section, Z2, 4, 0) is None
+    corners = section.jordan.to_jordan(Z2.domain_corners())
+    assert _box_inside_spiral(section, corners + section.jordan.to_jordan(np.array(gamma)), off, lo, hi, power)
+    # the box's radius and angle are bounded from its corners, and are not
+    # bounded for a box around the origin, or one that spans a quarter turn
+    # or more as seen from its center's angle; neither box fits
+    around = corners - corners.mean(axis=0)
+    wide = np.array([[-5.0, 0.1], [1.0, 0.1], [-5.0, 5.0], [1.0, 5.0]]) * hi
+    assert not _box_inside_spiral(section, around, off, lo, hi, power)
+    assert not _box_inside_spiral(section, wide, off, lo, hi, power)
+
+
 # members among 10^4 standard Gaussian points (default_rng(3)), pinned
 # before edge representatives were flagged exceptional
 PINNED_SPIRAL_GAUSSIAN = [
@@ -468,6 +488,40 @@ def test_order_infinity_membership_reads_only_edge_rows_by_representative(monkey
     assert (counts == 1).all() and rows == []
     member, exc = k.membership(np.array([[1.0, 1.0], [0.0, 3.0]]))
     assert rows == [2] and exc.tolist() == [True, False] and member.tolist() == [False, True]
+
+
+def _free_coordinate_sets():
+    """Order-infinity sets over bases with free coordinates (witness block
+    not the whole row), canonical and under three conjugators."""
+    out = []
+    for name, m in (("diag21", np.diag([2.0, 1.0])), ("chain2", [[2.0, 1.0], [0.0, 2.0]]),
+                    ("diag231.5", np.diag([2.0, 3.0, 1.5])),
+                    ("spiral_free", [[1.2, -0.5, 0.0], [0.5, 1.2, 0.0], [0.0, 0.0, 0.7]]),
+                    ("diag2_0.7", np.diag([2.0, 0.7])), ("diag23", DIAG23)):
+        out.append(pytest.param(np.array(m, dtype=float), id=name))
+        out += [pytest.param(random_conjugate(m, seed)[0], id=f"{name}-{seed}") for seed in (0, 1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("a", _free_coordinate_sets())
+def test_order_infinity_membership_over_free_coordinates_takes_one_reading(monkeypatch, a):
+    # a base with free coordinates is read like a pure one: Gaussian rows and
+    # their exact dilates reach no representative and read as the
+    # representatives do.  Scaled by 1e298 the free coordinates dwarf each
+    # representative's witness, whose null band refuses it; the one reading
+    # refuses only what the base's membership refuses, with the same members
+    parent, rows = PushedSection.jordan_membership, []
+    monkeypatch.setattr(PushedSection, "jordan_membership", lambda s, coords: rows.append(len(coords)) or parent(s, coords))
+    n = len(a)
+    k = build_order_infinity_set(a, Lattice.integers(n), pieces=1)
+    pts = np.random.default_rng(3).normal(size=(10_000, n))
+    for scale in (1.0, 1e298):
+        coords = k.base._coords(pts * scale)
+        dilates = np.concatenate([coords] + [power_rows(k.base, coords, np.full(len(coords), j)) for j in (-3, -1, 1, 2, 5)])
+        member, exc = k.jordan_membership(dilates)
+        want = parent(k, dilates)
+        assert rows == [] and np.array_equal(member, want[0])
+        assert np.array_equal(exc, want[1] if scale == 1.0 else k.base.jordan_membership(dilates)[1])
 
 
 # Memberships of the order-infinity pieces, pinned from the nested

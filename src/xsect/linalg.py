@@ -387,8 +387,6 @@ def _attempt(a, eigs, radius, tol, scale):
     if offset != n:
         raise _Inconsistent("block sizes do not sum to the dimension")
     q = np.column_stack(columns)
-    if abs(np.linalg.det(q)) < 1e-300:
-        raise _Inconsistent("Jordan basis is numerically singular")
     # A nearly parallel basis signals a defective eigenvalue read as split:
     # refuse and let the clustering ladder merge it instead.
     cond = float(np.linalg.cond(q))
@@ -520,8 +518,6 @@ def integer_power(a, k: int) -> np.ndarray:
     """``A^k`` by binary exponentiation (``A^0 = I``; negative ``k`` inverts ``A``)."""
     a = as_matrix(a)
     k = int(k)
-    if abs(k) > 10**6:
-        raise ValueError(f"|k| = {abs(k)} exceeds the supported range 1e6")
     if k < 0 and abs(np.linalg.det(a)) == 0.0:
         raise Singular("negative power of a singular matrix")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -628,16 +628,16 @@ def _coset_walk(hits):
 
 @dataclass(frozen=True)
 class DilationShiftedSection(PushedSection, RegionSet):
-    """``union_i S_i A^{k_i}`` over ALL dyadic radial slices of an expanding
-    cross-section, each pushed far enough out to swallow a dual-domain
-    translate.  Each slab's push is found, lazily, together with its
-    certificate, the dual point of that translate; the first ``pieces``
-    slabs are certified when the set is built."""
+    """``union_i S_i A^{k_i}`` over ALL dyadic radial slices of the section of
+    ``A``, each pushed outward (``k_i > 0`` where the witness expands, ``< 0``
+    where it contracts) far enough to swallow a dual-domain translate.  Each
+    slab's push is found, lazily, with its certificate, the dual point of that
+    translate; the first ``pieces`` slabs are certified when the set is built."""
 
-    base: object  # CrossSection for the expanding action
+    base: object  # CrossSection of the matrix the set was built from
     lattice: Lattice
     pieces: int
-    # slab index -> (power, certified dual point)
+    # slab index -> (power of A, certified dual point)
     _slabs: dict = field(default_factory=dict, repr=False)
 
     # in the class body: perfbench's tracer wraps this name of this class
@@ -650,7 +650,7 @@ class DilationShiftedSection(PushedSection, RegionSet):
         return self._slabs[i][0]
 
     def certificate(self, i: int):
-        """(power, dual point) with ``Y + gamma`` inside piece i."""
+        """(power of ``A``, dual point) with ``Y + gamma`` inside piece i."""
         i = int(i)
         if i not in self._slabs:
             self.shift(i)
@@ -714,8 +714,8 @@ class DilationShiftedSection(PushedSection, RegionSet):
         return np.where(slab < len(self._phase_edges) - 1, slab, 0)
 
     def piece_boxes_1d(self, i: int):
-        """For the scalar case: the pushed slab ±[lo, hi) * growth^k."""
-        return _slab_bounds(self.base, i, self.shift(i))
+        """For the scalar case: the pushed slab ±[lo, hi) * growth^|k|."""
+        return _slab_bounds(self.base, i, abs(self.shift(i)))
 
     def to_json(self) -> dict:
         return {
@@ -729,7 +729,7 @@ class DilationShiftedSection(PushedSection, RegionSet):
 
 
 def _slab_bounds(section, i, k=0):
-    """Radial range [lo, hi) of dyadic slab i, pushed by ``A^k``."""
+    """Radial range [lo, hi) of dyadic slab i, pushed ``k`` steps outward."""
     lam_big = math.exp(section.params["log_span"])
     lo = lam_big - (lam_big - 1.0) * 2.0 ** (1 - i)
     hi = lam_big - (lam_big - 1.0) * 2.0 ** (-i)
@@ -742,11 +742,11 @@ _MAX_POWER = 200
 
 
 def _slab_shift(section, lattice, i):
-    """The first power from ``k_min`` on that pushes slab i over a whole
-    dual-domain translate, and that translate's dual point.  From ``k_min``
-    on the pushed slab is at least twice the domain diameter (in Jordan
-    coordinates) wide, so for a real witness the tile of its midpoint fits
-    at ``k_min``; a spiral may need more pushes."""
+    """The first push of slab i, from ``k_min`` outward steps on, over a whole
+    dual-domain translate, as a power of ``A`` (``-k`` where the witness
+    contracts), and that translate's dual point.  From ``k_min`` on the pushed
+    slab is at least twice the domain diameter (in Jordan coordinates) wide, so
+    for a real witness the tile of its midpoint fits at ``k_min``; a spiral may need more pushes."""
     lo, hi = _slab_bounds(section, i)
     corners = section.jordan.to_jordan(lattice.domain_corners())
     diam = float(np.linalg.norm(corners[:, None] - corners[None], axis=-1).max())
@@ -755,7 +755,7 @@ def _slab_shift(section, lattice, i):
     for k in range(int(k_min), max(int(k_min), _MAX_POWER) + 1):
         gamma = _dual_point_in_slab(section, lattice, i, k)
         if gamma is not None:
-            return k, gamma
+            return (k if section.params["expanding"] else -k), gamma
     raise SearchExhausted(f"no admissible push for slab {i} within {_MAX_POWER} powers", radius=_MAX_POWER)
 
 
@@ -764,8 +764,9 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=DEFAULT_TOL, 
     infinite multiplicity (certified for finitely many translates).
 
     With an eigenvalue off the unit circle, dyadic radial slices of the
-    expanding cross-section are pushed outward until each provably
-    contains a dual-domain translate (the certificate).  With all
+    cross-section of ``A`` are pushed outward, by powers of ``A`` of the
+    sign of the witness's ``log |lambda|``, until each provably contains a
+    dual-domain translate (the certificate).  With all
     moduli on the unit circle the nilpotent cone section itself works:
     far enough out along an interior ray, whole dual-domain translates
     fit inside it.
@@ -783,8 +784,6 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=DEFAULT_TOL, 
         return _certify_cone(section, lattice, min_translates=pieces, search_radius=search_radius)
     if not section.kind.sliceable:
         raise NoWavelet("unit-modulus case needs a real nilpotent block in dimension <= 3")
-    if max(b.modulus for b in section.jordan.blocks) <= 1.0 + tol:
-        section = build_discrete_section(np.linalg.inv(a), tol=tol)  # orbits agree; build along the expanding side
     out = DilationShiftedSection(base=section, lattice=lattice, pieces=pieces)
     out.certificates  # search the first pieces' pushes now
     return out
@@ -792,11 +791,11 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=DEFAULT_TOL, 
 
 def _dual_point_in_slab(section, lattice, i, k):
     """A dual point whose whole domain translate fits inside slab i pushed
-    by ``A^k``, or None.  Of the :func:`_dual_points_near` candidates that
-    pass, a real witness keeps the least in (norm, float coordinates) over
-    both sign branches, a spiral the first in integer-grid order; neither
-    need be the least in selector order.  The slab is a set of Jordan
-    coordinates, so the translates' corners are mapped there."""
+    ``k`` steps outward, or None.  Of the :func:`_dual_points_near`
+    candidates that pass, a real witness keeps the least in (norm, float
+    coordinates) over both sign branches, a spiral the first in integer-grid
+    order; neither need be the least in selector order.  The slab is a set
+    of Jordan coordinates, so the translates' corners are mapped there."""
     off = section.block.offset
     corners = section.jordan.to_jordan(lattice.domain_corners())
     center = np.zeros(lattice.n)
@@ -816,7 +815,7 @@ def _dual_point_in_slab(section, lattice, i, k):
                     if best is None or key < best[0]:
                         best = (key, g)
         return None if best is None else best[1]
-    # spiral region: radial index s(c) in the unpushed slab (A^k keeps it)
+    # spiral region: radial index s(c) in the unpushed slab (each outward step keeps it)
     # and flow phase tau(c) in [k, k+1); conservative interval arithmetic
     slab_lo, slab_hi = _slab_bounds(section, i)
     mu, omega = section.params["mu"], section.params["omega"]

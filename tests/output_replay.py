@@ -32,6 +32,17 @@ it removes; ``compare`` reads only.  Each record has a ``section``, a
   return on five row families: 200 Gaussian rows times 1e300, the rows of
   ``_float_range_rows``, the row of -1, the NaN row, and the nonzero
   integer rows of [-6, 6]^n (of [-2, 2]^4 for n = 4);
+* ``contracting``: for the order-infinity sets of ``[[0.5]]``,
+  ``[[-0.5]]``, the spiral ``[[0.6, 0.3], [-0.3, 0.6]]``,
+  ``diag(0.5, 0.25)``, ``diag(0.25, 3)`` and ``diag(0.25, 3)`` under
+  ``random_conjugate`` seed 0 (``tests/conftest.py``), each set's
+  ``to_json`` and the SHA-256 of the bytes of the arrays that
+  ``membership`` and ``solve`` return on two row families: the nonzero
+  integer rows of [-6, 6]^n, and 200 Gaussian rows times 8;
+* ``integrate``: the ``float.hex`` of the Gaussian's orbit integral
+  (decay radius 8) and of ``jacobian_check`` (20 points, seed 0) on the
+  continuous sections of the shear generator ``[[0, 1], [0, 0]]`` and of
+  the scaling chain ``[[0.693147, 1], [0, 0.693147]]``;
 * ``jordan``: the Jordan form or refusal of each input of the corpus in
   ``tests/jordan_replay.py``.  On each accepted form the capture also
   checks that the cached ``cond`` and ``scale`` equal their recomputation,
@@ -211,6 +222,40 @@ def tiled_records():
             yield f"{name}/{family}", out
 
 
+def contracting_records():
+    import numpy as np
+    import xsect.wavelet as wavelet
+    from conftest import random_conjugate
+
+    quarter = np.diag([0.25, 3.0])
+    for name, a in (
+        ("half", [[0.5]]),
+        ("minus_half", [[-0.5]]),
+        ("spiral", [[0.6, 0.3], [-0.3, 0.6]]),
+        ("diag_half_quarter", np.diag([0.5, 0.25])),
+        ("diag_quarter_3", quarter),
+        ("diag_quarter_3-0", random_conjugate(quarter, 0)[0]),
+    ):
+        n = len(a)
+        region = wavelet.build_order_infinity_set(a, wavelet.Lattice.integers(n), pieces=4)
+        yield f"{name}/to_json", region.to_json()
+        for family, pts in (("integers", _integer_rows(n)),
+                            ("gauss_8", np.random.default_rng(7).normal(size=(200, n)) * 8.0)):
+            yield f"{name}/{family}", {call: [_digest(x) for x in getattr(region, call)(pts)]
+                                       for call in ("membership", "solve")}
+
+
+def integrate_records():
+    from perfbench import workloads
+    from xsect.sections import build_continuous_section
+    from xsect.verify import jacobian_check, orbit_integral
+
+    for name, b in (("shear", [[0.0, 1.0], [0.0, 0.0]]), ("chain", [[0.693147, 1.0], [0.0, 0.693147]])):
+        section = build_continuous_section(b)
+        yield f"{name}/orbit_integral", float(orbit_integral(workloads._gaussian, section, decay_radius=8.0)).hex()
+        yield f"{name}/jacobian_check", float(jacobian_check(section, points=20, seed=0)).hex()
+
+
 def jordan_records(broken):
     """The Jordan corpus' records; the key of each form whose cached ``cond``
     or ``scale`` differs from its recomputation is appended to ``broken``."""
@@ -237,6 +282,8 @@ SECTIONS = {
     "wavelet": _seeded(wavelet_records),
     "order_inf": _seeded(order_inf_records),
     "tiled": lambda broken: tiled_records(),
+    "contracting": lambda broken: contracting_records(),
+    "integrate": lambda broken: integrate_records(),
     "jordan": jordan_records,
 }
 

@@ -190,6 +190,23 @@ def test_shape_finite_with_measure(workdir, capsys):
     assert out["measure"]["estimate"] <= 1.0 + out["measure"]["bound_3sigma"] + out["measure"]["tail_bound"]
 
 
+def test_shape_finite_with_shifts_past_a_million(workdir, capsys):
+    # the shells of [[1.000001]] are pushed by about 1.2e7 powers: the
+    # pushes are taken by repeated squaring and the estimate prints as JSON
+    tmp, write = workdir
+    path = write("m.json", {"n": 1, "rows": [[1.000001]]})
+    sec = str(tmp / "S.json")
+    main(["build", "--mode", "discrete", "--matrix", path, "--out", sec])
+    capsys.readouterr()
+    code = main(["shape", "--section", sec, "--target", "finite", "--samples", "240", "--seed", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 1
+    out = json.loads(lines[0])
+    assert abs(out["shaped"]["shifts_prefix"]["1"]) > 10**6
+    m = out["measure"]
+    assert m["estimate"] + m["tail_bound"] <= 1.0 + m["bound_3sigma"]
+
+
 def test_wavelet_check_and_partition(workdir, capsys):
     tmp, write = workdir
     mat = write("a.json", {"n": 1, "rows": [[2.0]]})

@@ -294,10 +294,19 @@ def test_order_infinity_rotation_rejected():
         build_order_infinity_set(ROT90, Z2)
 
 
-def test_order_infinity_contracting_uses_inverse(rng):
+def test_order_infinity_contracting_counts_once(rng):
     k = build_order_infinity_set([[0.5]], Z1, pieces=4)
     for xi in rng.normal(size=(100, 1)):
         assert dilation_count(k, [[0.5]], xi) == 1
+
+
+def test_order_infinity_contracting_pushes_by_negative_powers():
+    # the slabs of [[0.5]] are those of [[2]], pushed outward by powers of the input
+    half = build_order_infinity_set([[0.5]], Z1, pieces=4)
+    two = build_order_infinity_set([[2.0]], Z1, pieces=4)
+    assert half.matrix.tolist() == [[0.5]]
+    assert half.certificates == tuple((i, -(i + 1), (2.0 ** (i + 2) - 4,)) for i in range(1, 5))
+    assert all(half.piece_boxes_1d(i) == two.piece_boxes_1d(i) for i in range(1, 5))
 
 
 def test_order_infinity_shear_cone():
@@ -325,10 +334,10 @@ def test_order_infinity_shear_cone_is_a_multiwavelet_set():
     assert is_multiwavelet_set(k, SHEAR, Z2, math.inf, samples=200, seed=0).passed
 
 
-@pytest.mark.parametrize("a, forms", [([[2.0]], 1), (SHEAR, 1), (SPIRAL, 1), ([[0.5]], 2)],
+@pytest.mark.parametrize("a, forms", [([[2.0]], 1), (SHEAR, 1), (SPIRAL, 1), ([[0.5]], 1)],
                          ids=["two", "shear", "spiral", "half"])
 def test_order_infinity_build_takes_one_jordan_form(monkeypatch, a, forms):
-    # one for the section; a contracting matrix takes one more for its inverse
+    # one for the section, whichever way its witness points
     calls = []
 
     def counted(*args, **kwargs):
@@ -732,7 +741,8 @@ def _conjugates():
     seeded stream of P."""
     g = np.random.default_rng(1)
     out = []
-    for name, m in (("diag23", DIAG23), ("spiral", SPIRAL), ("shear", SHEAR), ("diag_half_3", np.diag([0.5, 3.0]))):
+    for name, m in (("diag23", DIAG23), ("spiral", SPIRAL), ("shear", SHEAR), ("diag_half_3", np.diag([0.5, 3.0])),
+                    ("diag_quarter_3", np.diag([0.25, 3.0]))):
         for j in range(10):
             p = g.normal(size=(2, 2))
             while np.linalg.cond(p) >= 30:
@@ -751,7 +761,8 @@ def _conjugates():
     pytest.param(np.array(rows, dtype=float), id=name) for name, rows in (
         ("lower_triangular_2_3", [[2.0, 0.0], [1.0, 3.0]]), ("lower_shear", [[1.0, 0.0], [1.0, 1.0]]),
         ("rotation_times_2", [[0.0, -2.0], [2.0, 0.0]]), ("spiral", SPIRAL), ("spiral_1_1", [[1.0, 1.0], [-1.0, 1.0]]),
-        ("diag23", DIAG23), ("shear", SHEAR))
+        ("diag23", DIAG23), ("shear", SHEAR), ("diag_quarter_3", np.diag([0.25, 3.0])),
+        ("diag_minus_quarter_3", np.diag([-0.25, 3.0])))
 ] + _conjugates())
 def test_order_infinity_certificates_lie_in_the_set(a):
     # a certificate claims Y + gamma inside K: sample the translate
@@ -770,7 +781,7 @@ def test_order_infinity_certificates_lie_in_the_set(a):
 @pytest.mark.parametrize("a", [DIAG23, SPIRAL, np.diag([0.5, 0.25])], ids=["real", "spiral", "contracting"])
 def test_order_infinity_sets_tile_under_their_matrix(a, seed):
     # an order-infinity set solves like a reshaped one, so the check scans
-    # it under its own (expanding) matrix with outlier windows
+    # it under the matrix it was built from with outlier windows
     k = build_order_infinity_set(random_conjugate(a, seed)[0], Z2, pieces=4)
     report = check_discrete_tiling(k, samples=2000, seed=3)
     assert report.passed and report.histogram == {1: 2000}

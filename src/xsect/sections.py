@@ -248,7 +248,8 @@ class _Case:
     is then ``s * floor(u)`` (``parameter``), and ``S`` the points of tile
     index 0 (``member``).  ``gauge`` is read through ``parameter`` only.  The
     two sliceable cases build it on ``phases``, which also gives the radial
-    phase of the representative ``gamma A^-k``, with no power formed.
+    phase of the representative ``gamma A^-k``, with no power formed; they and
+    the cone bound both over a convex hull of rows (``phase_bounds``).
     """
 
     name: str
@@ -627,7 +628,6 @@ class _ModulusNotOne(_Case):
     """The radial shell 1 <= |x1| < Lambda of a real witness."""
 
     sliceable = True
-    turns = False  # the slab is a band in |x1|, whatever the tile index
 
     def params(self, blk):
         lam = blk.re
@@ -645,6 +645,18 @@ class _ModulusNotOne(_Case):
     def gauge(self, section, w, exceptional, rho):
         """``(u, s)`` of :meth:`phases`."""
         return self.phases(section, w, exceptional, rho)[:2]
+
+    def phase_bounds(self, section, w):
+        """Bounds ``(u_lo, u_hi, wrap_lo, wrap_hi)`` of the gauge ``u`` and the
+        radial phase over the convex hull of each stack ``w[j]`` of rows, nan
+        where ``x1`` does not keep one sign.  Off ``x1 = 0``, ``log|x1|`` and
+        ``x2/x1`` are monotone along every segment, so the rows' own gauge
+        values bound the hull's; the radial phase is the gauge."""
+        flat = w.reshape(-1, w.shape[-1])
+        u = self.gauge(section, flat, flat[:, 0] == 0.0, np.abs(flat[:, 0]))[0].reshape(w.shape[:2])
+        one_sign = (w[..., 0] > 0.0).all(axis=1) | (w[..., 0] < 0.0).all(axis=1)
+        lo, hi = (np.where(one_sign, bound(u, axis=1), np.nan) for bound in (np.min, np.max))
+        return lo, hi, lo, hi
 
     def sample(self, section, coords, rng):
         m = coords.shape[0]
@@ -672,7 +684,6 @@ class _ComplexModulusNotOne(_Case):
     ``phi < omega`` of a complex witness."""
 
     sliceable = True
-    turns = True  # the slab winds around the origin once per tile index
 
     def params(self, blk):
         r = blk.modulus
@@ -697,6 +708,27 @@ class _ComplexModulusNotOne(_Case):
         return u, 1 if section.params["expanding"] else -1, wrap
 
     gauge = _ModulusNotOne.gauge
+
+    def phase_bounds(self, section, w):
+        """:meth:`_ModulusNotOne.phase_bounds` of the spiral: the radius lies
+        between the nearest point of the box around the rows and the farthest
+        row; the angle, read around the rows' mean on the branch of
+        :func:`_angle`, within a quarter turn of it; ``u`` and the radial phase
+        are read on that branch.  Nan where the box holds the origin or a row
+        leaves the quarter turn."""
+        mu, omega, span = section.params["mu"], section.params["omega"], section.params["log_span"]
+        x, y = w[..., 0], w[..., 1]
+        near = np.hypot(np.clip(0.0, x.min(axis=1), x.max(axis=1)), np.clip(0.0, y.min(axis=1), y.max(axis=1)))
+        far = np.hypot(x, y).max(axis=1)
+        centre = _angle(x.mean(axis=1), y.mean(axis=1))
+        delta = np.mod(np.arctan2(y, x) - centre[:, None] + math.pi, TWO_PI) - math.pi
+        ok = (near > 0.0) & (np.abs(delta).max(axis=1) < math.pi / 2)
+        phi_lo, phi_hi = centre + delta.min(axis=1), centre + delta.max(axis=1)
+        wrap_lo = (np.log(np.where(ok, near, 1.0)) - phi_hi * mu / omega) / span
+        wrap_hi = (np.log(far) - phi_lo * mu / omega) / span
+        u_lo = (phi_lo + TWO_PI * np.floor(wrap_lo)) / omega
+        u_hi = (phi_hi + TWO_PI * np.floor(wrap_hi)) / omega
+        return tuple(np.where(ok, v, np.nan) for v in (u_lo, u_hi, wrap_lo, wrap_hi))
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -737,6 +769,8 @@ class _RealModulusOneNilpotent(_Case):
     def gauge(self, section, w, exceptional, rho):
         """``x2/x1``, to which ``A`` adds ``1/lam = lam``."""
         return w[:, 1] / np.where(exceptional, 1.0, w[:, 0]), section.params["lam"]
+
+    phase_bounds = _ModulusNotOne.phase_bounds
 
     def sample(self, section, coords, rng):
         off = section.block.offset

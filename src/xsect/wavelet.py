@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionTooHigh, NoSection, NoWavelet, SearchExhausted, SelectorMiss, UsageError
-from .linalg import DEFAULT_TOL, as_matrix, box_corners, matrix_from_json, matrix_to_json
-from .sections import TWO_PI, CrossSection, PushedSection, _refused, build_discrete_section
+from .linalg import DEFAULT_TOL, as_matrix, box_corners, matrix_from_json, matrix_to_json, row_norms
+from .sections import CrossSection, PushedSection, _refused, build_discrete_section, power_rows
 from .verify import _SCAN_ROWS, K_RANGE, TilingReport, _require_samples, scan_dilations
 
 
@@ -74,7 +74,7 @@ class Lattice:
     def n(self) -> int:
         return self.basis.shape[0]
 
-    @property
+    @cached_property
     def dual_basis(self) -> np.ndarray:
         return np.linalg.inv(self.basis).T
 
@@ -629,10 +629,11 @@ def _coset_walk(hits):
 @dataclass(frozen=True)
 class DilationShiftedSection(PushedSection, RegionSet):
     """``union_i S_i A^{k_i}`` over ALL dyadic radial slices of the section of
-    ``A``, each pushed outward (``k_i > 0`` where the witness expands, ``< 0``
-    where it contracts) far enough to swallow a dual-domain translate.  Each
-    slab's push is found, lazily, with its certificate, the dual point of that
-    translate; the first ``pieces`` slabs are certified when the set is built."""
+    ``A`` below the cut of :attr:`_phase_edges`, each pushed outward (``k_i >
+    0`` where the witness expands, ``< 0`` where it contracts) far enough to
+    swallow a dual-domain translate.  Each slab's push is found, lazily, with
+    its certificate, the dual point of that translate (:func:`_fits`); the
+    first ``pieces`` slabs are certified when the set is built."""
 
     base: object  # CrossSection of the matrix the set was built from
     lattice: Lattice
@@ -646,7 +647,7 @@ class DilationShiftedSection(PushedSection, RegionSet):
     def shift(self, i: int) -> int:
         i = int(i)
         if i not in self._slabs:
-            self._slabs[i] = _slab_shift(self.base, self.lattice, i)
+            self._slabs[i] = _slab_shift(self.base, self.lattice, i, self._phase_edges)
         return self._slabs[i][0]
 
     def certificate(self, i: int):
@@ -714,7 +715,8 @@ class DilationShiftedSection(PushedSection, RegionSet):
         return np.where(slab < len(self._phase_edges) - 1, slab, 0)
 
     def piece_boxes_1d(self, i: int):
-        """For the scalar case: the pushed slab ±[lo, hi) * growth^|k|."""
+        """For the scalar case: the pushed slab ±[lo, hi) * growth^|k| of
+        :func:`_slab_bounds`, whose last slab below the cut stops at it."""
         return _slab_bounds(self.base, i, abs(self.shift(i)))
 
     def to_json(self) -> dict:
@@ -729,10 +731,11 @@ class DilationShiftedSection(PushedSection, RegionSet):
 
 
 def _slab_bounds(section, i, k=0):
-    """Radial range [lo, hi) of dyadic slab i, pushed ``k`` steps outward."""
+    """Radial range [lo, hi) of dyadic slab i, pushed ``k`` steps outward; the
+    last slab below the cut ``Lam (1 - tol)`` of the phase table stops at it."""
     lam_big = math.exp(section.params["log_span"])
     lo = lam_big - (lam_big - 1.0) * 2.0 ** (1 - i)
-    hi = lam_big - (lam_big - 1.0) * 2.0 ** (-i)
+    hi = min(lam_big - (lam_big - 1.0) * 2.0 ** (-i), lam_big * (1.0 - section.tol))
     g = section.kind.slab_growth(section.params) ** k
     return lo * g, hi * g
 
@@ -741,21 +744,27 @@ def _slab_bounds(section, i, k=0):
 _MAX_POWER = 200
 
 
-def _slab_shift(section, lattice, i):
+def _slab_shift(section, lattice, i, edges):
     """The first push of slab i, from ``k_min`` outward steps on, over a whole
     dual-domain translate, as a power of ``A`` (``-k`` where the witness
-    contracts), and that translate's dual point.  From ``k_min`` on the pushed
-    slab is at least twice the domain diameter (in Jordan coordinates) wide, so
-    for a real witness the tile of its midpoint fits at ``k_min``; a spiral may need more pushes."""
+    contracts), and that translate's dual point (:func:`_dual_point_in_slab`).
+    From ``k_min`` on the pushed slab is at least twice the domain diameter (in
+    Jordan coordinates) wide, so for a real witness the tile of its midpoint
+    fits at ``k_min``; a spiral may need more pushes.  ``edges`` is the set's
+    phase table; a slab past its cut raises :class:`UsageError`."""
+    slabs = len(edges) - 2
+    if not 1 <= i <= slabs:
+        raise UsageError(f"slab {i} does not exist: the set has {slabs} slabs below its cut Lambda (1 - tol)")
     lo, hi = _slab_bounds(section, i)
     corners = section.jordan.to_jordan(lattice.domain_corners())
     diam = float(np.linalg.norm(corners[:, None] - corners[None], axis=-1).max())
     growth = section.kind.slab_growth(section.params)
     k_min = max(1, math.ceil(math.log(2.0 * diam / (hi - lo)) / math.log(growth)))
+    sign = 1 if section.params["expanding"] else -1
     for k in range(int(k_min), max(int(k_min), _MAX_POWER) + 1):
-        gamma = _dual_point_in_slab(section, lattice, i, k)
+        gamma = _dual_point_in_slab(section, lattice, i, sign * k, corners, edges)
         if gamma is not None:
-            return (k if section.params["expanding"] else -k), gamma
+            return sign * k, gamma
     raise SearchExhausted(f"no admissible push for slab {i} within {_MAX_POWER} powers", radius=_MAX_POWER)
 
 
@@ -766,10 +775,12 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=DEFAULT_TOL, 
     With an eigenvalue off the unit circle, dyadic radial slices of the
     cross-section of ``A`` are pushed outward, by powers of ``A`` of the
     sign of the witness's ``log |lambda|``, until each provably contains a
-    dual-domain translate (the certificate).  With all
+    dual-domain translate (the certificate, read by :func:`_fits` in the
+    phase table that membership reads).  The slabs stop at that table's cut:
+    ``pieces`` past their count raises :class:`UsageError`.  With all
     moduli on the unit circle the nilpotent cone section itself works:
     far enough out along an interior ray, whole dual-domain translates
-    fit inside it.
+    fit inside it, by the same test at tile 0.
     """
     a = as_matrix(a)
     if a.shape[0] != lattice.n:
@@ -789,92 +800,42 @@ def build_order_infinity_set(a, lattice: Lattice, *, pieces=8, tol=DEFAULT_TOL, 
     return out
 
 
-def _dual_point_in_slab(section, lattice, i, k):
-    """A dual point whose whole domain translate fits inside slab i pushed
-    ``k`` steps outward, or None.  Of the :func:`_dual_points_near`
-    candidates that pass, a real witness keeps the least in (norm, float
-    coordinates) over both sign branches, a spiral the first in integer-grid
-    order; neither need be the least in selector order.  The slab is a set
-    of Jordan coordinates, so the translates' corners are mapped there."""
-    off = section.block.offset
-    corners = section.jordan.to_jordan(lattice.domain_corners())
-    center = np.zeros(lattice.n)
-    if not section.kind.turns:
-        # region: |c_{off}| in the pushed slab, all other coordinates
-        # free.  Candidate tiles come from points along both branches.
-        slab_lo, slab_hi = _slab_bounds(section, i, k)
-        best = None
-        for sign in (1.0, -1.0):
-            center[off] = sign * 0.5 * (slab_lo + slab_hi)
-            for g, c in _dual_points_near(section, lattice, center):
-                vals = corners[:, off] + c[off]
-                lo_v, hi_v = float(vals.min()), float(vals.max())
-                ok = (slab_lo <= lo_v and hi_v < slab_hi) or (slab_lo <= -hi_v and -lo_v < slab_hi)
-                if ok:
-                    key = (float(np.linalg.norm(g)), tuple(g))
-                    if best is None or key < best[0]:
-                        best = (key, g)
-        return None if best is None else best[1]
-    # spiral region: radial index s(c) in the unpushed slab (each outward step keeps it)
-    # and flow phase tau(c) in [k, k+1); conservative interval arithmetic
-    slab_lo, slab_hi = _slab_bounds(section, i)
-    mu, omega = section.params["mu"], section.params["omega"]
-    target_r = math.sqrt(slab_lo * slab_hi) * math.exp(mu * (k + 0.5))
-    angle = omega * (k + 0.5)
-    center[off] = target_r * math.cos(angle)
-    center[off + 1] = target_r * math.sin(angle)
-    for g, c in _dual_points_near(section, lattice, center):
-        if _box_inside_spiral(section, corners + c, off, slab_lo, slab_hi, k):
-            return g
-    return None
+def _fits(section, rows, shift, lo, hi):
+    """Whether the convex hull of each stack ``rows[j]`` of Jordan coordinates,
+    brought back by ``J^-shift`` as the set's representatives are, lies in
+    tile 0 of the section with its radial phase in ``[lo, hi)``, by the case's
+    ``phase_bounds``: the reading that membership makes.  ``J^-shift`` is
+    linear, so it brings the hull back onto the hull of the rows brought back."""
+    back = power_rows(section, rows.reshape(-1, section.n), np.full(rows.shape[0] * rows.shape[1], -float(shift)))
+    u_lo, u_hi, wrap_lo, wrap_hi = section.kind.phase_bounds(section, back.reshape(rows.shape)[..., section.block.offset :])
+    return (0.0 <= u_lo) & (u_hi < 1.0) & (lo <= wrap_lo) & (wrap_hi < hi)
 
 
-def _dual_points_near(section, lattice, center):
-    """Dual points within two integer steps of the domain translate holding
-    the point of Jordan coordinates ``center``, each with its own."""
-    _, z = lattice.wrap(section.jordan.from_jordan(center))
-    dual = lattice.dual_basis
-    for near in _integer_grid(z - 2, z + 2):
-        g = near.astype(float) @ dual
-        yield g, section.jordan.to_jordan(g)
-
-
-def _box_inside_spiral(section, box_corners, off, slab_lo, slab_hi, k):
-    mu, omega = section.params["mu"], section.params["omega"]
-    x = box_corners[:, off]
-    y = box_corners[:, off + 1]
-    r_lo = _box_min_radius(x, y)
-    if r_lo <= 0:
-        return False
-    r_hi = float(np.max(np.hypot(x, y)))
-    # angles measured around the box center (safe once the box subtends
-    # less than a half turn as seen from the origin)
-    phi_c = math.atan2(float(np.mean(y)), float(np.mean(x)))
-    deltas = np.mod(np.arctan2(y, x) - phi_c + math.pi, TWO_PI) - math.pi
-    if float(np.max(np.abs(deltas))) >= math.pi / 2:
-        return False
-    phi_lo = phi_c + float(np.min(deltas))
-    phi_hi = phi_c + float(np.max(deltas))
-    # interval arithmetic for tau = (phi + 2 pi m)/omega and the radial index
-    for m in range(-2, int(omega * (k + 1) / TWO_PI) + 3):
-        tau_lo = (phi_lo + TWO_PI * m) / omega
-        tau_hi = (phi_hi + TWO_PI * m) / omega
-        if tau_hi < k or tau_lo >= k + 1:
-            continue
-        if not (k <= tau_lo and tau_hi < k + 1):
-            return False
-        s_lo = r_lo * math.exp(-mu * tau_hi)
-        s_hi = r_hi * math.exp(-mu * tau_lo)
-        return slab_lo <= s_lo and s_hi < slab_hi
-    return False
-
-
-def _box_min_radius(x, y):
-    lox, hix = float(np.min(x)), float(np.max(x))
-    loy, hiy = float(np.min(y)), float(np.max(y))
-    cx = min(max(0.0, lox), hix)
-    cy = min(max(0.0, loy), hiy)
-    return math.hypot(cx, cy)
+def _dual_point_in_slab(section, lattice, i, shift, corners, edges):
+    """A dual point whose whole domain translate (``corners``: the domain's
+    corners in Jordan coordinates) lies in slab i pushed by ``J^shift``
+    (:func:`_fits` in the phase table ``edges``), or None.  The candidates are
+    the 5^n dual points within two integer steps of the translate holding
+    each centre of the pushed slab: its midpoint on ``x1`` and the mirror
+    image for a real witness, its midpoint in log-radial index and angle for
+    a spiral.  The least in (norm, coordinates) of those that fit is kept."""
+    off, pinned = section.block.offset, section.kind.pinned
+    lo, hi = _slab_bounds(section, i)
+    if pinned == 1:
+        lead = np.array([[0.5 * (lo + hi)], [-0.5 * (lo + hi)]])
+    else:
+        mu, omega = section.params["mu"], section.params["omega"]
+        r = math.sqrt(lo * hi) * math.exp(0.5 * mu)
+        lead = np.array([[r * math.cos(0.5 * omega), r * math.sin(0.5 * omega)]])
+    centres = np.zeros((len(lead), section.n))
+    centres[:, off : off + pinned] = lead
+    centres = power_rows(section, centres, np.full(len(lead), float(shift)))
+    centres[:, off + pinned : off + section.block.size] = 0.0  # a chain's higher cells
+    _, z = lattice.wrap(section.jordan.from_jordan(centres))
+    steps = _integer_grid(np.full(lattice.n, -2), np.full(lattice.n, 2))
+    gammas = (z[:, None, :] + steps[None]).reshape(-1, lattice.n).astype(float) @ lattice.dual_basis
+    fit = gammas[_fits(section, corners + section.jordan.to_jordan(gammas)[:, None], shift, edges[i - 1], edges[i])]
+    return fit[np.lexsort(tuple(fit.T[::-1]) + (row_norms(fit),))[0]] if len(fit) else None
 
 
 @dataclass(frozen=True)
@@ -897,27 +858,21 @@ class ConeSection(CrossSection, RegionSet):
 
 
 def _certify_cone(section, lattice, *, min_translates, search_radius):
-    off = section.block.offset
+    """The cone section certified by the first ``min_translates`` dual points
+    in selector order, read in blocks of 64 growing four-fold within
+    ``search_radius``, whose domain translate lies in tile 0 (:func:`_fits`)."""
     corners = section.jordan.to_jordan(lattice.domain_corners())  # the cone is a set of Jordan coordinates
-    found = []
-    for _, g in lattice.dual_points_in_order(max_norm=search_radius):
-        box = corners + section.jordan.to_jordan(g)
-        x1 = box[:, off]
-        x2 = box[:, off + 1]
-        # guaranteed ratio bounds of x2/x1 over the box, per sign branch
-        if (x1 > 0).all() and (x2 >= 0).all():
-            lo_ratio = float(np.min(x2)) / float(np.max(x1))
-            hi_ratio = float(np.max(x2)) / float(np.min(x1))
-        elif (x1 < 0).all() and (x2 <= 0).all():
-            lo_ratio = float(np.max(x2)) / float(np.min(x1))
-            hi_ratio = float(np.min(x2)) / float(np.max(x1))
-        else:
-            continue
-        if 0.0 <= lo_ratio and hi_ratio < 1.0:
-            found.append(g)
-            if len(found) >= min_translates:
-                fixed = {f.name: getattr(section, f.name) for f in fields(CrossSection)}
-                return ConeSection(**fixed, certificates=tuple(tuple(v) for v in found))
+    found, start, size = [], 0, 64
+    while len(found) < min_translates:
+        block = lattice.ordered_dual_points(start + size)[start:]
+        inside = block[row_norms(block) <= search_radius]
+        found.extend(inside[_fits(section, corners + section.jordan.to_jordan(inside)[:, None], 0, 0.0, 1.0)])
+        if len(inside) < len(block):
+            break
+        start, size = start + size, 4 * size
+    if len(found) >= min_translates:
+        fixed = {f.name: getattr(section, f.name) for f in fields(CrossSection)}
+        return ConeSection(**fixed, certificates=tuple(tuple(v) for v in found[:min_translates]))
     raise SearchExhausted(
         f"only {len(found)} dual translates certified within radius {search_radius}",
         radius=search_radius,

@@ -39,6 +39,10 @@ it removes; ``compare`` reads only.  Each record has a ``section``, a
   ``to_json`` and the SHA-256 of the bytes of the arrays that
   ``membership`` and ``solve`` return on two row families: the nonzero
   integer rows of [-6, 6]^n, and 200 Gaussian rows times 8;
+* ``slabs``: for each order-infinity set of ``CUT_SETS`` in
+  ``tests/test_wavelet.py``, built with as many pieces as it has slabs
+  below its cut, the set's ``to_json`` and, in one dimension, the
+  ``piece_boxes_1d`` of every slab;
 * ``integrate``: the ``float.hex`` of the Gaussian's orbit integral
   (decay radius 8) and of ``jacobian_check`` (20 points, seed 0) on the
   continuous sections of the shear generator ``[[0, 1], [0, 0]]`` and of
@@ -245,6 +249,19 @@ def contracting_records():
                                        for call in ("membership", "solve")}
 
 
+def slabs_records():
+    import xsect.wavelet as wavelet
+    from test_wavelet import CUT_SETS
+
+    for name, a in CUT_SETS.items():
+        lattice = wavelet.Lattice.integers(len(a))
+        slabs = len(wavelet.build_order_infinity_set(a, lattice, pieces=1)._phase_edges) - 2
+        region = wavelet.build_order_infinity_set(a, lattice, pieces=slabs)
+        yield f"{name}/to_json", region.to_json()
+        if len(a) == 1:
+            yield f"{name}/piece_boxes_1d", [list(region.piece_boxes_1d(i)) for i in range(1, slabs + 1)]
+
+
 def integrate_records():
     from perfbench import workloads
     from xsect.sections import build_continuous_section
@@ -283,6 +300,7 @@ SECTIONS = {
     "order_inf": _seeded(order_inf_records),
     "tiled": lambda broken: tiled_records(),
     "contracting": lambda broken: contracting_records(),
+    "slabs": lambda broken: slabs_records(),
     "integrate": lambda broken: integrate_records(),
     "jordan": jordan_records,
 }

@@ -284,16 +284,18 @@ def test_wavelet_build_inf_and_nowavelet(workdir, capsys):
     assert code == 2 and out["code"] == "no_wavelet"
 
 
-@pytest.mark.parametrize("rows, basis, code", [
+@pytest.mark.parametrize("rows, basis, pieces, code", [
     ([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]],
-     np.eye(4).tolist(), "dimension_too_high"),
-    ([[2.0]], np.eye(2).tolist(), "usage"),
+     np.eye(4).tolist(), 8, "dimension_too_high"),
+    ([[2.0]], np.eye(2).tolist(), 8, "usage"),
+    # the set of [[3]] has 30 slabs below its cut
+    ([[3.0]], [[1.0]], 31, "usage"),
 ])
-def test_wavelet_build_inf_refusals_are_json(workdir, capsys, rows, basis, code):
+def test_wavelet_build_inf_refusals_are_json(workdir, capsys, rows, basis, pieces, code):
     _, write = workdir
     mat = write("a.json", {"n": len(rows), "rows": rows})
     lat = write("g.json", {"basis": {"rows": basis}})
-    exit_code, out = run(capsys, ["wavelet", "build-inf", "--matrix", mat, "--lattice", lat])
+    exit_code, out = run(capsys, ["wavelet", "build-inf", "--matrix", mat, "--lattice", lat, "--pieces", str(pieces)])
     assert exit_code == 1 and out["code"] == code
 
 

@@ -602,7 +602,7 @@ def _slab_edge_points(section):
         return [np.nextafter(e, side) for e in edges for side in (-np.inf, e, np.inf)]
 
     p = section.params
-    if section.kind.turns:
+    if section.kind.pinned == 2:
         logs, phi = (g.ravel() for g in np.meshgrid(beside(0.0, p["log_span"]), beside(0.0, p["omega"])))
         r = np.exp(logs + phi / p["omega"] * p["mu"])
         lead = np.column_stack([r * np.cos(phi), r * np.sin(phi)])

@@ -148,10 +148,10 @@ def _exact_slab_area(section):
     """Area of the slab in Jordan coordinates: ``2 (Lambda - 1)`` for a real
     witness, ``(Lambda^2 - 1)(omega / 4 mu)(e^{2 mu} - 1)`` for a spiral."""
     lam_big = math.exp(section.params["log_span"])
-    if not section.kind.turns:
-        return 2.0 * (lam_big - 1.0)
-    mu, omega = section.params["mu"], section.params["omega"]
-    return (lam_big**2 - 1.0) * (omega / (4.0 * mu)) * (math.exp(2.0 * mu) - 1.0)
+    if section.kind.pinned == 2:
+        mu, omega = section.params["mu"], section.params["omega"]
+        return (lam_big**2 - 1.0) * (omega / (4.0 * mu)) * (math.exp(2.0 * mu) - 1.0)
+    return 2.0 * (lam_big - 1.0)
 
 
 @pytest.mark.parametrize("matrix", [DIAG21, random_conjugate(DIAG21, 91)[0], [[1.2, -0.5], [0.5, 1.2]]],

@@ -22,7 +22,7 @@ from xsect.wavelet import (
     translation_count,
     translation_counts,
 )
-from xsect.wavelet import _box_inside_spiral, _dual_point_in_slab, _pair_histogram, _slab_bounds
+from xsect.wavelet import _dual_point_in_slab, _fits, _pair_histogram, _slab_bounds
 
 from conftest import DIAG23, ROT90, SHEAR, SPIRAL, random_conjugate
 
@@ -364,20 +364,52 @@ def test_spiral_slab_translate_search_rejects_what_it_cannot_bound():
     # the certified translate of slab 4 of the spiral set fits at its push;
     # the slab's push k_min is 2, and at push 0 no translate near it fits
     k = build_order_infinity_set(SPIRAL, Z2, pieces=1)
-    section, off = k.base, k.base.block.offset
+    section, off, edges = k.base, k.base.block.offset, k._phase_edges
     power, gamma = k.certificate(4)
-    lo, hi = _slab_bounds(section, 4)
-    assert _dual_point_in_slab(section, Z2, 4, power).tolist() == list(gamma)
-    assert _dual_point_in_slab(section, Z2, 4, 0) is None
     corners = section.jordan.to_jordan(Z2.domain_corners())
-    assert _box_inside_spiral(section, corners + section.jordan.to_jordan(np.array(gamma)), off, lo, hi, power)
-    # the box's radius and angle are bounded from its corners, and are not
+    assert _dual_point_in_slab(section, Z2, 4, power, corners, edges).tolist() == list(gamma)
+    assert _dual_point_in_slab(section, Z2, 4, 0, corners, edges) is None
+    # the hull's radius and angle are bounded from its rows, and are not
     # bounded for a box around the origin, or one that spans a quarter turn
-    # or more as seen from its center's angle; neither box fits
+    # or more as seen from its mean's angle; neither box fits
+    certified = corners + section.jordan.to_jordan(np.array(gamma))
     around = corners - corners.mean(axis=0)
-    wide = np.array([[-5.0, 0.1], [1.0, 0.1], [-5.0, 5.0], [1.0, 5.0]]) * hi
-    assert not _box_inside_spiral(section, around, off, lo, hi, power)
-    assert not _box_inside_spiral(section, wide, off, lo, hi, power)
+    wide = np.array([[-5.0, 0.1], [1.0, 0.1], [-5.0, 5.0], [1.0, 5.0]]) * _slab_bounds(section, 4, power)[1]
+    rows = np.stack([certified, around, wide])
+    bounds = np.array(section.kind.phase_bounds(section, rows[..., off:]))
+    assert np.isfinite(bounds[:, 0]).all() and np.isnan(bounds[:, 1:]).all()
+    assert _fits(section, rows, power, edges[3], edges[4]).tolist() == [True, False, False]
+
+
+# order-infinity sets whose last slab below the cut is thinner than the
+# domain diameter over the slab growth (also recorded by tests/output_replay.py)
+CUT_SETS = {
+    "three": [[3.0]],
+    "third": [[1 / 3]],
+    "three_halves": [[1.5]],
+    "contracting_spiral": [[0.6, 0.3], [-0.3, 0.6]],
+    "spiral_free": [[1.2, -0.5, 0.0], [0.5, 1.2, 0.0], [0.0, 0.0, 0.7]],
+}
+
+
+@pytest.mark.parametrize("a", list(CUT_SETS.values()), ids=list(CUT_SETS))
+def test_every_slab_below_the_cut_certifies_a_translate_in_the_set(a):
+    # the last slab below the cut is the thinnest: its certificate, like
+    # every other, names a translate that membership reads inside the set,
+    # and a slab past the cut is refused
+    n = len(a)
+    lattice = Lattice.integers(n)
+    slabs = len(build_order_infinity_set(a, lattice, pieces=1)._phase_edges) - 2
+    k = build_order_infinity_set(a, lattice, pieces=slabs)
+    u = np.random.default_rng(0).uniform(size=(200, n)) @ lattice.dual_basis
+    outside = []
+    for i, _, g in k.certificates:
+        member, exc = k.membership(u + np.asarray(g))
+        if not (member & ~exc).all():
+            outside.append(i)
+    assert len(k.certificates) == slabs and outside == []
+    with pytest.raises(UsageError, match=f"{slabs} slabs"):
+        k.shift(slabs + 1)
 
 
 # members among 10^4 standard Gaussian points (default_rng(3)), pinned

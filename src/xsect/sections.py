@@ -73,24 +73,33 @@ def _rotate_rows(x, y, theta):
 class CrossSection:
     """One of the explicit cross-section constructions.
 
-    ``params`` carries the case data (eigenvalue parameters and the
-    derived interval bounds); ``base`` is set only for mode='discrete',
-    case='derived_from_continuous' and holds the continuous section the
-    set was swept from.
+    It stores its case, Jordan form, witness block index and, for case
+    'derived_from_continuous' only, the continuous section ``base`` it was
+    swept from.  ``mode`` (the case's), ``tol`` (the Jordan form's) and
+    ``params`` (the witness block's case data, or the base's) are derived.
     """
 
-    mode: str
     case: str
     jordan: RealJordanForm
     block_index: int
-    params: dict
-    tol: float
     base: "CrossSection | None" = None
 
     @property
     def kind(self) -> "_Case":
         """The case object: null set, predicate, orbit parameter, sampler."""
         return _CASES[self.case]
+
+    @property
+    def mode(self) -> str:
+        return self.kind.mode
+
+    @property
+    def tol(self) -> float:
+        return self.jordan.tol
+
+    @cached_property
+    def params(self) -> dict:
+        return self.base.params if self.base is not None else self.kind.params(self.block)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -127,7 +136,7 @@ class CrossSection:
         that is not finite, such as one flowed past the float range, is
         refused (:func:`_refused`)."""
         coords, _, exceptional, rho = _refused(self, coords)
-        return self.kind.member(self, coords[:, self.block.offset :], exceptional, rho) & ~exceptional, exceptional
+        return self.kind.member(self, coords[:, self.block.offset :], rho) & ~exceptional, exceptional
 
     def solve(self, points):
         """Vectorized orbit solve: (parameter array, representatives, exceptional)."""
@@ -177,7 +186,7 @@ def build_continuous_section(b, tol=DEFAULT_TOL) -> CrossSection:
     verdict = classify_continuous(b, tol=tol)
     if not verdict.exists:
         raise NoSection("the exponential of this generator is conjugate-orthogonal")
-    return _build(verdict, tol)
+    return CrossSection(case=verdict.case, jordan=verdict.jordan, block_index=verdict.witness_block)
 
 
 def build_discrete_section(a, tol=DEFAULT_TOL) -> CrossSection:
@@ -190,19 +199,7 @@ def build_discrete_section(a, tol=DEFAULT_TOL) -> CrossSection:
     verdict = classify_discrete(a, tol=tol)
     if not verdict.exists:
         raise NoSection("matrix is conjugate to an orthogonal matrix")
-    return _build(verdict, tol)
-
-
-def _build(verdict, tol):
-    kind, form = _CASES[verdict.case], verdict.jordan
-    return CrossSection(
-        mode=kind.mode,
-        case=verdict.case,
-        jordan=form,
-        block_index=verdict.witness_block,
-        params=kind.params(form.blocks[verdict.witness_block]),
-        tol=tol,
-    )
+    return CrossSection(case=verdict.case, jordan=verdict.jordan, block_index=verdict.witness_block)
 
 
 def derive_discrete_section(section: CrossSection) -> CrossSection:
@@ -211,8 +208,7 @@ def derive_discrete_section(section: CrossSection) -> CrossSection:
     if section.mode != "continuous":
         raise ValueError("derive_discrete_section expects a continuous section")
     # same Jordan form, witness block and tolerance as the base
-    return replace(section, mode="discrete", case="derived_from_continuous",
-                   params=dict(section.params), base=section)
+    return replace(section, case="derived_from_continuous", base=section)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +226,16 @@ class _Case:
     cases, the free dimensions all follow from it.
 
     ``radius``, ``member``, ``parameter`` and ``gauge`` read ``w``, the
-    Jordan coordinates from the witness block on (``w[:, 0]`` is ``x1``);
-    ``exceptional`` is the null-set mask, so the formulas never divide by a
-    vanishing witness coordinate; ``rho`` is the witness radius that
-    :func:`_refused` read with that mask, so ``parameter`` and ``gauge``
-    never compute it again.  A continuous case's ``parameter`` is the flow
-    time ``t`` with ``gamma @ A^t in S``, and ``S`` the points of flow
-    time 0 (``member``): ``|t| * rate * rho <= tol * max(rho, 1)``, where
-    ``rate * rho`` is the speed of the flow at ``gamma`` along the witness
-    block's orbit, so that the left side is the distance to ``S`` along the
-    orbit, to first order.
+    Jordan coordinates from the witness block on (``w[:, 0]`` is ``x1``),
+    and ``rho``, the witness radius that :func:`_refused` read, so they
+    never compute it again; a refused row reaches them as the unit witness
+    row, or with ``rho > 0``, so no formula divides by a vanishing witness
+    coordinate.  A continuous case's ``parameter`` is the flow time ``t``
+    with ``gamma @ A^t in S``, and ``S`` the points of flow time 0
+    (``member``): ``|t| * rate * rho <= tol * max(rho, 1)``, where ``rate *
+    rho`` is the speed of the flow at ``gamma`` along the witness block's
+    orbit, so that the left side is the distance to ``S`` along the orbit,
+    to first order.
 
     A discrete section is a fundamental domain of ``gamma -> gamma A^k``, and
     each discrete case states it once, as ``gauge``: ``(u, s)``, a phase
@@ -283,17 +279,16 @@ class _Case:
         """The largest row norm whose orbit parameter stays in the float range."""
         return math.inf
 
-    def member(self, section, w, exceptional, rho):
+    def member(self, section, w, rho):
         """Orbit parameter 0: tile index 0, or flow time 0 at the tolerance."""
-        with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it is masked out
-            t = self.parameter(section, w, exceptional, rho)
+        t = self.parameter(section, w, rho)
         if self.mode == "discrete":
             return t == 0
         with np.errstate(over="ignore"):  # a distance past the float range reads inf: a non-member
             return np.abs(t) * (self.rate(section.params) * rho) <= section.tol * np.maximum(rho, 1.0)
 
-    def parameter(self, section, w, exceptional, rho):
-        u, s = self.gauge(section, w, exceptional, rho)
+    def parameter(self, section, w, rho):
+        u, s = self.gauge(section, w, rho)
         return (s * np.floor(u)).astype(int)
 
     @property
@@ -536,8 +531,8 @@ class _RealNonzero(_Case):
     def rate(self, params):
         return abs(params["alpha"])
 
-    def parameter(self, section, w, exceptional, rho):
-        return -np.log(np.where(exceptional, 1.0, rho)) / section.params["alpha"]
+    def parameter(self, section, w, rho):
+        return -np.log(rho) / section.params["alpha"]
 
     def sample(self, section, coords, rng):
         coords[:, section.block.offset] = rng.choice([-1.0, 1.0], size=coords.shape[0])
@@ -560,12 +555,11 @@ class _ComplexNonzero(_Case):
     def rate(self, params):
         return params["beta"]
 
-    def parameter(self, section, w, exceptional, rho):
+    def parameter(self, section, w, rho):
         alpha, beta, mu = section.params["alpha"], section.params["beta"], section.params["mu"]
         sigma = 1.0 if alpha > 0 else -1.0
         phi = _angle(w[:, 0], w[:, 1])
-        logr = np.log(np.where(exceptional, 1.0, rho))
-        c0 = beta * logr / (TWO_PI * mu) - sigma * phi / TWO_PI
+        c0 = beta * np.log(rho) / (TWO_PI * mu) - sigma * phi / TWO_PI
         m = -sigma * np.floor(c0)
         return (-phi + TWO_PI * m) / beta
 
@@ -583,8 +577,8 @@ class _ZeroNilpotent(_Case):
 
     chart = _ShearChart
 
-    def parameter(self, section, w, exceptional, rho):
-        return -w[:, 1] / np.where(exceptional, 1.0, w[:, 0])
+    def parameter(self, section, w, rho):
+        return -w[:, 1] / w[:, 0]
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -603,8 +597,8 @@ class _ImaginaryNilpotent(_Case):
 
     rate = _ComplexNonzero.rate
 
-    def parameter(self, section, w, exceptional, rho):
-        return _rotating_shear_flow_time(section.params["beta"], w, exceptional, rho, w[:, 2], w[:, 3])
+    def parameter(self, section, w, rho):
+        return _rotating_shear_flow_time(section.params["beta"], w, rho, w[:, 2], w[:, 3])
 
     def norm_limit(self, section):
         """:func:`_rotating_shear_flow_time` reads the row on a scale of up to
@@ -634,17 +628,17 @@ class _ModulusNotOne(_Case):
         big = max(abs(lam), 1.0 / abs(lam))
         return dict(lam=lam, log_span=math.log(big), expanding=abs(lam) > 1.0)
 
-    def phases(self, section, w, exceptional, rho):
+    def phases(self, section, w, rho):
         """``(u, s, wrap)``: the gauge ``log|x1| / log_span``, to which ``A``
         adds ``log|lam| / log_span = s = +/-1``, and the radial phase ``wrap``,
         here ``u`` itself: the representative ``w A^-k`` has ``log|x1| /
         log_span = wrap - floor(wrap)``."""
-        u = np.log(np.where(exceptional, 1.0, rho)) / section.params["log_span"]
+        u = np.log(rho) / section.params["log_span"]
         return u, 1 if section.params["expanding"] else -1, u
 
-    def gauge(self, section, w, exceptional, rho):
+    def gauge(self, section, w, rho):
         """``(u, s)`` of :meth:`phases`."""
-        return self.phases(section, w, exceptional, rho)[:2]
+        return self.phases(section, w, rho)[:2]
 
     def phase_bounds(self, section, w):
         """Bounds ``(u_lo, u_hi, wrap_lo, wrap_hi)`` of the gauge ``u`` and the
@@ -653,7 +647,8 @@ class _ModulusNotOne(_Case):
         ``x2/x1`` are monotone along every segment, so the rows' own gauge
         values bound the hull's; the radial phase is the gauge."""
         flat = w.reshape(-1, w.shape[-1])
-        u = self.gauge(section, flat, flat[:, 0] == 0.0, np.abs(flat[:, 0]))[0].reshape(w.shape[:2])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row on x1 = 0 fails one_sign
+            u = self.gauge(section, flat, np.abs(flat[:, 0]))[0].reshape(w.shape[:2])
         one_sign = (w[..., 0] > 0.0).all(axis=1) | (w[..., 0] < 0.0).all(axis=1)
         lo, hi = (np.where(one_sign, bound(u, axis=1), np.nan) for bound in (np.min, np.max))
         return lo, hi, lo, hi
@@ -693,7 +688,7 @@ class _ComplexModulusNotOne(_Case):
         omega = beta if expanding else TWO_PI - beta
         return dict(beta=beta, mu=mu, omega=omega, log_span=TWO_PI * mu / omega, expanding=expanding)
 
-    def phases(self, section, w, exceptional, rho):
+    def phases(self, section, w, rho):
         """``(u, s, wrap)``: the gauge, the flow phase ``(phi + 2 pi m) / omega``
         with ``phi`` the pair's angle by :func:`_angle` and ``m = floor(wrap)``
         the slab of the log-radial index ``log rho - (phi/omega) mu`` (``A``
@@ -702,7 +697,7 @@ class _ComplexModulusNotOne(_Case):
         index over ``log_span``: the representative ``w A^-k`` has the index
         ``(wrap - floor(wrap)) * log_span``."""
         phi = _angle(w[:, 0], w[:, 1])
-        logs = np.log(np.where(exceptional, 1.0, rho)) - (phi / section.params["omega"]) * section.params["mu"]
+        logs = np.log(rho) - (phi / section.params["omega"]) * section.params["mu"]
         wrap = logs / section.params["log_span"]
         u = (phi + TWO_PI * np.floor(wrap)) / section.params["omega"]
         return u, 1 if section.params["expanding"] else -1, wrap
@@ -766,9 +761,9 @@ class _RealModulusOneNilpotent(_Case):
     def params(self, blk):
         return {"lam": 1.0 if blk.re > 0 else -1.0}
 
-    def gauge(self, section, w, exceptional, rho):
+    def gauge(self, section, w, rho):
         """``x2/x1``, to which ``A`` adds ``1/lam = lam``."""
-        return w[:, 1] / np.where(exceptional, 1.0, w[:, 0]), section.params["lam"]
+        return w[:, 1] / w[:, 0], section.params["lam"]
 
     phase_bounds = _ModulusNotOne.phase_bounds
 
@@ -787,13 +782,13 @@ class _ComplexModulusOneNilpotent(_Case):
 
     norm_limit = _ImaginaryNilpotent.norm_limit
 
-    def gauge(self, section, w, exceptional, rho):
+    def gauge(self, section, w, rho):
         """Minus the flow time of :func:`_rotating_shear_flow_time`, read in the
         flow coordinates: those differ from the Jordan coordinates by one
         rotation of the second pair."""
         beta = section.params["beta"]
         d3, d4 = _rotate_rows(w[:, 2], w[:, 3], beta)
-        return -_rotating_shear_flow_time(beta, w, exceptional, rho, d3, d4), 1
+        return -_rotating_shear_flow_time(beta, w, rho, d3, d4), 1
 
     def sample(self, section, coords, rng):
         off = section.block.offset
@@ -832,8 +827,8 @@ class _DerivedFromContinuous(_Case):
     def norm_limit(self, section):
         return section.base.kind.norm_limit(section.base)
 
-    def gauge(self, section, w, exceptional, rho):
-        return -section.base.kind.parameter(section.base, w, exceptional, rho), 1
+    def gauge(self, section, w, rho):
+        return -section.base.kind.parameter(section.base, w, rho), 1
 
     def sample(self, section, coords, rng):
         base = section.base
@@ -857,18 +852,16 @@ _CASES = {
 }
 
 
-def _rotating_shear_flow_time(beta, w, exceptional, rho, x3, x4):
+def _rotating_shear_flow_time(beta, w, rho, x3, x4):
     """Unique flow time ``t`` with ``point @ M(t)`` in the imaginary nilpotent
     section, where ``M`` is the 4x4 rotation-with-shear flow of rate ``beta``,
     for the leading pair ``w[:, :2]`` of witness radius ``rho`` and the second
-    pair ``(x3, x4)``; a refused row reads the pair ``(1, x2)``'s angle and
-    radius 1."""
-    p = np.where(exceptional, 1.0, rho)
-    phi = np.arctan2(w[:, 1], np.where(exceptional, 1.0, w[:, 0]))
+    pair ``(x3, x4)``."""
+    phi = np.arctan2(w[:, 1], w[:, 0])
     t1 = -phi / beta
     y3, _ = _rotate_rows(x3, x4, beta * t1)
-    span = TWO_PI * p / beta
-    w = t1 * p + y3
+    span = TWO_PI * rho / beta
+    w = t1 * rho + y3
     kk = -np.floor(w / span)
     return t1 + kk * (TWO_PI / beta)
 
@@ -893,7 +886,10 @@ def _refused(section, coords):
     squares overflow is read scaled by its largest entry; a norm or a witness
     radius past the float range is inf: the row is refused, and so is a row
     whose norm is past the case's ``norm_limit``, where its orbit parameter
-    would leave the float range."""
+    would leave the float range.  A row of the null band is then read as the
+    unit witness row (1 in the witness block's first cell, 0 elsewhere, ``rho
+    = 1``), whose orbit parameter is 0 in every case; the resolution band's
+    rows are refused as they are, as their ``rho`` exceeds the null band's."""
     if not np.isfinite(coords).all():  # one test of the whole array is 20x cheaper than per row
         coords = np.where(finite_rows(coords)[:, None], coords, 0.0)
     try:
@@ -911,6 +907,9 @@ def _refused(section, coords):
     limit = section.kind.norm_limit(section)
     if limit < math.inf:
         null |= norms > limit
+    if null.any():
+        coords, rho = np.where(null[:, None], 0.0, coords), np.where(null, 1.0, rho)
+        coords[null, section.block.offset] = 1.0
     if section.mode != "continuous":
         return coords, null, null, rho
     noise = 8.0 * section.jordan.cond * np.finfo(float).eps * norms
@@ -928,15 +927,14 @@ def _solve_core(section, coords):
     representatives in Jordan coordinates, the refusal mask, and the
     representatives' witness radii."""
     coords, exceptional, _, rho = _refused(section, coords)
-    with np.errstate(invalid="ignore"):  # a refused row's index may leave int64: it reads 0
-        params = section.kind.parameter(section, coords[:, section.block.offset :], exceptional, rho)
+    params = section.kind.parameter(section, coords[:, section.block.offset :], rho)
     del rho  # freed before the flow, whose arrays then reuse its memory: 10% of a 1-D solve
     continuous = section.mode == "continuous"
     # the representative is gamma A^t (flow time t) or gamma A^-k (tile index
     # k), taken in Jordan coordinates: block powers never mix scales across
     # blocks, so the constrained coordinates stay accurate even when free
     # blocks grow enormous
-    rep_coords = power_rows(section, coords, np.where(exceptional, 0.0, params if continuous else -params))
+    rep_coords = power_rows(section, coords, params if continuous else -params)
     # a representative that overflows, or whose own evaluation collapses
     # (constrained block dwarfed by free blocks beyond float resolution), is
     # flagged just like a null-set point: refuse rather than return an

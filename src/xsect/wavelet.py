@@ -666,7 +666,7 @@ class DilationShiftedSection(PushedSection, RegionSet):
         """Dyadic slab of each base representative (Jordan coordinates, witness
         radius ``rho``): that of its radial phase (:meth:`_slab_of`)."""
         base = self.base
-        return self._slab_of(base.kind.phases(base, coords[:, base.block.offset :], False, rho)[2])
+        return self._slab_of(base.kind.phases(base, coords[:, base.block.offset :], rho)[2])
 
     def jordan_membership(self, coords):
         """:meth:`PushedSection.jordan_membership` from one reading of the base's
@@ -679,7 +679,7 @@ class DilationShiftedSection(PushedSection, RegionSet):
         refused only where the base's own membership refuses it."""
         base = self.base
         coords, refused, _, rho = _refused(base, coords)
-        u, s, wrap = base.kind.phases(base, coords[:, base.block.offset :], refused, rho)
+        u, s, wrap = base.kind.phases(base, coords[:, base.block.offset :], rho)
         whole, v = np.floor(u), wrap - np.floor(wrap)
         slab, edges, band = self._slab_of(v), self._phase_edges, 8.0 * base.tol
         edge = (slab == 0) | (v - edges[slab - 1] < band) | (edges[slab] - v < band)

@@ -29,9 +29,12 @@ it removes; ``compare`` reads only.  Each record has a ``section``, a
   its ``translation_counts:inf0-2``;
 * ``tiled``: for each set of ``TILED_REGIONS`` in ``tests/test_sections.py``,
   the SHA-256 of the bytes of the arrays that ``membership`` and ``solve``
-  return on five row families: 200 Gaussian rows times 1e300, the rows of
-  ``_float_range_rows``, the row of -1, the NaN row, and the nonzero
-  integer rows of [-6, 6]^n (of [-2, 2]^4 for n = 4);
+  return on six row families: 200 Gaussian rows times 1e300, the rows of
+  ``_float_range_rows``, the row of -1, the NaN row, the nonzero integer
+  rows of [-6, 6]^n (of [-2, 2]^4 for n = 4), and the null band: 200
+  Gaussian rows (seed 13) of the Jordan coordinates of the set's section
+  (a pushed set's base), with the cells of its declared null set scaled by
+  1e-12, mapped to ambient rows;
 * ``contracting``: for the order-infinity sets of ``[[0.5]]``,
   ``[[-0.5]]``, the spiral ``[[0.6, 0.3], [-0.3, 0.6]]``,
   ``diag(0.5, 0.25)``, ``diag(0.25, 3)`` and ``diag(0.25, 3)`` under
@@ -205,6 +208,18 @@ def _integer_rows(n):
     return rows[rows.any(axis=1)]
 
 
+def _null_band_rows(region, n):
+    """200 Gaussian Jordan rows of ``region``'s frame with the cells of its
+    declared null set scaled by 1e-12, as ambient rows."""
+    import numpy as np
+    from xsect.verify import _frame
+
+    frame = _frame(region)
+    coords = np.random.default_rng(13).normal(size=(200, n))
+    coords[:, frame.null_set()["indices"]] *= 1e-12
+    return frame.jordan.from_jordan(coords)
+
+
 def tiled_records():
     import numpy as np
     from test_sections import TILED_REGIONS, _float_range_rows
@@ -218,6 +233,7 @@ def tiled_records():
             ("minus_one", np.full((1, n), -1.0)),
             ("nan", np.full((1, n), math.nan)),
             ("integers", _integer_rows(n)),
+            ("null_band", _null_band_rows(region, n)),
         ):
             out = {}
             for call in ("membership", "solve"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from functools import partial
@@ -8,7 +9,9 @@ import pytest
 from xsect.errors import ExceptionalPoint, NoSection
 from xsect.linalg import integer_power, jordan_power_rows, one_parameter_power, real_jordan_form
 from xsect.sections import (
+    CrossSection,
     PushedSection,
+    _refused,
     build_continuous_section,
     build_discrete_section,
     contains,
@@ -705,3 +708,69 @@ def test_a_flow_whose_exponent_nears_the_float_range_solves():
     sol = solve_orbit(s, [1e305])
     assert abs(sol.parameter - (-math.log(1e305) / 300.0)) <= 1e-12
     assert contains(s, sol.representative)
+
+
+def _unit_witness_row(section):
+    row = np.zeros((1, section.n))
+    row[0, section.block.offset] = 1.0
+    return row
+
+
+CASE_SECTIONS = {
+    **{k: partial(build_continuous_section, m) for k, m in CONTINUOUS_FIXTURES.items()},
+    **{k: partial(build_discrete_section, m) for k, m in DISCRETE_FIXTURES.items()},
+    **{f"derived_{k}": partial(lambda b: derive_discrete_section(build_continuous_section(b)), m)
+       for k, m in CONTINUOUS_FIXTURES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASE_SECTIONS))
+def test_the_unit_witness_row_has_orbit_parameter_zero(name):
+    # a refused row is read as this row, so it is its own representative
+    section = CASE_SECTIONS[name]()
+    w = _unit_witness_row(section)[:, section.block.offset :]
+    assert section.kind.parameter(section, w, section.kind.radius(section, w)).tolist() == [0]
+
+
+@pytest.mark.parametrize("name, row", [
+    ("complex_modulus_not_one", "null_band"),
+    ("modulus_not_one", "null_band"),
+    ("imaginary_nilpotent", "null_band"),
+    ("real_modulus_one_nilpotent", "nan"),
+    ("imaginary_nilpotent", "nan"),
+    ("imaginary_nilpotent", "past_norm_limit"),
+])
+def test_refused_rows_read_as_the_unit_witness_row(name, row):
+    section = CASE_SECTIONS[name]()
+    off = section.block.offset
+    if row == "null_band":
+        coords = np.random.default_rng(3).normal(size=(1, section.n))
+        coords[:, section.null_set()["indices"]] *= 1e-12
+    elif row == "nan":
+        coords = np.full((1, section.n), math.nan)
+    else:
+        coords = np.zeros((1, section.n))
+        coords[0, off] = 2.0 * section.kind.norm_limit(section)
+    c, null, refused, rho = _refused(section, coords)
+    assert null.tolist() == refused.tolist() == [True]
+    assert c.tolist() == _unit_witness_row(section).tolist() and rho.tolist() == [1.0]
+
+
+def test_a_section_stores_its_case_form_witness_block_and_base():
+    assert [f.name for f in dataclasses.fields(CrossSection)] == ["case", "jordan", "block_index", "base"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(build_discrete_section(SPIRAL), tol=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(CASE_SECTIONS))
+def test_mode_tol_and_params_are_derived(name):
+    # the four stored fields fix the rest: a section built from them alone
+    # reads the builder's mode, tolerance and case data
+    built = CASE_SECTIONS[name]()
+    section = CrossSection(case=built.case, jordan=built.jordan, block_index=built.block_index, base=built.base)
+    assert (section.mode, section.tol) == (section.kind.mode, section.jordan.tol) == (built.mode, built.tol)
+    if section.base is None:
+        assert section.params == section.kind.params(section.block) == built.params
+    else:
+        assert section.params is section.base.params
+        assert section.params == section.base.kind.params(section.block)

@@ -629,7 +629,7 @@ def _tile_edge_rows(section, rng, segments=200):
 def test_bracketed_counts_equal_the_full_scan(name, conjugator_seed):
     section = _gauged_section(name, conjugator_seed)
     w = np.ones((1, section.n))
-    assert section.kind.gauge(section, w, np.zeros(1, dtype=bool), section.kind.radius(section, w)) is not None
+    assert section.kind.gauge(section, w, section.kind.radius(section, w)) is not None
     edges = _tile_edge_rows(section, np.random.default_rng(42))
     assert len(edges) >= 40
     gaussian = np.random.default_rng(41).normal(size=(400, section.n))
@@ -793,8 +793,8 @@ def _patch_swept_phase(monkeypatch, shift=0.0, scale=1.0):
     the closed-form flow times, which still come from the unpatched section."""
     gauge = _DerivedFromContinuous.gauge
 
-    def patched(self, section, w, exceptional, rho):
-        u, s = gauge(self, section, w, exceptional, rho)
+    def patched(self, section, w, rho):
+        u, s = gauge(self, section, w, rho)
         return u * scale + shift, s
 
     monkeypatch.setattr(_DerivedFromContinuous, "gauge", patched)
@@ -910,8 +910,8 @@ def _add_swept_run(monkeypatch, radii):
     :func:`_patch_swept_phase` patches the phase."""
     gauge = _DerivedFromContinuous.gauge
 
-    def patched(self, section, w, exceptional, rho):
-        u, s = gauge(self, section, w, exceptional, rho)
+    def patched(self, section, w, rho):
+        u, s = gauge(self, section, w, rho)
         rep = rho * np.exp(-section.params["alpha"] * u)  # the radius at flow time -u from the row
         keyed = np.isclose(rep[:, None], radii[None, :], rtol=1e-9, atol=0.0).any(axis=1)
         return np.where(keyed & (u >= 2.5) & (u < 3.0), 0.5, u), s

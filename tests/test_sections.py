@@ -716,11 +716,11 @@ def _unit_witness_row(section):
     return row
 
 
+# one section of every case: the continuous fixtures, the native discrete
+# ones, and the sweep of each continuous one
 CASE_SECTIONS = {
     **{k: partial(build_continuous_section, m) for k, m in CONTINUOUS_FIXTURES.items()},
-    **{k: partial(build_discrete_section, m) for k, m in DISCRETE_FIXTURES.items()},
-    **{f"derived_{k}": partial(lambda b: derive_discrete_section(build_continuous_section(b)), m)
-       for k, m in CONTINUOUS_FIXTURES.items()},
+    **{k: v for k, v in TILED_REGIONS.items() if k in DISCRETE_FIXTURES or k.startswith("derived_")},
 }
 
 

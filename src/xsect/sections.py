@@ -268,8 +268,18 @@ class _Case:
         return {"kind": kind, "indices": list(range(off, off + self.pinned))}
 
     def radius(self, section, w):
-        """The witness radius ``rho``: ``|x1|``, or ``|z1|`` for a pair."""
-        return np.abs(w[:, 0]) if self.pinned == 1 else np.hypot(w[:, 0], w[:, 1])
+        """The witness radius ``rho``: ``|x1|``, or ``|z1| = sqrt(x1^2 + x2^2)``
+        for a pair, at a fraction of the cost of ``np.hypot``, which reads only
+        rows whose squares overflow (entries past about 1e154), so a finite
+        pair keeps a finite radius.  Squares that underflow read 0: null."""
+        if self.pinned == 1:
+            return np.abs(w[:, 0])
+        x, y = w[:, 0], w[:, 1]
+        with np.errstate(over="ignore"):
+            rho = np.sqrt(x * x + y * y)
+            huge = np.isinf(rho)
+            rho[huge] = np.hypot(x[huge], y[huge])  # inf where even the radius leaves the float range
+        return rho
 
     def rate(self, params) -> float:
         """Flow speed along the witness orbit per unit of ``rho``."""
@@ -901,8 +911,7 @@ def _refused(section, coords):
             huge = np.flatnonzero(np.isinf(norms))
             scale = np.max(np.abs(coords[huge]), axis=1, keepdims=True)
             norms[huge] = scale[:, 0] * row_norms(coords[huge] / scale)
-    with np.errstate(over="ignore"):
-        rho = section.kind.radius(section, coords[:, section.block.offset :])
+    rho = section.kind.radius(section, coords[:, section.block.offset :])
     null = rho <= section.tol * np.maximum(norms, 1.0)
     limit = section.kind.norm_limit(section)
     if limit < math.inf:

@@ -625,6 +625,9 @@ def _coset_walk(hits):
 # ---------------------------------------------------------------------------
 # order-infinity wavelet sets
 
+# cells of radial phase in a set's slab table: a power of two, so v * _CELLS is exact
+_CELLS = 4096
+
 
 @dataclass(frozen=True)
 class DilationShiftedSection(PushedSection, RegionSet):
@@ -664,9 +667,10 @@ class DilationShiftedSection(PushedSection, RegionSet):
 
     def piece_of(self, coords, rho):
         """Dyadic slab of each base representative (Jordan coordinates, witness
-        radius ``rho``): that of its radial phase (:meth:`_slab_of`)."""
+        radius ``rho``): that of its radial phase, 0 outside [0, 1)."""
         base = self.base
-        return self._slab_of(base.kind.phases(base, coords[:, base.block.offset :], rho)[2])
+        wrap = base.kind.phases(base, coords[:, base.block.offset :], rho)[2]
+        return self._slab_and_edge(np.where((wrap >= 0.0) & (wrap <= 1.0), wrap, 1.0))[0]
 
     def jordan_membership(self, coords):
         """:meth:`PushedSection.jordan_membership` from one reading of the base's
@@ -680,17 +684,33 @@ class DilationShiftedSection(PushedSection, RegionSet):
         base = self.base
         coords, refused, _, rho = _refused(base, coords)
         u, s, wrap = base.kind.phases(base, coords[:, base.block.offset :], rho)
-        whole, v = np.floor(u), wrap - np.floor(wrap)
-        slab, edges, band = self._slab_of(v), self._phase_edges, 8.0 * base.tol
-        edge = (slab == 0) | (v - edges[slab - 1] < band) | (edges[slab] - v < band)
+        whole = np.floor(u)
+        slab, edge = self._slab_and_edge(wrap - np.floor(wrap))
         edge |= np.abs(u - whole - 0.5) > 0.5 - base.tol
         edge &= ~refused
-        pieces = np.where(refused | edge, 0, slab)
-        member = ((s * whole).astype(int) - self._row_shifts(pieces) == 0) & (pieces > 0)
+        slab[refused | edge] = 0
+        member = (whole == s * self._row_shifts(slab)) & (slab > 0)
         rows = np.flatnonzero(edge)
         if rows.size:
             member[rows], refused[rows] = PushedSection.jordan_membership(self, coords[rows])
         return member, refused
+
+    def _row_shifts(self, pieces):
+        """Each row's shift from :attr:`_shift_table`, where 0 marks a slab not
+        yet asked (any slab's shift is nonzero; slab 0 reads 0): ``shift`` is
+        asked once per slab over the set's life, not on every call."""
+        shifts = self._shift_table[pieces]
+        unset = pieces[shifts == 0]
+        if unset.any():
+            for i in np.unique(unset[unset > 0]):
+                self._shift_table[i] = self.shift(i)
+            shifts = self._shift_table[pieces]
+        return shifts
+
+    @cached_property
+    def _shift_table(self):
+        """The shift of each slab of :attr:`_phase_edges`: a cache, like ``_slabs``."""
+        return np.zeros(len(self._phase_edges), dtype=np.int64)
 
     @cached_property
     def _phase_edges(self):
@@ -708,11 +728,32 @@ class DilationShiftedSection(PushedSection, RegionSet):
             i += 1
         return np.append(np.log(lows + [cut]) / span, np.inf)
 
-    def _slab_of(self, wrap):
-        """The slab of each radial phase in :attr:`_phase_edges`, 0 (no slab)
-        below the first edge or past the cut."""
-        slab = np.searchsorted(self._phase_edges, wrap, side="right")
-        return np.where(slab < len(self._phase_edges) - 1, slab, 0)
+    @cached_property
+    def _phase_cells(self):
+        """Slab ``i`` for each cell ``[c, c + 1] / _CELLS`` of radial phase that
+        lies whole in slab ``i`` of :attr:`_phase_edges`, with the edge band
+        ``8 tol`` and a few ulps to spare at both ends; 0 for any other cell,
+        past the cut, and for the extra cell of a phase of 1."""
+        edges, band = self._phase_edges, 8.0 * self.base.tol + 4.0 * np.finfo(float).eps
+        ends = np.arange(_CELLS + 2) / _CELLS
+        slab = np.searchsorted(edges, ends[:-1], side="right")
+        inside = (slab < len(edges) - 1) & (ends[:-1] - edges[slab - 1] >= band) & (edges[slab] - ends[1:] >= band)
+        return np.where(inside, slab, 0)
+
+    def _slab_and_edge(self, v):
+        """``(slab, near_edge)`` of radial phases ``v`` in [0, 1]: the slab of
+        :attr:`_phase_edges` holding each (0 below the first edge or past the
+        cut), and whether it is 0 or within ``8 tol`` of an edge.  Each row
+        reads its cell of :attr:`_phase_cells`; only a cell's 0 is searched."""
+        slab = self._phase_cells[(v * _CELLS).astype(np.intp)]
+        near = slab == 0
+        rows = np.flatnonzero(near)
+        edges, w, band = self._phase_edges, v[rows], 8.0 * self.base.tol
+        found = np.searchsorted(edges, w, side="right")
+        found[found >= len(edges) - 1] = 0
+        slab[rows] = found
+        near[rows] = (found == 0) | (w - edges[found - 1] < band) | (edges[found] - w < band)
+        return slab, near
 
     def piece_boxes_1d(self, i: int):
         """For the scalar case: the pushed slab ±[lo, hi) * growth^|k| of

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -774,3 +775,33 @@ def test_mode_tol_and_params_are_derived(name):
     else:
         assert section.params is section.base.params
         assert section.params == section.base.kind.params(section.block)
+
+
+@pytest.mark.parametrize("name", ["complex_modulus_not_one", "complex_nonzero", "imaginary_nilpotent",
+                                  "complex_modulus_one_nilpotent"])
+def test_the_pair_radius_reads_as_the_hypot_at_the_float_range(monkeypatch, name):
+    # a pair's radius is sqrt(x^2 + y^2): within an ulp of np.hypot, and the
+    # hypot itself where the squares overflow, so a pair of entries 1e200
+    # keeps a finite radius; squares that underflow read 0, in the null band
+    # either way.  The null and refusal masks are those of the hypot
+    section = CASE_SECTIONS[name]()
+    off, rng = section.block.offset, np.random.default_rng(5)
+    values = [1e200, -1e200, 1.5e308, -1.5e308, 1e-200, None]
+    pairs = [(x, y) for x in values for y in values]
+    coords = rng.normal(size=(3 * len(pairs) + 1000, section.n))
+    for j, (x, y) in enumerate(pairs * 3):
+        for cell, v in ((off, x), (off + 1, y)):
+            coords[j, cell] = coords[j, cell] if v is None else v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _refused(section, coords)
+    w = coords[:, off : off + 2]
+    with np.errstate(over="ignore"):
+        hypot = np.hypot(w[:, 0], w[:, 1])
+        overflow = np.isinf(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1])
+    monkeypatch.setattr(type(section.kind), "radius", lambda self, s, w: hypot)
+    want = _refused(section, coords)
+    assert overflow.sum() >= len(pairs) and np.isfinite(got[3][overflow & ~got[2]]).all()
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    assert np.array_equal(got[3][overflow], want[3][overflow])
+    assert (np.abs(got[3] - want[3]) <= np.spacing(want[3])).all()

@@ -11,6 +11,7 @@ from xsect.verify import check_discrete_tiling
 from xsect.wavelet import (
     BoxUnion,
     ConeSection,
+    DilationShiftedSection,
     Lattice,
     build_order_infinity_set,
     coset_selector_U,
@@ -817,3 +818,64 @@ def test_order_infinity_sets_tile_under_their_matrix(a, seed):
     k = build_order_infinity_set(random_conjugate(a, seed)[0], Z2, pieces=4)
     report = check_discrete_tiling(k, samples=2000, seed=3)
     assert report.passed and report.histogram == {1: 2000}
+
+
+def _searched_slab_and_edge(k, v):
+    """Slab and edge flag of radial phases ``v`` by a search of the whole
+    phase table and the edge band ``8 tol``, with no cell table."""
+    edges, band = k._phase_edges, 8.0 * k.base.tol
+    slab = np.searchsorted(edges, v, side="right")
+    slab = np.where(slab < len(edges) - 1, slab, 0)
+    return slab, (slab == 0) | (v - edges[slab - 1] < band) | (edges[slab] - v < band)
+
+
+def _float_steps(x, steps):
+    """``x`` and its neighbours up to ``steps`` floats away on either side."""
+    out, up, down = [x], x, x
+    for _ in range(steps):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+@pytest.mark.parametrize("a", list(CUT_SETS.values()) + [[[2.0]], SPIRAL, np.diag([2.0, 1.0]), [[0.5]]],
+                         ids=list(CUT_SETS) + ["two", "spiral", "diag21", "half"])
+def test_the_phase_cells_read_as_the_search_at_every_edge(a):
+    # a phase reads its slab and edge flag from its cell, and searches the
+    # edges only where the cell holds 0: the bits are those of the search at
+    # each edge and its neighbouring floats, at the edge band's ends, at the
+    # cell bounds around each edge, at 0 and 1, and on uniform phases
+    k = build_order_infinity_set(a, Lattice.integers(len(a)), pieces=1)
+    edges, band, cells = k._phase_edges[:-1], 8.0 * k.base.tol, len(k._phase_cells) - 1
+    bounds = np.floor(edges * cells)[:, None] + np.arange(-1, 3)
+    phases = _float_steps(edges, 3) + _float_steps(edges + band, 1) + _float_steps(edges - band, 1)
+    phases += _float_steps(bounds.ravel() / cells, 1)
+    phases += [np.random.default_rng(0).uniform(size=10_000), np.array([0.0, 1.0])]
+    v = np.concatenate(phases)
+    v = v[(v >= 0.0) & (v <= 1.0)]
+    got, want = k._slab_and_edge(v), _searched_slab_and_edge(k, v)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert (k._phase_cells > 0).mean() > 0.9 and k._phase_cells[-1] == 0
+
+
+@pytest.mark.parametrize("a", [[[2.0]], SPIRAL], ids=["two", "spiral"])
+def test_order_infinity_membership_does_not_depend_on_call_history(monkeypatch, a):
+    # the shift table fills as slabs first appear: two fresh sets fed the
+    # same rows in different orders read the same bits, ask each slab's shift
+    # once, and keep their to_json
+    n = len(a)
+    first, second = (build_order_infinity_set(a, Lattice.integers(n), pieces=4) for _ in range(2))
+    before = first.to_json()
+    asked, shift = [], DilationShiftedSection.shift
+    monkeypatch.setattr(DilationShiftedSection, "shift", lambda s, i: asked.append((id(s), int(i))) or shift(s, i))
+    pts = np.random.default_rng(4).normal(size=(500, n))
+    rows = np.concatenate([pts @ np.linalg.matrix_power(np.asarray(a, dtype=float), j) for j in range(-12, 13)])
+    member, refused = first.membership(rows)
+    order = np.random.default_rng(5).permutation(len(rows))
+    parts = [second.membership(rows[chunk]) for chunk in np.array_split(order, 40)]
+    got_member, got_refused = np.empty_like(member), np.empty_like(refused)
+    got_member[order], got_refused[order] = (np.concatenate(p) for p in zip(*parts))
+    assert np.array_equal(member, got_member) and np.array_equal(refused, got_refused)
+    assert first.to_json() == second.to_json() == before
+    slabs = [{i for s, i in asked if s == id(k)} for k in (first, second)]
+    assert len(asked) == len(set(asked)) and slabs[0] == slabs[1] and len(slabs[0]) > 4
